@@ -302,6 +302,8 @@ let parse_cmd =
       let lex_minor = Gc.minor_words () -. lex_minor0 in
       let eng = R.make p in
       let max_errors = if recover then 100 else 0 in
+      let parse_t0 = Unix.gettimeofday () in
+      let parse_minor0 = Gc.minor_words () in
       let outcome =
         match cache_file with
         | None -> R.run_word ?file ~max_errors eng word
@@ -313,8 +315,11 @@ let parse_cmd =
           in
           fst (R.run_with_cache_word ?file ~max_errors eng cache word)
       in
+      let parse_t = Unix.gettimeofday () -. parse_t0 in
+      let parse_minor = Gc.minor_words () -. parse_minor0 in
+      let n = Word.length word in
+      let per_token words = words /. float_of_int (max 1 n) in
       if stats then begin
-        let n = Word.length word in
         let toks_s t = if t > 0. then float_of_int n /. t else 0. in
         Printf.eprintf
           "lexing: %d tokens from %d bytes in %.4fs (%.2f Mtokens/s, %.1f \
@@ -322,7 +327,10 @@ let parse_cmd =
           n (String.length text) lex_t
           (toks_s lex_t /. 1e6)
           (float_of_int (String.length text) /. lex_t /. 1e6)
-          (lex_minor /. float_of_int (max 1 n));
+          (per_token lex_minor);
+        (* Includes prediction instrumentation, which --stats turns on. *)
+        Printf.eprintf "parsing: %.4fs; %.3f minor words/token\n" parse_t
+          (per_token parse_minor);
         (* Warm steady-state: rerun the buffer pipeline now that the
            compiled scanner (and any lazy tables) exist. *)
         (match buf_of_input ?lexer g l text with
@@ -371,9 +379,17 @@ let parse_cmd =
         | R.Recovered_ambig _ -> prerr_endline "warning: input is ambiguous"
         | _ -> ());
         let diags = R.diagnostics outcome in
-        if diags = [] then
+        let render () =
+          let t0 = Unix.gettimeofday () in
+          let m0 = Gc.minor_words () in
           if dot then print_string (Tree.to_dot g v)
-          else Fmt.pr "%a@." (Tree.pp g) v
+          else Fmt.pr "%a@." (Tree.pp g) v;
+          if stats then
+            Printf.eprintf "rendering: %.4fs; %.3f minor words/token\n"
+              (Unix.gettimeofday () -. t0)
+              (per_token (Gc.minor_words () -. m0))
+        in
+        if diags = [] then render ()
         else begin
           let diags =
             if recover then diags else List.map strip_recovery_notes diags
@@ -382,9 +398,7 @@ let parse_cmd =
              the diagnostics in text mode; structured formats carry the
              diagnostics alone. *)
           let code = render_diags format ~max_severity ~max_warnings diags in
-          if recover && format = `Text then
-            if dot then print_string (Tree.to_dot g v)
-            else Fmt.pr "%a@." (Tree.pp g) v;
+          if recover && format = `Text then render ();
           exit code
         end
     end

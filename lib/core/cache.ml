@@ -371,8 +371,8 @@ let add_trans c sid a sid' =
       row
     end
   in
-  (* Idempotent: re-adding an existing transition (e.g. [prepare ~deep]
-     overlapping a later parse of the same state) must not double-count. *)
+  (* Idempotent: re-adding an existing transition (e.g. [absorb] replaying
+     a base fact the destination already has) must not double-count. *)
   if row.(a) < 0 then begin
     row.(a) <- sid';
     c.n_trans <- c.n_trans + 1

@@ -147,7 +147,8 @@ val add_trans : t -> state_id -> terminal -> state_id -> t
     configurations each entry records whether the closure performed a
     stable-return fork (simulated return past the truncated stack, §3.5) —
     the spot where SLL overapproximates LL; the static analyzer reads the
-    flag through {!Sll.closure_cached_ext}. *)
+    flag through {!Sll.closure_cached_ext}, which keys the memo on
+    configurations with the prediction label erased. *)
 val find_closure :
   t -> Config.sll -> (Config.sll list * bool, Types.error) result option
 

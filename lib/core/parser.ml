@@ -14,13 +14,16 @@ let pp_result g ppf = function
 
 type t = {
   menv : Machine.env;
-  (* The shared prediction cache, seeded with the static grammar cache
-     (paper, footnote 7): initial SLL DFA states for every decision
-     nonterminal, precomputed once per grammar.  The cache is a mutable
-     store, so [run] also accumulates what each input teaches across runs
-     (the paper's tool discards it; ours keeps it — E4).  Cache contents
-     never influence results (property-tested), only speed, so sharing it
-     here is benign; [run_cold] measures without cross-run accumulation. *)
+  (* The shared prediction cache.  It starts empty and is built on demand:
+     a decision's initial SLL DFA state (the paper's footnote-7 static
+     grammar cache) and every transition are interned by the prediction
+     miss path the first time an input needs them, so a one-shot parse pays
+     only for the decisions and lookahead it touches.  The cache is a
+     mutable store, so [run] also accumulates what each input teaches
+     across runs (the paper's tool discards it; ours keeps it — E4).  Cache
+     contents never influence results (property-tested), only speed, so
+     sharing it here is benign; [run_cold] measures without cross-run
+     accumulation. *)
   mutable base : Cache.t option;
 }
 
@@ -33,16 +36,9 @@ let base_cache p =
   match p.base with
   | Some c -> c
   | None ->
-    let g = grammar p and anl = analysis p in
-    let c = ref (Cache.create anl) in
-    for x = 0 to Costar_grammar.Grammar.num_nonterminals g - 1 do
-      if
-        Analysis.reachable anl x
-        && List.length (Costar_grammar.Grammar.prods_of g x) > 1
-      then c := Sll.prepare ~deep:true g anl !c x
-    done;
-    p.base <- Some !c;
-    !c
+    let c = Cache.create (analysis p) in
+    p.base <- Some c;
+    c
 
 let set_base_cache p c =
   if Cache.frames c != Analysis.frames (analysis p) then
@@ -75,7 +71,19 @@ let run_buf p buf = run_word p (Word.of_buf buf)
 
 let run p tokens = fst (run_with_cache p (base_cache p) tokens)
 
-let run_cold p tokens = fst (run_with_cache p (Cache.copy (base_cache p)) tokens)
+(* The paper tool's per-parse cache: the footnote-7 static grammar cache
+   (every reachable decision's initial DFA state, seeded into the base once
+   — [Sll.prepare] is a no-op for a state already present), copied so
+   nothing the parse learns outlives it. *)
+let run_cold p tokens =
+  let g = grammar p and anl = analysis p in
+  let c = ref (base_cache p) in
+  for x = 0 to Grammar.num_nonterminals g - 1 do
+    if Analysis.reachable anl x && List.length (Grammar.prods_of g x) > 1 then
+      c := Sll.prepare g anl !c x
+  done;
+  p.base <- Some !c;
+  fst (run_with_cache p (Cache.copy !c) tokens)
 
 let run_inspect p ~inspect tokens =
   fst

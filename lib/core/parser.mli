@@ -26,13 +26,14 @@ val grammar : t -> Grammar.t
 val analysis : t -> Analysis.t
 val env : t -> Machine.env
 
-(** [run p w] parses the token sequence [w].  The prediction cache starts
-    from the parser's static grammar cache — the precomputed initial SLL
-    DFA states of the paper's footnote 7 — and, the cache store being
-    mutable, retains what [w] taught it for later runs on the same parser.
-    (Cache contents never affect results, only speed; use
-    [run_with_cache p (Cache.create (analysis p)) w] for a run with no
-    static cache at all.) *)
+(** [run p w] parses the token sequence [w] through the parser's shared
+    base cache ({!base_cache}).  Prediction builds what it needs on
+    demand — a decision's initial SLL DFA state (the paper's footnote-7
+    static cache) and each transition are computed on the first miss —
+    and, the cache store being mutable, what [w] taught it is kept for
+    later runs on the same parser.  (Cache contents never affect results,
+    only speed; use [run_with_cache p (Cache.create (analysis p)) w] for a
+    run that shares nothing with other runs.) *)
 val run : t -> Token.t list -> result
 
 (** [run_word p w] is {!run} over the array cursor — the zero-copy
@@ -44,22 +45,25 @@ val run_word : t -> Word.t -> result
     by the compiled scanner) without materializing a token list. *)
 val run_buf : t -> Token_buf.t -> result
 
-(** The parser's shared base cache: the static grammar cache (initial DFA
-    states, and their first transitions, for every reachable decision),
-    built on first use and then extended by every {!run}.  Exposed for
-    cache-behaviour measurements. *)
+(** The parser's shared base cache.  It starts empty, is extended on
+    demand by every {!run} (initial DFA states and transitions as
+    predictions first need them), and is seeded with the footnote-7
+    initial states by {!run_cold}.  Exposed for cache-behaviour
+    measurements. *)
 val base_cache : t -> Cache.t
 
 (** Install a loaded cache (a v2 precompiled cache or an image-backed v3
-    cache) as the parser's base, replacing the lazily built static grammar
-    cache.  Raises [Invalid_argument] if the cache was built against a
-    different analysis. *)
+    cache) as the parser's base, replacing the on-demand one.  Raises
+    [Invalid_argument] if the cache was built against a different
+    analysis. *)
 val set_base_cache : t -> Cache.t -> unit
 
 (** [run_cold p w] is {!run} on an independent copy of the static grammar
-    cache: nothing learned from [w] leaks into later runs.  This is the
-    paper tool's per-parse cache behaviour, kept for cold-cache
-    measurements. *)
+    cache of the paper's footnote 7: the base cache is seeded once with
+    every reachable decision's initial DFA state ({!Sll.prepare}), and
+    the parse runs on a copy, so nothing learned from [w] leaks into
+    later runs.  This is the paper tool's per-parse cache behaviour, kept
+    for cold-cache measurements. *)
 val run_cold : t -> Token.t list -> result
 
 (** [run_with_cache p cache w] additionally threads an SLL cache in and out,

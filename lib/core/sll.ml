@@ -81,24 +81,35 @@ let closure_ext g anl configs =
 let closure g anl configs = Result.map fst (closure_ext g anl configs)
 
 (* Closure of a configuration set through the per-configuration memo table
-   threaded in the cache: closure(S) = union over c in S of closure({c}). *)
+   threaded in the cache: closure(S) = union over c in S of closure({c}).
+   Closure never reads the prediction label — every configuration it
+   reaches carries its start's [s_pred] unchanged — so the memo is keyed on
+   the configuration with [s_pred = 0] and a hit is relabelled with the
+   real prediction.  One entry then serves every alternative that reaches
+   the same (frames, context) pair. *)
 let closure_cached_ext g anl cache configs =
   let rec go cache acc forked = function
     | [] -> (cache, Ok (List.sort_uniq compare_sll (List.concat acc), forked))
     | cfg :: rest -> (
+      let key = if cfg.s_pred = 0 then cfg else { cfg with s_pred = 0 } in
       let cache, result =
-        match Cache.find_closure cache cfg with
+        match Cache.find_closure cache key with
         | Some r ->
           Instr.record_closure_hit ();
           (cache, r)
         | None ->
           Instr.record_closure_miss ();
-          let r = closure_ext g anl [ cfg ] in
-          (Cache.add_closure cache cfg r, r)
+          let r = closure_ext g anl [ key ] in
+          (Cache.add_closure cache key r, r)
       in
       match result with
       | Error e -> (cache, Error e)
-      | Ok (stable, f) -> go cache (stable :: acc) (forked || f) rest)
+      | Ok (stable, f) ->
+        let stable =
+          if cfg.s_pred = 0 then stable
+          else List.map (fun c -> { c with s_pred = cfg.s_pred }) stable
+        in
+        go cache (stable :: acc) (forked || f) rest)
   in
   go cache [] false configs
 
@@ -182,31 +193,10 @@ let init g anl sid_cache x =
       let cache, sid = Cache.intern cache configs in
       Ok (Cache.add_init cache x sid, sid))
 
-let prepare ?(deep = false) g anl cache x =
+let prepare g anl cache x =
   match init g anl cache x with
   | Error _ -> cache
-  | Ok (cache, sid) ->
-    if not deep then cache
-    else begin
-      (* Also precompute the first DFA transition on every terminal: the
-         initial configuration sets of decision-heavy grammars are by far
-         the largest, so their outgoing closures dominate per-input cache
-         warm-up even though they are input-independent. *)
-      let info = Cache.info cache sid in
-      match info.Cache.verdict with
-      | Cache.V_empty | Cache.V_all_pred _ -> cache
-      | Cache.V_pending ->
-        let cache = ref cache in
-        for a = 0 to Grammar.num_terminals g - 1 do
-          if Cache.find_trans !cache sid a = None then
-            match closure_cached g anl !cache (move anl info.Cache.configs a) with
-            | cache', Error _ -> cache := cache'
-            | cache', Ok configs' ->
-              let cache', sid' = Cache.intern cache' configs' in
-              cache := Cache.add_trans cache' sid a sid'
-        done;
-        !cache
-    end
+  | Ok (cache, _) -> cache
 
 let predict_general_ext g anl cache x kinds len i =
   match init g anl cache x with

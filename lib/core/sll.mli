@@ -38,7 +38,10 @@ val closure_ext :
 (** [closure_cached g a cache configs] is {!closure} through the cache's
     per-configuration memo table: the closure of a set is the union of its
     members' closures, so single-configuration results are reusable across
-    DFA states. *)
+    DFA states.  Closure never reads a configuration's prediction label, so
+    the memo is keyed on the configuration with the label erased ([s_pred =
+    0]) and a hit is relabelled: alternatives that reach the same frames and
+    context share one entry. *)
 val closure_cached :
   Grammar.t ->
   Analysis.t ->
@@ -71,12 +74,9 @@ val init_configs : Grammar.t -> Analysis.t -> nonterminal -> Config.sll list
 (** [prepare g a cache x] precomputes and interns the initial DFA state for
     decision nonterminal [x] (a no-op if already present, or if the closure
     detects left recursion — the error then resurfaces at prediction time).
-    With [~deep:true], the state's outgoing transition on every terminal is
-    precomputed as well (all of it input-independent).  Folding [prepare]
-    over all nonterminals builds the static grammar cache of the paper's
-    footnote 7. *)
-val prepare :
-  ?deep:bool -> Grammar.t -> Analysis.t -> Cache.t -> nonterminal -> Cache.t
+    Folding [prepare] over all nonterminals builds the static grammar cache
+    of the paper's footnote 7. *)
+val prepare : Grammar.t -> Analysis.t -> Cache.t -> nonterminal -> Cache.t
 
 (** [predict g a cache x tokens] runs SLL prediction for decision
     nonterminal [x] against the remaining tokens, reading and extending the

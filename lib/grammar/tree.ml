@@ -82,22 +82,34 @@ let nonterminals v =
   in
   go Int_set.empty v
 
+(* The layout of ["@[<hov 1>(%s%a)@]"] with a ["@ "] before every child,
+   written with the Format primitives that format string expands to, so
+   no format string is interpreted per node (test/render pins the bytes). *)
 let rec pp g ppf = function
-  | Leaf tok -> Fmt.pf ppf "'%s'" tok.Token.lexeme
-  | Node (x, kids) ->
-    Fmt.pf ppf "@[<hov 1>(%s%a)@]"
-      (Grammar.nonterminal_name g x)
-      Fmt.(list ~sep:nop (fun ppf k -> Fmt.pf ppf "@ %a" (pp g) k))
-      kids
+  | Leaf tok ->
+    Format.pp_print_string ppf "'";
+    Format.pp_print_string ppf tok.Token.lexeme;
+    Format.pp_print_string ppf "'"
+  | Node (x, kids) -> pp_node g ppf (Grammar.nonterminal_name g x) kids
   | Error (at, kids) ->
     let label =
       match at with
       | None -> "ERROR"
       | Some s -> "ERROR:" ^ Grammar.symbol_name g s
     in
-    Fmt.pf ppf "@[<hov 1>(%s%a)@]" label
-      Fmt.(list ~sep:nop (fun ppf k -> Fmt.pf ppf "@ %a" (pp g) k))
-      kids
+    pp_node g ppf label kids
+
+and pp_node g ppf label kids =
+  Format.pp_open_hovbox ppf 1;
+  Format.pp_print_string ppf "(";
+  Format.pp_print_string ppf label;
+  List.iter
+    (fun k ->
+      Format.pp_print_space ppf ();
+      pp g ppf k)
+    kids;
+  Format.pp_print_string ppf ")";
+  Format.pp_close_box ppf ()
 
 let to_string g v = Fmt.str "%a" (pp g) v
 

@@ -86,24 +86,41 @@ let prop_ll_predict_agrees =
             (Ll.predict g anl x [ [] ] toks))
         (decision_nts g))
 
+let same_closure r1 r2 =
+  match r1, r2 with
+  | Error e1, Error e2 -> e1 = e2
+  | Ok (stable1, forked1), Ok (stable2, forked2) ->
+    forked1 = forked2
+    && List.equal (fun c1 c2 -> Config.compare_sll c1 c2 = 0) stable1 stable2
+  | _ -> false
+
 let prop_closure_and_fork_agree =
   (* The interned closure must produce the same stable configurations
      (after decoding) and the same stable-return fork flag as the
      structural closure, for the initial configurations of every
-     decision. *)
+     decision.  The memoized closure, run through one cache shared by
+     every decision, must agree with the direct one — and keep agreeing
+     when the same configurations come back under other prediction
+     labels, which hit the label-erased memo entries of the first pass. *)
   QCheck.Test.make ~count:500
     ~name:"interned closure = structural closure (configs + fork flag)"
     (QCheck.make Util.gen_grammar ~print:(Fmt.to_to_string Grammar.pp))
     (fun g ->
       let anl = Analysis.make g in
       let fr = Analysis.frames anl in
+      let cache = Cache.create anl in
+      let relabel cfgs =
+        List.map (fun c -> { c with Config.s_pred = c.Config.s_pred + 7 }) cfgs
+      in
       List.for_all
         (fun x ->
+          let configs = Sll.init_configs g anl x in
           let structural =
             S.Sll.closure_ext g anl (S.Sll.init_configs g x)
           in
-          let interned = Sll.closure_ext g anl (Sll.init_configs g anl x) in
-          match structural, interned with
+          let interned = Sll.closure_ext g anl configs in
+          let memoized c = snd (Sll.closure_cached_ext g anl cache c) in
+          (match structural, interned with
           | Error e1, Error e2 -> e1 = e2
           | Ok (stable1, forked1), Ok (stable2, forked2) ->
             forked1 = forked2
@@ -111,6 +128,10 @@ let prop_closure_and_fork_agree =
                  (S.Config.Sll_set.of_list stable1)
                  (S.Config.Sll_set.of_list (List.map (decode_sll fr) stable2))
           | _ -> false)
+          && same_closure interned (memoized configs)
+          && same_closure
+               (Sll.closure_ext g anl (relabel configs))
+               (memoized (relabel configs)))
         (decision_nts g))
 
 let prop_parse_agrees_with_turbo_baseline =

@@ -186,12 +186,11 @@ let test_prepare () =
   let x = nt fig2 "S" in
   let cache = Sll.prepare fig2 anl (Cache.create anl) x in
   check "init present" true (Cache.find_init cache x <> None);
-  let deep = Sll.prepare ~deep:true fig2 anl (Cache.create anl) x in
-  check "deep adds transitions" true (Cache.num_transitions deep > 0);
+  check_int "no transitions" 0 (Cache.num_transitions cache);
   (* Results are identical with or without preparation. *)
   let w = Grammar.tokens fig2 [ "b"; "d" ] in
   let _, r1 = Sll.predict fig2 anl (Cache.create anl) x w in
-  let _, r2 = Sll.predict fig2 anl deep x w in
+  let _, r2 = Sll.predict fig2 anl cache x w in
   check "prepared = unprepared" true (r1 = r2)
 
 let test_closure_cached_consistency () =
@@ -258,7 +257,7 @@ let suite =
       test_no_spurious_left_recursion;
     Alcotest.test_case "cache growth and reuse" `Quick
       test_cache_growth_and_reuse;
-    Alcotest.test_case "prepare / deep prepare" `Quick test_prepare;
+    Alcotest.test_case "prepare" `Quick test_prepare;
     Alcotest.test_case "closure_cached consistency" `Quick
       test_closure_cached_consistency;
     Alcotest.test_case "single-production shortcut" `Quick
