@@ -594,8 +594,9 @@ let lookahead cfg corpora =
 
 (* ------------------------------------------------------------------ *)
 (* E12: offline DFA precompilation (the tentpole of the static        *)
-(* prediction analyzer): analyze once, serialize the prediction-DFA   *)
-(* cache, and start parsing from it instead of from an empty cache.   *)
+(* prediction analyzer): analyze once, encode the prediction-DFA     *)
+(* cache as a v3 image, and start parsing from its decode instead of  *)
+(* from an empty cache.                                               *)
 (* ------------------------------------------------------------------ *)
 
 let precache cfg corpora =
@@ -606,7 +607,7 @@ let precache cfg corpora =
   print_endline
     " DFA states it interns are exactly the runtime's cache entries, so a";
   print_endline
-    " deserialized analysis cache removes first-parse cold misses)";
+    " decoded v3 image of the analysis cache removes first-parse cold misses)";
   Printf.printf "%-10s %11s %9s %16s %16s %12s %12s %8s\n" "Benchmark"
     "analyze(ms)" "file(KB)" "cold miss(s/t)" "warm miss(s/t)" "cold(ms)"
     "warm(ms)" "speedup";
@@ -618,15 +619,15 @@ let precache cfg corpora =
       let r = Costar_predict_analysis.Analyze.analyze g in
       let analyze_t = Unix.gettimeofday () -. t0 in
       let blob =
-        Costar_core.Cache.precompile ~fingerprint:fp
+        Costar_core.Cache.image_bytes ~fingerprint:fp
           r.Costar_predict_analysis.Analyze.cache
       in
       let p = P.make g in
       let anl = P.analysis p in
       let pre =
-        match Costar_core.Cache.of_precompiled ~anl ~fingerprint:fp blob with
+        match Costar_core.Cache.of_image_bytes ~anl ~fingerprint:fp blob with
         | Ok c -> c
-        | Error msg -> failwith msg
+        | Error e -> failwith (Costar_core.Cache.image_error_to_string e)
       in
       (* One pass over the whole corpus from a given starting cache; the
          number of states/transitions the parser adds on top of it is its

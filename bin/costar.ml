@@ -2,11 +2,12 @@
 
      costar parse  --lang json file.json         parse with a built-in language
      costar parse  --grammar g.ebnf --tokens "a b c"   parse terminal names
-     costar parse  --lang json --cache json.dfa file.json   warm-start parse
+     costar parse  --lang json --cache json.img file.json   warm-start parse
      costar batch  --lang json -j 4 corpus/      parse a corpus in parallel
      costar check  --grammar g.ebnf              static grammar report
      costar lint   --grammar g.ebnf --lexer g.lexer   coded diagnostics
      costar analyze --grammar g.ebnf             static prediction analysis
+     costar analyze --lang json --emit-image json.img   write the cache image
      costar tables --lang json -o json.tables    flat FIRST/FOLLOW/decision image
      costar atn    --lang dot --annotate         decision ATN as GraphViz DOT
      costar lex    --lang minipy file.py         print the token stream
@@ -246,11 +247,9 @@ let parse_cmd =
       & opt (some file) None
       & info [ "cache" ] ~docv:"FILE"
           ~doc:
-            "Start from a precompiled prediction-DFA cache: a v2 cache \
-             (written by $(b,costar analyze --emit-cache)) or a v3 flat \
-             image (written by $(b,costar analyze --emit-image), loaded \
-             zero-copy via mmap); the format is detected from the file, \
-             and its grammar fingerprint must match.")
+            "Start from a prediction-DFA cache image written by \
+             $(b,costar analyze --emit-image), loaded zero-copy via mmap; \
+             its grammar fingerprint must match.")
   in
   let stats_arg =
     Arg.(
@@ -310,8 +309,10 @@ let parse_cmd =
         | Some cf ->
           let cache =
             or_die
-              (Cache.load_any ~anl:(P.analysis p)
-                 ~fingerprint:(Grammar.fingerprint g) cf)
+              (Result.map_error
+                 (fun e -> cf ^ ": " ^ Cache.image_error_to_string e)
+                 (Cache.load_image ~anl:(P.analysis p)
+                    ~fingerprint:(Grammar.fingerprint g) cf))
           in
           fst (R.run_with_cache_word ?file ~max_errors eng cache word)
       in
@@ -524,29 +525,20 @@ let analyze_cmd =
             "Lookahead bound: report minimal k for decisions that are \
              SLL(k) with k <= K, and `beyond' otherwise.")
   in
-  let emit_cache_arg =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "emit-cache" ] ~docv:"FILE"
-          ~doc:
-            "Write the prediction-DFA cache built during analysis to FILE, \
-             for $(b,costar parse --cache) to warm-start from.")
-  in
   let emit_image_arg =
     Arg.(
       value
       & opt (some string) None
       & info [ "emit-image" ] ~docv:"FILE"
           ~doc:
-            "Write the prediction-DFA cache as a v3 flat image: one \
-             contiguous int32-LE file that $(b,costar parse --cache) and \
+            "Write the prediction-DFA cache built during analysis as a v3 \
+             flat image: one contiguous int32-LE file that \
+             $(b,costar parse --cache) and \
              $(b,costar batch --image) map read-only via mmap, so any \
              number of processes share a single copy with zero \
              deserialization.")
   in
-  let run lang grammar start format k emit_cache emit_image max_severity
-      max_warnings =
+  let run lang grammar start format k emit_image max_severity max_warnings =
     let g, _ = resolve_source lang grammar start in
     let r = Analyze.analyze ~k g in
     (* The same A-code diagnostics `costar lint` emits, for the SARIF
@@ -562,14 +554,6 @@ let analyze_cmd =
     | `Text -> print_string (Analyze_render.text r)
     | `Json -> print_string (Analyze_render.json r)
     | `Sarif -> print_string (Lint.sarif ~tool_version (Lazy.force diags)));
-    (match emit_cache with
-    | None -> ()
-    | Some file ->
-      Cache.save_precompiled ~fingerprint:(Grammar.fingerprint g)
-        r.Analyze.cache file;
-      Printf.eprintf "costar: wrote %s (%d DFA states, %d transitions)\n" file
-        (Cache.num_states r.Analyze.cache)
-        (Cache.num_transitions r.Analyze.cache));
     (match emit_image with
     | None -> ()
     | Some file ->
@@ -582,7 +566,7 @@ let analyze_cmd =
   let term =
     Term.(
       const run $ lang_arg $ grammar_arg $ start_arg $ diag_format_arg $ k_arg
-      $ emit_cache_arg $ emit_image_arg
+      $ emit_image_arg
       $ max_severity_arg ~default:Lint.Gate_error
       $ max_warnings_arg)
   in
@@ -592,7 +576,7 @@ let analyze_cmd =
          "Static prediction analysis: minimal SLL(k) lookahead per decision, \
           colliding alternatives with distinguishing-prefix witnesses, \
           Earley-confirmed ambiguities, and reachability of the LL \
-          fallback.  Optionally emits the precompiled prediction-DFA cache.  \
+          fallback.  Optionally emits the prediction-DFA cache image.  \
           Exits by the shared --max-severity policy over the A-code \
           diagnostics (default: error, i.e. report-only).")
     term

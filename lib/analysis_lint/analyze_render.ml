@@ -66,7 +66,7 @@ let text (r : A.t) =
       r.A.k_bound
   in
   let footer =
-    Printf.sprintf "precompiled DFA cache: %d states, %d transitions"
+    Printf.sprintf "analysis DFA cache: %d states, %d transitions"
       (Cache.num_states r.A.cache)
       (Cache.num_transitions r.A.cache)
   in

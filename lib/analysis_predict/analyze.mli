@@ -10,8 +10,8 @@
     a lookahead depth [k] and a state budget.  Because the exploration and
     the runtime share their code and their cache, every state the analyzer
     reports is byte-identical to the state the runtime would intern, and the
-    fully explored cache doubles as a precompiled lookahead table
-    ({!Costar_core.Cache.precompile}).
+    fully explored cache doubles as a lookahead table saved ahead of time
+    ({!Costar_core.Cache.save_image}).
 
     For each decision the analyzer computes:
 
@@ -92,7 +92,7 @@ type t = {
       (** The threaded DFA cache after exploring every decision: initial
           states, every state reachable within the bounds, and their
           transitions on every terminal — a superset of what any single
-          parse warms up, ready for {!Costar_core.Cache.precompile}. *)
+          parse warms up, ready for {!Costar_core.Cache.save_image}. *)
 }
 
 val default_k : int

@@ -423,7 +423,7 @@ let follow_end t x =
   if x < 0 || x >= sec.n_nts then invalid_arg "Tables.follow_end";
   bit_at t ~at:(sec.follow_at + (x * sec.row_w)) sec.n_terms
 
-(* Structural equality of decision lists: the differential gate's
+(* Field-by-field equality of decision lists: the differential gate's
    definition of "identical". *)
 let same_decisions (a : Analyze.decision list) (b : Analyze.decision list) =
   a = b

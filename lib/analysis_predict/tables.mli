@@ -58,7 +58,7 @@ val follow_end : t -> nonterminal -> bool
     {!Analyze.analyze} emits them. *)
 val decisions : t -> Analyze.decision list
 
-(** Structural equality — the differential gate's definition of
+(** Field-by-field equality — the differential gate's definition of
     "bit-identical" for reconstructed decisions. *)
 val same_decisions : Analyze.decision list -> Analyze.decision list -> bool
 

@@ -514,185 +514,7 @@ let absorb dst src =
     dst
   end
 
-(* Persistence.
-
-   The on-disk format is a plain-text header — magic line, format version,
-   grammar fingerprint, suffix-table digest — followed by a marshalled
-   {e decoded} dump: configurations are stored with their frames expanded
-   back to symbol lists, because interner ids are a per-process artifact.
-   Loading re-interns states in state-id order against the target
-   analysis's own suffix table, reproducing identical ids.  The header is
-   validated *before* any unmarshalling happens, so a wrong file (or a
-   cache built for a different grammar or by an incompatible build) is
-   rejected without ever feeding untrusted bytes to [Marshal]. *)
-
-type portable_config = {
-  p_pred : int;
-  p_frames : symbol list list;
-  p_ctx : Config.sctx;
-}
-
-type portable = {
-  p_states : portable_config list array; (* state id -> configurations *)
-  p_trans : (int * int * int) list; (* (sid, terminal, sid') *)
-  p_inits : (int * int) list; (* (nonterminal, sid) *)
-  p_closures :
-    (portable_config * (portable_config list * bool, Types.error) result) list;
-}
-
-let magic = "costar/sll-dfa"
-let format_version = 2
-
-let decode_config c (cfg : Config.sll) =
-  {
-    p_pred = cfg.s_pred;
-    p_frames = Frames.frames_of_spine c.frames cfg.s_frames;
-    p_ctx = cfg.s_ctx;
-  }
-
-let encode_config c p =
-  {
-    Config.s_pred = p.p_pred;
-    s_frames = Frames.spine_of_frames c.frames p.p_frames;
-    s_ctx = p.p_ctx;
-  }
-
-let to_portable c =
-  let p_states =
-    Array.init c.n_states (fun sid ->
-        List.map (decode_config c) (info c sid).configs)
-  in
-  let p_trans = ref [] in
-  for sid = c.n_states - 1 downto 0 do
-    for a = c.n_terms - 1 downto 0 do
-      let s = trans_get c sid a in
-      if s >= 0 then p_trans := (sid, a, s) :: !p_trans
-    done
-  done;
-  let p_inits = ref [] in
-  for x = Array.length c.inits - 1 downto 0 do
-    if init_get c x >= 0 then p_inits := (x, init_get c x) :: !p_inits
-  done;
-  let p_closures = ref [] in
-  for id = c.n_cfgs - 1 downto 0 do
-    match closure_of_id c id with
-    | None -> ()
-    | Some r ->
-      let r' =
-        Result.map
-          (fun (stable, forked) -> (List.map (decode_config c) stable, forked))
-          r
-      in
-      p_closures := (decode_config c (cfg_of_id c id), r') :: !p_closures
-  done;
-  {
-    p_states;
-    p_trans = !p_trans;
-    p_inits = !p_inits;
-    p_closures = !p_closures;
-  }
-
-let of_portable anl p =
-  let c = create anl in
-  Array.iteri
-    (fun expected_sid pcfgs ->
-      let configs = List.map (encode_config c) pcfgs in
-      let _, sid = intern c configs in
-      if sid <> expected_sid then
-        invalid_arg "Cache.of_portable: inconsistent state numbering")
-    p.p_states;
-  List.iter (fun (sid, a, sid') -> ignore (add_trans c sid a sid')) p.p_trans;
-  List.iter (fun (x, sid) -> ignore (add_init c x sid)) p.p_inits;
-  List.iter
-    (fun (pcfg, r) ->
-      let r' =
-        Result.map
-          (fun (stable, forked) -> (List.map (encode_config c) stable, forked))
-          r
-      in
-      ignore (add_closure c (encode_config c pcfg) r'))
-    p.p_closures;
-  c
-
-let precompile ~fingerprint c =
-  Printf.sprintf "%s\n%d\n%s\n%s\n%s" magic format_version fingerprint
-    (Frames.fingerprint c.frames)
-    (Marshal.to_string (to_portable c) [])
-
-let of_precompiled ~anl ~fingerprint s =
-  let next_line pos =
-    match String.index_from_opt s pos '\n' with
-    | None -> None
-    | Some i -> Some (String.sub s pos (i - pos), i + 1)
-  in
-  match next_line 0 with
-  | Some (m, p1) when m = magic -> (
-    match next_line p1 with
-    | None -> Error "corrupt prediction cache (missing format version)"
-    | Some (v, p2) -> (
-      if v <> string_of_int format_version then
-        Error
-          (Printf.sprintf
-             "unsupported prediction-cache format version %s (this build \
-              reads version %d); regenerate it with `costar analyze \
-              --emit-cache`"
-             v format_version)
-      else
-        match next_line p2 with
-        | None -> Error "corrupt prediction cache (missing fingerprint)"
-        | Some (fp, p3) -> (
-          if fp <> fingerprint then
-            Error
-              "prediction cache was built for a different grammar \
-               (fingerprint mismatch); regenerate it with `costar analyze \
-               --emit-cache`"
-          else
-            match next_line p3 with
-            | None -> Error "corrupt prediction cache (missing suffix-table digest)"
-            | Some (fd, p4) ->
-              if fd <> Frames.fingerprint (Analysis.frames anl) then
-                Error
-                  "prediction cache was built against a different suffix \
-                   table (incompatible build); regenerate it with `costar \
-                   analyze --emit-cache`"
-              else (
-                match (Marshal.from_string s p4 : portable) with
-                | exception _ ->
-                  Error
-                    "corrupt prediction cache (truncated or damaged payload)"
-                | p -> (
-                  (* The payload unmarshalled but may still be structurally
-                     bogus (fuzzed or bit-rotted dump): rebuilding can then
-                     fail anywhere inside re-interning, so no exception at
-                     all may escape as anything but a typed error. *)
-                  match of_portable anl p with
-                  | exception Invalid_argument msg -> Error msg
-                  | exception e ->
-                    Error
-                      (Printf.sprintf
-                         "corrupt prediction cache (damaged payload: %s)"
-                         (Printexc.to_string e))
-                  | c -> Ok c)))))
-  | _ -> Error "not a costar prediction cache (bad magic)"
-
-let save_precompiled ~fingerprint c file =
-  let oc = open_out_bin file in
-  Fun.protect
-    ~finally:(fun () -> close_out_noerr oc)
-    (fun () -> output_string oc (precompile ~fingerprint c))
-
-let load_precompiled ~anl ~fingerprint file =
-  match open_in_bin file with
-  | exception Sys_error msg -> Error msg
-  | ic ->
-    Fun.protect
-      ~finally:(fun () -> close_in_noerr ic)
-      (fun () ->
-        match really_input_string ic (in_channel_length ic) with
-        | exception _ -> Error (file ^ ": unreadable prediction cache")
-        | s -> of_precompiled ~anl ~fingerprint s)
-
-(* {2 Flat cache images (format v3)}
+(* {2 Persistence: flat cache images (format v3)}
 
    One contiguous int32-LE file (word discipline shared with `costar
    tables` via {!Costar_grammar.Flatimg}), laid out so a process can
@@ -718,7 +540,7 @@ let load_precompiled ~anl ~fingerprint file =
    contiguity, checksum — before any offset is trusted; hot readers then
    use unchecked loads. *)
 
-let image_magic = 0x52334143 (* "CA3R" in LE bytes; v2 files start "cost" *)
+let image_magic = 0x52334143 (* "CA3R" in LE bytes *)
 let image_version = 3
 let endian_sentinel = 0x01020304
 
@@ -735,7 +557,9 @@ type image_error =
 
 let image_error_to_string = function
   | Img_io msg -> msg
-  | Img_bad_magic -> "not a costar cache image (bad magic)"
+  | Img_bad_magic ->
+    "not a costar cache image (bad magic); regenerate it with `costar \
+     analyze --emit-image`"
   | Img_bad_version v ->
     Printf.sprintf
       "unsupported cache-image format version %d (this build reads version \
@@ -892,7 +716,7 @@ let validate_image ~anl ~fingerprint words =
       unpack_bytes words ~at:dg_at ~len:n_dg
       <> Frames.fingerprint (Analysis.frames anl)
     then fail Img_digest_mismatch;
-    (* Structural walk of the payload. *)
+    (* Walk every table and configuration block of the payload. *)
     if n_pay < 4 then fail (Img_malformed "payload header");
     let g = Analysis.grammar anl in
     let n_terms = Flatimg.get words pay_at in
@@ -998,8 +822,8 @@ let image_cache ~anl (im : image) =
 let image_backed c = c.img <> None
 
 (* Heap decode — the differential oracle for the mmap path: re-intern
-   every image state in id order (reproducing identical ids, as v2's
-   [of_portable] does) and replay the dense tables. *)
+   every image state in id order (reproducing identical ids) and replay
+   the dense tables. *)
 let of_image ~anl (im : image) =
   let c = create anl in
   for sid = 0 to im.i_states - 1 do
@@ -1020,9 +844,12 @@ let of_image ~anl (im : image) =
   done;
   c
 
+(* The magic is checked before the alignment, so a non-image blob is
+   reported as such rather than as a truncated image. *)
 let validated_image_of_bytes ~anl ~fingerprint s =
   let n = String.length s in
-  if n land 3 <> 0 then Error Img_truncated
+  if n >= 4 && Flatimg.le_word s 0 <> image_magic then Error Img_bad_magic
+  else if n land 3 <> 0 then Error Img_truncated
   else
     let words =
       Flatimg.of_words (Flatimg.words_of_le_string s ~pos:0 ~count:(n / 4))
@@ -1068,9 +895,9 @@ let map_image_file file =
             Error (Img_io (file ^ ": mmap failed: " ^ Unix.error_message e))
           | ga -> Ok (Bigarray.array1_of_genarray ga))
 
-(* Check the leading magic before mapping, so a non-image file (e.g. a v2
-   cache, whose size need not even be word-aligned) is reported as such
-   rather than as a truncated image. *)
+(* Check the leading magic before mapping, so a non-image file (whose size
+   need not even be word-aligned) is reported as such rather than as a
+   truncated image. *)
 let sniff_magic file =
   match open_in_bin file with
   | exception Sys_error msg -> Error (Img_io msg)
@@ -1109,15 +936,3 @@ let load_image_heap ~anl ~fingerprint file =
   match read_file file with
   | Error _ as e -> e
   | Ok s -> of_image_bytes ~anl ~fingerprint s
-
-(* Magic-sniffing loader for CLI `--cache` arguments: v3 images start
-   "CA3R", v2 caches "cost"; anything else falls to the v2 loader for its
-   diagnostics. *)
-let load_any ~anl ~fingerprint file =
-  match read_file file with
-  | Error e -> Error (image_error_to_string e)
-  | Ok s ->
-    if String.length s >= 4 && Flatimg.le_word s 0 = image_magic then
-      Result.map_error image_error_to_string
-        (load_image ~anl ~fingerprint file)
-    else of_precompiled ~anl ~fingerprint s

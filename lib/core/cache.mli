@@ -155,42 +155,14 @@ val find_closure :
 val add_closure :
   t -> Config.sll -> (Config.sll list * bool, Types.error) result -> t
 
-(** {1 Persistence}
+(** {1 Persistence: flat cache images (format v3)}
 
     A cache — typically one fully populated offline by
-    [Costar_predict_analysis.Analyze.analyze] — can be serialized and
-    reloaded so parses start warm.  The format (version 2) is a validated
-    plain-text header — magic, format version, grammar fingerprint from
-    {!Costar_grammar.Grammar.fingerprint}, suffix-table digest from
-    {!Costar_grammar.Frames.fingerprint} — followed by a marshalled decoded
-    dump (configurations with frames expanded back to symbol lists, since
-    interner ids are per-process).  Loading validates the header before any
-    unmarshalling and re-interns states in id order, so it rejects wrong
-    files, incompatible format versions (including v1 files from earlier
-    builds), and caches built for any other grammar, and reproduces
-    identical state ids otherwise. *)
-
-(** Serialize a cache, binding it to the given grammar fingerprint. *)
-val precompile : fingerprint:string -> t -> string
-
-(** Deserialize a precompiled cache against [anl], validating magic,
-    version, grammar fingerprint and suffix-table digest.  The error is a
-    human-readable reason. *)
-val of_precompiled : anl:Analysis.t -> fingerprint:string -> string -> (t, string) result
-
-(** [save_precompiled ~fingerprint c file] writes {!precompile} to [file]. *)
-val save_precompiled : fingerprint:string -> t -> string -> unit
-
-(** [load_precompiled ~anl ~fingerprint file] reads and validates [file]. *)
-val load_precompiled :
-  anl:Analysis.t -> fingerprint:string -> string -> (t, string) result
-
-(** {1 Flat cache images (format v3)}
-
-    A second persistence format, designed for sharing rather than
-    archiving: the frozen cache — state configurations, the dense
-    terminal-indexed transition matrix, initial states — encoded as one
-    contiguous int32-little-endian image with a validated header
+    [Costar_predict_analysis.Analyze.analyze] — can be saved and reloaded
+    so parses start warm.  The one on-disk format is the flat image: the
+    frozen cache — state configurations, the dense terminal-indexed
+    transition matrix, initial states — encoded as one contiguous
+    int32-little-endian word array with a validated header
     (magic, version, endian sentinel, grammar fingerprint, suffix-table
     digest, FNV-1a payload checksum; word discipline shared with
     [costar tables] via {!Costar_grammar.Flatimg}).
@@ -203,7 +175,7 @@ val load_precompiled :
     the prefork serving tier (DESIGN.md §13).  Everything is
     bounds-and-range validated before any offset is trusted.  Closure
     memos are not stored; they are recomputed deterministically on
-    demand. *)
+    demand.  Nothing read from a file is ever unmarshalled. *)
 
 type image_error =
   | Img_io of string  (** open/read/mmap failure, with the reason *)
@@ -243,8 +215,3 @@ val load_image_heap :
 
 (** Whether this cache serves reads from a mapped image. *)
 val image_backed : t -> bool
-
-(** Magic-sniffing loader for CLI [--cache] arguments: dispatches on the
-    leading bytes to the v3 image loader or the v2 {!load_precompiled}. *)
-val load_any :
-  anl:Analysis.t -> fingerprint:string -> string -> (t, string) result

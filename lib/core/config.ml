@@ -11,9 +11,9 @@
     Frames are {e interned}: [s_frames]/[l_frames] is a {!Frames.spine} — a
     hash-consed stack of frame ids in the grammar's suffix table
     ({!Costar_grammar.Frames}, owned by the grammar's {!Analysis.t}) — so a
-    configuration is three machine words and compare/hash are O(1).  The
-    pre-interning representation survives as {!Structural.Config}, the
-    differential-testing oracle. *)
+    configuration is three machine words and compare/hash are O(1).  This
+    is the only configuration representation: every engine (the core
+    machine, Turbo, the static analyzer) predicts through it. *)
 
 open Costar_grammar
 open Costar_grammar.Symbols
@@ -38,9 +38,8 @@ type ll = {
   l_frames : Frames.spine;
 }
 
-(** [Ctx_accept] maps below every nonterminal id, preserving the structural
-    engine's ordering of contexts relative to nothing in particular — only
-    totality matters. *)
+(** [Ctx_accept] maps below every nonterminal id; only totality of the
+    resulting order matters. *)
 let ctx_code = function Ctx_nt x -> x | Ctx_accept -> -1
 
 let compare_sctx c1 c2 = Int.compare (ctx_code c1) (ctx_code c2)

@@ -129,8 +129,8 @@ let push env st x suf =
   else
     let conts () = suf :: List.map (fun f -> f.suf) st.frames in
     (* Predict through the cache's own analysis, not [env.anl]: a supplied
-       cache (precompiled, or built by the static analyzer) expresses its
-       configurations in its own frame interner. *)
+       cache (loaded from an image, or built by the static analyzer)
+       expresses its configurations in its own frame interner. *)
     let cache, pred, look =
       Predict.adaptive_predict_word_ext env.g (Cache.analysis st.cache)
         st.cache x conts st.word st.pos

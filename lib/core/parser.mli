@@ -52,8 +52,8 @@ val run_buf : t -> Token_buf.t -> result
     measurements. *)
 val base_cache : t -> Cache.t
 
-(** Install a loaded cache (a v2 precompiled cache or an image-backed v3
-    cache) as the parser's base, replacing the on-demand one.  Raises
+(** Install a loaded cache (an image-backed cache from {!Cache.load_image},
+    or one decoded with {!Cache.of_image_bytes}) as the parser's base, replacing the on-demand one.  Raises
     [Invalid_argument] if the cache was built against a different
     analysis. *)
 val set_base_cache : t -> Cache.t -> unit

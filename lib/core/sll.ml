@@ -13,8 +13,7 @@ exception Left_rec of nonterminal
 
    Frames are interned ids, so inspecting the top symbol is an array read
    ([Frames.head]) and pushing residues/right-hand sides is a hash-consing
-   [Frames.cons]; the exploration order and semantics are step-for-step
-   those of [Structural.Sll.closure_ext] (the differential oracle). *)
+   [Frames.cons]. *)
 let closure_ext g anl configs =
   let fr = Analysis.frames anl in
   let seen = Sll_tbl.create 64 in

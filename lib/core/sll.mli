@@ -27,8 +27,8 @@ val closure :
 
 (** Like {!closure}, but additionally reports whether the closure performed
     a stable-return fork (see {!closure_cached_ext}).  The uncached
-    primitive both cached variants build on; exposed for the differential
-    tests against [Structural.Sll.closure_ext]. *)
+    primitive both cached variants build on; exposed so tests can check
+    the memoized variants against it. *)
 val closure_ext :
   Grammar.t ->
   Analysis.t ->

@@ -29,7 +29,7 @@ let pp_error ppf = function
 let error_to_string g = function
   | Invalid_state msg -> "invalid parser state: " ^ msg
   | Left_recursive x ->
-    (* [x] may come from deserialized data (e.g. a memoized closure error in
-       a precompiled cache), so the lookup must not trust its range. *)
+    (* [x] may come from a cache supplied by the caller rather than from
+       [g] itself, so the lookup must not trust its range. *)
     "left-recursive nonterminal "
     ^ Costar_grammar.Names.nonterminal g x

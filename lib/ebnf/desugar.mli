@@ -12,7 +12,7 @@
     - [e?] becomes [X -> eps | E]
     - a nested alternation or group becomes [X -> alt1 | alt2 | ...]
 
-    Structurally identical subexpressions share one synthesized nonterminal,
+    Identical subexpressions share one synthesized nonterminal,
     keeping the desugared grammar compact (and the Fig. 8 statistics
     honest).
 

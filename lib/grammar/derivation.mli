@@ -8,7 +8,7 @@
 
 open Symbols
 
-(** Structural well-formedness of a tree with respect to a grammar: every
+(** Well-formedness of a tree's shape with respect to a grammar: every
     node's children's roots spell out one of its right-hand sides. *)
 val well_formed : Grammar.t -> Tree.t -> bool
 

@@ -88,7 +88,7 @@ val tokens : t -> string list -> Token.t list
     symbol, interned terminal and nonterminal pools (names, in id order), and
     every production — such that two grammars share a fingerprint iff they are
     indistinguishable to the prediction machinery.  Used to invalidate
-    precompiled prediction-DFA caches (see {!Costar_core.Cache}). *)
+    saved prediction-DFA cache images (see {!Costar_core.Cache}). *)
 val fingerprint : t -> string
 
 (** {1 Printing} *)

@@ -49,7 +49,7 @@ val depth : t -> int
 (** Number of tokens in the frontier. *)
 val width : t -> int
 
-(** Structural equality: nodes by nonterminal, leaves by terminal and
+(** Equality by shape: nodes by nonterminal, leaves by terminal and
     lexeme. *)
 val equal : t -> t -> bool
 

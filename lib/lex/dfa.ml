@@ -206,6 +206,7 @@ let build_classes trans =
   (classes, nc, ctrans)
 
 let of_nfa nfa =
+  let intervals = Nfa.intervals nfa in
   let ids = ref Key_map.empty in
   let trans_acc = ref [] in
   let accepts_acc = ref [] in
@@ -230,11 +231,14 @@ let of_nfa nfa =
       let row = Array.make 256 (-1) in
       (* Reserve the row slot now so recursion sees a stable order. *)
       trans_acc := (id, row) :: !trans_acc;
-      for c = 0 to 255 do
-        match Nfa.eps_closure nfa (Nfa.step nfa states (Char.chr c)) with
-        | [] -> ()
-        | states' -> row.(c) <- intern states'
-      done;
+      (* One step per interval, in ascending byte order: the states are
+         numbered exactly as a byte-by-byte walk would number them. *)
+      List.iter
+        (fun (lo, hi) ->
+          match Nfa.eps_closure nfa (Nfa.step nfa states (Char.chr lo)) with
+          | [] -> ()
+          | states' -> Array.fill row lo (hi - lo + 1) (intern states'))
+        intervals;
       id
   in
   let start = intern (Nfa.eps_closure nfa [ Nfa.start nfa ]) in

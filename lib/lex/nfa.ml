@@ -103,6 +103,24 @@ let eps_closure nfa states =
   done;
   !acc
 
+let intervals nfa =
+  (* [cut.(c)]: an interval starts at byte [c]. *)
+  let cut = Array.make 257 false in
+  cut.(0) <- true;
+  Array.iter
+    (List.iter (fun (lo, hi, _) ->
+         cut.(Char.code lo) <- true;
+         cut.(Char.code hi + 1) <- true))
+    nfa.trans;
+  let acc = ref [] and hi = ref 255 in
+  for c = 255 downto 0 do
+    if cut.(c) then begin
+      acc := (c, !hi) :: !acc;
+      hi := c - 1
+    end
+  done;
+  !acc
+
 let step nfa states c =
   let seen = Array.make nfa.num_states false in
   List.iter

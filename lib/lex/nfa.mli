@@ -22,5 +22,10 @@ val eps_closure : t -> state list -> state list
 (** States reachable from [states] by consuming byte [c] (not closed). *)
 val step : t -> state list -> char -> state list
 
+(** The bytes 0..255 cut into ascending inclusive intervals [(lo, hi)]
+    that no transition range splits: all bytes of one interval step every
+    state set to the same states. *)
+val intervals : t -> (int * int) list
+
 (** [accept_rule nfa s] is the rule index accepted at state [s], if any. *)
 val accept_rule : t -> state -> int option

@@ -2,41 +2,10 @@ open Costar_grammar
 open Costar_grammar.Symbols
 module Core = Costar_core
 
-(* Turbo is the "unverified baseline": it deliberately builds on the
-   structural (pre-interning) engine, so the interned core is measured
-   against an independent representation. *)
-module Config = Core.Structural.Config
-module Sll = Core.Structural.Sll
-module Ll = Core.Structural.Ll
-
-(* Deep-hashing hash tables: the default [Hashtbl.hash] inspects only ~10
-   nodes, which makes every large configuration key collide; these traverse
-   enough of the structure to discriminate. *)
-module Cfg_tbl = Hashtbl.Make (struct
-  type t = Config.sll
-
-  let equal a b = Config.compare_sll a b = 0
-  let hash c = Hashtbl.hash_param 500 5000 c
-end)
-
-module Cfgs_tbl = Hashtbl.Make (struct
-  type t = Config.sll list
-
-  let equal a b =
-    List.compare_lengths a b = 0 && List.for_all2 (fun x y -> Config.compare_sll x y = 0) a b
-
-  let hash c = Hashtbl.hash_param 500 5000 c
-end)
-
-(* Precomputed facts about an interned DFA state: [verdict] is -2 for the
-   empty state, a production index when every configuration agrees, or -1
-   when the state is still undecided. *)
-type info = {
-  configs : Config.sll list;
-  verdict : int;
-  accepting : int list;
-}
-
+(* Turbo is the "unverified baseline": an imperative frame stack and a
+   static LL(1) dispatch table in front of the core prediction engine.
+   Decisions the table cannot settle go to [Core.Predict] over a DFA
+   cache this instance owns, so the cache persists across inputs. *)
 type t = {
   g : Grammar.t;
   anl : Analysis.t;
@@ -44,12 +13,7 @@ type t = {
   single : int array;  (* nt -> its only production, or -1 *)
   dispatch : int array;  (* nt * n_terms + term -> prod | -1 conflict | -2 none *)
   dispatch_eof : int array;
-  state_ids : int Cfgs_tbl.t;
-  mutable infos : info array;
-  mutable n_states : int;
-  trans : (int, int) Hashtbl.t;  (* sid * n_terms + term -> sid *)
-  mutable inits : int array;  (* nt -> initial DFA state, or -1 *)
-  closure_memo : (Config.sll list, Core.Types.error) result Cfg_tbl.t;
+  mutable cache : Core.Cache.t;
 }
 
 let grammar t = t.g
@@ -75,9 +39,8 @@ let build_dispatch g anl =
 let create g =
   let anl = Analysis.make g in
   let dispatch, dispatch_eof = build_dispatch g anl in
-  let nts = Grammar.num_nonterminals g in
   let single =
-    Array.init nts (fun x ->
+    Array.init (Grammar.num_nonterminals g) (fun x ->
         match Grammar.prods_of g x with [ ix ] -> ix | _ -> -1)
   in
   {
@@ -87,111 +50,11 @@ let create g =
     single;
     dispatch;
     dispatch_eof;
-    state_ids = Cfgs_tbl.create 64;
-    infos = Array.make 16 { configs = []; verdict = -2; accepting = [] };
-    n_states = 0;
-    trans = Hashtbl.create 256;
-    inits = Array.make nts (-1);
-    closure_memo = Cfg_tbl.create 256;
+    cache = Core.Cache.create anl;
   }
 
-let reset_cache t =
-  Cfgs_tbl.reset t.state_ids;
-  Hashtbl.reset t.trans;
-  Cfg_tbl.reset t.closure_memo;
-  t.n_states <- 0;
-  Array.fill t.inits 0 (Array.length t.inits) (-1)
-
-let cache_states t = t.n_states
-
-let is_accepting (cfg : Config.sll) =
-  match cfg.Config.s_ctx, cfg.Config.s_frames with
-  | Config.Ctx_accept, [] -> true
-  | _ -> false
-
-let intern t configs =
-  match Cfgs_tbl.find_opt t.state_ids configs with
-  | Some sid -> sid
-  | None ->
-    let sid = t.n_states in
-    if sid = Array.length t.infos then begin
-      let bigger =
-        Array.make (2 * sid) { configs = []; verdict = -2; accepting = [] }
-      in
-      Array.blit t.infos 0 bigger 0 sid;
-      t.infos <- bigger
-    end;
-    let verdict =
-      match Config.preds_of_sll configs with
-      | [] -> -2
-      | [ p ] -> p
-      | _ -> -1
-    in
-    let accepting = Config.preds_of_sll (List.filter is_accepting configs) in
-    t.infos.(sid) <- { configs; verdict; accepting };
-    t.n_states <- sid + 1;
-    Cfgs_tbl.add t.state_ids configs sid;
-    sid
-
-(* Closure with a per-configuration memo table (see [Core.Cache]'s
-   counterpart for why this is sound). *)
-let closure t configs =
-  let rec go acc = function
-    | [] -> Ok (List.sort_uniq Config.compare_sll (List.concat acc))
-    | cfg :: rest -> (
-      let result =
-        match Cfg_tbl.find_opt t.closure_memo cfg with
-        | Some r -> r
-        | None ->
-          let r = Sll.closure t.g t.anl [ cfg ] in
-          Cfg_tbl.add t.closure_memo cfg r;
-          r
-      in
-      match result with
-      | Error e -> Error e
-      | Ok stable -> go (stable :: acc) rest)
-  in
-  go [] configs
-
-(* SLL prediction over the token array, with hash-consed DFA states and
-   O(1) cached transitions.  Same semantics as [Core.Sll.predict]. *)
-let sll_predict t x toks n pos0 =
-  let init () =
-    if t.inits.(x) >= 0 then Ok t.inits.(x)
-    else
-      match closure t (Sll.init_configs t.g x) with
-      | Error e -> Error e
-      | Ok configs ->
-        let sid = intern t configs in
-        t.inits.(x) <- sid;
-        Ok sid
-  in
-  match init () with
-  | Error e -> Core.Types.Error_pred e
-  | Ok sid0 ->
-    let rec walk sid pos =
-      let info = t.infos.(sid) in
-      if info.verdict = -2 then Core.Types.Reject_pred
-      else if info.verdict >= 0 then Core.Types.Unique_pred info.verdict
-      else if pos >= n then
-        match info.accepting with
-        | [] -> Core.Types.Reject_pred
-        | [ p ] -> Core.Types.Unique_pred p
-        | p :: _ -> Core.Types.Ambig_pred p
-      else
-        let a = toks.(pos).Token.term in
-        let key = (sid * t.n_terms) + a in
-        match Hashtbl.find_opt t.trans key with
-        | Some sid' -> walk sid' (pos + 1)
-        | None -> (
-          match closure t (Sll.move info.configs a) with
-          | Error e -> Core.Types.Error_pred e
-          | Ok configs' ->
-            let sid' = intern t configs' in
-            Hashtbl.add t.trans key sid';
-            walk sid' (pos + 1))
-    in
-    walk sid0 pos0
+let reset_cache t = t.cache <- Core.Cache.create t.anl
+let cache_states t = Core.Cache.num_states t.cache
 
 type frame = {
   label : nonterminal;  (* -1 for the bottom frame *)
@@ -199,45 +62,41 @@ type frame = {
   suf : symbol list;
 }
 
-let rest_list toks n pos =
-  let rec go i acc = if i < pos then acc else go (i - 1) (toks.(i) :: acc) in
-  go (n - 1) []
-
-let predict t toks n pos x conts =
+let predict t (w : Word.t) pos x conts =
   let fast = t.single.(x) in
   if fast >= 0 then Core.Types.Unique_pred fast
-  else if Grammar.prods_of t.g x = [] then Core.Types.Reject_pred
   else
     let d =
-      if pos < n then t.dispatch.((x * t.n_terms) + toks.(pos).Token.term)
+      if pos < w.len then t.dispatch.((x * t.n_terms) + Word.kind w pos)
       else t.dispatch_eof.(x)
     in
     if d >= 0 then Core.Types.Unique_pred d
     else if d = -2 then Core.Types.Reject_pred
     else
-      match sll_predict t x toks n pos with
-      | Core.Types.Ambig_pred _ ->
-        (* Failover to exact LL prediction, as the verified parser does. *)
-        Ll.predict t.g x (conts ()) (rest_list toks n pos)
-      | verdict -> verdict
+      let cache, verdict =
+        Core.Predict.adaptive_predict_word t.g t.anl t.cache x conts w pos
+      in
+      t.cache <- cache;
+      verdict
 
 let parse t token_list =
-  let toks = Array.of_list token_list in
-  let n = Array.length toks in
+  let w = Word.of_tokens token_list in
+  let n = w.len in
   let g = t.g in
   let reject_at pos msg =
     Core.Parser.Reject
       (if pos < n then
-         Printf.sprintf "%s at line %d, column %d" msg toks.(pos).Token.line
-           toks.(pos).Token.col
+         let tok = Word.token w pos in
+         Printf.sprintf "%s at line %d, column %d" msg tok.Token.line
+           tok.Token.col
        else msg ^ " at end of input")
   in
   let rec go top frames pos visited unique =
     match top.suf with
     | T a :: suf ->
-      if pos < n && toks.(pos).Token.term = a then
+      if pos < n && Word.kind w pos = a then
         go
-          { top with trees_rev = Tree.Leaf toks.(pos) :: top.trees_rev; suf }
+          { top with trees_rev = Tree.Leaf (Word.token w pos) :: top.trees_rev; suf }
           frames (pos + 1) Int_set.empty unique
       else
         reject_at pos
@@ -247,7 +106,7 @@ let parse t token_list =
         Core.Parser.Error (Core.Types.Left_recursive x)
       else begin
         let conts () = suf :: List.map (fun f -> f.suf) frames in
-        match predict t toks n pos x conts with
+        match predict t w pos x conts with
         | Core.Types.Unique_pred ix ->
           go
             { label = x; trees_rev = []; suf = (Grammar.prod g ix).Grammar.rhs }

@@ -3,8 +3,7 @@
    The format's contract, pinned here:
 
    - a frozen cache survives the encode/decode round trip with identical
-     canonical content AND identical state ids (re-interning in id order,
-     like v2);
+     canonical content AND identical state ids (re-interning in id order);
    - the mmap-backed loader and the heap decoder are result-equivalent:
      parsers running over either cache — or over no cache at all — return
      byte-identical outcomes on all four bundled languages, including
@@ -12,10 +11,9 @@
      fallthrough, lazy per-state decode, and copy-on-write row seeding);
    - the loader survives hostile bytes: truncation at every prefix length
      and a flip of every single byte are rejected with a typed error,
-     never an exception, never a silent acceptance;
-   - the two persistence formats coexist: the sniffing loader dispatches
-     v2 and v3 files correctly, and each loader rejects the other's
-     format with a clear typed error. *)
+     never an exception, never a silent acceptance; a wrong suffix-table
+     digest, a wrong version word and a cache file from the retired v2
+     format each get their own exact error. *)
 
 open Costar_grammar
 open Costar_core
@@ -271,62 +269,68 @@ let test_byte_flips_rejected () =
       Alcotest.failf "flip of byte %d escaped with %s" i (Printexc.to_string e)
   done
 
+let expect_error what expected = function
+  | Error e when e = expected -> ()
+  | Error e ->
+    Alcotest.failf "%s: expected %s, got %s" what
+      (Cache.image_error_to_string expected)
+      (Cache.image_error_to_string e)
+  | Ok _ -> Alcotest.failf "%s: accepted" what
+
 let test_wrong_fingerprint_rejected () =
   let p, fp, bytes = small_image () in
-  match
-    Cache.of_image_bytes ~anl:(Parser.analysis p)
-      ~fingerprint:(fp ^ "nope") bytes
-  with
-  | Error Cache.Img_fingerprint_mismatch -> ()
-  | Error e ->
-    Alcotest.failf "expected fingerprint mismatch, got %s"
-      (Cache.image_error_to_string e)
-  | Ok _ -> Alcotest.fail "wrong fingerprint accepted"
+  expect_error "wrong fingerprint" Cache.Img_fingerprint_mismatch
+    (Cache.of_image_bytes ~anl:(Parser.analysis p)
+       ~fingerprint:(fp ^ "nope") bytes)
 
-(* --- format coexistence --------------------------------------------------- *)
+(* The header fields the checksum does not cover still get exact errors:
+   the suffix-table digest (a flip there is an incompatible build, not
+   corruption) and the version word. *)
+let test_digest_flip_rejected () =
+  let p, fp, bytes = small_image () in
+  (* Header words: magic, version, sentinel, fingerprint length, digest
+     length, payload length, checksum; then the fingerprint bytes, padded
+     to a word, then the digest bytes. *)
+  let digest_at = 4 * (7 + ((String.length fp + 3) / 4)) in
+  let b = Bytes.of_string bytes in
+  Bytes.set b digest_at (Char.chr (Char.code (Bytes.get b digest_at) lxor 0xff));
+  expect_error "digest flip" Cache.Img_digest_mismatch
+    (Cache.of_image_bytes ~anl:(Parser.analysis p) ~fingerprint:fp
+       (Bytes.to_string b))
 
-let test_v2_and_v3_coexist () =
-  let l = Costar_langs.Json.lang in
-  let g = Costar_langs.Lang.grammar l in
-  let inputs = corpus_for l in
-  let p = warmed_parser l 3 inputs in
-  let c = Parser.base_cache p in
+let test_version_2_rejected () =
+  let p, fp, bytes = small_image () in
+  let b = Bytes.of_string bytes in
+  Bytes.set_int32_le b 4 2l;
+  expect_error "version word 2" (Cache.Img_bad_version 2)
+    (Cache.of_image_bytes ~anl:(Parser.analysis p) ~fingerprint:fp
+       (Bytes.to_string b))
+
+(* A cache file in the retired v2 format (text header, marshalled payload)
+   is not an image: both loaders report bad magic, whose message names the
+   fix. *)
+let test_v2_file_rejected () =
+  let p, fp, _ = small_image () in
   let anl = Parser.analysis p in
-  let fp = fingerprint_of l in
-  let v2 = tmp_file ".cache" in
-  let v3 = tmp_file ".img" in
+  let v2 =
+    Printf.sprintf "costar/sll-dfa\n2\n%s\n%s\n\x84\x95\xa6\xbePAYLOAD" fp
+      (Frames.fingerprint (Analysis.frames anl))
+  in
+  expect_error "v2 bytes" Cache.Img_bad_magic
+    (Cache.of_image_bytes ~anl ~fingerprint:fp v2);
+  let file = tmp_file ".cache" in
   Fun.protect
-    ~finally:(fun () ->
-      List.iter (fun f -> try Sys.remove f with Sys_error _ -> ()) [ v2; v3 ])
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      Cache.save_precompiled ~fingerprint:fp c v2;
-      Cache.save_image ~fingerprint:fp c v3;
-      (* The sniffing loader dispatches both formats. *)
-      (match Cache.load_any ~anl ~fingerprint:fp v2 with
-      | Error msg -> Alcotest.failf "load_any on v2: %s" msg
-      | Ok c' ->
-        check "load_any(v2) content = source" true
-          (canon_of_cache g c = canon_of_cache g c'));
-      (match Cache.load_any ~anl ~fingerprint:fp v3 with
-      | Error msg -> Alcotest.failf "load_any on v3: %s" msg
-      | Ok c' ->
-        check "load_any(v3) is image-backed" true (Cache.image_backed c'));
-      (* Each dedicated loader rejects the other format, cleanly. *)
-      (match Cache.load_image ~anl ~fingerprint:fp v2 with
-      | Error Cache.Img_bad_magic -> ()
-      | Error e ->
-        Alcotest.failf "v2 through image loader: expected bad magic, got %s"
-          (Cache.image_error_to_string e)
-      | Ok _ -> Alcotest.fail "v2 file accepted by the image loader");
-      match Cache.load_precompiled ~anl ~fingerprint:fp v3 with
-      | Error msg -> check "v3 through v2 loader mentions magic" true
-                       (let affix = "magic" in
-                        let n = String.length affix and m = String.length msg in
-                        let rec go i =
-                          i + n <= m && (String.sub msg i n = affix || go (i + 1))
-                        in
-                        go 0)
-      | Ok _ -> Alcotest.fail "v3 file accepted by the v2 loader")
+      Out_channel.with_open_bin file (fun oc -> output_string oc v2);
+      expect_error "v2 file" Cache.Img_bad_magic
+        (Cache.load_image ~anl ~fingerprint:fp file));
+  let msg = Cache.image_error_to_string Cache.Img_bad_magic in
+  let fix = "costar analyze --emit-image" in
+  check "bad magic names the fix" true
+    (List.exists
+       (fun i -> String.sub msg i (String.length fix) = fix)
+       (List.init (String.length msg - String.length fix + 1) Fun.id))
 
 let () =
   Alcotest.run "image"
@@ -350,10 +354,11 @@ let () =
             test_byte_flips_rejected;
           Alcotest.test_case "wrong fingerprint rejected" `Quick
             test_wrong_fingerprint_rejected;
-        ] );
-      ( "coexistence",
-        [
-          Alcotest.test_case "v2 and v3 load side by side" `Quick
-            test_v2_and_v3_coexist;
+          Alcotest.test_case "digest flip is a digest mismatch" `Quick
+            test_digest_flip_rejected;
+          Alcotest.test_case "version word 2 is a bad version" `Quick
+            test_version_2_rejected;
+          Alcotest.test_case "v2 cache file is bad magic" `Quick
+            test_v2_file_rejected;
         ] );
     ]

@@ -1,7 +1,7 @@
 (* Differential tests for the zero-copy token pipeline: the compiled
    buffer scanner against the legacy list scanner (tokens, lexemes,
    positions), the equivalence-classed DFA stepping against the raw
-   256-column rows, the array-cursor parser against the list API, and
+   256-column rows, the subset-constructed DFA against NFA simulation, the array-cursor parser against the list API, and
    the steady-state allocation contract (~0 minor words per token). *)
 
 open Costar_grammar
@@ -109,6 +109,39 @@ let prop_classes_correct =
         done
       done;
       !ok)
+
+(* The subset construction against direct NFA simulation: walking the
+   input, every DFA state visited must agree with the NFA state set it
+   stands for on all 256 successor bytes (dead iff the NFA set empties)
+   and on the accepted rule (the lowest one in the set). *)
+let prop_dfa_matches_nfa =
+  QCheck.Test.make ~count:300 ~name:"DFA rows = NFA subset steps"
+    arb_spec_input (fun (rules, input) ->
+      let d = Scanner.dfa (Scanner.make rules) in
+      let nfa = Nfa.build (List.map (fun (r : Scanner.rule) -> r.re) rules) in
+      let accept set =
+        List.fold_left
+          (fun acc s ->
+            match Nfa.accept_rule nfa s, acc with
+            | Some ix, Some ix' -> Some (min ix ix')
+            | Some ix, None -> Some ix
+            | None, acc -> acc)
+          None set
+      in
+      let next set c = Nfa.eps_closure nfa (Nfa.step nfa set c) in
+      let rec walk st set i =
+        Dfa.accept d st = accept set
+        && List.for_all
+             (fun c ->
+               let c = Char.chr c in
+               (Dfa.next_raw d st c < 0) = (next set c = []))
+             (List.init 256 Fun.id)
+        && (i >= String.length input
+           ||
+           let st' = Dfa.next_raw d st input.[i] in
+           st' < 0 || walk st' (next set input.[i]) (i + 1))
+      in
+      walk (Dfa.start d) (Nfa.eps_closure nfa [ Nfa.start nfa ]) 0)
 
 let prop_classes_partition =
   QCheck.Test.make ~count:300
@@ -311,6 +344,7 @@ let props =
     [
       prop_scan_buf_agrees;
       prop_classes_correct;
+      prop_dfa_matches_nfa;
       prop_classes_partition;
       prop_parse_buf_agrees;
     ]

@@ -1,6 +1,6 @@
 (* The static prediction analyzer (lib/analysis_predict): lookahead bounds,
    conflict pairs and witnesses, ambiguity confirmation, LL-fallback
-   prediction, and precompiled-cache round trips — unit tests on known
+   prediction, and cache-image round trips — unit tests on known
    grammars plus properties against the instrumented runtime and the Earley
    oracle on randomized grammars. *)
 
@@ -164,36 +164,39 @@ let test_fingerprint () =
   check "different grammar, different fingerprint" false
     (String.equal (Grammar.fingerprint g1) (Grammar.fingerprint g3))
 
-let test_precompile_roundtrip () =
+let test_image_roundtrip () =
   let g = fig2 in
   let anl = Analysis.make g in
   let fp = Grammar.fingerprint g in
   let r = A.analyze g in
-  let s = Cache.precompile ~fingerprint:fp r.A.cache in
-  (match Cache.of_precompiled ~anl ~fingerprint:fp s with
+  let s = Cache.image_bytes ~fingerprint:fp r.A.cache in
+  (match Cache.of_image_bytes ~anl ~fingerprint:fp s with
   | Ok c ->
     check_int "states survive" (Cache.num_states r.A.cache)
       (Cache.num_states c);
     check_int "transitions survive"
       (Cache.num_transitions r.A.cache)
       (Cache.num_transitions c)
-  | Error e -> Alcotest.failf "roundtrip failed: %s" e);
-  (match Cache.of_precompiled ~anl ~fingerprint:"0000" s with
+  | Error e ->
+    Alcotest.failf "roundtrip failed: %s" (Cache.image_error_to_string e));
+  (match Cache.of_image_bytes ~anl ~fingerprint:"0000" s with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong fingerprint accepted");
-  (match Cache.of_precompiled ~anl ~fingerprint:fp "hello, world" with
+  (match Cache.of_image_bytes ~anl ~fingerprint:fp "hello, world" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "garbage accepted");
-  let file = Filename.temp_file "costar_cache" ".dfa" in
+  let file = Filename.temp_file "costar_cache" ".img" in
   Fun.protect
     ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
     (fun () ->
-      Cache.save_precompiled ~fingerprint:fp r.A.cache file;
-      match Cache.load_precompiled ~anl ~fingerprint:fp file with
+      Cache.save_image ~fingerprint:fp r.A.cache file;
+      match Cache.load_image ~anl ~fingerprint:fp file with
       | Ok c ->
         check_int "file roundtrip" (Cache.num_states r.A.cache)
           (Cache.num_states c)
-      | Error e -> Alcotest.failf "file roundtrip failed: %s" e)
+      | Error e ->
+        Alcotest.failf "file roundtrip failed: %s"
+          (Cache.image_error_to_string e))
 
 let test_precompiled_parse_warm () =
   let g = fig2 in
@@ -302,7 +305,7 @@ let prop_ambiguous_words_confirmed =
         r.A.decisions)
 
 (* Re-analyzing on top of the already-populated cache must not change any
-   verdict (the lint driver and `costar analyze --emit-cache` rely on it). *)
+   verdict (the lint driver and `costar analyze --emit-image` rely on it). *)
 let prop_analysis_cache_stable =
   QCheck.Test.make ~count:60 ~name:"analysis is stable under cache reuse"
     (QCheck.make Util.gen_grammar ~print:(Fmt.to_to_string Grammar.pp))
@@ -318,7 +321,7 @@ let prop_analysis_cache_stable =
              && d1.A.error = d2.A.error)
            r1.A.decisions r2.A.decisions)
 
-(* Parsing with the analyzer's precompiled cache is semantically transparent. *)
+(* Parsing with the analyzer's cache is semantically transparent. *)
 let prop_precompiled_cache_transparent =
   QCheck.Test.make ~count:80 ~name:"precompiled cache never changes results"
     Util.arb_grammar_word (fun (g, w) ->
@@ -353,8 +356,7 @@ let () =
             test_left_recursion_reported;
           Alcotest.test_case "bound reported" `Quick test_bound_reported;
           Alcotest.test_case "fingerprint" `Quick test_fingerprint;
-          Alcotest.test_case "precompile roundtrip" `Quick
-            test_precompile_roundtrip;
+          Alcotest.test_case "image roundtrip" `Quick test_image_roundtrip;
           Alcotest.test_case "precompiled parse warm" `Quick
             test_precompiled_parse_warm;
         ] );
