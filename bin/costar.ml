@@ -583,7 +583,6 @@ let analyze_cmd =
 
 (* --- tables ------------------------------------------------------------- *)
 
-module Flow = Costar_flow.Flow
 module Tables = Costar_predict_analysis.Tables
 
 let tables_cmd =
@@ -613,9 +612,9 @@ let tables_cmd =
   in
   let run lang grammar start out verify k =
     let g, _ = resolve_source lang grammar start in
-    let flow = Flow.make g in
-    let r = Analyze.analyze ~k g in
-    let live = Tables.build g flow r in
+    let anl = Analysis.make g in
+    let r = Analyze.analyze ~k ~analysis:anl g in
+    let live = Tables.build anl r in
     match verify with
     | Some file -> (
       match Tables.load ~expect_fingerprint:(Grammar.fingerprint g) file with

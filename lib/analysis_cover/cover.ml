@@ -14,7 +14,7 @@
    Each target is tagged statically: [Coverable] when some concrete input
    can exercise it, or [Dead] with one of the C-codes (C001 dead
    production, C002 unreachable decision edge, C003 dead lexer-class
-   transition) and a reason derived from the Flow dataflow facts.  Runtime
+   transition) and a reason derived from the grammar dataflow facts.  Runtime
    runs then fill in hit counts — from the [Costar_core.Instr] coverage
    counters for parser-level targets, and from a byte-level DFA replay
    (this module, not the hot scanner) for lexer transitions.  What is
@@ -26,7 +26,6 @@ open Costar_grammar.Symbols
 module P = Costar_core.Parser
 module Cache = Costar_core.Cache
 module Instr = Costar_core.Instr
-module Flow = Costar_flow.Flow
 module Analyze = Costar_predict_analysis.Analyze
 module D = Costar_lint.Diagnostic
 module Lint = Costar_lint.Lint
@@ -51,7 +50,6 @@ type entry = {
 
 type t = {
   g : Grammar.t;
-  flow : Flow.t;
   anl : Analysis.t;
   parser_ : P.t;
   result : Analyze.t;
@@ -77,7 +75,7 @@ type t = {
 (* --- Static structure ---------------------------------------------------- *)
 
 (* Useful reachability: BFS from the start symbol descending only into
-   occurrences whose sibling symbols are all productive.  Flow's REACHABLE
+   occurrences whose sibling symbols are all productive.  Analysis' REACHABLE
    admits contexts that can never be completed into a sentence (an
    unproductive sibling poisons the whole derivation); the generator needs
    the stronger fact, and the parent edges double as its derivation
@@ -171,13 +169,13 @@ let useful_reachability g anl =
    optional keyword, ['{'; '}'] for a bracketed alternative).  The
    generator needs it verbatim: the shortest yield of an exit-free
    sibling usually vanishes the very token that frees the position. *)
-let free_lookahead g flow anl (result : Analyze.t) u_reach =
+let free_lookahead g anl (result : Analyze.t) u_reach =
   let cache = result.Analyze.cache in
   let n = Grammar.num_nonterminals g in
-  let nullable z = Flow.nullable flow z in
+  let nullable z = Analysis.nullable anl z in
   let productive_sym = function
     | T _ -> true
-    | NT z -> Flow.productive flow z
+    | NT z -> Analysis.productive anl z
   in
   let usable ix = List.for_all productive_sym (Grammar.prod g ix).rhs in
   let single y = match Grammar.prods_of g y with [ _ ] -> true | _ -> false in
@@ -458,11 +456,10 @@ let dead code reason = Dead { code; reason }
 let make ?scanner g =
   let parser_ = P.make g in
   let anl = P.analysis parser_ in
-  let flow = Flow.make g in
   let result = Analyze.analyze ~analysis:anl g in
   let cache = result.Analyze.cache in
   let u_reach, u_why = useful_reachability g anl in
-  let free, exit_yield = free_lookahead g flow anl result u_reach in
+  let free, exit_yield = free_lookahead g anl result u_reach in
   let owner = compute_owners g result in
   let dfa = Option.map Scanner.dfa scanner in
   let entries = ref [] in
@@ -476,7 +473,7 @@ let make ?scanner g =
   Array.iter
     (fun (p : Grammar.production) ->
       let status =
-        if not (Flow.reachable flow p.lhs) then
+        if not (Analysis.reachable anl p.lhs) then
           dead "C001"
             (Printf.sprintf "`%s` is unreachable from the start symbol (G001)"
                (Names.nonterminal g p.lhs))
@@ -516,7 +513,7 @@ let make ?scanner g =
             (Printf.sprintf "prediction cannot run: %s"
                (Costar_core.Types.error_to_string g e))
         | None ->
-          if not (Flow.reachable flow x) then
+          if not (Analysis.reachable anl x) then
             dead "C002"
               (Printf.sprintf
                  "decision `%s` is unreachable from the start symbol (G001)"
@@ -565,10 +562,10 @@ let make ?scanner g =
                    scanning from the same position. *)
                 Cache.init_get cache x = sid
                 && (not free.(x))
-                && (not (Costar_flow.Bitset.mem (Flow.first flow x) a))
+                && (not (Bitset.mem (Analysis.first anl x) a))
                 && not
-                     (Flow.nullable flow x
-                     && Costar_flow.Bitset.mem (Flow.follow flow x) a)
+                     (Analysis.nullable anl x
+                     && Bitset.mem (Analysis.follow anl x) a)
               then
                 dead "C002"
                   (Printf.sprintf
@@ -609,7 +606,6 @@ let make ?scanner g =
     done);
   {
     g;
-    flow;
     anl;
     parser_;
     result;

@@ -1,6 +1,6 @@
 (** Decision-coverage universe: every production, SLL decision point,
     cached prediction-DFA edge, and lexer-DFA class transition, each tagged
-    statically coverable or dead (C001–C003) from the Flow dataflow facts,
+    statically coverable or dead (C001–C003) from the grammar dataflow facts,
     then filled in with runtime hit counts.  See DESIGN.md §12. *)
 
 open Costar_grammar
@@ -24,7 +24,6 @@ type entry = {
 
 type t = {
   g : Grammar.t;
-  flow : Costar_flow.Flow.t;
   anl : Analysis.t;
   parser_ : Costar_core.Parser.t;
   result : Costar_predict_analysis.Analyze.t;
@@ -47,7 +46,7 @@ type t = {
   lex_ix : (int * int, int) Hashtbl.t;
 }
 
-(** Build the universe: runs the parser's grammar analysis, Flow, and the
+(** Build the universe: runs the parser's grammar analysis and the
     offline prediction analyzer, then enumerates and statically tags every
     target.  Pass [scanner] to include the lexer-transition universe. *)
 val make : ?scanner:Costar_lex.Scanner.t -> Grammar.t -> t

@@ -1,6 +1,7 @@
 module D = Diagnostic
 module Loc = Costar_grammar.Loc
 module Grammar = Costar_grammar.Grammar
+module Analysis = Costar_grammar.Analysis
 module Ast = Costar_ebnf.Ast
 module Desugar = Costar_ebnf.Desugar
 module Spec = Costar_lex.Spec
@@ -193,7 +194,7 @@ let run input =
   let file = input.grammar_file in
   (* Grammar side: desugar (collecting structured errors) or use the
      prebuilt grammar directly. *)
-  let grammar_diags, g_and_spans =
+  let grammar_diags, anl_and_spans =
     match input.rules with
     | Some rules ->
       let start =
@@ -210,12 +211,13 @@ let run input =
           | Some o -> Desugar.origin_span o
           | None -> Loc.dummy
         in
-        (grammar_rules (grammar_ctx ?file g prov), Some (g, span_of_name)))
+        let ctx = grammar_ctx ?file g prov in
+        (grammar_rules ctx, Some (ctx.Rules_grammar.anl, span_of_name)))
     | None -> (
       match input.prebuilt with
       | Some g ->
-        ( grammar_rules (Rules_grammar.make_ctx ?file g),
-          Some (g, fun _ -> Loc.dummy) )
+        let ctx = Rules_grammar.make_ctx ?file g in
+        (grammar_rules ctx, Some (ctx.Rules_grammar.anl, fun _ -> Loc.dummy))
       | None -> ([], None))
   in
   let lexer_diags =
@@ -223,12 +225,16 @@ let run input =
     | None -> []
     | Some rules ->
       Rules_lexer.all
-        (Rules_lexer.make_ctx ?file:input.lexer_file ?grammar:g_and_spans
+        (Rules_lexer.make_ctx ?file:input.lexer_file
+           ?grammar:
+             (Option.map
+                (fun (anl, spans) -> (Analysis.grammar anl, spans))
+                anl_and_spans)
            ?grammar_file:input.grammar_file rules)
   in
   (* Cross-layer dataflow checks need both sides. *)
   let cross_diags =
-    match (input.lexer, g_and_spans) with
+    match (input.lexer, anl_and_spans) with
     | Some rules, Some gs ->
       Rules_flow.cross_layer ?grammar_file:input.grammar_file
         ?lexer_file:input.lexer_file gs rules

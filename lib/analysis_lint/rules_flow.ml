@@ -1,5 +1,5 @@
 (* Dataflow-backed checks (F-codes), built on the worklist engine of
-   Costar_flow.Flow.  Where the G-codes classify whole nonterminals
+   Costar_grammar.Analysis.  Where the G-codes classify whole nonterminals
    (reachable, productive, LL(1)-conflicting), these localize defects to a
    production or a lexer rule and attach the engine's witness derivations —
    the chain of facts that first proved the defect — as notes.
@@ -16,8 +16,6 @@ open Costar_grammar
 open Costar_grammar.Symbols
 module D = Diagnostic
 module Loc = Costar_grammar.Loc
-module Flow = Costar_flow.Flow
-module Bitset = Costar_flow.Bitset
 module Spec = Costar_lex.Spec
 module Scanner = Costar_lex.Scanner
 
@@ -50,16 +48,16 @@ let terminals g set =
    G002 already flags the unproductive nonterminal itself; this localizes
    the poisoned alternatives whose lhs *does* have working alternatives and
    would otherwise look fine. *)
-let unusable_production (ctx : Rules_grammar.ctx) flow =
-  let g = ctx.Rules_grammar.g in
+let unusable_production (ctx : Rules_grammar.ctx) =
+  let g = ctx.Rules_grammar.g and anl = ctx.Rules_grammar.anl in
   Array.to_list (Grammar.prods g)
   |> List.filter_map (fun (p : Grammar.production) ->
-         if not (Flow.productive flow p.lhs) then None
+         if not (Analysis.productive anl p.lhs) then None
          else
            let dead =
              List.find_opt
                (function
-                 | NT y -> not (Flow.productive flow y)
+                 | NT y -> not (Analysis.productive anl y)
                  | T _ -> false)
                p.rhs
            in
@@ -90,8 +88,8 @@ let unusable_production (ctx : Rules_grammar.ctx) flow =
    it.  Harmless for correctness under ALL(star) (hence Info), but each site is
    lookahead the parser pays for; synthesized loop nonterminals are skipped
    because ?/*/+ desugaring creates exactly this shape by design. *)
-let nullable_shadowing (ctx : Rules_grammar.ctx) flow =
-  let g = ctx.Rules_grammar.g in
+let nullable_shadowing (ctx : Rules_grammar.ctx) =
+  let g = ctx.Rules_grammar.g and anl = ctx.Rules_grammar.anl in
   let acc = ref [] in
   Array.iter
     (fun (p : Grammar.production) ->
@@ -100,17 +98,17 @@ let nullable_shadowing (ctx : Rules_grammar.ctx) flow =
         | (T _ as s) :: rest -> walk (s :: before) rest
         | (NT y as s) :: rest ->
           if
-            Flow.nullable flow y
+            Analysis.nullable anl y
             && ctx.Rules_grammar.describe y = None
-            && Flow.reachable flow p.lhs
+            && Analysis.reachable anl p.lhs
           then begin
-            let after = Flow.first_seq flow rest in
+            let after = Analysis.first_seq anl rest in
             let cont =
-              if Flow.nullable_seq flow rest then
-                Bitset.union after (Flow.follow flow p.lhs)
+              if Analysis.nullable_seq anl rest then
+                Bitset.union after (Analysis.follow anl p.lhs)
               else after
             in
-            let overlap = Bitset.inter (Flow.first flow y) cont in
+            let overlap = Bitset.inter (Analysis.first anl y) cont in
             if not (Bitset.is_empty overlap) then
               acc :=
                 Rules_grammar.diag ctx ~severity:D.Info ~x:p.lhs
@@ -144,26 +142,26 @@ let nullable_shadowing (ctx : Rules_grammar.ctx) flow =
    justification chains.  G005 reports the same situation per LL(1) decision
    table cell; this one explains *why* the overlapping terminal is in both
    sets, using the dataflow engine's witness derivations. *)
-let follow_conflict_witness (ctx : Rules_grammar.ctx) flow =
-  let g = ctx.Rules_grammar.g in
+let follow_conflict_witness (ctx : Rules_grammar.ctx) =
+  let g = ctx.Rules_grammar.g and anl = ctx.Rules_grammar.anl in
   let acc = ref [] in
   for x = 0 to Grammar.num_nonterminals g - 1 do
     if
-      Flow.nullable flow x
-      && Flow.reachable flow x
+      Analysis.nullable anl x
+      && Analysis.reachable anl x
       && ctx.Rules_grammar.describe x = None
     then begin
-      let overlap = Bitset.inter (Flow.first flow x) (Flow.follow flow x) in
+      let overlap = Bitset.inter (Analysis.first anl x) (Analysis.follow anl x) in
       match Bitset.elements overlap with
       | [] -> ()
       | a :: _ ->
         let notes =
           List.concat
             [
-              (match Flow.nullable_witness flow x with
+              (match Analysis.nullable_witness anl x with
               | Some steps -> [ clip_steps "why it is nullable" steps ]
               | None -> []);
-              (match Flow.first_witness flow x a with
+              (match Analysis.first_witness anl x a with
               | Some steps ->
                 [
                   clip_steps
@@ -171,7 +169,7 @@ let follow_conflict_witness (ctx : Rules_grammar.ctx) flow =
                     steps;
                 ]
               | None -> []);
-              (match Flow.follow_witness flow x a with
+              (match Analysis.follow_witness anl x a with
               | Some steps ->
                 [
                   clip_steps
@@ -195,15 +193,14 @@ let follow_conflict_witness (ctx : Rules_grammar.ctx) flow =
   List.rev !acc
 
 let grammar_rules ctx =
-  let flow = Flow.make ctx.Rules_grammar.g in
-  unusable_production ctx flow
-  @ nullable_shadowing ctx flow
-  @ follow_conflict_witness ctx flow
+  unusable_production ctx @ nullable_shadowing ctx
+  @ follow_conflict_witness ctx
 
 (* --- Cross-layer checks -------------------------------------------------- *)
 
 type xctx = {
   g : Grammar.t;
+  anl : Analysis.t;
   span_of_name : string -> Loc.span;  (* grammar-side spans *)
   rules : Spec.srule list;
   grammar_file : string option;
@@ -334,11 +331,11 @@ let unproducible_terminal ctx =
 (* F005: a lexer rule whose terminal the grammar dataflow marks dead — the
    terminal exists (so L004 is silent), but no production of a reachable
    nonterminal mentions it, so no parse can ever consume the token. *)
-let dead_terminal_rule ctx flow =
+let dead_terminal_rule ctx =
   let used_reachable = Hashtbl.create 16 in
   Array.iter
     (fun (p : Grammar.production) ->
-      if Flow.reachable flow p.lhs then
+      if Analysis.reachable ctx.anl p.lhs then
         List.iter
           (function
             | T a -> Hashtbl.replace used_reachable a ()
@@ -370,7 +367,9 @@ let dead_terminal_rule ctx flow =
                     (rule_name sr))))
     ctx.rules
 
-let cross_layer ?grammar_file ?lexer_file (g, span_of_name) rules =
-  let ctx = { g; span_of_name; rules; grammar_file; lexer_file } in
-  let flow = Flow.make g in
-  unproducible_terminal ctx @ dead_terminal_rule ctx flow
+let cross_layer ?grammar_file ?lexer_file (anl, span_of_name) rules =
+  let ctx =
+    { g = Analysis.grammar anl; anl; span_of_name; rules; grammar_file;
+      lexer_file }
+  in
+  unproducible_terminal ctx @ dead_terminal_rule ctx

@@ -132,7 +132,7 @@ let ll1_conflicts ctx =
       let first_contribs =
         List.filter
           (fun ix ->
-            Int_set.mem a (Analysis.first_seq anl (Grammar.prod g ix).rhs))
+            Bitset.mem (Analysis.first_seq anl (Grammar.prod g ix).rhs) a)
           c.prods
       in
       if List.length first_contribs >= 2 then `First_first else `First_follow

@@ -1,7 +1,7 @@
 (* The `costar tables` compilation substrate: grammar dataflow facts
-   (NULLABLE / FIRST / FOLLOW / sync bitsets from Costar_flow.Flow) and the
-   per-decision SLL verdicts of the static analyzer (Analyze), exported as
-   one fingerprinted, validated flat int-array image.
+   (NULLABLE / FIRST / FOLLOW / sync bitsets from Costar_grammar.Analysis)
+   and the per-decision SLL verdicts of the static analyzer (Analyze),
+   exported as one fingerprinted, validated flat int-array image.
 
    This is the Coco/R CRT encoding taken seriously: the consumers named in
    ROADMAP items 2 (multi-error recovery: sync/anchor sets) and 4
@@ -35,8 +35,6 @@
    test/test_tables.ml and CI). *)
 
 open Costar_grammar
-module Flow = Costar_flow.Flow
-module Bitset = Costar_flow.Bitset
 module Types = Costar_core.Types
 
 type error =
@@ -133,7 +131,8 @@ let push_decision buf (d : Analyze.decision) =
       | Some w -> push buf 1; push_word buf w)
     d.Analyze.conflicts
 
-let build g flow (r : Analyze.t) =
+let build anl (r : Analyze.t) =
+  let g = Analysis.grammar anl in
   let n_nts = Grammar.num_nonterminals g in
   let buf = ref [] in
   push buf (Grammar.num_terminals g);
@@ -142,17 +141,17 @@ let build g flow (r : Analyze.t) =
   push buf (Grammar.start g);
   push buf r.Analyze.k_bound;
   push buf (List.length r.Analyze.decisions);
-  push_bools buf (Array.init n_nts (Flow.nullable flow));
-  push_bools buf (Array.init n_nts (Flow.reachable flow));
-  push_bools buf (Array.init n_nts (Flow.productive flow));
+  push_bools buf (Array.init n_nts (Analysis.nullable anl));
+  push_bools buf (Array.init n_nts (Analysis.reachable anl));
+  push_bools buf (Array.init n_nts (Analysis.productive anl));
   for x = 0 to n_nts - 1 do
-    push_terminal_row buf (Flow.first flow x) ~eof:false
+    push_terminal_row buf (Analysis.first anl x) ~eof:false
   done;
   for x = 0 to n_nts - 1 do
-    push_terminal_row buf (Flow.follow flow x) ~eof:(Flow.follow_end flow x)
+    push_terminal_row buf (Analysis.follow anl x) ~eof:(Analysis.follow_end anl x)
   done;
   for x = 0 to n_nts - 1 do
-    push_terminal_row buf (Flow.sync flow x) ~eof:(Flow.follow_end flow x)
+    push_terminal_row buf (Analysis.sync anl x) ~eof:(Analysis.follow_end anl x)
   done;
   List.iter (push_decision buf) r.Analyze.decisions;
   { fingerprint = Grammar.fingerprint g;

@@ -26,9 +26,9 @@ type error =
 
 val error_to_string : error -> string
 
-(** [build g flow r] packs the dataflow facts of [flow] and the decision
-    verdicts of [r] (both for grammar [g]) into an image. *)
-val build : Grammar.t -> Costar_flow.Flow.t -> Analyze.t -> t
+(** [build anl r] packs the dataflow facts of [anl] and the decision
+    verdicts of [r] (both for the grammar of [anl]) into an image. *)
+val build : Analysis.t -> Analyze.t -> t
 
 val encode : t -> string
 val decode : ?expect_fingerprint:string -> string -> (t, error) result

@@ -37,7 +37,7 @@ let closure_ext g anl configs =
                 { cfg with s_frames = Frames.cons fr beta Frames.nil; s_ctx = Ctx_nt y }
                 [ Int_set.empty ])
             (Analysis.callers_framed anl x);
-          if Analysis.endable anl x then
+          if Analysis.follow_end anl x then
             go { cfg with s_frames = Frames.nil; s_ctx = Ctx_accept } []
       end
       else begin

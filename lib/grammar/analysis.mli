@@ -1,14 +1,24 @@
 (** Static grammar analyses.
 
-    These are the classical fixpoint analyses (nullable / FIRST / FOLLOW /
-    reachable / productive) plus two CoStar-specific artifacts:
+    One worklist fixed-point engine computes the classical facts (nullable /
+    FIRST / FOLLOW / end-of-input follow / reachable / productive) and the
+    per-nonterminal sync/anchor sets.  Each fact records the justification
+    that first derived it; justifications only ever reference facts
+    discovered strictly earlier, so every fact expands into a finite witness
+    derivation — the [*_witness] functions below — for explainable
+    diagnostics (the F-codes of {!Costar_lint}).
 
-    - the {e callers} map, listing every grammar occurrence of a nonterminal
-      together with the right-hand-side suffix that follows it — the static
-      input to SLL prediction's "stable return" simulation (paper, §3.5);
-    - the {e endable} set: nonterminals whose yield may legally end the input
-      word, i.e. that occur in a position from which only nullable symbols
-      remain on some derivation path from the start symbol. *)
+    Alongside them, two CoStar-specific artifacts: the {e callers} map,
+    listing every grammar occurrence of a nonterminal together with the
+    right-hand-side suffix that follows it, and {!follow_end}, the
+    nonterminals whose yield may end the input word — together the static
+    input to SLL prediction's "stable return" simulation (paper, §3.5).
+
+    The value is immutable once {!make} returns (the frame interner aside,
+    see {!Frames}).  The engine is tested against a naive iterate-until-
+    no-change transcription of the inductive rules and against brute-force
+    derivation sampling with Earley-confirmed membership
+    (test/test_flow.ml). *)
 
 open Symbols
 
@@ -26,16 +36,27 @@ val nullable : t -> nonterminal -> bool
     nonterminal. *)
 val nullable_seq : t -> symbol list -> bool
 
-val first : t -> nonterminal -> Int_set.t
+(** FIRST set over dense terminal ids (the analysis' own storage: do not
+    mutate). *)
+val first : t -> nonterminal -> Bitset.t
 
-(** FIRST of a sentential form. *)
-val first_seq : t -> symbol list -> Int_set.t
+(** FIRST of a sentential form (fresh bitset). *)
+val first_seq : t -> symbol list -> Bitset.t
 
-(** FOLLOW set of a nonterminal (terminals only; see {!follow_end}). *)
-val follow : t -> nonterminal -> Int_set.t
+(** FOLLOW set of a nonterminal (terminals only; see {!follow_end}).  Do
+    not mutate. *)
+val follow : t -> nonterminal -> Bitset.t
 
-(** Whether end-of-input may follow the nonterminal. *)
+(** [follow_end a x] iff end-of-input may follow [x], i.e. some derivation
+    from the start symbol can end with the yield of [x] (the start symbol
+    qualifies; if [y] does and [y -> alpha x beta] with [beta] nullable,
+    then [x] does). *)
 val follow_end : t -> nonterminal -> bool
+
+(** Sync/anchor set: FIRST ∪ FOLLOW.  A recovering parser inside [x] skips
+    input until a member (restart [x] on FIRST, give it up on FOLLOW) —
+    end-of-input is always an implicit anchor.  Do not mutate. *)
+val sync : t -> nonterminal -> Bitset.t
 
 val reachable : t -> nonterminal -> bool
 val productive : t -> nonterminal -> bool
@@ -55,11 +76,6 @@ val callers_framed : t -> nonterminal -> (nonterminal * Frames.frame) list
     {!Frames}). *)
 val frames : t -> Frames.t
 
-(** [endable a x] iff some derivation from the start symbol can end with the
-    yield of [x] (the start symbol is endable; if [y] is endable and
-    [y -> alpha x beta] with [beta] nullable, then [x] is endable). *)
-val endable : t -> nonterminal -> bool
-
 (** [min_yield a x] is a shortest terminal word derivable from [x], or [None]
     if [x] is unproductive.  Used by the prediction analyzer to complete
     conflict-witness prefixes into full candidate sentences. *)
@@ -68,3 +84,30 @@ val min_yield : t -> nonterminal -> terminal list option
 (** Shortest terminal word derivable from a sentential form ([None] if any
     symbol in it is unproductive). *)
 val min_yield_seq : t -> symbol list -> terminal list option
+
+(** {1 Witness derivations}
+
+    Each returns [None] when the fact does not hold; otherwise a list of
+    rendered derivation steps ("lhs -> alpha •sym beta", the bullet marking
+    the symbol the step hinges on), suitable for diagnostic notes. *)
+
+val nullable_witness : t -> nonterminal -> string list option
+val first_witness : t -> nonterminal -> terminal -> string list option
+val follow_witness : t -> nonterminal -> terminal -> string list option
+val reachable_witness : t -> nonterminal -> string list option
+val productive_witness : t -> nonterminal -> string list option
+
+(** [reachable_chain a x] is the raw justification chain behind
+    {!reachable_witness}: the (production, position) steps from the start
+    symbol down to an occurrence of [x], root first (empty for the start
+    symbol itself).  Tool-facing — the coverage generator replays it to
+    build a sentential context around a target. *)
+val reachable_chain : t -> nonterminal -> (int * int) list option
+
+(** [first_word a x t] is a terminal word derivable from [x] that begins
+    with [t], replayed from the FIRST justification chain with
+    shortest-yield completions.  [None] when [t] ∉ FIRST([x]), or when the
+    justification's suffix is unproductive (the prefix fact is real, but no
+    finite word completes it).  Property-tested: the word is
+    Earley-accepted from [x]. *)
+val first_word : t -> nonterminal -> terminal -> terminal list option

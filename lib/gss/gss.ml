@@ -98,7 +98,7 @@ let closure e configs =
               { cfg with stack = mk_node e beta [ Bottom_nt y ] }
               [ Int_set.empty ])
           (Analysis.callers e.eanl x);
-        if Analysis.endable e.eanl x then
+        if Analysis.follow_end e.eanl x then
           go { cfg with stack = Bottom_accept } []
       | Node n -> (
         match n.suf with

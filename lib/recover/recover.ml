@@ -4,8 +4,6 @@ module M = Costar_core.Machine
 module P = Costar_core.Parser
 module Measure = Costar_core.Measure
 module Types = Costar_core.Types
-module Flow = Costar_flow.Flow
-module Bitset = Costar_flow.Bitset
 module D = Costar_lint.Diagnostic
 module Loc = Costar_grammar.Loc
 
@@ -34,13 +32,10 @@ type outcome = {
   events : event list;
 }
 
-type t = {
-  p : P.t;
-  flow : Flow.t;
-}
+type t = P.t
 
-let make p = { p; flow = Flow.make (P.grammar p) }
-let parser_of t = t.p
+let make p = p
+let parser_of t = t
 let diagnostics o = List.map (fun e -> e.diag) o.events
 
 (* --- Spans -------------------------------------------------------------- *)
@@ -88,8 +83,8 @@ let span_of_range (w : Word.t) i n =
 
 let max_expected_names = 8
 
-let expected_note g flow x =
-  let names = List.map (Names.terminal g) (Bitset.elements (Flow.first flow x)) in
+let expected_note g anl x =
+  let names = List.map (Names.terminal g) (Bitset.elements (Analysis.first anl x)) in
   match names with
   | [] -> "the decision nonterminal derives no terminal word"
   | _ ->
@@ -138,7 +133,7 @@ let code_of_reason = function
   | M.Fail_no_alt _ -> "P003"
 
 let diag_of_failure t ~file (st : M.state) (f : M.failure) repair =
-  let g = P.grammar t.p in
+  let g = P.grammar t in
   let span =
     match f.M.reason with
     | M.Fail_eof _ -> span_of_range st.M.word st.M.word.Word.len 0
@@ -151,7 +146,7 @@ let diag_of_failure t ~file (st : M.state) (f : M.failure) repair =
   let notes =
     (match f.M.reason with
     | M.Fail_no_alt { nt; lookahead; _ } ->
-      expected_note g t.flow nt
+      expected_note g (P.analysis t) nt
       ::
       (if lookahead > 1 then
          [ Printf.sprintf "prediction examined %d tokens of lookahead"
@@ -288,16 +283,16 @@ let trial env (st0 : M.state) =
 (* Resume vocabulary per pop depth [d]: FIRST of the suffix the stack
    would resume at, extended — when that suffix can vanish — with the
    sync/anchor set (FIRST ∪ FOLLOW) of the frame's own nonterminal, the
-   Coco/R recipe over the Flow-precomputed tables. *)
+   Coco/R recipe over the precomputed Analysis tables. *)
 let resume_sets t (st : M.state) =
-  let flow = t.flow in
+  let anl = P.analysis t in
   let frames = Array.of_list (st.M.top :: st.M.frames) in
   Array.map
     (fun (f : M.frame) ->
-      let r = Flow.first_seq flow f.M.suf in
-      (if Flow.nullable_seq flow f.M.suf then
+      let r = Analysis.first_seq anl f.M.suf in
+      (if Analysis.nullable_seq anl f.M.suf then
          match f.M.label with
-         | Some x -> ignore (Bitset.union_into ~into:r (Flow.sync flow x))
+         | Some x -> ignore (Bitset.union_into ~into:r (Analysis.sync anl x))
          | None -> ());
       r)
     frames
@@ -328,8 +323,8 @@ let find_resync (r : Bitset.t array) (st : M.state) =
 (* --- The driver --------------------------------------------------------- *)
 
 let run_state t ~file ~max_errors ~verify_measure st0 =
-  let env = P.env t.p in
-  let g = P.grammar t.p in
+  let env = P.env t in
+  let g = P.grammar t in
   let start = Grammar.start g in
   let events = ref [] in
   let emit diag repair ~at ~consumed =
@@ -486,14 +481,14 @@ let run_state t ~file ~max_errors ~verify_measure st0 =
 
 let run_with_cache_word ?file ?(max_errors = 100) ?(verify_measure = false) t
     cache word =
-  let env = P.env t.p in
+  let env = P.env t in
   run_state t ~file ~max_errors ~verify_measure
     (M.init_word env ~cache word)
 
 let run_word ?file ?max_errors ?verify_measure t word =
   fst
     (run_with_cache_word ?file ?max_errors ?verify_measure t
-       (P.base_cache t.p) word)
+       (P.base_cache t) word)
 
 let run ?file ?max_errors ?verify_measure t tokens =
   run_word ?file ?max_errors ?verify_measure t (Word.of_tokens tokens)

@@ -14,7 +14,7 @@
       real input afterwards;
     - {b delete} — the offending token is dropped, again trial-checked;
     - {b panic} — input is skipped to the nearest token in a resume set
-      built from the {!Costar_flow.Flow} FIRST and sync/anchor sets of
+      built from the {!Costar_grammar.Analysis} FIRST and sync/anchor sets of
       the suspended stack frames, popping frames whose productions are
       abandoned as explicit {!Costar_grammar.Tree.Error} nodes;
     - {b unwind} — at end of input the whole stack is closed off with
@@ -73,7 +73,8 @@ type outcome = {
   events : event list;  (** chronological; [] iff the input was clean *)
 }
 
-(** A recovery engine: a prepared parser plus the dataflow sync sets. *)
+(** A recovery engine: a prepared parser, whose grammar analysis supplies
+    the FIRST and sync/anchor sets. *)
 type t
 
 val make : Costar_core.Parser.t -> t

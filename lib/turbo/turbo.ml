@@ -18,27 +18,13 @@ type t = {
 
 let grammar t = t.g
 
-let build_dispatch g anl =
-  let nts = Grammar.num_nonterminals g and terms = Grammar.num_terminals g in
-  let cells = Array.make (nts * terms) (-2) in
-  let eof = Array.make nts (-2) in
-  let add slot ix arr = arr.(slot) <- (if arr.(slot) = -2 then ix else -1) in
-  Array.iter
-    (fun p ->
-      let x = p.Grammar.lhs in
-      Int_set.iter
-        (fun a -> add ((x * terms) + a) p.ix cells)
-        (Analysis.first_seq anl p.rhs);
-      if Analysis.nullable_seq anl p.rhs then begin
-        Int_set.iter (fun a -> add ((x * terms) + a) p.ix cells) (Analysis.follow anl x);
-        if Analysis.follow_end anl x then add x p.ix eof
-      end)
-    (Grammar.prods g);
-  (cells, eof)
-
 let create g =
   let anl = Analysis.make g in
-  let dispatch, dispatch_eof = build_dispatch g anl in
+  let dispatch, dispatch_eof =
+    let cell = function [] -> -2 | [ ix ] -> ix | _ -> -1 in
+    let cells, eof = Costar_ll1.Ll1.raw_cells anl in
+    (Array.map cell cells, Array.map cell eof)
+  in
   let single =
     Array.init (Grammar.num_nonterminals g) (fun x ->
         match Grammar.prods_of g x with [ ix ] -> ix | _ -> -1)

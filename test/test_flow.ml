@@ -1,11 +1,14 @@
-(* The worklist dataflow engine (lib/analysis_flow) against its oracles:
+(* The worklist dataflow engine of Costar_grammar.Analysis against its
+   oracles:
 
-   - differential: every fact agrees with the iterated whole-grammar passes
-     of Costar_grammar.Analysis, on the four built-in languages and on
-     random grammars (including left-recursive and unproductive ones);
+   - differential: every fact agrees with [reference] below, a naive
+     transcription of the inductive rules, on the four built-in languages
+     and on random grammars (including left-recursive and unproductive
+     ones);
    - witnesses: each [*_witness] chain exists exactly when the fact holds,
-     and replaying a FIRST justification chain yields a concrete sentence
-     that the Earley recognizer accepts from the nonterminal;
+     the reachability chain links the start symbol to its target, and
+     replaying a FIRST justification chain yields a concrete sentence that
+     the Earley recognizer accepts from the nonterminal;
    - semantics: FIRST/FOLLOW membership reconfirmed against brute-force
      derivation sampling — every sampled sentence's first terminal is in
      FIRST(start), and every adjacent pair inside a sampled sentential
@@ -13,42 +16,124 @@
 
 open Costar_grammar
 open Costar_grammar.Symbols
-module Flow = Costar_flow.Flow
-module Bitset = Costar_flow.Bitset
 
 let check = Alcotest.(check bool)
 
-let set_to_string g s =
-  "{ "
-  ^ String.concat " " (List.map (Names.terminal g) (Int_set.elements s))
-  ^ " }"
+(* The reference: the inductive rules of NULLABLE / FIRST / FOLLOW /
+   end-of-input follow / REACHABLE / PRODUCTIVE, each transcribed as
+   written and applied to every production until nothing changes.
+   Deliberately naive (Int_set, whole-grammar passes) and independent of
+   Analysis.
 
-(* Every fact of the flow engine equals the corresponding fact of the
-   iterated analysis; raises on the first mismatch. *)
+     x -> α, every symbol of α nullable               ⟹ x nullable
+     x -> α, every symbol of α productive or terminal ⟹ x productive
+     x -> β a γ, β nullable                           ⟹ a ∈ FIRST(x)
+     x -> β y γ, β nullable                           ⟹ FIRST(y) ⊆ FIRST(x)
+     y -> α x β                                       ⟹ FIRST(β) ⊆ FOLLOW(x)
+     y -> α x β, β nullable                           ⟹ FOLLOW(y) ⊆ FOLLOW(x)
+     y -> α x β, β nullable, end may follow y         ⟹ end may follow x
+     y -> α x β, y reachable                          ⟹ x reachable
+   with end-of-input following, and reachability of, the start symbol as
+   the axioms. *)
+type reference = {
+  nullable : bool array;
+  productive : bool array;
+  first : Int_set.t array;
+  follow : Int_set.t array;
+  ends : bool array;
+  reachable : bool array;
+}
+
+let reference g =
+  let n = Grammar.num_nonterminals g in
+  let r =
+    {
+      nullable = Array.make n false;
+      productive = Array.make n false;
+      first = Array.make n Int_set.empty;
+      follow = Array.make n Int_set.empty;
+      ends = Array.make n false;
+      reachable = Array.make n false;
+    }
+  in
+  let changed = ref true in
+  let holds facts x =
+    if not facts.(x) then begin
+      facts.(x) <- true;
+      changed := true
+    end
+  in
+  let include_ s sets x =
+    if not (Int_set.subset s sets.(x)) then begin
+      sets.(x) <- Int_set.union s sets.(x);
+      changed := true
+    end
+  in
+  let nullable_seq = List.for_all (function T _ -> false | NT y -> r.nullable.(y)) in
+  let rec first_seq = function
+    | [] -> Int_set.empty
+    | T a :: _ -> Int_set.singleton a
+    | NT y :: rest ->
+      Int_set.union r.first.(y)
+        (if r.nullable.(y) then first_seq rest else Int_set.empty)
+  in
+  holds r.ends (Grammar.start g);
+  holds r.reachable (Grammar.start g);
+  while !changed do
+    changed := false;
+    Array.iter
+      (fun (p : Grammar.production) ->
+        let y = p.lhs in
+        if nullable_seq p.rhs then holds r.nullable y;
+        if List.for_all (function T _ -> true | NT z -> r.productive.(z)) p.rhs
+        then holds r.productive y;
+        include_ (first_seq p.rhs) r.first y;
+        let rec occurrences = function
+          | [] -> ()
+          | T _ :: beta -> occurrences beta
+          | NT x :: beta ->
+            include_ (first_seq beta) r.follow x;
+            if nullable_seq beta then begin
+              include_ r.follow.(y) r.follow x;
+              if r.ends.(y) then holds r.ends x
+            end;
+            if r.reachable.(y) then holds r.reachable x;
+            occurrences beta
+        in
+        occurrences p.rhs)
+      (Grammar.prods g)
+  done;
+  r
+
+let set_to_string g s =
+  "{ " ^ String.concat " " (List.map (Names.terminal g) s) ^ " }"
+
+(* Every fact of the analysis equals the corresponding fact of the
+   reference; raises on the first mismatch. *)
 let agree g =
   let anl = Analysis.make g in
-  let flow = Flow.make g in
-  let expect_set what x a b =
-    if not (Int_set.equal a b) then
-      Alcotest.failf "%s mismatch on `%s`: flow %s vs analysis %s" what
-        (Names.nonterminal g x) (set_to_string g a) (set_to_string g b)
-  in
+  let r = reference g in
   for x = 0 to Grammar.num_nonterminals g - 1 do
     let expect what a b =
       if a <> b then
         Alcotest.failf "%s mismatch on `%s`" what (Names.nonterminal g x)
     in
-    expect "nullable" (Flow.nullable flow x) (Analysis.nullable anl x);
-    expect "follow_end" (Flow.follow_end flow x) (Analysis.follow_end anl x);
-    expect "reachable" (Flow.reachable flow x) (Analysis.reachable anl x);
-    expect "productive" (Flow.productive flow x) (Analysis.productive anl x);
-    expect_set "first" x (Flow.first_set flow x) (Analysis.first anl x);
-    expect_set "follow" x (Flow.follow_set flow x) (Analysis.follow anl x);
-    expect_set "sync" x
-      (Flow.sync_set flow x)
-      (Int_set.union (Analysis.first anl x) (Analysis.follow anl x))
+    let expect_set what got want =
+      let got = Bitset.elements got and want = Int_set.elements want in
+      if got <> want then
+        Alcotest.failf "%s mismatch on `%s`: analysis %s vs reference %s" what
+          (Names.nonterminal g x) (set_to_string g got) (set_to_string g want)
+    in
+    expect "nullable" (Analysis.nullable anl x) r.nullable.(x);
+    expect "follow_end" (Analysis.follow_end anl x) r.ends.(x);
+    expect "reachable" (Analysis.reachable anl x) r.reachable.(x);
+    expect "productive" (Analysis.productive anl x) r.productive.(x);
+    expect_set "first" (Analysis.first anl x) r.first.(x);
+    expect_set "follow" (Analysis.follow anl x) r.follow.(x);
+    expect_set "sync" (Analysis.sync anl x)
+      (Int_set.union r.first.(x) r.follow.(x))
   done;
-  (flow, anl)
+  anl
 
 let test_langs_differential () =
   List.iter
@@ -70,17 +155,15 @@ let fixture =
     ]
 
 let test_fixture_facts () =
-  let flow, _ = agree fixture in
+  let anl = agree fixture in
   let tm name = Option.get (Grammar.terminal_of_name fixture name) in
   let nt name = Option.get (Grammar.nonterminal_of_name fixture name) in
-  check "A nullable" true (Flow.nullable flow (nt "A"));
-  check "S not nullable" false (Flow.nullable flow (nt "S"));
-  check "facts counted" true (Flow.facts flow > 0);
+  check "A nullable" true (Analysis.nullable anl (nt "A"));
+  check "S not nullable" false (Analysis.nullable anl (nt "S"));
   (* sync(C) = FIRST(C) ∪ FOLLOW(C) = {c} ∪ {z} *)
   check "sync C" true
-    (Int_set.equal
-       (Flow.sync_set flow (nt "C"))
-       (Int_set.of_list [ tm "c"; tm "z" ]))
+    (Bitset.elements (Analysis.sync anl (nt "C"))
+    = List.sort compare [ tm "c"; tm "z" ])
 
 let prop_random_differential =
   QCheck.Test.make ~count:500 ~name:"flow = iterated analysis (random)"
@@ -89,30 +172,49 @@ let prop_random_differential =
       ignore (agree g);
       true)
 
+(* A reachability chain links the start symbol to [x]: the first step is a
+   production of the start symbol, each step's marked symbol is the lhs of
+   the next step's production, and the last step's marked symbol is [x]
+   (the empty chain is the start symbol's own). *)
+let chain_links g x chain =
+  let lhs (ix, _) = (Grammar.prod g ix).Grammar.lhs in
+  let marked (ix, pos) = List.nth_opt (Grammar.prod g ix).Grammar.rhs pos in
+  let rec links = function
+    | [] -> x = Grammar.start g
+    | [ last ] -> marked last = Some (NT x)
+    | step :: (next :: _ as rest) ->
+      marked step = Some (NT (lhs next)) && links rest
+  in
+  (match chain with [] -> true | step :: _ -> lhs step = Grammar.start g)
+  && links chain
+
 (* Witness chains exist exactly when the fact holds, and name only real
    productions of the grammar. *)
 let prop_witness_presence =
   QCheck.Test.make ~count:500 ~name:"witnesses iff facts"
     (QCheck.make ~print:(Fmt.str "%a" Grammar.pp) Util.gen_grammar)
     (fun g ->
-      let flow = Flow.make g in
+      let anl = Analysis.make g in
       let ok = ref true in
       for x = 0 to Grammar.num_nonterminals g - 1 do
         ok :=
           !ok
-          && Option.is_some (Flow.nullable_witness flow x)
-             = Flow.nullable flow x
-          && Option.is_some (Flow.reachable_witness flow x)
-             = Flow.reachable flow x
-          && Option.is_some (Flow.productive_witness flow x)
-             = Flow.productive flow x;
+          && Option.is_some (Analysis.nullable_witness anl x)
+             = Analysis.nullable anl x
+          && Option.is_some (Analysis.reachable_witness anl x)
+             = Analysis.reachable anl x
+          && Option.is_some (Analysis.productive_witness anl x)
+             = Analysis.productive anl x
+          && (match Analysis.reachable_chain anl x with
+             | None -> not (Analysis.reachable anl x)
+             | Some chain -> chain_links g x chain);
         for a = 0 to Grammar.num_terminals g - 1 do
           ok :=
             !ok
-            && Option.is_some (Flow.first_witness flow x a)
-               = Bitset.mem (Flow.first flow x) a
-            && Option.is_some (Flow.follow_witness flow x a)
-               = Bitset.mem (Flow.follow flow x) a
+            && Option.is_some (Analysis.first_witness anl x a)
+               = Bitset.mem (Analysis.first anl x) a
+            && Option.is_some (Analysis.follow_witness anl x a)
+               = Bitset.mem (Analysis.follow anl x) a
         done
       done;
       !ok)
@@ -126,7 +228,6 @@ let prop_first_word_earley =
     (QCheck.make ~print:(Fmt.str "%a" Grammar.pp) Util.gen_grammar)
     (fun g ->
       let anl = Analysis.make g in
-      let flow = Flow.make g in
       let all_productive =
         let ok = ref true in
         for x = 0 to Grammar.num_nonterminals g - 1 do
@@ -137,8 +238,8 @@ let prop_first_word_earley =
       let ok = ref true in
       for x = 0 to Grammar.num_nonterminals g - 1 do
         for a = 0 to Grammar.num_terminals g - 1 do
-          if Bitset.mem (Flow.first flow x) a then
-            match Flow.first_word flow anl x a with
+          if Bitset.mem (Analysis.first anl x) a then
+            match Analysis.first_word anl x a with
             | None -> if all_productive then ok := false
             | Some w ->
               let starts = match w with b :: _ -> b = a | [] -> false in
@@ -161,14 +262,14 @@ let prop_sampled_sentences_respect_first =
   QCheck.Test.make ~count:300 ~name:"sampled sentences start in FIRST(start)"
     (QCheck.make ~print:(Fmt.str "%a" Grammar.pp) Util.gen_grammar)
     (fun g ->
-      let flow = Flow.make g in
+      let anl = Analysis.make g in
       let rand = Random.State.make [| 42 |] in
       let ok = ref true in
       for _ = 1 to 20 do
         match Util.random_sentence g rand with
         | Some (first :: _) ->
           let a = Option.get (Grammar.terminal_of_name g first) in
-          ok := !ok && Bitset.mem (Flow.first flow (Grammar.start g)) a
+          ok := !ok && Bitset.mem (Analysis.first anl (Grammar.start g)) a
         | Some [] | None -> ()
       done;
       !ok)
@@ -181,7 +282,7 @@ let prop_sentential_follow =
   QCheck.Test.make ~count:300 ~name:"sentential forms respect FOLLOW"
     (QCheck.make ~print:(Fmt.str "%a" Grammar.pp) Util.gen_grammar)
     (fun g ->
-      let flow = Flow.make g in
+      let anl = Analysis.make g in
       let rand = Random.State.make [| 7 |] in
       let ok = ref true in
       let rec step fuel form =
@@ -193,8 +294,8 @@ let prop_sentential_follow =
             | NT x :: rest ->
               Bitset.iter
                 (fun a ->
-                  if not (Bitset.mem (Flow.follow flow x) a) then ok := false)
-                (Flow.first_seq flow rest);
+                  if not (Bitset.mem (Analysis.follow anl x) a) then ok := false)
+                (Analysis.first_seq anl rest);
               scan rest
           in
           scan form;
@@ -240,4 +341,4 @@ let suite =
   ]
   @ props
 
-let () = Alcotest.run "costar_flow" [ ("flow", suite) ]
+let () = Alcotest.run "analysis_facts" [ ("flow", suite) ]

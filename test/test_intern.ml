@@ -105,7 +105,7 @@ let prop_sll_predict_agrees =
       List.for_all
         (fun (x, d, ll, sll, warm) ->
           let sll_ok =
-            d = [] || (not (Analysis.endable anl x))
+            d = [] || (not (Analysis.follow_end anl x))
             ||
             match sll, ll with
             | Types.Unique_pred i, Types.Unique_pred j -> i = j

@@ -149,7 +149,19 @@ let test_conflict_reporting () =
       ]
   in
   check "first/follow" true
-    (List.exists (fun c -> c.Ll1.on <> None) (Ll1.conflicts f_follow))
+    (List.exists (fun c -> c.Ll1.on <> None) (Ll1.conflicts f_follow));
+  (* A nullable right-hand side whose FIRST and FOLLOW(lhs) share a
+     terminal is one candidate in that cell, not a conflict with itself:
+     a_ has a single production and is no decision; only b_ conflicts. *)
+  let self =
+    Result.get_ok
+      (Costar_ebnf.Parse.grammar_of_string ~start:"s"
+         "s : a_ 'a' ; a_ : b_ ; b_ : 'a' | ;")
+  in
+  match Ll1.conflicts self with
+  | [ c ] ->
+    check "only b_ conflicts" true (Grammar.nonterminal_name self c.Ll1.nt = "b_")
+  | cs -> Alcotest.failf "expected one conflict, got %d" (List.length cs)
 
 let suite =
   [

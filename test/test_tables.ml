@@ -10,17 +10,15 @@
      version and wrong-grammar images are refused by the header checks. *)
 
 open Costar_grammar
-module Flow = Costar_flow.Flow
-module Bitset = Costar_flow.Bitset
 module Analyze = Costar_predict_analysis.Analyze
 module Tables = Costar_predict_analysis.Tables
 
 let check = Alcotest.(check bool)
 
 let build ?(k = Analyze.default_k) ?(oracle = true) g =
-  let flow = Flow.make g in
-  let r = Analyze.analyze ~k ~oracle g in
-  (flow, r, Tables.build g flow r)
+  let anl = Analysis.make g in
+  let r = Analyze.analyze ~k ~oracle ~analysis:anl g in
+  (anl, r, Tables.build anl r)
 
 let lang name =
   match Costar_langs.Registry.find name with
@@ -58,7 +56,7 @@ let test_sections_agree () =
   List.iter
     (fun name ->
       let g = lang name in
-      let flow, _, t = build g in
+      let anl, _, t = build g in
       let t = Result.get_ok (Tables.decode (Tables.encode t)) in
       for x = 0 to Grammar.num_nonterminals g - 1 do
         let ok_set what got want =
@@ -66,13 +64,13 @@ let test_sections_agree () =
             Alcotest.failf "%s: %s row differs on `%s`" name what
               (Names.nonterminal g x)
         in
-        check "nullable" (Flow.nullable flow x) (Tables.nullable t x);
-        check "reachable" (Flow.reachable flow x) (Tables.reachable t x);
-        check "productive" (Flow.productive flow x) (Tables.productive t x);
-        check "follow_end" (Flow.follow_end flow x) (Tables.follow_end t x);
-        ok_set "first" (Tables.first t x) (Flow.first flow x);
-        ok_set "follow" (Tables.follow t x) (Flow.follow flow x);
-        ok_set "sync" (Tables.sync t x) (Flow.sync flow x)
+        check "nullable" (Analysis.nullable anl x) (Tables.nullable t x);
+        check "reachable" (Analysis.reachable anl x) (Tables.reachable t x);
+        check "productive" (Analysis.productive anl x) (Tables.productive t x);
+        check "follow_end" (Analysis.follow_end anl x) (Tables.follow_end t x);
+        ok_set "first" (Tables.first t x) (Analysis.first anl x);
+        ok_set "follow" (Tables.follow t x) (Analysis.follow anl x);
+        ok_set "sync" (Tables.sync t x) (Analysis.sync anl x)
       done)
     langs
 
