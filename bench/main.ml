@@ -25,6 +25,23 @@ module P = Costar_core.Parser
 module Batch = Costar_parallel.Batch
 module Stats = Costar_stats
 
+(* The experiments time token-list parses; the list-to-cursor conversion
+   is part of every timed run. *)
+let parse_list ?cache p toks = P.run_word ?cache p (Word.of_tokens toks)
+
+(* The paper tool's per-parse cache: the footnote-7 static grammar cache
+   (every reachable decision's initial DFA state, seeded into the parser's
+   base cache once — [Sll.prepare] is a no-op for a state already
+   present), copied so nothing the parse learns outlives it. *)
+let parse_cold p toks =
+  let g = P.grammar p and anl = P.analysis p in
+  let base = P.base_cache p in
+  for x = 0 to Grammar.num_nonterminals g - 1 do
+    if Analysis.reachable anl x && List.length (Grammar.prods_of g x) > 1 then
+      Costar_core.Sll.prepare g anl base x
+  done;
+  parse_list ~cache:(Costar_core.Cache.copy base) p toks
+
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -77,6 +94,12 @@ type corpus = {
   lang : Lang.t;
   files : file list;
 }
+
+(* A fresh cache warmed by parsing every file once. *)
+let warmed_cache p files =
+  let cache = Costar_core.Cache.create (P.analysis p) in
+  List.iter (fun f -> ignore (parse_list ~cache p f.toks)) files;
+  cache
 
 (* Log-spaced size parameters from [lo] to [hi]. *)
 let log_spaced ~n ~lo ~hi =
@@ -205,7 +228,7 @@ let fig9 cfg corpora =
           (fun f ->
             let mean, stdev =
               time_trials ~trials:cfg.trials (fun () ->
-                  let r = P.run_cold p f.toks in
+                  let r = parse_cold p f.toks in
                   expect_unique lang r;
                   r)
             in
@@ -259,7 +282,7 @@ let fig10 cfg corpora =
                  in
                  let costar_t, _ =
                    time_trials ~trials:cfg.trials (fun () ->
-                       P.run_cold p f.toks)
+                       parse_cold p f.toks)
                  in
                  let turbo_t, _ =
                    time_trials ~trials:cfg.trials (fun () ->
@@ -354,18 +377,13 @@ let fig11 cfg corpora =
   summarize "warm" warm;
   (* CoStar-side extension: the verified parser with a reused cache. *)
   let p = P.make g in
-  let shared =
-    List.fold_left
-      (fun cache f -> snd (P.run_with_cache p cache f.toks))
-      (Costar_core.Cache.create (P.analysis p))
-      files
-  in
+  let shared = warmed_cache p files in
   let costar_warm =
     List.map
       (fun f ->
         let t, _ =
           time_trials ~trials:cfg.trials (fun () ->
-              P.run_with_cache p shared f.toks)
+              parse_list ~cache:shared p f.toks)
         in
         (f, t))
       files
@@ -420,7 +438,7 @@ let ablation cfg corpora =
       (* Mid-sized file to keep the string version affordable. *)
       let f = List.nth files (List.length files / 2) in
       let core_t, _ =
-        time_trials ~trials:cfg.trials (fun () -> P.run p f.toks)
+        time_trials ~trials:cfg.trials (fun () -> parse_list p f.toks)
       in
       let ext_t, _ =
         time_trials ~trials:cfg.trials (fun () ->
@@ -453,7 +471,7 @@ let earley cfg corpora =
     (fun f ->
       if f.n_toks >= 50 && f.n_toks <= 3000 then begin
         let costar_t, _ =
-          time_trials ~trials:cfg.trials (fun () -> P.run p f.toks)
+          time_trials ~trials:cfg.trials (fun () -> parse_list p f.toks)
         in
         let earley_t, _ =
           time_trials ~trials:cfg.trials (fun () ->
@@ -516,12 +534,11 @@ let gss_ablation cfg corpora =
         time_trials ~trials:cfg.trials (fun () ->
             Costar_core.Sll.predict g anl
               (Costar_core.Cache.create anl)
-              x w)
+              x (Word.of_tokens w) 0)
       in
       (* Count states of a single cold run. *)
-      let cache, _ =
-        Costar_core.Sll.predict g anl (Costar_core.Cache.create anl) x w
-      in
+      let cache = Costar_core.Cache.create anl in
+      ignore (Costar_core.Sll.predict g anl cache x (Word.of_tokens w) 0);
       let e = Costar_gss.Gss.create g in
       let gss_t, _ =
         time_trials ~trials:cfg.trials (fun () ->
@@ -578,7 +595,7 @@ let lookahead cfg corpora =
       let total_tokens =
         List.fold_left
           (fun acc f ->
-            ignore (P.run p f.toks);
+            ignore (parse_list p f.toks);
             acc + f.n_toks)
           0 files
       in
@@ -635,16 +652,14 @@ let precache cfg corpora =
          before-counts must be snapshot before parsing, and each pass works
          on a private copy so timing passes still start from the intended
          cache. *)
-      let parse_all cache0 =
-        List.fold_left
-          (fun cache f -> snd (P.run_with_cache p cache f.toks))
-          cache0 files
+      let parse_all cache =
+        List.iter (fun f -> ignore (parse_list ~cache p f.toks)) files
       in
       let miss cache0 =
         let c = Costar_core.Cache.copy cache0 in
         let s0 = Costar_core.Cache.num_states c in
         let t0 = Costar_core.Cache.num_transitions c in
-        let c = parse_all c in
+        parse_all c;
         ( Costar_core.Cache.num_states c - s0,
           Costar_core.Cache.num_transitions c - t0 )
       in
@@ -693,19 +708,14 @@ let intern_bench cfg corpora =
       let f = List.nth files (List.length files - 1) in
       let cold_t =
         time_best ~trials:(max 7 cfg.trials) (fun () ->
-            let r = P.run_cold p f.toks in
+            let r = parse_cold p f.toks in
             expect_unique lang r;
             r)
       in
-      let shared =
-        List.fold_left
-          (fun cache fl -> snd (P.run_with_cache p cache fl.toks))
-          (Costar_core.Cache.create (P.analysis p))
-          files
-      in
+      let shared = warmed_cache p files in
       let warm_t =
         time_best ~trials:(max 7 cfg.trials) (fun () ->
-            P.run_with_cache p shared f.toks)
+            parse_list ~cache:shared p f.toks)
       in
       let us_per_tok t = t /. float_of_int (max 1 f.n_toks) *. 1e6 in
       Printf.printf "%-10s %8d %10.3f %10.3f %13.3f %13.3f\n" lang.Lang.name
@@ -719,7 +729,7 @@ let intern_bench cfg corpora =
          loop should be all transition hits and no closure work. *)
       Costar_core.Instr.reset ();
       Costar_core.Instr.enabled := true;
-      ignore (P.run_with_cache p shared f.toks);
+      ignore (parse_list ~cache:shared p f.toks);
       Costar_core.Instr.enabled := false;
       let c = Costar_core.Instr.cache_totals () in
       Printf.printf
@@ -754,22 +764,17 @@ let pipeline_bench cfg corpora =
       let f = List.nth files (List.length files - 1) in
       (* Warm the shared prediction cache on the whole corpus, so the
          measured region is the lex+parse hot path, not cache learning. *)
-      let shared =
-        List.fold_left
-          (fun cache fl -> snd (P.run_with_cache p cache fl.toks))
-          (Costar_core.Cache.create (P.analysis p))
-          files
-      in
+      let shared = warmed_cache p files in
       let trials = max 7 cfg.trials in
       let list_t =
         time_best ~trials (fun () ->
             let toks = Lang.tokenize_exn lang f.src in
-            fst (P.run_with_cache p shared toks))
+            parse_list ~cache:shared p toks)
       in
       let buf_t =
         time_best ~trials (fun () ->
             let buf = Lang.tokenize_buf_exn lang f.src in
-            fst (P.run_with_cache_word p shared (Word.of_buf buf)))
+            P.run_word ~cache:shared p (Word.of_buf buf))
       in
       let mb_s t = float_of_int f.bytes /. t /. 1e6 in
       Printf.printf "%-10s %9d %8d %10.3f %10.3f %9.1f %9.1f %7.2fx\n"
@@ -1011,7 +1016,7 @@ let batch_bench cfg =
     "(whole corpus tokenized+parsed per sample, warm shared prediction \
      cache; min over samples;";
   Printf.printf
-    " seq = sequential run_buf loop, Nd = run_batch over N domains; host \
+    " seq = sequential run_word loop, Nd = run_batch over N domains; host \
      reports %d recommended domain(s))\n"
     (Domain.recommended_domain_count ());
   let domain_counts = [ 1; 2; 4; 8 ] in
@@ -1101,7 +1106,7 @@ let bechamel_run corpora =
         let p = P.make (Lang.grammar lang) in
         Test.make
           ~name:(Printf.sprintf "fig9/costar-%s" lang.Lang.name)
-          (Staged.stage (fun () -> ignore (P.run p f.toks))))
+          (Staged.stage (fun () -> ignore (parse_list p f.toks))))
       corpora
     @ (* fig10: turbo counterpart *)
     List.map
@@ -1152,13 +1157,8 @@ let bechamel_run corpora =
                (Costar_earley.Recognizer.accepts (Lang.grammar jlang) jf.toks)));
       Test.make ~name:"fig9/costar-json-warmcache"
         (Staged.stage
-           (let cache =
-              snd
-                (P.run_with_cache jp
-                   (Costar_core.Cache.create (P.analysis jp))
-                   jf.toks)
-            in
-            fun () -> ignore (P.run_with_cache jp cache jf.toks)));
+           (let cache = warmed_cache jp [ jf ] in
+            fun () -> ignore (parse_list ~cache jp jf.toks)));
     ]
   in
   let grouped = Test.make_grouped ~name:"costar" tests in

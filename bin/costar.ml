@@ -276,46 +276,43 @@ let parse_cmd =
       Costar_core.Instr.reset ();
       Costar_core.Instr.enabled := true
     end;
-    if trace then
-      ignore (Costar_core.Trace.print p (or_die (tokens_of_input ?lexer g l text)))
+    let lex_t0 = Unix.gettimeofday () in
+    let lex_minor0 = Gc.minor_words () in
+    let word =
+      match buf_of_input ?lexer g l text with
+      | Some (Ok buf) -> Ok (Word.of_buf buf)
+      | Some (Error msg) -> Error msg
+      | None -> Result.map Word.of_tokens (tokens_of_input ?lexer g l text)
+    in
+    let word =
+      match word with
+      | Ok w -> w
+      | Error msg ->
+        (* A lexical failure renders exactly like a parse failure: one
+           P004 diagnostic through the shared renderer and exit policy. *)
+        exit
+          (render_diags format ~max_severity ~max_warnings
+             [ R.lex_diag ?file msg ])
+    in
+    let lex_t = Unix.gettimeofday () -. lex_t0 in
+    let lex_minor = Gc.minor_words () -. lex_minor0 in
+    let cache =
+      Option.map
+        (fun cf ->
+          or_die
+            (Result.map_error
+               (fun e -> cf ^ ": " ^ Cache.image_error_to_string e)
+               (Cache.load_image ~anl:(P.analysis p)
+                  ~fingerprint:(Grammar.fingerprint g) cf)))
+        cache_file
+    in
+    if trace then ignore (Costar_core.Trace.print ?cache p word)
     else begin
-      let lex_t0 = Unix.gettimeofday () in
-      let lex_minor0 = Gc.minor_words () in
-      let word =
-        match buf_of_input ?lexer g l text with
-        | Some (Ok buf) -> Ok (Word.of_buf buf)
-        | Some (Error msg) -> Error msg
-        | None -> Result.map Word.of_tokens (tokens_of_input ?lexer g l text)
-      in
-      let word =
-        match word with
-        | Ok w -> w
-        | Error msg ->
-          (* A lexical failure renders exactly like a parse failure: one
-             P004 diagnostic through the shared renderer and exit policy. *)
-          exit
-            (render_diags format ~max_severity ~max_warnings
-               [ R.lex_diag ?file msg ])
-      in
-      let lex_t = Unix.gettimeofday () -. lex_t0 in
-      let lex_minor = Gc.minor_words () -. lex_minor0 in
       let eng = R.make p in
       let max_errors = if recover then 100 else 0 in
       let parse_t0 = Unix.gettimeofday () in
       let parse_minor0 = Gc.minor_words () in
-      let outcome =
-        match cache_file with
-        | None -> R.run_word ?file ~max_errors eng word
-        | Some cf ->
-          let cache =
-            or_die
-              (Result.map_error
-                 (fun e -> cf ^ ": " ^ Cache.image_error_to_string e)
-                 (Cache.load_image ~anl:(P.analysis p)
-                    ~fingerprint:(Grammar.fingerprint g) cf))
-          in
-          fst (R.run_with_cache_word ?file ~max_errors eng cache word)
-      in
+      let outcome = R.run_word ?file ~max_errors ?cache eng word in
       let parse_t = Unix.gettimeofday () -. parse_t0 in
       let parse_minor = Gc.minor_words () -. parse_minor0 in
       let n = Word.length word in
@@ -972,7 +969,7 @@ let batch_cmd =
       match Costar_langs.Lang.tokenize l contents.(i) with
       | Error msg -> print_diags [ R.lex_diag ~file:files.(i) msg ]
       | Ok toks ->
-        let o = R.run ~file:files.(i) (Lazy.force eng) toks in
+        let o = R.run_word ~file:files.(i) (Lazy.force eng) (Word.of_tokens toks) in
         print_diags (R.diagnostics o)
     in
     let failures = ref 0 in
@@ -1262,11 +1259,12 @@ let cover_cmd =
           mutant_results := (label, msg) :: !mutant_results
         in
         let gate label toks' =
-          match R.run ~verify_measure:true (Lazy.force eng) toks' with
+          let w' = Word.of_tokens toks' in
+          match R.run_word ~verify_measure:true (Lazy.force eng) w' with
           | exception e ->
             fail label ("recovery engine raised: " ^ Printexc.to_string e)
           | o -> (
-            match (P.run p toks', o.R.verdict, o.R.events) with
+            match (P.run_word p w', o.R.verdict, o.R.events) with
             | (P.Unique _ | P.Ambig _), (R.Recovered _ | R.Recovered_ambig _), []
               ->
               ()

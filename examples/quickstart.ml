@@ -43,7 +43,7 @@ let () =
       match Scanner.tokenize scanner grammar input with
       | Error e -> Fmt.pr "%a@." Scanner.pp_error e
       | Ok tokens -> (
-        match Costar_core.Parser.run parser tokens with
+        match Costar_core.Parser.run_word parser (Word.of_tokens tokens) with
         | Costar_core.Parser.Unique tree ->
           Fmt.pr "unique parse %a@." (Tree.pp grammar) tree
         | Costar_core.Parser.Ambig tree ->

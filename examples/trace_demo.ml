@@ -21,7 +21,8 @@ let () =
   print_endline "Grammar (Fig. 2):";
   Fmt.pr "  %a@.@." Grammar.pp g;
   print_endline "Trace on input \"a b d\":";
-  ignore (Costar_core.Trace.print p (Grammar.tokens g [ "a"; "b"; "d" ]));
+  let word names = Word.of_tokens (Grammar.tokens g names) in
+  ignore (Costar_core.Trace.print p (word [ "a"; "b"; "d" ]));
   print_newline ();
   print_endline "Trace on the rejected input \"a b\":";
-  ignore (Costar_core.Trace.print p (Grammar.tokens g [ "a"; "b" ]))
+  ignore (Costar_core.Trace.print p (word [ "a"; "b" ]))

@@ -7,8 +7,8 @@
    - every SLL decision point (a multi-alternative prediction run);
    - every cached prediction-DFA edge, as explored offline by the static
      analyzer — state ids are the analyzer cache's own, and runtime parses
-     are threaded through that same cache so runtime-covered edges and
-     universe edges agree by construction;
+     run through that same cache so runtime-covered edges and universe
+     edges agree by construction;
    - every lexer-DFA byte-class transition, when the source has a scanner.
 
    Each target is tagged statically: [Coverable] when some concrete input
@@ -659,7 +659,7 @@ let drain t =
 let mark_word t word =
   let r =
     with_cov (fun () ->
-        fst (P.run_with_cache_word t.parser_ t.result.Analyze.cache word))
+        P.run_word ~cache:t.result.Analyze.cache t.parser_ word)
   in
   drain t;
   r

@@ -69,8 +69,9 @@ let run ?turbo ?recover g toks =
   (* Reference parse, with the §4 measure checked at every machine step. *)
   let prev = ref None in
   let monotone = ref (Ok ()) in
+  let word = Word.of_tokens toks in
   let reference =
-    P.run_inspect (P.make g)
+    P.run_word (P.make g)
       ~inspect:(fun st ->
         match !monotone with
         | Error _ -> ()
@@ -81,7 +82,7 @@ let run ?turbo ?recover g toks =
             monotone := Error "the §4 termination measure failed to decrease"
           | _ -> ());
           prev := Some m)
-      toks
+      word
   in
   let* () = !monotone in
   let* () =
@@ -129,7 +130,7 @@ let run ?turbo ?recover g toks =
     match recover with
     | None -> Ok ()
     | Some r -> (
-      match R.run ~verify_measure:true r toks with
+      match R.run_word ~verify_measure:true r word with
       | exception e -> err "recovery engine raised: %s" (Printexc.to_string e)
       | o -> (
         match (reference, o.R.verdict, o.R.events) with

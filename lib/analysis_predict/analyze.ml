@@ -92,27 +92,21 @@ exception Abort of Types.error
 
 let analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x =
   let n_alts = List.length (Grammar.prods_of g x) in
-  match Sll.closure_cached_ext g anl cache (Sll.init_configs g anl x) with
-  | cache, Error e ->
-    ( cache,
-      {
-        nt = x;
-        n_alts;
-        lookahead = Beyond 0;
-        conflicts = [];
-        uses_stable_return = false;
-        states = 0;
-        truncated = false;
-        error = Some e;
-      } )
-  | cache, Ok (configs0, forked0) ->
-    let cache, sid0 = Cache.intern cache configs0 in
-    let cache =
-      match Cache.find_init cache x with
-      | Some _ -> cache
-      | None -> Cache.add_init cache x sid0
-    in
-    let cache = ref cache in
+  match Sll.closure_cached g anl cache (Sll.init_configs g anl x) with
+  | Error e ->
+    {
+      nt = x;
+      n_alts;
+      lookahead = Beyond 0;
+      conflicts = [];
+      uses_stable_return = false;
+      states = 0;
+      truncated = false;
+      error = Some e;
+    }
+  | Ok (configs0, forked0) ->
+    let sid0 = Cache.intern cache configs0 in
+    if Cache.find_init cache x = None then Cache.add_init cache x sid0;
     let forked = ref forked0 in
     (* Per-decision BFS bookkeeping (the DFA cache itself is global). *)
     let depth_of = Hashtbl.create 64 in
@@ -153,7 +147,7 @@ let analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x =
        while not (Queue.is_empty queue) do
          let sid = Queue.pop queue in
          let d = Hashtbl.find depth_of sid in
-         let info = Cache.info !cache sid in
+         let info = Cache.info cache sid in
          match info.Cache.verdict with
          | Cache.V_empty | Cache.V_all_pred _ -> ()
          | Cache.V_pending
@@ -210,19 +204,17 @@ let analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x =
              let moved_to = ref [] in
              for a = 0 to Grammar.num_terminals g - 1 do
                match
-                 Sll.closure_cached_ext g anl !cache
+                 Sll.closure_cached g anl cache
                    (Sll.move anl info.Cache.configs a)
                with
-               | cache', Error e ->
-                 cache := cache';
-                 raise (Abort e)
-               | cache', Ok (configs', f) ->
-                 let cache', sid' = Cache.intern cache' configs' in
+               | Error e -> raise (Abort e)
+               | Ok (configs', f) ->
+                 let sid' = Cache.intern cache configs' in
                  (* [add_trans] is idempotent, so no find-before-add dance. *)
-                 cache := Cache.add_trans cache' sid a sid';
+                 Cache.add_trans cache sid a sid';
                  forked := !forked || f;
                  let pending =
-                   match (Cache.info cache' sid').Cache.verdict with
+                   match (Cache.info cache sid').Cache.verdict with
                    | Cache.V_pending -> true
                    | Cache.V_empty | Cache.V_all_pred _ -> false
                  in
@@ -272,7 +264,7 @@ let analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x =
       let w = path_to sid in
       List.iter
         (fun pr -> note pr ~witness:w ~at_eof:false ~amb:None)
-        (pairs (Config.preds_of_sll (Cache.info !cache sid).Cache.configs)));
+        (pairs (Config.preds_of_sll (Cache.info cache sid).Cache.configs)));
     let conflicts =
       Hashtbl.fold
         (fun pair acc l ->
@@ -293,17 +285,16 @@ let analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x =
       else if !at_bound || !truncated then Beyond k
       else Sll_k (1 + !max_pending_depth)
     in
-    ( !cache,
-      {
-        nt = x;
-        n_alts;
-        lookahead;
-        conflicts;
-        uses_stable_return = !forked;
-        states = !n_states;
-        truncated = !truncated;
-        error = !err;
-      } )
+    {
+      nt = x;
+      n_alts;
+      lookahead;
+      conflicts;
+      uses_stable_return = !forked;
+      states = !n_states;
+      truncated = !truncated;
+      error = !err;
+    }
 
 let analyze ?(k = default_k) ?(max_states = default_max_states)
     ?(max_configs = default_max_configs) ?(oracle = true) ?cache ?analysis g =
@@ -316,19 +307,14 @@ let analyze ?(k = default_k) ?(max_states = default_max_states)
     | None, Some c -> Cache.analysis c
     | None, None -> Analysis.make g
   in
-  let cache =
-    ref (match cache with Some c -> c | None -> Cache.create anl)
-  in
+  let cache = match cache with Some c -> c | None -> Cache.create anl in
   let decisions = ref [] in
   for x = 0 to Grammar.num_nonterminals g - 1 do
-    if List.length (Grammar.prods_of g x) >= 2 then begin
-      let cache', d =
-        analyze_decision g anl ~k ~max_states ~max_configs ~oracle !cache x
-      in
-      cache := cache';
-      decisions := d :: !decisions
-    end
+    if List.length (Grammar.prods_of g x) >= 2 then
+      decisions :=
+        analyze_decision g anl ~k ~max_states ~max_configs ~oracle cache x
+        :: !decisions
   done;
-  { g; k_bound = k; decisions = List.rev !decisions; cache = !cache }
+  { g; k_bound = k; decisions = List.rev !decisions; cache }
 
 let decision_for t x = List.find_opt (fun d -> d.nt = x) t.decisions

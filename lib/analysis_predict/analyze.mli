@@ -89,7 +89,7 @@ type t = {
   k_bound : int;
   decisions : decision list;  (** in nonterminal order; only decisions *)
   cache : Costar_core.Cache.t;
-      (** The threaded DFA cache after exploring every decision: initial
+      (** The DFA cache after exploring every decision: initial
           states, every state reachable within the bounds, and their
           transitions on every terminal — a superset of what any single
           parse warms up, ready for {!Costar_core.Cache.save_image}. *)
@@ -109,7 +109,8 @@ val default_max_configs : int
     and a state past this bound is treated as truncation, exactly like
     [max_states]; [oracle:false] skips the Earley confirmation of
     candidate ambiguous words (conflicts are still reported, with
-    [ambiguous_word = None]); [cache] seeds the DFA cache; [analysis]
+    [ambiguous_word = None]); [cache] is the DFA cache to extend in place
+    (default: a fresh one; either way it is the result's [cache]); [analysis]
     reuses an existing {!Analysis.t} for [g]. *)
 val analyze :
   ?k:int ->

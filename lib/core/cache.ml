@@ -251,9 +251,7 @@ let find_init c x =
 
 let unique_pred c ix = c.uniq.(ix)
 
-let add_init c x sid =
-  c.inits.(x) <- sid;
-  c
+let add_init c x sid = c.inits.(x) <- sid
 
 let is_accepting (cfg : Config.sll) =
   match cfg.s_ctx with
@@ -293,7 +291,7 @@ let intern c configs =
       | Some b -> Key_tbl.find_opt b.state_ids key)
   in
   match known with
-  | Some sid -> (c, sid)
+  | Some sid -> sid
   | None ->
     let sid = c.n_states in
     let off = sid - c.base_states in
@@ -305,7 +303,7 @@ let intern c configs =
     Key_tbl.add c.state_ids key sid;
     c.n_states <- sid + 1;
     Instr.record_state_intern ();
-    (c, sid)
+    sid
 
 let rec info c sid =
   if sid < 0 || sid >= c.n_states then
@@ -376,8 +374,7 @@ let add_trans c sid a sid' =
   if row.(a) < 0 then begin
     row.(a) <- sid';
     c.n_trans <- c.n_trans + 1
-  end;
-  c
+  end
 
 let find_closure c cfg =
   let id =
@@ -395,8 +392,7 @@ let find_closure c cfg =
 let add_closure c cfg result =
   let id = config_id c cfg in
   c.closures <- grow c.closures id None;
-  c.closures.(id) <- Some result;
-  c
+  c.closures.(id) <- Some result
 
 (* An independent cache seeded with this one's contents: subsequent
    additions to either copy do not affect the other.  State/config ids are
@@ -473,15 +469,14 @@ let overlay (fz : frozen) =
 let overlay_new_states c = c.n_states - c.base_states
 
 let absorb dst src =
-  if dst == src then dst
-  else begin
+  if dst != src then begin
     (* src state id -> dst state id, by re-interning config values. *)
     let map = Hashtbl.create 64 in
     let map_sid sid =
       match Hashtbl.find_opt map sid with
       | Some d -> d
       | None ->
-        let _, d = intern dst (info src sid).configs in
+        let d = intern dst (info src sid).configs in
         Hashtbl.add map sid d;
         d
     in
@@ -494,12 +489,12 @@ let absorb dst src =
       if row != no_row then
         for a = 0 to Array.length row - 1 do
           let s' = row.(a) in
-          if s' >= 0 then ignore (add_trans dst (map_sid sid) a (map_sid s'))
+          if s' >= 0 then add_trans dst (map_sid sid) a (map_sid s')
         done
     done;
     Array.iteri
       (fun x s ->
-        if s >= 0 && init_get dst x < 0 then ignore (add_init dst x (map_sid s)))
+        if s >= 0 && init_get dst x < 0 then add_init dst x (map_sid s))
       src.inits;
     (* Closure memos recorded at src's layer.  Results are config values,
        valid verbatim in dst (shared frames interner); recomputation is
@@ -509,9 +504,8 @@ let absorb dst src =
       if id < Array.length src.closures then
         match src.closures.(id) with
         | None -> ()
-        | Some r -> ignore (add_closure dst (cfg_of_id src id) r)
-    done;
-    dst
+        | Some r -> add_closure dst (cfg_of_id src id) r
+    done
   end
 
 (* {2 Persistence: flat cache images (format v3)}
@@ -828,19 +822,18 @@ let of_image ~anl (im : image) =
   let c = create anl in
   for sid = 0 to im.i_states - 1 do
     let configs = image_state_configs c.frames im sid in
-    let _, sid' = intern c configs in
-    if sid' <> sid then
+    if intern c configs <> sid then
       invalid_arg "Cache.of_image: inconsistent state numbering"
   done;
   for sid = 0 to im.i_states - 1 do
     for a = 0 to im.i_terms - 1 do
       let s' = Flatimg.get im.i_words (im.i_trans_at + (sid * im.i_terms) + a) in
-      if s' >= 0 then ignore (add_trans c sid a s')
+      if s' >= 0 then add_trans c sid a s'
     done
   done;
   for x = 0 to Array.length c.inits - 1 do
     let s = Flatimg.get im.i_words (im.i_inits_at + x) in
-    if s >= 0 then ignore (add_init c x s)
+    if s >= 0 then add_init c x s
   done;
   c
 

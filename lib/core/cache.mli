@@ -8,13 +8,12 @@
     step a pair of array reads ({!trans_get}).
 
     Unlike the Coq development's purely functional cache, this one is a
-    mutable store (hashtables + growable arrays).  The API keeps the
-    value-threading shape — mutators return [t] — so code written against
-    the functional version still reads naturally, but the returned value is
-    the same object: callers sharing a cache observe each other's additions.
-    Cache contents never influence parse {e results}, only speed
-    (property-tested), so this sharing is benign; use {!copy} where
-    independent growth matters (e.g. cold-cache measurements).
+    mutable store (hashtables + growable arrays), and the API says so:
+    mutators return [unit], and callers sharing a cache observe each
+    other's additions.  Cache contents never influence parse {e results},
+    only speed (property-tested), so this sharing is benign; use {!copy} or
+    a fresh {!create} where independent growth matters (e.g. cold-cache
+    measurements).
 
     A cache is bound at {!create} to one grammar's {!Analysis.t} (whose
     {!Costar_grammar.Frames} table defines the config representation); using
@@ -93,11 +92,11 @@ val freeze : t -> frozen
 val overlay : frozen -> t
 
 (** [absorb dst src] merges everything recorded at [src]'s own layer into
-    [dst] and returns [dst].  States are matched by configuration {e value}
+    [dst].  States are matched by configuration {e value}
     (exact, since every cache of one analysis shares the same frames
     interner), not by id, so [absorb] is idempotent and — up to id
     assignment, which is unobservable — order-independent. *)
-val absorb : t -> t -> t
+val absorb : t -> t -> unit
 
 val frozen_num_states : frozen -> int
 val frozen_num_transitions : frozen -> int
@@ -122,11 +121,11 @@ val init_get : t -> nonterminal -> int
 (** The shared preallocated [Unique_pred] box for a production index. *)
 val unique_pred : t -> int -> Types.prediction
 
-val add_init : t -> nonterminal -> state_id -> t
+val add_init : t -> nonterminal -> state_id -> unit
 
 (** [intern cache configs] returns the id for this canonical configuration
     set, allocating (and precomputing {!info} for) a fresh state if new. *)
-val intern : t -> Config.sll list -> t * state_id
+val intern : t -> Config.sll list -> state_id
 
 val info : t -> state_id -> info
 
@@ -138,7 +137,7 @@ val trans_get : t -> state_id -> terminal -> int
 
 (** Record a transition.  Idempotent: re-adding an existing transition
     neither changes the successor nor double-counts {!num_transitions}. *)
-val add_trans : t -> state_id -> terminal -> state_id -> t
+val add_trans : t -> state_id -> terminal -> state_id -> unit
 
 (** Memoized single-configuration closures.  The closure of a configuration
     set is the union of its members' closures, and identical configurations
@@ -147,13 +146,13 @@ val add_trans : t -> state_id -> terminal -> state_id -> t
     configurations each entry records whether the closure performed a
     stable-return fork (simulated return past the truncated stack, §3.5) —
     the spot where SLL overapproximates LL; the static analyzer reads the
-    flag through {!Sll.closure_cached_ext}, which keys the memo on
+    flag through {!Sll.closure_cached}, which keys the memo on
     configurations with the prediction label erased. *)
 val find_closure :
   t -> Config.sll -> (Config.sll list * bool, Types.error) result option
 
 val add_closure :
-  t -> Config.sll -> (Config.sll list * bool, Types.error) result -> t
+  t -> Config.sll -> (Config.sll list * bool, Types.error) result -> unit
 
 (** {1 Persistence: flat cache images (format v3)}
 

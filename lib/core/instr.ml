@@ -40,8 +40,8 @@ type cache_counters = {
     the system already uses: global production index for [prods], decision
     nonterminal for [decisions], (DFA state id, terminal id) for [edges].
     Edge ids only mean something relative to the cache that interned the
-    states, so a coverage run must thread one cache through every parse
-    (the cover driver reuses the static analyzer's cache for exactly this
+    states, so a coverage run must pass one cache to every parse (the
+    cover driver reuses the static analyzer's cache for exactly this
     reason). *)
 type cov_counters = {
   prods : (int, int) Hashtbl.t;

@@ -88,11 +88,12 @@ let init_configs g anl x conts =
 
 let is_accepting cfg = Frames.spine_is_nil cfg.l_frames
 
-(* Lookahead is an array cursor (terminal ids in [kinds], valid up to
-   [len], starting at [i]); LL prediction is rare (SLL failover only), but
-   it shares the machine's input representation so the fallback needs no
-   list reconstruction. *)
-let predict_cursor_ext g anl x conts kinds len i0 =
+(* Lookahead is an array cursor (terminal ids in [w.kinds], valid up to
+   [w.len], starting at [i0]); LL prediction is rare (SLL failover only),
+   but it shares the machine's input representation so the fallback needs
+   no list reconstruction. *)
+let predict g anl x conts (w : Word.t) i0 =
+  let kinds = w.Word.kinds and len = w.Word.len in
   let rec loop depth configs i =
     match preds_of_ll configs with
     | [] -> (Types.Reject_pred, depth)
@@ -111,18 +112,6 @@ let predict_cursor_ext g anl x conts kinds len i0 =
   match closure g anl (init_configs g anl x conts) with
   | Error e -> (Types.Error_pred e, 0)
   | Ok configs ->
-    let result, depth = loop 0 configs i0 in
+    let (_, depth) as r = loop 0 configs i0 in
     Instr.record_ll x depth;
-    (result, depth)
-
-let predict_cursor g anl x conts kinds len i0 =
-  fst (predict_cursor_ext g anl x conts kinds len i0)
-
-let predict_word g anl x conts (w : Word.t) i =
-  predict_cursor g anl x conts w.Word.kinds w.Word.len i
-
-let predict_word_ext g anl x conts (w : Word.t) i =
-  predict_cursor_ext g anl x conts w.Word.kinds w.Word.len i
-
-let predict g anl x conts tokens =
-  predict_word g anl x conts (Word.of_tokens tokens) 0
+    r

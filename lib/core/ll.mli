@@ -24,30 +24,11 @@ val move : Analysis.t -> Config.ll list -> terminal -> Config.ll list
 val init_configs :
   Grammar.t -> Analysis.t -> nonterminal -> symbol list list -> Config.ll list
 
-(** [predict g anl x conts tokens] runs exact LL prediction.  A thin
-    wrapper over {!predict_word}. *)
+(** [predict g anl x conts w i] runs exact LL prediction over the array
+    cursor the machine runs on: lookahead reads [w.kinds] from position
+    [i].  The verdict is paired with the lookahead depth at which it was
+    reached (tokens examined past [i]). *)
 val predict :
-  Grammar.t ->
-  Analysis.t ->
-  nonterminal ->
-  symbol list list ->
-  Token.t list ->
-  Types.prediction
-
-(** [predict_word g anl x conts w i] is LL prediction over the array
-    cursor the machine runs on: lookahead reads [w.kinds] from [i]. *)
-val predict_word :
-  Grammar.t ->
-  Analysis.t ->
-  nonterminal ->
-  symbol list list ->
-  Word.t ->
-  int ->
-  Types.prediction
-
-(** Like {!predict_word}, but additionally reports the lookahead depth at
-    which the verdict was reached (tokens examined past position [i]). *)
-val predict_word_ext :
   Grammar.t ->
   Analysis.t ->
   nonterminal ->

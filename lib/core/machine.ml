@@ -30,10 +30,15 @@ type failure = {
 }
 
 type step_result =
-  | Step_accept of Tree.t
+  | Step_cont of state
+  | Step_halt
   | Step_reject of failure
   | Step_error of Types.error
-  | Step_cont of state
+
+type final =
+  | Final_accept of Tree.t
+  | Final_trailing of failure
+  | Final_malformed
 
 type env = {
   g : Grammar.t;
@@ -61,8 +66,6 @@ let init_word env ?cache word =
     visited = Int_set.empty;
     unique = true;
   }
-
-let init env ?cache tokens = init_word env ?cache (Word.of_tokens tokens)
 
 let conts st = st.top.suf :: List.map (fun f -> f.suf) st.frames
 
@@ -131,9 +134,9 @@ let push env st x suf =
     (* Predict through the cache's own analysis, not [env.anl]: a supplied
        cache (loaded from an image, or built by the static analyzer)
        expresses its configurations in its own frame interner. *)
-    let cache, pred, look =
-      Predict.adaptive_predict_word_ext env.g (Cache.analysis st.cache)
-        st.cache x conts st.word st.pos
+    let pred, look =
+      Predict.adaptive_predict env.g (Cache.analysis st.cache) st.cache x
+        conts st.word st.pos
     in
     let do_push ix unique =
       Instr.record_cov_prod ix;
@@ -142,7 +145,7 @@ let push env st x suf =
         {
           top = { label = Some x; syms_rev = []; trees_rev = []; suf = gamma };
           frames = { st.top with suf } :: st.frames;
-          cache;
+          cache = st.cache;
           word = st.word;
           pos = st.pos;
           visited = Int_set.add x st.visited;
@@ -184,9 +187,15 @@ let return_op st =
     | None -> Step_error (Types.Invalid_state "return from an unlabeled frame"))
   | [] -> Step_error (Types.Invalid_state "return with no caller frame")
 
+let step env st =
+  match st.top.suf with
+  | T a :: suf -> consume env st a suf
+  | NT x :: suf -> push env st x suf
+  | [] -> if st.frames = [] then Step_halt else return_op st
+
 let finish env st =
   if st.pos < st.word.Word.len then
-    Step_reject
+    Final_trailing
       {
         reason = Fail_trailing { pos = st.pos };
         message =
@@ -196,14 +205,8 @@ let finish env st =
     match st.top with
     | { label = None; syms_rev = [ NT x ]; trees_rev = [ v ]; suf = [] }
       when x = Grammar.start env.g ->
-      Step_accept v
-    | _ -> Step_error (Types.Invalid_state "malformed final configuration")
-
-let step env st =
-  match st.top.suf with
-  | T a :: suf -> consume env st a suf
-  | NT x :: suf -> push env st x suf
-  | [] -> if st.frames = [] then finish env st else return_op st
+      Final_accept v
+    | _ -> Final_malformed
 
 (* --- StacksWf_I (Fig. 4) ------------------------------------------------ *)
 

@@ -54,10 +54,21 @@ type failure = {
 }
 
 type step_result =
-  | Step_accept of Tree.t
+  | Step_cont of state
+  | Step_halt  (** the stack is empty: {!finish} decides the outcome *)
   | Step_reject of failure
   | Step_error of Types.error
-  | Step_cont of state
+
+(** What the finish rule makes of an empty stack. *)
+type final =
+  | Final_accept of Tree.t
+      (** the input is used up and the bottom frame spells the start
+          symbol: its one tree is the parse *)
+  | Final_trailing of failure
+      (** input remains (a [Fail_trailing] failure) *)
+  | Final_malformed
+      (** the bottom frame does not spell the start symbol — unreachable
+          for a machine run, reachable after recovery's repairs *)
 
 (** Static context: the grammar and its analyses. *)
 type env = {
@@ -67,17 +78,19 @@ type env = {
 
 val make_env : Grammar.t -> env
 
-(** Initial machine state for the grammar's start symbol (list wrapper
-    over {!init_word}). *)
-val init : env -> ?cache:Cache.t -> Token.t list -> state
-
-(** Initial machine state over an array cursor: the machine consumes
-    [word.kinds.(pos)] directly, and prediction's warm fast path never
-    touches a token record. *)
+(** Initial machine state for the grammar's start symbol over an array
+    cursor: the machine consumes [word.kinds.(pos)] directly, and
+    prediction's warm fast path never touches a token record.  [cache]
+    (default: a fresh one) is the DFA cache every prediction of the run
+    reads and extends. *)
 val init_word : env -> ?cache:Cache.t -> Word.t -> state
 
-(** One atomic machine operation: consume, push, return, or finish. *)
+(** One atomic machine operation: consume, push, or return; [Step_halt]
+    once the stack is empty.  {!Parser.multistep} is the loop over it. *)
 val step : env -> state -> step_result
+
+(** The finish rule, applied to a state whose stack is empty. *)
+val finish : env -> state -> final
 
 (** Number of unconsumed tokens. *)
 val remaining : state -> int

@@ -26,63 +26,45 @@ val grammar : t -> Grammar.t
 val analysis : t -> Analysis.t
 val env : t -> Machine.env
 
-(** [run p w] parses the token sequence [w] through the parser's shared
-    base cache ({!base_cache}).  Prediction builds what it needs on
-    demand — a decision's initial SLL DFA state (the paper's footnote-7
-    static cache) and each transition are computed on the first miss —
-    and, the cache store being mutable, what [w] taught it is kept for
-    later runs on the same parser.  (Cache contents never affect results,
-    only speed; use [run_with_cache p (Cache.create (analysis p)) w] for a
-    run that shares nothing with other runs.) *)
-val run : t -> Token.t list -> result
-
-(** [run_word p w] is {!run} over the array cursor — the zero-copy
-    pipeline's entry point.  [run p toks = run_word p (Word.of_tokens
-    toks)]. *)
-val run_word : t -> Word.t -> result
-
-(** [run_buf p buf] parses a struct-of-arrays token buffer (as produced
-    by the compiled scanner) without materializing a token list. *)
-val run_buf : t -> Token_buf.t -> result
-
-(** The parser's shared base cache.  It starts empty, is extended on
-    demand by every {!run} (initial DFA states and transitions as
-    predictions first need them), and is seeded with the footnote-7
-    initial states by {!run_cold}.  Exposed for cache-behaviour
-    measurements. *)
+(** The parser's shared base cache.  It starts empty and is extended on
+    demand by every {!run_word} that uses it (initial DFA states and
+    transitions as predictions first need them).  Exposed for
+    cache-behaviour measurements. *)
 val base_cache : t -> Cache.t
 
 (** Install a loaded cache (an image-backed cache from {!Cache.load_image},
-    or one decoded with {!Cache.of_image_bytes}) as the parser's base, replacing the on-demand one.  Raises
-    [Invalid_argument] if the cache was built against a different
-    analysis. *)
+    or one decoded with {!Cache.of_image_bytes}) as the parser's base,
+    replacing the on-demand one.  Raises [Invalid_argument] if the cache
+    was built against a different analysis. *)
 val set_base_cache : t -> Cache.t -> unit
 
-(** [run_cold p w] is {!run} on an independent copy of the static grammar
-    cache of the paper's footnote 7: the base cache is seeded once with
-    every reachable decision's initial DFA state ({!Sll.prepare}), and
-    the parse runs on a copy, so nothing learned from [w] leaks into
-    later runs.  This is the paper tool's per-parse cache behaviour, kept
-    for cold-cache measurements. *)
-val run_cold : t -> Token.t list -> result
+(** Why the machine loop stopped. *)
+type stop =
+  | Halted of Machine.state
+      (** the stack emptied; {!Machine.finish} decides the outcome *)
+  | Rejected of Machine.state * Machine.failure
+      (** a step rejected in this state *)
+  | Failed of Types.error  (** a step raised a machine error *)
 
-(** [run_with_cache p cache w] additionally threads an SLL cache in and out,
-    allowing cache reuse across inputs (an extension over the paper's API;
-    see DESIGN.md, experiment E4). *)
-val run_with_cache : t -> Cache.t -> Token.t list -> result * Cache.t
+(** [multistep env st] is the paper's [multistep] loop (§3.2): it steps the
+    machine from [st] until the stack empties, a step rejects, or a step
+    fails, calling [inspect] on every state it visits (the first one
+    included).  {!run_word} finishes its [Halted] state; the recovery
+    engine repairs a [Rejected] state and resumes the loop. *)
+val multistep :
+  ?inspect:(Machine.state -> unit) -> Machine.env -> Machine.state -> stop
 
-(** Cursor form of {!run_with_cache}. *)
-val run_with_cache_word : t -> Cache.t -> Word.t -> result * Cache.t
+(** [run_word p w] parses the input word [w] (an array cursor over a token
+    list or a scanner buffer).  Predictions read and extend [cache],
+    default {!base_cache}: what [w] teaches the base cache is kept for
+    later runs on the same parser, while a run given its own cache (e.g.
+    [Cache.create (analysis p)]) shares nothing with other runs.  Cache
+    contents never affect results, only speed.  [inspect] is called on
+    every intermediate machine state, the initial one included (traces and
+    invariant checks). *)
+val run_word :
+  ?cache:Cache.t -> ?inspect:(Machine.state -> unit) -> t -> Word.t -> result
 
-(** [run_inspect p ~inspect w] calls [inspect] on every intermediate machine
-    state, including the initial one (used for traces and invariant
-    checking). *)
-val run_inspect :
-  t -> inspect:(Machine.state -> unit) -> Token.t list -> result
-
-(** Cursor form of {!run_inspect}, driving the zero-copy [run_word] path. *)
-val run_inspect_word :
-  t -> inspect:(Machine.state -> unit) -> Word.t -> result
-
-(** One-shot convenience: [parse g w = run (make g) w]. *)
+(** The paper's API: [parse g w] runs a fresh parser for [g] over the
+    token list [w]. *)
 val parse : Grammar.t -> Token.t list -> result

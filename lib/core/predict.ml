@@ -1,41 +1,20 @@
 open Costar_grammar
 
-let adaptive_predict_word g anl cache x conts w i =
+let adaptive_predict g anl cache x conts w i =
   match Grammar.prods_of g x with
   | [] ->
     (* A nonterminal with no productions derives nothing. *)
-    (cache, Types.Reject_pred)
+    (Types.Reject_pred, 0)
   | [ ix ] ->
     (* A single alternative needs no lookahead; SLL would answer
        [Unique_pred ix] before consuming any token.  The box is shared
        (preallocated per production) — this path runs on every push. *)
-    (cache, Cache.unique_pred cache ix)
+    (Cache.unique_pred cache ix, 0)
   | _ -> (
     Instr.record_cov_decision x;
-    match Sll.predict_word g anl cache x w i with
-    | (_, (Types.Unique_pred _ | Types.Reject_pred | Types.Error_pred _)) as r
-      ->
-      r
-    | cache, Types.Ambig_pred _ ->
+    match Sll.predict g anl cache x w i with
+    | (Types.Ambig_pred _, _) ->
       (* The SLL overapproximation saw several survivors; re-predict in
          exact LL mode before committing (paper, §3.4: failover). *)
-      (cache, Ll.predict_word g anl x (conts ()) w i))
-
-let adaptive_predict g anl cache x conts tokens =
-  adaptive_predict_word g anl cache x conts (Word.of_tokens tokens) 0
-
-(* Ext form: also report the lookahead depth the verdict was reached at
-   (exact on rejects — the only case recovery diagnostics consume it). *)
-let adaptive_predict_word_ext g anl cache x conts w i =
-  match Grammar.prods_of g x with
-  | [] -> (cache, Types.Reject_pred, 0)
-  | [ ix ] -> (cache, Cache.unique_pred cache ix, 0)
-  | _ -> (
-    Instr.record_cov_decision x;
-    match Sll.predict_word_ext g anl cache x w i with
-    | (_, (Types.Unique_pred _ | Types.Reject_pred | Types.Error_pred _), _)
-      as r ->
-      r
-    | cache, Types.Ambig_pred _, _ ->
-      let pred, depth = Ll.predict_word_ext g anl x (conts ()) w i in
-      (cache, pred, depth))
+      Ll.predict g anl x (conts ()) w i
+    | r -> r)

@@ -16,43 +16,21 @@
 open Costar_grammar
 open Costar_grammar.Symbols
 
-(** [adaptive_predict g a cache x conts tokens] chooses a right-hand side
-    for decision nonterminal [x].  [conts] produces the unprocessed
-    remainder of the suffix stack below the decision; it is a thunk because
-    only the (rare) LL fallback needs it, and materializing it eagerly
-    would cost O(stack depth) on every push — quadratic on deeply
-    right-recursive inputs. *)
+(** [adaptive_predict g a cache x conts w i] chooses a right-hand side for
+    decision nonterminal [x], reading lookahead from position [i] of the
+    array cursor [w] and extending [cache] as it goes.  [conts] produces
+    the unprocessed remainder of the suffix stack below the decision; it is
+    a thunk because only the (rare) LL fallback needs it, and materializing
+    it eagerly would cost O(stack depth) on every push — quadratic on
+    deeply right-recursive inputs.  The verdict is paired with the
+    lookahead depth it was reached at (exact on [Reject_pred], which is
+    what recovery diagnostics consume; see {!Sll.predict}). *)
 val adaptive_predict :
   Grammar.t ->
   Analysis.t ->
   Cache.t ->
   nonterminal ->
   (unit -> symbol list list) ->
-  Token.t list ->
-  Cache.t * Types.prediction
-
-(** Cursor form: lookahead reads [w.kinds] from position [i].  This is
-    the machine's own entry point; {!adaptive_predict} wraps it. *)
-val adaptive_predict_word :
-  Grammar.t ->
-  Analysis.t ->
-  Cache.t ->
-  nonterminal ->
-  (unit -> symbol list list) ->
   Word.t ->
   int ->
-  Cache.t * Types.prediction
-
-(** Like {!adaptive_predict_word}, but additionally reports the lookahead
-    depth at which the verdict was reached (tokens examined past position
-    [i]; exact on [Reject_pred], which is what recovery diagnostics
-    consume). *)
-val adaptive_predict_word_ext :
-  Grammar.t ->
-  Analysis.t ->
-  Cache.t ->
-  nonterminal ->
-  (unit -> symbol list list) ->
-  Word.t ->
-  int ->
-  Cache.t * Types.prediction * int
+  Types.prediction * int

@@ -38,7 +38,7 @@ let run p actions tokens =
     | Ok value -> k value
     | Error msg -> Failed (Types.Invalid_state msg)
   in
-  match Parser.run p tokens with
+  match Parser.run_word p (Word.of_tokens tokens) with
   | Parser.Unique v -> evaluate v (fun value -> Value value)
   | Parser.Ambig v -> evaluate v (fun value -> Ambiguous_value value)
   | Parser.Reject msg -> Rejected msg

@@ -14,7 +14,7 @@ exception Left_rec of nonterminal
    Frames are interned ids, so inspecting the top symbol is an array read
    ([Frames.head]) and pushing residues/right-hand sides is a hash-consing
    [Frames.cons]. *)
-let closure_ext g anl configs =
+let closure g anl configs =
   let fr = Analysis.frames anl in
   let seen = Sll_tbl.create 64 in
   let stable = ref [] in
@@ -77,44 +77,39 @@ let closure_ext g anl configs =
   | () -> Ok (List.sort_uniq compare_sll !stable, !forked)
   | exception Left_rec x -> Error (Types.Left_recursive x)
 
-let closure g anl configs = Result.map fst (closure_ext g anl configs)
-
 (* Closure of a configuration set through the per-configuration memo table
-   threaded in the cache: closure(S) = union over c in S of closure({c}).
-   Closure never reads the prediction label — every configuration it
-   reaches carries its start's [s_pred] unchanged — so the memo is keyed on
-   the configuration with [s_pred = 0] and a hit is relabelled with the
-   real prediction.  One entry then serves every alternative that reaches
-   the same (frames, context) pair. *)
-let closure_cached_ext g anl cache configs =
-  let rec go cache acc forked = function
-    | [] -> (cache, Ok (List.sort_uniq compare_sll (List.concat acc), forked))
+   in the cache: closure(S) = union over c in S of closure({c}).  Closure
+   never reads the prediction label — every configuration it reaches
+   carries its start's [s_pred] unchanged — so the memo is keyed on the
+   configuration with [s_pred = 0] and a hit is relabelled with the real
+   prediction.  One entry then serves every alternative that reaches the
+   same (frames, context) pair. *)
+let closure_cached g anl cache configs =
+  let rec go acc forked = function
+    | [] -> Ok (List.sort_uniq compare_sll (List.concat acc), forked)
     | cfg :: rest -> (
       let key = if cfg.s_pred = 0 then cfg else { cfg with s_pred = 0 } in
-      let cache, result =
+      let result =
         match Cache.find_closure cache key with
         | Some r ->
           Instr.record_closure_hit ();
-          (cache, r)
+          r
         | None ->
           Instr.record_closure_miss ();
-          let r = closure_ext g anl [ key ] in
-          (Cache.add_closure cache key r, r)
+          let r = closure g anl [ key ] in
+          Cache.add_closure cache key r;
+          r
       in
       match result with
-      | Error e -> (cache, Error e)
+      | Error e -> Error e
       | Ok (stable, f) ->
         let stable =
           if cfg.s_pred = 0 then stable
           else List.map (fun c -> { c with s_pred = cfg.s_pred }) stable
         in
-        go cache (stable :: acc) (forked || f) rest)
+        go (stable :: acc) (forked || f) rest)
   in
-  go cache [] false configs
-
-let closure_cached g anl cache configs =
-  let cache, result = closure_cached_ext g anl cache configs in
-  (cache, Result.map fst result)
+  go [] false configs
 
 let move anl configs a =
   let fr = Analysis.frames anl in
@@ -149,14 +144,14 @@ let init_configs g anl x =
 let rec loop g anl depth cache sid kinds len i =
   let info = Cache.info cache sid in
   match info.Cache.verdict with
-  | Cache.V_empty -> (cache, Types.Reject_pred, depth)
-  | Cache.V_all_pred p -> (cache, Types.Unique_pred p, depth)
+  | Cache.V_empty -> (Types.Reject_pred, depth)
+  | Cache.V_all_pred p -> (Types.Unique_pred p, depth)
   | Cache.V_pending ->
     if i >= len then
       match info.Cache.accepting with
-      | [] -> (cache, Types.Reject_pred, depth)
-      | [ p ] -> (cache, Types.Unique_pred p, depth)
-      | p :: _ -> (cache, Types.Ambig_pred p, depth)
+      | [] -> (Types.Reject_pred, depth)
+      | [ p ] -> (Types.Unique_pred p, depth)
+      | p :: _ -> (Types.Ambig_pred p, depth)
     else begin
       let a = Bigarray.Array1.unsafe_get kinds i in
       Instr.record_cov_edge sid a;
@@ -169,45 +164,39 @@ let rec loop g anl depth cache sid kinds len i =
       else begin
         Instr.record_trans_miss ();
         match closure_cached g anl cache (move anl info.Cache.configs a) with
-        | cache, Error e -> (cache, Types.Error_pred e, depth)
-        | cache, Ok configs' ->
-          let cache, sid' = Cache.intern cache configs' in
-          let cache = Cache.add_trans cache sid a sid' in
+        | Error e -> (Types.Error_pred e, depth)
+        | Ok (configs', _) ->
+          let sid' = Cache.intern cache configs' in
+          Cache.add_trans cache sid a sid';
           loop g anl (depth + 1) cache sid' kinds len (i + 1)
       end
     end
 
-let init g anl sid_cache x =
+let init g anl cache x =
   (* Spine ids only mean something in the interner they were created in, so
      a cache consulted through a different analysis would read garbage; fail
      loudly instead. *)
-  if Cache.frames sid_cache != Analysis.frames anl then
+  if Cache.frames cache != Analysis.frames anl then
     invalid_arg "Sll: cache belongs to a different analysis";
-  match Cache.find_init sid_cache x with
-  | Some sid -> Ok (sid_cache, sid)
+  match Cache.find_init cache x with
+  | Some sid -> Ok sid
   | None -> (
-    match closure_cached g anl sid_cache (init_configs g anl x) with
-    | _, Error e -> Error e
-    | cache, Ok configs ->
-      let cache, sid = Cache.intern cache configs in
-      Ok (Cache.add_init cache x sid, sid))
+    match closure_cached g anl cache (init_configs g anl x) with
+    | Error e -> Error e
+    | Ok (configs, _) ->
+      let sid = Cache.intern cache configs in
+      Cache.add_init cache x sid;
+      Ok sid)
 
-let prepare g anl cache x =
-  match init g anl cache x with
-  | Error _ -> cache
-  | Ok (cache, _) -> cache
-
-let predict_general_ext g anl cache x kinds len i =
-  match init g anl cache x with
-  | Error e -> (cache, Types.Error_pred e, 0)
-  | Ok (cache, sid) ->
-    let cache, result, depth = loop g anl 0 cache sid kinds len i in
-    Instr.record_sll x depth;
-    (cache, result, depth)
+let prepare g anl cache x = ignore (init g anl cache x)
 
 let predict_general g anl cache x kinds len i =
-  let cache, result, _depth = predict_general_ext g anl cache x kinds len i in
-  (cache, result)
+  match init g anl cache x with
+  | Error e -> (Types.Error_pred e, 0)
+  | Ok sid ->
+    let (_, depth) as r = loop g anl 0 cache sid kinds len i in
+    Instr.record_sll x depth;
+    r
 
 exception Fast_miss
 
@@ -228,12 +217,15 @@ let rec fast_verdict cache sid kinds len i =
       if sid' >= 0 then fast_verdict cache sid' kinds len (i + 1)
       else raise_notrace Fast_miss
 
-let predict_cursor g anl cache x kinds len i =
-  (* Warm fast path: once the relevant DFA fragment exists, a prediction is
-     a chain of array reads ending in a preboxed verdict.  Any miss (or
-     instrumentation, which wants depth counts or per-edge coverage) falls
-     back to the general loop, which re-walks the short prefix and extends
-     the DFA. *)
+(* Warm fast path: once the relevant DFA fragment exists, a prediction is a
+   chain of array reads ending in a preboxed verdict, paired with depth 0.
+   Any miss (or instrumentation, which wants depth counts or per-edge
+   coverage) falls back to the general loop, which re-walks the short
+   prefix and extends the DFA.  A fast-path reject re-walks too, so its
+   depth is exact: rejects are cold by construction (each one ends the
+   parse or triggers recovery). *)
+let predict g anl cache x (w : Word.t) i =
+  let kinds = w.Word.kinds and len = w.Word.len in
   if !Instr.enabled || !Instr.cov_enabled then
     predict_general g anl cache x kinds len i
   else
@@ -241,33 +233,6 @@ let predict_cursor g anl cache x kinds len i =
     if sid0 < 0 then predict_general g anl cache x kinds len i
     else
       match fast_verdict cache sid0 kinds len i with
-      | p -> (cache, p)
+      | Types.Reject_pred -> predict_general g anl cache x kinds len i
+      | p -> (p, 0)
       | exception Fast_miss -> predict_general g anl cache x kinds len i
-
-let predict_word g anl cache x (w : Word.t) i =
-  predict_cursor g anl cache x w.Word.kinds w.Word.len i
-
-(* Like [predict_cursor], but also reports the lookahead depth at which the
-   verdict was reached.  The warm fast path cannot count (it walks preboxed
-   verdicts), so a fast-path reject re-walks the general loop — rejects are
-   cold by construction (each one ends the parse or triggers recovery), so
-   the re-walk never shows up on the hot path the allocation fences pin. *)
-let predict_cursor_ext g anl cache x kinds len i =
-  if !Instr.enabled || !Instr.cov_enabled then
-    predict_general_ext g anl cache x kinds len i
-  else
-    let sid0 = Cache.init_get cache x in
-    if sid0 < 0 then predict_general_ext g anl cache x kinds len i
-    else
-      match fast_verdict cache sid0 kinds len i with
-      | Types.Reject_pred -> predict_general_ext g anl cache x kinds len i
-      | p -> (cache, p, 0)
-      | exception Fast_miss -> predict_general_ext g anl cache x kinds len i
-
-let predict_word_ext g anl cache x (w : Word.t) i =
-  predict_cursor_ext g anl cache x w.Word.kinds w.Word.len i
-
-(* The legacy list API, as a thin wrapper over the cursor core. *)
-let predict g anl cache x tokens =
-  let w = Word.of_tokens tokens in
-  predict_word g anl cache x w 0

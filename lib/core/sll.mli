@@ -17,19 +17,16 @@ open Costar_grammar
 open Costar_grammar.Symbols
 
 (** One closure/move round, exposed for testing.  [closure] saturates a
-    configuration set to its stable configurations (top symbol a terminal, or
-    accepting); it detects left recursion on nullable expansion cycles. *)
+    configuration set to its stable configurations (top symbol a terminal,
+    or accepting); it detects left recursion on nullable expansion cycles.
+    Alongside the stable set it reports whether the closure performed a
+    {e stable-return fork} — a simulated return past the truncated stack to
+    the statically computed caller continuations (§3.5).  The fork is
+    exactly where SLL overapproximates LL, so the static analyzer uses the
+    flag to mark decisions whose SLL simulation leaves the exact-LL
+    fragment.  The uncached primitive {!closure_cached} builds on; exposed
+    so tests can check the memo against it. *)
 val closure :
-  Grammar.t ->
-  Analysis.t ->
-  Config.sll list ->
-  (Config.sll list, Types.error) result
-
-(** Like {!closure}, but additionally reports whether the closure performed
-    a stable-return fork (see {!closure_cached_ext}).  The uncached
-    primitive both cached variants build on; exposed so tests can check
-    the memoized variants against it. *)
-val closure_ext :
   Grammar.t ->
   Analysis.t ->
   Config.sll list ->
@@ -41,27 +38,14 @@ val closure_ext :
     DFA states.  Closure never reads a configuration's prediction label, so
     the memo is keyed on the configuration with the label erased ([s_pred =
     0]) and a hit is relabelled: alternatives that reach the same frames and
-    context share one entry. *)
+    context share one entry.  The fork flag is memoized alongside the
+    closure result, so asking costs nothing once the cache is warm. *)
 val closure_cached :
   Grammar.t ->
   Analysis.t ->
   Cache.t ->
   Config.sll list ->
-  Cache.t * (Config.sll list, Types.error) result
-
-(** Like {!closure_cached}, but additionally reports whether any
-    configuration's closure performed a {e stable-return fork} — a simulated
-    return past the truncated stack to the statically computed caller
-    continuations (§3.5).  The fork is exactly where SLL overapproximates LL,
-    so the static analyzer uses the flag to mark decisions whose SLL
-    simulation leaves the exact-LL fragment.  The flag is memoized alongside
-    the closure result, so asking costs nothing once the cache is warm. *)
-val closure_cached_ext :
-  Grammar.t ->
-  Analysis.t ->
-  Cache.t ->
-  Config.sll list ->
-  Cache.t * (Config.sll list * bool, Types.error) result
+  (Config.sll list * bool, Types.error) result
 
 (** [move anl configs a] advances every stable configuration whose top
     symbol is the terminal [a]; accepting configurations are dropped. *)
@@ -74,45 +58,28 @@ val init_configs : Grammar.t -> Analysis.t -> nonterminal -> Config.sll list
 (** [prepare g a cache x] precomputes and interns the initial DFA state for
     decision nonterminal [x] (a no-op if already present, or if the closure
     detects left recursion — the error then resurfaces at prediction time).
-    Folding [prepare] over all nonterminals builds the static grammar cache
+    Running [prepare] over all decisions builds the static grammar cache
     of the paper's footnote 7. *)
-val prepare : Grammar.t -> Analysis.t -> Cache.t -> nonterminal -> Cache.t
+val prepare : Grammar.t -> Analysis.t -> Cache.t -> nonterminal -> unit
 
-(** [predict g a cache x tokens] runs SLL prediction for decision
-    nonterminal [x] against the remaining tokens, reading and extending the
-    DFA cache.  A thin wrapper over {!predict_word} — the cursor API the
-    machine itself uses. *)
+(** [predict g a cache x w i] runs SLL prediction for decision nonterminal
+    [x] against the input from position [i] of the array cursor [w],
+    reading and extending the DFA cache.  Lookahead reads [w.kinds.(i)],
+    [w.kinds.(i+1)], ... directly; once the relevant DFA fragment is cached,
+    a prediction touches no token record and allocates only its result
+    pair.
+
+    The result pairs the verdict with the lookahead depth at which it was
+    reached (tokens examined past [i]).  The depth is exact whenever the
+    verdict is [Reject_pred] or the general loop ran (cold cache,
+    instrumentation); on the warm fast path a decided verdict reports depth
+    0 — callers that need depth for diagnostics only need it on rejects,
+    where it is always exact. *)
 val predict :
   Grammar.t ->
   Analysis.t ->
   Cache.t ->
   nonterminal ->
-  Token.t list ->
-  Cache.t * Types.prediction
-
-(** [predict_word g a cache x w i] is prediction over the array cursor:
-    lookahead reads [w.kinds.(i)], [w.kinds.(i+1)], ... directly — the
-    warm path allocates nothing and touches no token records. *)
-val predict_word :
-  Grammar.t ->
-  Analysis.t ->
-  Cache.t ->
-  nonterminal ->
   Word.t ->
   int ->
-  Cache.t * Types.prediction
-
-(** Like {!predict_word}, but additionally reports the lookahead depth at
-    which the verdict was reached (tokens examined past position [i]).
-    The depth is exact whenever the verdict is [Reject_pred] or the general
-    loop ran (cold cache, instrumentation); on the warm fast path a decided
-    verdict reports depth 0 — callers that need depth for diagnostics only
-    need it on rejects, where it is always exact. *)
-val predict_word_ext :
-  Grammar.t ->
-  Analysis.t ->
-  Cache.t ->
-  nonterminal ->
-  Word.t ->
-  int ->
-  Cache.t * Types.prediction * int
+  Types.prediction * int

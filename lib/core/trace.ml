@@ -32,18 +32,17 @@ let pp_state env ppf (st : Machine.state) =
     (String.concat ","
        (List.map (Grammar.nonterminal_name g) (Int_set.elements st.Machine.visited)))
 
-let run p tokens =
+let run ?cache p word =
   let env = Parser.env p in
   let lines = ref [] in
   let result =
-    Parser.run_inspect p
+    Parser.run_word ?cache p word
       ~inspect:(fun st -> lines := Fmt.str "%a" (pp_state env) st :: !lines)
-      tokens
   in
   (List.rev !lines, result)
 
-let print p tokens =
-  let lines, result = run p tokens in
+let print ?cache p word =
+  let lines, result = run ?cache p word in
   List.iteri (fun i line -> Printf.printf "(s%d) %s\n" i line) lines;
   Printf.printf "=> %s\n"
     (Fmt.str "%a" (Parser.pp_result (Parser.grammar p)) result);

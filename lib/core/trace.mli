@@ -8,9 +8,11 @@ open Costar_grammar
 
 val pp_state : Machine.env -> Format.formatter -> Machine.state -> unit
 
-(** Run the parser, collecting one rendered line per machine state (the
-    initial state included), and the final result. *)
-val run : Parser.t -> Token.t list -> string list * Parser.result
+(** Run the parser over [word] (through [cache], default the parser's
+    base cache), collecting one rendered line per machine state (the
+    initial state included), and the final result.  Cache contents never
+    change a line, only how fast it is produced. *)
+val run : ?cache:Cache.t -> Parser.t -> Word.t -> string list * Parser.result
 
 (** [print p w] writes the trace to stdout and returns the result. *)
-val print : Parser.t -> Token.t list -> Parser.result
+val print : ?cache:Cache.t -> Parser.t -> Word.t -> Parser.result

@@ -62,7 +62,7 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
           results.(i) <-
             (match tokenize input with
             | Error msg -> Error msg
-            | Ok word -> Ok (fst (Parser.run_with_cache_word p cache word)));
+            | Ok word -> Ok (Parser.run_word ~cache p word));
           incr files;
           bytes := !bytes + String.length input;
           loop ()
@@ -88,7 +88,7 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
           per_bytes.(d) <- per_bytes.(d) + bytes;
           per_new.(d) <- per_new.(d) + Cache.overlay_new_states cache;
           per_cache.(d) <- counters :: per_cache.(d);
-          ignore (Cache.absorb (Parser.base_cache p) cache)
+          Cache.absorb (Parser.base_cache p) cache
         | Error _ -> ())
       joined;
     lo := hi

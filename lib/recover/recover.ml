@@ -267,13 +267,10 @@ let trial env (st0 : M.state) =
   let pos0 = st0.M.pos in
   let rec go st n =
     if st.M.pos > pos0 then true
-    else if st.M.top.M.suf = [] && st.M.frames = [] then
-      st.M.pos >= st.M.word.Word.len
-    else if n = 0 then false
     else
       match M.step env st with
-      | M.Step_cont st' -> go st' (n - 1)
-      | M.Step_accept _ -> true
+      | M.Step_cont st' -> n > 0 && go st' (n - 1)
+      | M.Step_halt -> st.M.pos >= st.M.word.Word.len
       | M.Step_reject _ | M.Step_error _ -> false
   in
   go st0 budget
@@ -322,64 +319,55 @@ let find_resync (r : Bitset.t array) (st : M.state) =
 
 (* --- The driver --------------------------------------------------------- *)
 
-let run_state t ~file ~max_errors ~verify_measure st0 =
+(* Recovery runs the parser's own loop ({!P.multistep}): clean stretches of
+   input are the very machine steps a plain parse takes.  A reject is
+   repaired and the loop resumed from the repaired state; an empty stack is
+   closed out by the machine's finish rule, made total — input left over
+   goes through the same repair ladder as every other failure, and a
+   malformed bottom frame is wrapped in a root error node. *)
+let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache t word
+    =
   let env = P.env t in
   let g = P.grammar t in
   let start = Grammar.start g in
+  let cache = match cache with Some c -> c | None -> P.base_cache t in
   let events = ref [] in
   let emit diag repair ~at ~consumed =
     events := { diag; repair; at; consumed } :: !events
   in
-  let last_meas = ref (if verify_measure then Some (Measure.meas g st0) else None) in
-  let check_decrease what st =
-    match !last_meas with
-    | None -> ()
-    | Some m0 ->
-      let m1 = Measure.meas g st in
-      if Measure.compare m1 m0 >= 0 then
-        failwith
-          (Fmt.str
-             "Recover: %s did not decrease the termination measure (%a -> %a)"
-             what Measure.pp m0 Measure.pp m1);
-      last_meas := Some m1
+  (* [verify_measure]: every state the loop visits — the result of a
+     machine step, or a committed repair the loop resumes from — must
+     strictly decrease the measure of the state before it.  [transition]
+     names what produced the next state, for the failure message. *)
+  let last_meas = ref None and transition = ref "machine step" in
+  let check st =
+    let m1 = Measure.meas g st in
+    (match !last_meas with
+    | Some m0 when Measure.compare m1 m0 >= 0 ->
+      failwith
+        (Fmt.str
+           "Recover: %s did not decrease the termination measure (%a -> %a)"
+           !transition Measure.pp m0 Measure.pp m1)
+    | _ -> ());
+    last_meas := Some m1;
+    transition := "machine step"
   in
-  (* Close out an empty-stack state: the machine's finish rule, made
-     total.  The clean shape accepts the very tree the plain engine
-     would (bit-identical); anything else is wrapped in a root error
-     node.  Trailing input at an empty stack is itself a failure, so it
-     is diagnosed and skipped first. *)
-  let rec finalize (st : M.state) n_errors =
-    if st.M.pos < st.M.word.Word.len then begin
-      let remaining = st.M.word.Word.len - st.M.pos in
-      let failure =
-        {
-          M.reason = M.Fail_trailing { pos = st.M.pos };
-          M.message =
-            Printf.sprintf "parse finished with input remaining %s"
-              (M.pos_msg st);
-        }
-      in
-      let repair = Skipped { tokens = remaining; popped = 0 } in
-      emit (diag_of_failure t ~file st failure repair) repair ~at:st.M.pos
-        ~consumed:remaining;
-      let st' = apply_skip st remaining in
-      check_decrease "trailing-input skip" st';
-      finalize st' (n_errors + 1)
-    end
-    else
-      let tree =
-        match st.M.top with
-        | { M.label = None; M.syms_rev = [ NT x ]; M.trees_rev = [ v ]; M.suf = [] }
-          when x = start ->
-          v
-        | top -> Tree.Error (Some (NT start), List.rev top.M.trees_rev)
-      in
-      let verdict =
-        if st.M.unique then Recovered tree else Recovered_ambig tree
-      in
-      ({ verdict; events = List.rev !events }, st.M.cache)
-  (* One failure, one repair.  Every branch either returns a state whose
-     measure strictly decreased or stops the parse. *)
+  let inspect = if verify_measure then Some check else None in
+  let outcome verdict = { verdict; events = List.rev !events } in
+  let rec drive st n_errors =
+    match P.multistep ?inspect env st with
+    | P.Halted st -> (
+      match M.finish env st with
+      | M.Final_accept v ->
+        outcome (if st.M.unique then Recovered v else Recovered_ambig v)
+      | M.Final_trailing f -> drive (recover st f n_errors) (n_errors + 1)
+      | M.Final_malformed ->
+        let tree = Tree.Error (Some (NT start), List.rev st.M.top.M.trees_rev) in
+        outcome (if st.M.unique then Recovered tree else Recovered_ambig tree))
+    | P.Rejected (st, f) -> drive (recover st f n_errors) (n_errors + 1)
+    | P.Failed e -> outcome (Fatal e)
+  (* One failure, one repair.  Every branch returns a state whose measure
+     strictly decreased (checked when the loop resumes from it). *)
   and recover (st : M.state) (f : M.failure) n_errors =
     let commit what repair ~consumed st' =
       emit (diag_of_failure t ~file st f repair) repair
@@ -391,7 +379,7 @@ let run_state t ~file ~max_errors ~verify_measure st0 =
             pos
           | M.Fail_eof _ -> st.M.word.Word.len)
         ~consumed;
-      check_decrease what st';
+      transition := what;
       st'
     in
     let panic () =
@@ -453,42 +441,10 @@ let run_state t ~file ~max_errors ~verify_measure st0 =
         let popped = List.length st.M.frames in
         commit "eof unwind" (Closed { popped }) ~consumed:0 (apply_unwind st)
       | M.Fail_trailing _ ->
-        (* Unreachable from the driver (empty-stack states go straight to
-           [finalize]), but total anyway. *)
+        (* Input left over at an empty stack: skip it; the finish rule then
+           closes the tree around the skipped tokens. *)
         let remaining = st.M.word.Word.len - st.M.pos in
-        commit "trailing skip" (Skipped { tokens = remaining; popped = 0 })
+        commit "trailing-input skip" (Skipped { tokens = remaining; popped = 0 })
           ~consumed:remaining (apply_skip st remaining)
-  and drive st n_errors =
-    if st.M.top.M.suf = [] && st.M.frames = [] then finalize st n_errors
-    else
-      match M.step env st with
-      | M.Step_cont st' ->
-        check_decrease "machine step" st';
-        drive st' n_errors
-      | M.Step_accept v ->
-        (* Only reachable through [Machine.finish], which the empty-stack
-           check above intercepts; kept total for safety. *)
-        ( {
-            verdict = (if st.M.unique then Recovered v else Recovered_ambig v);
-            events = List.rev !events;
-          },
-          st.M.cache )
-      | M.Step_error e ->
-        ({ verdict = Fatal e; events = List.rev !events }, st.M.cache)
-      | M.Step_reject f -> drive (recover st f n_errors) (n_errors + 1)
   in
-  drive st0 0
-
-let run_with_cache_word ?file ?(max_errors = 100) ?(verify_measure = false) t
-    cache word =
-  let env = P.env t in
-  run_state t ~file ~max_errors ~verify_measure
-    (M.init_word env ~cache word)
-
-let run_word ?file ?max_errors ?verify_measure t word =
-  fst
-    (run_with_cache_word ?file ?max_errors ?verify_measure t
-       (P.base_cache t) word)
-
-let run ?file ?max_errors ?verify_measure t tokens =
-  run_word ?file ?max_errors ?verify_measure t (Word.of_tokens tokens)
+  drive (M.init_word env ~cache word) 0

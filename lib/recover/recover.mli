@@ -1,8 +1,9 @@
 (** Multi-error recovery over the interned machine (ROADMAP item 2).
 
-    The engine drives {!Costar_core.Machine.step} exactly like
-    {!Costar_core.Parser}; as long as no step rejects, the two are the
-    same loop over the same states, so on well-formed input recovery
+    The engine runs the parser's own loop,
+    {!Costar_core.Parser.multistep}; as long as no step rejects, a
+    recovering run and a plain one visit the same states, so on
+    well-formed input recovery
     produces a bit-identical tree and an identical DFA-cache evolution
     (the differential obligation of test/test_recover.ml).  When a step
     rejects, the structured {!Costar_core.Machine.fail_reason} is turned
@@ -80,40 +81,22 @@ type t
 val make : Costar_core.Parser.t -> t
 val parser_of : t -> Costar_core.Parser.t
 
-(** [run t toks] parses with recovery.  [?file] tags diagnostics;
-    [?max_errors] (default 100) bounds the number of repairs before the
-    engine gives up in one final skip; [?verify_measure] (default false)
-    asserts the strict lexicographic measure decrease after every step
-    and repair, raising [Failure] on any violation (test harnesses
-    only — it walks the stack at every transition). *)
-val run :
-  ?file:string ->
-  ?max_errors:int ->
-  ?verify_measure:bool ->
-  t ->
-  Token.t list ->
-  outcome
-
-(** Cursor form of {!run}. *)
+(** [run_word t w] parses the input word [w] with recovery.  [?file] tags
+    diagnostics; [?max_errors] (default 100) bounds the number of repairs
+    before the engine gives up in one final skip; [?verify_measure]
+    (default false) asserts the strict lexicographic measure decrease
+    after every step and repair, raising [Failure] on any violation (test
+    harnesses only — it walks the stack at every transition); [?cache]
+    (default the parser's base cache) is the DFA cache predictions read
+    and extend, exactly as in {!Costar_core.Parser.run_word}. *)
 val run_word :
   ?file:string ->
   ?max_errors:int ->
   ?verify_measure:bool ->
+  ?cache:Costar_core.Cache.t ->
   t ->
   Word.t ->
   outcome
-
-(** Like {!run_word}, threading an explicit DFA cache in and out — the
-    hook the differential tests use to compare cache evolution against
-    {!Costar_core.Parser.run_with_cache_word}. *)
-val run_with_cache_word :
-  ?file:string ->
-  ?max_errors:int ->
-  ?verify_measure:bool ->
-  t ->
-  Costar_core.Cache.t ->
-  Word.t ->
-  outcome * Costar_core.Cache.t
 
 (** The diagnostics of an outcome, in event order. *)
 val diagnostics : outcome -> D.t list

@@ -59,11 +59,7 @@ let predict t (w : Word.t) pos x conts =
     if d >= 0 then Core.Types.Unique_pred d
     else if d = -2 then Core.Types.Reject_pred
     else
-      let cache, verdict =
-        Core.Predict.adaptive_predict_word t.g t.anl t.cache x conts w pos
-      in
-      t.cache <- cache;
-      verdict
+      fst (Core.Predict.adaptive_predict t.g t.anl t.cache x conts w pos)
 
 let parse t token_list =
   let w = Word.of_tokens token_list in

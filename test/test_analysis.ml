@@ -117,7 +117,7 @@ let test_measure_on_corpus () =
   let ok = ref true in
   let steps = ref 0 in
   (match
-     Costar_core.Parser.run_inspect p
+     Util.run p
        ~inspect:(fun st ->
          incr steps;
          let m = Costar_core.Measure.meas mg st in

@@ -52,15 +52,33 @@ let test_leftover_input_rejected () =
 let test_run_idempotent () =
   let p = Parser.make list_grammar in
   let w = Grammar.tokens list_grammar [ "x"; "x"; "x" ] in
-  match Parser.run p w, Parser.run p w with
+  match Util.run p w, Util.run p w with
   | Parser.Unique v1, Parser.Unique v2 -> check "same tree" true (Tree.equal v1 v2)
   | _ -> Alcotest.fail "expected Unique twice"
 
 let test_empty_cache_equivalent () =
   let p = Parser.make list_grammar in
   let w = Grammar.tokens list_grammar [ "x"; "x" ] in
-  let r1 = Parser.run p w in
-  let r2, _ = Parser.run_with_cache p (Cache.create (Parser.analysis p)) w in
+  let r1 = Util.run p w in
+  let r2 = Util.run ~cache:(Cache.create (Parser.analysis p)) p w in
+  match r1, r2 with
+  | Parser.Unique v1, Parser.Unique v2 -> check "same tree" true (Tree.equal v1 v2)
+  | _ -> Alcotest.fail "expected Unique twice"
+
+(* A run given its own cache shares nothing with the parser's base cache:
+   the base learns nothing from it, and the result is the base-cache
+   run's. *)
+let test_private_cache_stays_private () =
+  let p = Parser.make list_grammar in
+  let w = Grammar.tokens list_grammar [ "x"; "x"; "x" ] in
+  let base_states () = Cache.num_states (Parser.base_cache p) in
+  let before = base_states () in
+  let private_cache = Cache.create (Parser.analysis p) in
+  let r1 = Util.run ~cache:private_cache p w in
+  check_int "base cache untouched" before (base_states ());
+  check "private cache learned" true (Cache.num_states private_cache > 0);
+  let r2 = Util.run p w in
+  check "base cache learned" true (base_states () > before);
   match r1, r2 with
   | Parser.Unique v1, Parser.Unique v2 -> check "same tree" true (Tree.equal v1 v2)
   | _ -> Alcotest.fail "expected Unique twice"
@@ -130,7 +148,9 @@ let test_long_lookahead_decision () =
 let test_machine_accessors () =
   let p = Parser.make list_grammar in
   let env = Parser.env p in
-  let st = Machine.init env (Grammar.tokens list_grammar [ "x" ]) in
+  let st =
+    Machine.init_word env (Word.of_tokens (Grammar.tokens list_grammar [ "x" ]))
+  in
   check_int "initial height" 1 (Machine.height st);
   check_int "initial conts" 1 (List.length (Machine.conts st));
   check "initial state well-formed" true (Machine.stacks_wf env st);
@@ -196,7 +216,7 @@ let test_ambiguity_flag_not_sticky_across_runs () =
   (* This grammar is unambiguous; repeated runs (warming caches) must keep
      saying Unique. *)
   for _ = 1 to 3 do
-    match Parser.run p (Grammar.tokens g [ "a"; "v" ]) with
+    match Util.run p (Grammar.tokens g [ "a"; "v" ]) with
     | Parser.Unique _ -> ()
     | r -> Alcotest.failf "expected Unique, got %a" (Parser.pp_result g) r
   done
@@ -224,6 +244,8 @@ let suite =
     Alcotest.test_case "run is idempotent" `Quick test_run_idempotent;
     Alcotest.test_case "empty cache equivalent" `Quick
       test_empty_cache_equivalent;
+    Alcotest.test_case "private cache stays private" `Quick
+      test_private_cache_stays_private;
     Alcotest.test_case "unreachable LR harmless" `Quick
       test_unreachable_left_recursion_harmless;
     Alcotest.test_case "empty input" `Quick test_empty_input_non_nullable;

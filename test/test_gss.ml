@@ -21,6 +21,10 @@ let same_verdict v1 v2 =
   | Types.Error_pred _, Types.Error_pred _ -> true
   | _ -> false
 
+(* The core SLL verdict on a token list, from a fresh cache. *)
+let sll_predict g anl x toks =
+  fst (Sll.predict g anl (Cache.create anl) x (Word.of_tokens toks) 0)
+
 let fig2 =
   Grammar.define ~start:"S"
     [
@@ -37,7 +41,7 @@ let test_fig2 () =
       List.iter
         (fun name ->
           let x = nt fig2 name in
-          let _, core = Sll.predict fig2 anl (Cache.create anl) x toks in
+          let core = sll_predict fig2 anl x toks in
           let gss = Gss.predict e x toks in
           check
             (Printf.sprintf "%s on %s" name (String.concat " " w))
@@ -107,7 +111,7 @@ let prop_differential =
         let e = Gss.create g in
         List.for_all
           (fun x ->
-            let _, core = Sll.predict g anl (Cache.create anl) x toks in
+            let core = sll_predict g anl x toks in
             let gss = Gss.predict e x toks in
             same_verdict core gss)
           (List.init (Grammar.num_nonterminals g) Fun.id))
@@ -137,7 +141,7 @@ let test_langs_agree () =
           if List.length (Grammar.prods_of g x) > 1 then
             List.iter
               (fun suffix ->
-                let _, core = Sll.predict g anl (Cache.create anl) x suffix in
+                let core = sll_predict g anl x suffix in
                 let gss = Gss.predict e x suffix in
                 check
                   (Printf.sprintf "%s/%s" lang.Costar_langs.Lang.name

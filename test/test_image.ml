@@ -237,7 +237,7 @@ let small_image () =
     | Some t -> Token.make ~line:1 ~col:1 t name
     | None -> assert false
   in
-  ignore (Parser.run p [ tok "a"; tok "b"; tok "c" ]);
+  ignore (Util.run p [ tok "a"; tok "b"; tok "c" ]);
   (p, fp, Cache.image_bytes ~fingerprint:fp (Parser.base_cache p))
 
 let test_truncation_rejected () =

@@ -61,16 +61,16 @@ let deriving_prods g x w =
    cold SLL verdict and a warm SLL re-run on the same cache (which takes
    the fast path over the DFA the cold run built). *)
 let verdicts g w =
-  let toks = Grammar.tokens g w in
+  let word = Word.of_tokens (Grammar.tokens g w) in
   let anl = Analysis.make g in
   let cache = Cache.create anl in
   ( anl,
     List.map
       (fun x ->
         let d = deriving_prods g x w in
-        let ll = Ll.predict g anl x [ [] ] toks in
-        let _, sll = Sll.predict g anl cache x toks in
-        let _, warm = Sll.predict g anl cache x toks in
+        let ll = fst (Ll.predict g anl x [ [] ] word 0) in
+        let sll = fst (Sll.predict g anl cache x word 0) in
+        let warm = fst (Sll.predict g anl cache x word 0) in
         (x, d, ll, sll, warm))
       (decision_nts g) )
 
@@ -143,10 +143,10 @@ let prop_closure_and_fork_agree =
       List.for_all
         (fun x ->
           let configs = Sll.init_configs g anl x in
-          let memoized c = snd (Sll.closure_cached_ext g anl cache c) in
-          same_closure (Sll.closure_ext g anl configs) (memoized configs)
+          let memoized c = Sll.closure_cached g anl cache c in
+          same_closure (Sll.closure g anl configs) (memoized configs)
           && same_closure
-               (Sll.closure_ext g anl (relabel configs))
+               (Sll.closure g anl (relabel configs))
                (memoized (relabel configs)))
         (decision_nts g))
 
@@ -156,24 +156,21 @@ let test_add_trans_idempotent () =
   let g = fig2 in
   let anl = Analysis.make g in
   let c = Cache.create anl in
-  let c, sid0 =
-    match Sll.closure g anl (Sll.init_configs g anl (nt g "S")) with
-    | Ok configs -> Cache.intern c configs
+  let intern x =
+    match Sll.closure g anl (Sll.init_configs g anl (nt g x)) with
+    | Ok (configs, _) -> Cache.intern c configs
     | Error _ -> Alcotest.fail "closure failed"
   in
-  let c, sid1 =
-    match Sll.closure g anl (Sll.init_configs g anl (nt g "A")) with
-    | Ok configs -> Cache.intern c configs
-    | Error _ -> Alcotest.fail "closure failed"
-  in
+  let sid0 = intern "S" in
+  let sid1 = intern "A" in
   let a = 0 in
-  let c = Cache.add_trans c sid0 a sid1 in
+  Cache.add_trans c sid0 a sid1;
   check_int "one transition" 1 (Cache.num_transitions c);
   (* Re-adding the same transition must not double-count... *)
-  let c = Cache.add_trans c sid0 a sid1 in
+  Cache.add_trans c sid0 a sid1;
   check_int "still one transition" 1 (Cache.num_transitions c);
   (* ...nor may a conflicting re-add clobber the recorded successor. *)
-  let c = Cache.add_trans c sid0 a sid0 in
+  Cache.add_trans c sid0 a sid0;
   check_int "no double count on conflict" 1 (Cache.num_transitions c);
   Alcotest.(check (option int))
     "first successor kept" (Some sid1)

@@ -70,19 +70,7 @@ let collect_states g w =
   let p = Parser.make g in
   let states = ref [] in
   let result =
-    Parser.run_inspect p ~inspect:(fun st -> states := st :: !states) w
-  in
-  (List.rev !states, result)
-
-(* Cursor-path twin of [collect_states]: the same trace through the
-   zero-copy [run_word] entry point (array cursor instead of token list). *)
-let collect_states_word g w =
-  let p = Parser.make g in
-  let states = ref [] in
-  let result =
-    Parser.run_inspect_word p
-      ~inspect:(fun st -> states := st :: !states)
-      (Word.of_tokens w)
+    Util.run p ~inspect:(fun st -> states := st :: !states) w
   in
   (List.rev !states, result)
 
@@ -140,33 +128,10 @@ let strictly_decreasing measures =
   in
   go measures
 
-let test_fig2_cursor_trace_matches_list () =
-  (* The cursor path must walk the identical machine trace: same states,
-     same (strictly decreasing) measures, same result. *)
-  let w = Grammar.tokens fig2 [ "a"; "b"; "d" ] in
-  let list_states, list_result = collect_states fig2 w in
-  let word_states, word_result = collect_states_word fig2 w in
-  check_int "same state count" (List.length list_states)
-    (List.length word_states);
-  check "same result kind" true
-    (match list_result, word_result with
-    | Parser.Unique t1, Parser.Unique t2 -> Tree.equal t1 t2
-    | _ -> false);
-  let lm = List.map (Measure.meas fig2) list_states in
-  let wm = List.map (Measure.meas fig2) word_states in
-  List.iter2
-    (fun m1 m2 ->
-      check_int "tokens agree" m1.Measure.tokens m2.Measure.tokens;
-      check "scores agree" true
-        (Measure.compare_score m1.Measure.score m2.Measure.score = 0);
-      check_int "heights agree" m1.Measure.height m2.Measure.height)
-    lm wm;
-  check "cursor trace strictly decreasing" true (strictly_decreasing wm)
-
-(* Lemmas 4.2–4.4 as a property over random grammars, through the cursor
-   path: along every [run_word] trace the measure strictly decreases, a
-   consuming step resets the score ordering via the token component, and
-   the trace is finite (the machine returned at all). *)
+(* Lemmas 4.2–4.4 as a property over random grammars: along every
+   [run_word] trace the measure strictly decreases, a consuming step
+   resets the score ordering via the token component, and the trace is
+   finite (the machine returned at all). *)
 let prop_cursor_measure_decreases =
   QCheck.Test.make ~count:300
     ~name:"measure strictly decreases along run_word traces"
@@ -175,29 +140,9 @@ let prop_cursor_measure_decreases =
       | Error _ -> true
       | Ok () ->
         let w = Grammar.tokens g names in
-        let states, _ = collect_states_word g w in
+        let states, _ = collect_states g w in
         let measures = List.map (Measure.meas g) states in
         strictly_decreasing measures)
-
-(* And the cursor trace is measure-for-measure the list trace. *)
-let prop_cursor_trace_equals_list_trace =
-  QCheck.Test.make ~count:200
-    ~name:"run_word trace measures = list-API trace measures"
-    Util.arb_grammar_word (fun (g, names) ->
-      match Left_recursion.check g with
-      | Error _ -> true
-      | Ok () ->
-        let w = Grammar.tokens g names in
-        let ls, _ = collect_states g w in
-        let ws, _ = collect_states_word g w in
-        List.length ls = List.length ws
-        && List.for_all2
-             (fun s1 s2 ->
-               let m1 = Measure.meas g s1 and m2 = Measure.meas g s2 in
-               m1.Measure.tokens = m2.Measure.tokens
-               && Measure.compare_score m1.Measure.score m2.Measure.score = 0
-               && m1.Measure.height = m2.Measure.height)
-             ls ws)
 
 let test_epsilon_grammar_base_clamped () =
   (* All-epsilon grammars have maxRhsLen = 0; the base is clamped to 2 so
@@ -224,13 +169,11 @@ let suite =
       test_return_preserves_score_decreases_height;
     Alcotest.test_case "epsilon grammar base clamp" `Quick
       test_epsilon_grammar_base_clamped;
-    Alcotest.test_case "fig2 cursor trace = list trace" `Quick
-      test_fig2_cursor_trace_matches_list;
   ]
 
 let cursor_props =
   List.map QCheck_alcotest.to_alcotest
-    [ prop_cursor_measure_decreases; prop_cursor_trace_equals_list_trace ]
+    [ prop_cursor_measure_decreases ]
 
 let () =
   Alcotest.run "costar_measure"

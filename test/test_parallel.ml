@@ -353,7 +353,7 @@ let test_absorb_idempotent_order_independent () =
     Array.iter
       (fun s ->
         match tokenize_of_lang l s with
-        | Ok w -> ignore (Parser.run_with_cache_word p o w)
+        | Ok w -> ignore (Parser.run_word ~cache:o p w)
         | Error _ -> ())
       half;
     o
@@ -366,13 +366,18 @@ let test_absorb_idempotent_order_independent () =
   check "overlay counts include the snapshot" true
     (Cache.num_states o1 >= Cache.frozen_num_states fz);
   (* Idempotence: absorbing the same overlay twice is absorbing it once. *)
-  let m1 = Cache.absorb (Cache.copy master) o1 in
+  let absorbed overlays =
+    let m = Cache.copy master in
+    List.iter (Cache.absorb m) overlays;
+    m
+  in
+  let m1 = absorbed [ o1 ] in
   let once = canon_of_cache g m1 in
-  let m1 = Cache.absorb m1 o1 in
+  Cache.absorb m1 o1;
   check "absorb idempotent" true (canon_of_cache g m1 = once);
   (* Order independence (content-level): o1 then o2 = o2 then o1. *)
-  let m12 = Cache.absorb (Cache.absorb (Cache.copy master) o1) o2 in
-  let m21 = Cache.absorb (Cache.absorb (Cache.copy master) o2) o1 in
+  let m12 = absorbed [ o1; o2 ] in
+  let m21 = absorbed [ o2; o1 ] in
   check "absorb order-independent" true
     (canon_of_cache g m12 = canon_of_cache g m21);
   (* And both agree with warming the master on everything sequentially. *)
@@ -404,7 +409,7 @@ let test_snapshot_immutable_under_overlay_growth () =
   Array.iter
     (fun s ->
       match tokenize_of_lang l s with
-      | Ok w -> ignore (Parser.run_with_cache_word p o w)
+      | Ok w -> ignore (Parser.run_word ~cache:o p w)
       | Error _ -> ())
     inputs;
   Alcotest.(check (pair int int))

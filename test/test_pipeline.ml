@@ -197,7 +197,7 @@ let prop_parse_buf_agrees =
         | Ok toks, Ok buf ->
           (* Note: tree leaves carry positions from different laziness
              paths; Tree.equal compares terminals and lexemes. *)
-          same_result (Parser.run p toks) (Parser.run_buf p buf)
+          same_result (Util.run p toks) (Parser.run_word p (Word.of_buf buf))
         | Error _, Error _ -> true
         | _ -> false))
 
@@ -231,7 +231,8 @@ let test_langs_differential () =
           check
             (Printf.sprintf "%s seed %d: same parse result" name seed)
             true
-            (same_result (Parser.run p toks) (Parser.run_buf p buf)))
+            (same_result (Util.run p toks)
+               (Parser.run_word p (Word.of_buf buf))))
         [ 1; 2; 3 ])
     langs
 
@@ -277,9 +278,10 @@ let test_scan_minor_words () =
     true
     (words /. float_of_int n < 0.01)
 
-(* Warm end-to-end parse: with the DFA cache saturated, run_buf's per-token
-   cost is the tree-building floor (one Token and one Leaf per consumed
-   token plus machine steps) — a fixed budget, not zero.  The budget fences
+(* Warm end-to-end parse of a scanner buffer: with the DFA cache
+   saturated, the per-token cost is the tree-building floor (one Token and
+   one Leaf per consumed token plus machine steps) — a fixed budget, not
+   zero.  The budget fences
    the data plane: reintroducing per-token boxing in the scanner, the word
    cursor, or warm prediction blows well past it. *)
 let test_run_buf_minor_words () =
@@ -290,16 +292,17 @@ let test_run_buf_minor_words () =
       let p = Parser.make (Costar_langs.Lang.grammar l) in
       let buf = Costar_langs.Lang.tokenize_buf_exn l input in
       let n = Token_buf.length buf in
+      let run () = ignore (Parser.run_word p (Word.of_buf buf)) in
       check (name ^ " corpus has tokens") true (n > 500);
       (* Two warm-up runs saturate the base DFA cache for this input. *)
-      ignore (Parser.run_buf p buf);
-      ignore (Parser.run_buf p buf);
+      run ();
+      run ();
       Gc.full_major ();
       (* Min over samples: one-sided GC/interference noise only inflates. *)
       let best = ref infinity in
       for _ = 1 to 3 do
         let m0 = Gc.minor_words () in
-        ignore (Parser.run_buf p buf);
+        run ();
         let w = Gc.minor_words () -. m0 in
         if w < !best then best := w
       done;
@@ -313,7 +316,7 @@ let test_run_buf_minor_words () =
     Costar_langs.[ (Json.lang, 150.); (Xml.lang, 150.) ]
 
 (* Warm SLL prediction over the array cursor allocates a small constant per
-   call (the result tuple and verdict), independent of how many tokens the
+   call (the result pair), independent of how many tokens the
    lookahead scans: the scan itself reads kinds straight from the off-heap
    buffer. *)
 let test_predict_word_minor_words () =
@@ -326,16 +329,16 @@ let test_predict_word_minor_words () =
   ignore (Parser.run_word p w);
   let cache = Parser.base_cache p in
   let x = Grammar.start g in
-  ignore (Sll.predict_word g a cache x w 0);
+  ignore (Sll.predict g a cache x w 0);
   Gc.full_major ();
   let reps = 1000 in
   let m0 = Gc.minor_words () in
   for _ = 1 to reps do
-    ignore (Sll.predict_word g a cache x w 0)
+    ignore (Sll.predict g a cache x w 0)
   done;
   let per_call = (Gc.minor_words () -. m0) /. float_of_int reps in
   check
-    (Printf.sprintf "warm predict_word allocates O(1) words/call (got %.1f)"
+    (Printf.sprintf "warm Sll.predict allocates O(1) words/call (got %.1f)"
        per_call)
     true (per_call < 16.)
 

@@ -17,13 +17,15 @@ let prod_ix g lhs k =
   (* k-th alternative (grammar order) of lhs *)
   List.nth (Grammar.prods_of g (nt g lhs)) k
 
+let word g w = Word.of_tokens (Grammar.tokens g w)
+
 let sll_predict g x w =
   let anl = Analysis.make g in
-  snd (Sll.predict g anl (Cache.create anl) (nt g x) (Grammar.tokens g w))
+  fst (Sll.predict g anl (Cache.create anl) (nt g x) (word g w) 0)
 
 let ll_predict g x conts w =
   let anl = Analysis.make g in
-  Ll.predict g anl (nt g x) conts (Grammar.tokens g w)
+  fst (Ll.predict g anl (nt g x) conts (word g w) 0)
 
 (* Fig. 2 grammar *)
 let fig2 =
@@ -170,27 +172,29 @@ let test_no_spurious_left_recursion () =
 let test_cache_growth_and_reuse () =
   let anl = Analysis.make fig2 in
   let x = nt fig2 "S" in
-  let w = Grammar.tokens fig2 [ "a"; "a"; "b"; "d" ] in
-  let cache, _ = Sll.predict fig2 anl (Cache.create anl) x w in
+  let w = word fig2 [ "a"; "a"; "b"; "d" ] in
+  let cache = Cache.create anl in
+  ignore (Sll.predict fig2 anl cache x w 0);
   let states1 = Cache.num_states cache in
   let trans1 = Cache.num_transitions cache in
   check "states interned" true (states1 > 0);
   check "transitions cached" true (trans1 > 0);
   (* Re-predicting over the same prefix adds nothing. *)
-  let cache2, _ = Sll.predict fig2 anl cache x w in
-  check_int "no new states" states1 (Cache.num_states cache2);
-  check_int "no new transitions" trans1 (Cache.num_transitions cache2)
+  ignore (Sll.predict fig2 anl cache x w 0);
+  check_int "no new states" states1 (Cache.num_states cache);
+  check_int "no new transitions" trans1 (Cache.num_transitions cache)
 
 let test_prepare () =
   let anl = Analysis.make fig2 in
   let x = nt fig2 "S" in
-  let cache = Sll.prepare fig2 anl (Cache.create anl) x in
+  let cache = Cache.create anl in
+  Sll.prepare fig2 anl cache x;
   check "init present" true (Cache.find_init cache x <> None);
   check_int "no transitions" 0 (Cache.num_transitions cache);
   (* Results are identical with or without preparation. *)
-  let w = Grammar.tokens fig2 [ "b"; "d" ] in
-  let _, r1 = Sll.predict fig2 anl (Cache.create anl) x w in
-  let _, r2 = Sll.predict fig2 anl cache x w in
+  let w = word fig2 [ "b"; "d" ] in
+  let r1 = Sll.predict fig2 anl (Cache.create anl) x w 0 in
+  let r2 = Sll.predict fig2 anl cache x w 0 in
   check "prepared = unprepared" true (r1 = r2)
 
 let test_closure_cached_consistency () =
@@ -203,12 +207,11 @@ let test_closure_cached_consistency () =
            (fun x ->
              let configs = Sll.init_configs g anl x in
              let direct = Sll.closure g anl configs in
-             let _, cached =
-               Sll.closure_cached g anl (Cache.create anl) configs
-             in
+             let cached = Sll.closure_cached g anl (Cache.create anl) configs in
              match direct, cached with
-             | Ok l1, Ok l2 ->
-               List.length l1 = List.length l2
+             | Ok (l1, f1), Ok (l2, f2) ->
+               f1 = f2
+               && List.length l1 = List.length l2
                && List.for_all2 (fun a b -> Config.compare_sll a b = 0) l1 l2
              | Error _, Error _ -> true
              | _ -> false)
@@ -221,10 +224,11 @@ let test_single_production_shortcut () =
     Grammar.define ~start:"S" [ ("S", [ [ Grammar.t "a"; Grammar.t "b" ] ]) ]
   in
   let anl = Analysis.make g in
-  let cache, pred =
-    Predict.adaptive_predict g anl (Cache.create anl) (nt g "S")
+  let cache = Cache.create anl in
+  let pred, _ =
+    Predict.adaptive_predict g anl cache (nt g "S")
       (fun () -> [ [] ])
-      (Grammar.tokens g [ "a"; "b" ])
+      (word g [ "a"; "b" ]) 0
   in
   (match pred with
   | Types.Unique_pred 0 -> ()

@@ -211,13 +211,10 @@ let test_precompiled_parse_warm () =
      always yield zero misses. *)
   let run_all base =
     let before = Cache.num_states base in
-    let final =
-      List.fold_left
-        (fun cache w ->
-          snd (Parser.run_with_cache p cache (Grammar.tokens g w)))
-        base words
-    in
-    Cache.num_states final - before
+    List.iter
+      (fun w -> ignore (Util.run ~cache:base p (Grammar.tokens g w)))
+      words;
+    Cache.num_states base - before
   in
   let pre = (A.analyze g).A.cache in
   let cold_misses = run_all (Cache.create (Parser.analysis p)) in
@@ -228,8 +225,8 @@ let test_precompiled_parse_warm () =
   List.iter
     (fun w ->
       let toks = Grammar.tokens g w in
-      let r_cold = Parser.run p toks in
-      let r_warm, _ = Parser.run_with_cache p pre toks in
+      let r_cold = Util.run p toks in
+      let r_warm = Util.run ~cache:pre p toks in
       let same =
         match r_cold, r_warm with
         | Parser.Unique t1, Parser.Unique t2 | Parser.Ambig t1, Parser.Ambig t2
@@ -273,7 +270,7 @@ let prop_safe_decisions_never_fall_back =
         let p = Parser.make g in
         Instr.reset ();
         Instr.enabled := true;
-        ignore (Parser.run p (Grammar.tokens g w));
+        ignore (Util.run p (Grammar.tokens g w));
         Instr.enabled := false;
         let rows = Instr.report () in
         List.for_all
@@ -328,8 +325,7 @@ let prop_precompiled_cache_transparent =
       let p = Parser.make g in
       let toks = Grammar.tokens g w in
       let pre = (A.analyze ~oracle:false g).A.cache in
-      parser_result_equal (Parser.run p toks)
-        (fst (Parser.run_with_cache p pre toks)))
+      parser_result_equal (Util.run p toks) (Util.run ~cache:pre p toks))
 
 let props =
   List.map QCheck_alcotest.to_alcotest

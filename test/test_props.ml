@@ -58,7 +58,7 @@ let prop_measure_decreases =
       let word = toks g w in
       let p = Parser.make g in
       let states = ref [] in
-      let _ = Parser.run_inspect p ~inspect:(fun st -> states := st :: !states) word in
+      let _ = Util.run p ~inspect:(fun st -> states := st :: !states) word in
       (* [states] is newest-first; check successive pairs. *)
       let rec ok = function
         | s2 :: s1 :: rest ->
@@ -76,7 +76,7 @@ let prop_stacks_wf =
       let all_wf = ref true in
       let env = Parser.env p in
       let _ =
-        Parser.run_inspect p
+        Util.run p
           ~inspect:(fun st -> all_wf := !all_wf && Machine.stacks_wf env st)
           word
       in
@@ -111,11 +111,10 @@ let prop_cache_reuse_stable =
     Util.arb_grammar_word (fun (g, w) ->
       let word = toks g w in
       let p = Parser.make g in
-      let r1 = Parser.run p word in
-      let _, cache =
-        Parser.run_with_cache p (Cache.create (Parser.analysis p)) word
-      in
-      let r2, _ = Parser.run_with_cache p cache word in
+      let r1 = Util.run p word in
+      let cache = Cache.create (Parser.analysis p) in
+      ignore (Util.run ~cache p word);
+      let r2 = Util.run ~cache p word in
       let same =
         match r1, r2 with
         | Parser.Unique v1, Parser.Unique v2 | Parser.Ambig v1, Parser.Ambig v2
@@ -147,8 +146,9 @@ let prop_sll_overapproximates_ll =
         then true
         else
           let anl = Analysis.make g in
-          let _, sll = Sll.predict g anl (Cache.create anl) x word in
-          let ll = Ll.predict g anl x [ [] ] word in
+          let cursor = Word.of_tokens word in
+          let sll = fst (Sll.predict g anl (Cache.create anl) x cursor 0) in
+          let ll = fst (Ll.predict g anl x [ [] ] cursor 0) in
           let not_stuck = function
             | Types.Reject_pred | Types.Error_pred _ -> false
             | Types.Unique_pred _ | Types.Ambig_pred _ -> true

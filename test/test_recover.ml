@@ -28,12 +28,9 @@ let langs = Costar_langs.Registry.all
    growth. *)
 let check_conservative ?(what = "input") p eng word =
   let anl = P.analysis p in
-  let plain, c1 =
-    P.run_with_cache_word p (Cache.create anl) word
-  in
-  let o, c2 =
-    R.run_with_cache_word ~verify_measure:true eng (Cache.create anl) word
-  in
+  let c1 = Cache.create anl and c2 = Cache.create anl in
+  let plain = P.run_word ~cache:c1 p word in
+  let o = R.run_word ~verify_measure:true ~cache:c2 eng word in
   (match (plain, o.R.verdict) with
   | P.Unique t1, R.Recovered t2 | P.Ambig t1, R.Recovered_ambig t2 ->
     if o.R.events <> [] then
@@ -183,7 +180,7 @@ let prop_spans =
       | Mutate.Source _ -> true (* byte mutants may not lex; covered above *)
       | Mutate.Tokens (toks', _) ->
         let eng = R.make (P.make (Lang.grammar l)) in
-        let o = R.run ~verify_measure:true eng toks' in
+        let o = R.run_word ~verify_measure:true eng (Word.of_tokens toks') in
         let len = List.length toks' in
         let max_line =
           List.fold_left (fun m t -> max m t.Token.line) 1 toks'
@@ -218,16 +215,40 @@ let test_lex_diag () =
   Alcotest.(check bool) "dummy span" true (Loc.is_dummy d2.D.span)
 
 (* max_errors = 0 bails after one diagnostic; the give-up event still
-   covers the rest of the input. *)
+   covers the rest of the input.  The limit also applies to input left
+   over once the stack empties: that failure goes through the same repair
+   ladder as every other one. *)
 let test_max_errors () =
   let l = List.find (fun l -> l.Lang.name = "json") langs in
   let eng = R.make (P.make (Lang.grammar l)) in
-  let toks = Lang.tokenize_exn l "} } { ] [" in
-  let o = R.run ~verify_measure:true ~max_errors:0 eng toks in
+  let run max_errors src =
+    R.run_word ~verify_measure:true ~max_errors eng
+      (Word.of_tokens (Lang.tokenize_exn l src))
+  in
+  let kinds (o : R.outcome) =
+    List.map
+      (fun (e : R.event) ->
+        match e.R.repair with
+        | R.Inserted _ -> "Inserted"
+        | R.Deleted -> "Deleted"
+        | R.Dropped _ -> "Dropped"
+        | R.Skipped _ -> "Skipped"
+        | R.Closed _ -> "Closed"
+        | R.Gave_up _ -> "Gave_up")
+      o.R.events
+  in
+  let repairs = Alcotest.(check (list string)) in
+  let o = run 0 "} } { ] [" in
   Alcotest.(check int) "one event" 1 (List.length o.R.events);
-  match o.R.verdict with
+  (match o.R.verdict with
   | R.Recovered t -> Alcotest.(check bool) "errors" true (Tree.has_errors t)
-  | _ -> Alcotest.fail "expected Recovered"
+  | _ -> Alcotest.fail "expected Recovered");
+  repairs "missing separator, limit 0" [ "Gave_up" ] (kinds (run 0 "[1 2]"));
+  repairs "trailing input, limit 0" [ "Gave_up" ] (kinds (run 0 "[1] 2"));
+  repairs "trailing input, limit 1" [ "Deleted"; "Gave_up" ]
+    (kinds (run 1 "[1 2] 3"));
+  (* Without a limit the leftover input is skipped. *)
+  repairs "trailing input, no limit" [ "Skipped" ] (kinds (run 100 "[1] 2"))
 
 let () =
   Alcotest.run "recover"

@@ -93,7 +93,7 @@ let test_eval_agrees_with_manual_fold () =
   (* eval over the parser's tree = manual recursion over the same tree. *)
   let p = Parser.make g in
   let w = [ tok 5; plus; tok 6 ] in
-  match Parser.run p w with
+  match Util.run p w with
   | Parser.Unique v ->
     let manual =
       let rec go = function

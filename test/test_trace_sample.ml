@@ -18,9 +18,11 @@ let contains s sub =
   let rec go i = i + m <= n && (String.sub s i m = sub || go (i + 1)) in
   go 0
 
+let word names = Word.of_tokens (Grammar.tokens fig2 names)
+
 let test_trace_fig2 () =
   let p = Parser.make fig2 in
-  let lines, result = Trace.run p (Grammar.tokens fig2 [ "a"; "b"; "d" ]) in
+  let lines, result = Trace.run p (word [ "a"; "b"; "d" ]) in
   check_int "ten states" 10 (List.length lines);
   (match result with
   | Parser.Unique _ -> ()
@@ -38,13 +40,34 @@ let test_trace_fig2 () =
 
 let test_trace_reject () =
   let p = Parser.make fig2 in
-  let lines, result = Trace.run p (Grammar.tokens fig2 [ "a"; "b" ]) in
+  let lines, result = Trace.run p (word [ "a"; "b" ]) in
   (* Prediction for S scans to end of input and finds no viable right-hand
      side, so the machine rejects in its very first configuration. *)
   check "some states" true (List.length lines >= 1);
   match result with
   | Parser.Reject _ -> ()
   | _ -> Alcotest.fail "expected Reject"
+
+(* The trace is a function of the machine states alone: running over a
+   cache another parse already warmed renders the same lines, and reaches
+   the same result, as running over a fresh one. *)
+let test_trace_warm_cache () =
+  List.iter
+    (fun names ->
+      let p = Parser.make fig2 in
+      let fresh_lines, fresh = Trace.run p (word names) in
+      let warm = Cache.create (Parser.analysis p) in
+      ignore (Parser.run_word ~cache:warm p (word [ "a"; "a"; "b"; "c" ]));
+      ignore (Parser.run_word ~cache:warm p (word names));
+      let warm_lines, warmed = Trace.run ~cache:warm p (word names) in
+      Alcotest.(check (list string))
+        (String.concat " " names ^ ": same lines")
+        fresh_lines warm_lines;
+      Alcotest.(check string)
+        (String.concat " " names ^ ": same result")
+        (Fmt.str "%a" (Parser.pp_result fig2) fresh)
+        (Fmt.str "%a" (Parser.pp_result fig2) warmed))
+    [ [ "a"; "b"; "d" ]; [ "a"; "b" ]; [ "b"; "c" ] ]
 
 let test_sample_valid () =
   (* Every sampled sentence is accepted by the oracle. *)
@@ -123,6 +146,8 @@ let suite =
   [
     Alcotest.test_case "fig2 trace" `Quick test_trace_fig2;
     Alcotest.test_case "reject trace" `Quick test_trace_reject;
+    Alcotest.test_case "warm-cache trace = fresh-cache trace" `Quick
+      test_trace_warm_cache;
     Alcotest.test_case "samples are valid" `Quick test_sample_valid;
     Alcotest.test_case "sample max_len" `Quick test_sample_max_len;
     Alcotest.test_case "sample total on deep grammars" `Quick

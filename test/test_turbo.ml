@@ -29,7 +29,7 @@ let test_langs_agree () =
           check
             (Printf.sprintf "%s seed %d" lang.Lang.name seed)
             true
-            (same_result g (P.run p toks) (Costar_turbo.Turbo.parse turbo toks)))
+            (same_result g (Util.run p toks) (Costar_turbo.Turbo.parse turbo toks)))
         [ (21, 10); (22, 50); (23, 150) ])
     Registry.all
 

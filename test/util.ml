@@ -93,3 +93,8 @@ let arb_grammar_word : (Grammar.t * string list) QCheck.arbitrary =
     gen_word g >|= fun w -> (g, w)
   in
   QCheck.make ~print:print_case gen
+
+(* A token-list run through a prepared parser (the list form of
+   [Parser.run_word]). *)
+let run ?cache ?inspect p toks =
+  Costar_core.Parser.run_word ?cache ?inspect p (Word.of_tokens toks)
