@@ -920,9 +920,10 @@ let prefork_bench cfg =
           worker_counts;
         (* Allocation fences, min over samples.  The warm data plane (DFA
            scan into a cleared off-heap buffer) must allocate nothing per
-           token; warm end-to-end additionally builds the parse tree, a
-           fixed floor of one Token and one Leaf per consumed token, so it
-           is gated as a budget rather than at zero. *)
+           token; warm end-to-end additionally builds the parse tree (one
+           Token and one Leaf per consumed token, one Node per reduction)
+           and the machine's per-step frames and states, so it is gated as
+           a budget rather than at zero. *)
         let f = List.nth files (List.length files - 1) in
         let min_words reps fn =
           let best = ref infinity in
@@ -960,13 +961,13 @@ let prefork_bench cfg =
         in
         if Float.is_nan scan_words then
           Printf.printf
-            "           alloc: end-to-end %.2f minor words/token (tree \
-             floor; scanner not a plain DFA)\n"
+            "           alloc: end-to-end %.2f minor words/token (tree + \
+             machine; scanner not a plain DFA)\n"
             e2e_words
         else begin
           Printf.printf
             "           alloc: scan %.3f minor words/token (data plane), \
-             end-to-end %.2f minor words/token (tree floor)\n"
+             end-to-end %.2f minor words/token (tree + machine)\n"
             scan_words e2e_words;
           Bench_json.record ~bench:"E16"
             (lang.Lang.name ^ ".scan_minor_words_per_tok")

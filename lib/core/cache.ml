@@ -78,9 +78,10 @@ type t = {
   anl : Analysis.t;
   frames : Frames.t;
   n_terms : int;
-  (* One shared [Unique_pred ix] box per production, so the warm path and
-     single-alternative decisions never re-allocate their verdict. *)
-  uniq : Types.prediction array;
+  (* One shared [(Unique_pred ix, 0)] pair per production, so the warm path
+     and single-alternative decisions never re-allocate their verdict or
+     its depth pair. *)
+  uniq : (Types.prediction * int) array;
   (* Two-level layering for parallel batch parsing: an overlay cache holds a
      [base] — a frozen snapshot that is never mutated again and is therefore
      safe to consult from many domains without locks — and records only the
@@ -115,16 +116,16 @@ type t = {
   img : image option;
 }
 
+let unique_pairs g =
+  Array.init (Array.length (Grammar.prods g)) (fun ix -> (Types.Unique_pred ix, 0))
+
 let create anl =
   let g = Analysis.grammar anl in
   {
     anl;
     frames = Analysis.frames anl;
     n_terms = Grammar.num_terminals g;
-    uniq =
-      Array.init
-        (Array.length (Grammar.prods g))
-        (fun ix -> Types.Unique_pred ix);
+    uniq = unique_pairs g;
     base = None;
     base_cfgs = 0;
     base_states = 0;
@@ -249,7 +250,7 @@ let find_init c x =
   let s = init_get c x in
   if s < 0 then None else Some s
 
-let unique_pred c ix = c.uniq.(ix)
+let unique_at c ix = c.uniq.(ix)
 
 let add_init c x sid = c.inits.(x) <- sid
 
@@ -268,13 +269,13 @@ let compute_info uniq configs =
   let accepting = Config.preds_of_sll (List.filter is_accepting configs) in
   let decided_pred =
     match verdict with
-    | V_all_pred p -> uniq.(p)
+    | V_all_pred p -> fst uniq.(p)
     | V_empty | V_pending -> Types.Reject_pred
   in
   let eof_pred =
     match accepting with
     | [] -> Types.Reject_pred
-    | [ p ] -> uniq.(p)
+    | [ p ] -> fst uniq.(p)
     | p :: _ -> Types.Ambig_pred p
   in
   { configs; verdict; accepting; decided_pred; eof_pred }
@@ -792,10 +793,7 @@ let image_cache ~anl (im : image) =
     anl;
     frames = Analysis.frames anl;
     n_terms = im.i_terms;
-    uniq =
-      Array.init
-        (Array.length (Grammar.prods g))
-        (fun ix -> Types.Unique_pred ix);
+    uniq = unique_pairs g;
     base = None;
     base_cfgs = 0;
     base_states = 0;

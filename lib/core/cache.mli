@@ -118,8 +118,10 @@ val find_init : t -> nonterminal -> state_id option
     state id, or [-1] if not yet computed. *)
 val init_get : t -> nonterminal -> int
 
-(** The shared preallocated [Unique_pred] box for a production index. *)
-val unique_pred : t -> int -> Types.prediction
+(** The shared preallocated [(Unique_pred ix, 0)] pair for a production
+    index [ix]: a decided prediction at depth 0, as the warm SLL path and
+    single-alternative decisions return it. *)
+val unique_at : t -> int -> Types.prediction * int
 
 val add_init : t -> nonterminal -> state_id -> unit
 

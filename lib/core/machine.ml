@@ -3,7 +3,7 @@ open Costar_grammar.Symbols
 
 type frame = {
   label : nonterminal option;
-  syms_rev : symbol list;
+  start : int;
   trees_rev : Tree.t list;
   suf : symbol list;
 }
@@ -14,7 +14,6 @@ type state = {
   cache : Cache.t;
   word : Word.t;
   pos : int;
-  visited : Int_set.t;
   unique : bool;
 }
 
@@ -43,9 +42,17 @@ type final =
 type env = {
   g : Grammar.t;
   anl : Analysis.t;
+  labels : nonterminal option array;
 }
 
-let make_env g = { g; anl = Analysis.make g }
+let make_env g =
+  {
+    g;
+    anl = Analysis.make g;
+    (* One shared [Some x] per nonterminal: a push labels its frame
+       without allocating the option. *)
+    labels = Array.init (Grammar.num_nonterminals g) Option.some;
+  }
 
 let init_word env ?cache word =
   let cache =
@@ -55,7 +62,7 @@ let init_word env ?cache word =
     top =
       {
         label = None;
-        syms_rev = [];
+        start = 0;
         trees_rev = [];
         suf = [ NT (Grammar.start env.g) ];
       };
@@ -63,17 +70,54 @@ let init_word env ?cache word =
     cache;
     word;
     pos = 0;
-    visited = Int_set.empty;
     unique = true;
   }
 
-let conts st = st.top.suf :: List.map (fun f -> f.suf) st.frames
+(* A caller frame's [suf] starts with the nonterminal of the open child
+   frame above it (the paper's representation): a push then shares the
+   caller frame unchanged, and the return that closes the child drops that
+   head while it rebuilds the caller anyway. *)
+let after_child f = match f.suf with _ :: rest -> rest | [] -> []
+
+let conts st = st.top.suf :: List.map after_child st.frames
+
+(* The suffix stack below the decision at the head of [st.top.suf]: what
+   LL prediction simulates.  A top-level function, so handing it to
+   {!Predict.adaptive_predict} allocates no closure. *)
+let conts_below st = after_child st.top :: List.map after_child st.frames
 
 let height st = 1 + List.length st.frames
 
 let remaining st = st.word.Word.len - st.pos
 
 let remaining_tokens st = Word.drop st.word st.pos
+
+(* The paper's visited set is the set of nonterminals opened since the last
+   consume.  Every push records the position it happened at, and positions
+   never decrease up the stack, so those nonterminals are exactly the
+   labels of the topmost frames whose [start] is the current position:
+   the set is a property of the stack, not a second structure to keep in
+   step with it.  [opened_at] is the push guard's membership test; it is a
+   top-level function so that the test allocates nothing. *)
+let rec opened_at pos x (f : frame) rest =
+  f.start = pos
+  && ((match f.label with Some y -> y = x | None -> false)
+     || match rest with f' :: rest' -> opened_at pos x f' rest' | [] -> false)
+
+let visited st =
+  let rec go acc = function
+    | (f : frame) :: rest when f.start = st.pos ->
+      go (match f.label with Some x -> Int_set.add x acc | None -> acc) rest
+    | _ -> acc
+  in
+  go Int_set.empty (st.top :: st.frames)
+
+(* Processed symbols of a frame, most recent first: the roots of its
+   partial trees.  Recovery's skipped-input markers stand for no symbol. *)
+let processed f =
+  List.filter_map
+    (function Tree.Error (None, _) -> None | v -> Some (Tree.root v))
+    f.trees_rev
 
 let pos_msg st =
   if st.pos >= st.word.Word.len then "at end of input"
@@ -92,20 +136,16 @@ let consume env st a suf =
     if Bigarray.Array1.unsafe_get st.word.Word.kinds st.pos = a then
       (* The leaf token is materialized here, at consume time: in the
          buffer pipeline this is where the lexeme is first sliced and the
-         position first recovered (the laziness contract's other end). *)
+         position first recovered (the laziness contract's other end).
+         Advancing [pos] empties the visited set: no frame starts past the
+         consumed token. *)
       let tok = Word.token st.word st.pos in
       Step_cont
         {
           st with
           top =
-            {
-              st.top with
-              syms_rev = T a :: st.top.syms_rev;
-              trees_rev = Tree.Leaf tok :: st.top.trees_rev;
-              suf;
-            };
+            { st.top with trees_rev = Tree.Leaf tok :: st.top.trees_rev; suf };
           pos = st.pos + 1;
-          visited = Int_set.empty;
         }
     else
       let tok = Word.token st.word st.pos in
@@ -127,35 +167,37 @@ let consume env st a suf =
             (Grammar.terminal_name env.g a);
       }
 
-let push env st x suf =
-  if Int_set.mem x st.visited then Step_error (Types.Left_recursive x)
+let do_push env st x ix unique =
+  Instr.record_cov_prod ix;
+  Step_cont
+    {
+      top =
+        {
+          label = Array.unsafe_get env.labels x;
+          start = st.pos;
+          trees_rev = [];
+          suf = (Grammar.prod env.g ix).rhs;
+        };
+      frames = st.top :: st.frames;
+      cache = st.cache;
+      word = st.word;
+      pos = st.pos;
+      unique = st.unique && unique;
+    }
+
+let push env st x =
+  if opened_at st.pos x st.top st.frames then Step_error (Types.Left_recursive x)
   else
-    let conts () = suf :: List.map (fun f -> f.suf) st.frames in
     (* Predict through the cache's own analysis, not [env.anl]: a supplied
        cache (loaded from an image, or built by the static analyzer)
        expresses its configurations in its own frame interner. *)
-    let pred, look =
+    match
       Predict.adaptive_predict env.g (Cache.analysis st.cache) st.cache x
-        conts st.word st.pos
-    in
-    let do_push ix unique =
-      Instr.record_cov_prod ix;
-      let gamma = (Grammar.prod env.g ix).rhs in
-      Step_cont
-        {
-          top = { label = Some x; syms_rev = []; trees_rev = []; suf = gamma };
-          frames = { st.top with suf } :: st.frames;
-          cache = st.cache;
-          word = st.word;
-          pos = st.pos;
-          visited = Int_set.add x st.visited;
-          unique = st.unique && unique;
-        }
-    in
-    match pred with
-    | Types.Unique_pred ix -> do_push ix true
-    | Types.Ambig_pred ix -> do_push ix false
-    | Types.Reject_pred ->
+        ~conts:conts_below st st.word st.pos
+    with
+    | Types.Unique_pred ix, _ -> do_push env st x ix true
+    | Types.Ambig_pred ix, _ -> do_push env st x ix false
+    | Types.Reject_pred, look ->
       Step_reject
         {
           reason = Fail_no_alt { nt = x; pos = st.pos; lookahead = look };
@@ -164,34 +206,30 @@ let push env st x suf =
               (Costar_grammar.Names.nonterminal env.g x)
               (pos_msg st);
         }
-    | Types.Error_pred e -> Step_error e
+    | Types.Error_pred e, _ -> Step_error e
 
 let return_op st =
   match st.frames with
-  | caller :: frames -> (
+  | ({ suf = _ :: suf; _ } as caller) :: frames -> (
     match st.top.label with
     | Some x ->
       let node = Tree.Node (x, List.rev st.top.trees_rev) in
       Step_cont
         {
           st with
-          top =
-            {
-              caller with
-              syms_rev = NT x :: caller.syms_rev;
-              trees_rev = node :: caller.trees_rev;
-            };
+          top = { caller with trees_rev = node :: caller.trees_rev; suf };
           frames;
-          visited = Int_set.remove x st.visited;
         }
     | None -> Step_error (Types.Invalid_state "return from an unlabeled frame"))
+  | { suf = []; _ } :: _ ->
+    Step_error (Types.Invalid_state "caller frame without the open child")
   | [] -> Step_error (Types.Invalid_state "return with no caller frame")
 
 let step env st =
   match st.top.suf with
   | T a :: suf -> consume env st a suf
-  | NT x :: suf -> push env st x suf
-  | [] -> if st.frames = [] then Step_halt else return_op st
+  | NT x :: _ -> push env st x
+  | [] -> ( match st.frames with [] -> Step_halt | _ -> return_op st)
 
 let finish env st =
   if st.pos < st.word.Word.len then
@@ -203,7 +241,12 @@ let finish env st =
       }
   else
     match st.top with
-    | { label = None; syms_rev = [ NT x ]; trees_rev = [ v ]; suf = [] }
+    | {
+     label = None;
+     trees_rev = [ (Tree.Node (x, _) | Tree.Error (Some (NT x), _)) as v ];
+     suf = [];
+     _;
+    }
       when x = Grammar.start env.g ->
       Final_accept v
     | _ -> Final_malformed
@@ -212,39 +255,37 @@ let finish env st =
 
 let stacks_wf env st =
   let g = env.g in
-  (* A frame's full contents: processed symbols, then — if a child frame is
-     currently open — the child's nonterminal (the paper keeps it at the
-     head of the caller's suffix frame), then the unprocessed symbols. *)
-  let full_of frame child_label =
-    List.rev_append frame.syms_rev
-      (match child_label with
-      | Some x -> NT x :: frame.suf
-      | None -> frame.suf)
+  (* A frame's full contents: processed symbols, then the unprocessed
+     ones — in a caller frame, headed by the open child's nonterminal. *)
+  let full_of frame = List.rev_append (processed frame) frame.suf in
+  let heads_child frame = function
+    | None -> true
+    | Some x -> ( match frame.suf with NT y :: _ -> y = x | _ -> false)
   in
   let rec frames_wf child_label frame rest =
+    heads_child frame child_label
+    &&
     match rest with
     | [] -> (
       (* Bottom frame: spells exactly the start symbol. *)
       frame.label = None
       &&
-      match full_of frame child_label with
+      match full_of frame with
       | [ NT x ] -> x = Grammar.start g
       | _ -> false)
     | caller :: below -> (
       match frame.label with
       | Some x ->
-        (match Grammar.find_production g x (full_of frame child_label) with
+        (match Grammar.find_production g x (full_of frame) with
         | Some _ -> true
         | None -> false)
         && frames_wf (Some x) caller below
       | None -> false)
   in
-  let frames_wf top rest = frames_wf None top rest in
-  (* Each frame's trees correspond one-to-one with its processed symbols. *)
-  let trees_ok f =
-    List.length f.syms_rev = List.length f.trees_rev
-    && List.for_all2
-         (fun s v -> equal_symbol (Tree.root v) s)
-         f.syms_rev f.trees_rev
+  (* Push positions never decrease up the stack and never pass the input
+     position: the derived visited set relies on it. *)
+  let rec starts_ok above = function
+    | [] -> true
+    | (f : frame) :: below -> f.start <= above && starts_ok f.start below
   in
-  frames_wf st.top st.frames && List.for_all trees_ok (st.top :: st.frames)
+  frames_wf None st.top st.frames && starts_ok st.pos (st.top :: st.frames)

@@ -6,18 +6,28 @@
     ordinary parsing API.
 
     Following the Coq implementation, each frame pairs the prefix-stack and
-    suffix-stack components at one level: the processed symbols and their
-    partial parse trees (both reversed), the unprocessed symbols, and the
-    label — the open nonterminal whose prediction created the frame. *)
+    suffix-stack components at one level: the partial parse trees of the
+    processed symbols (reversed), the unprocessed symbols, and the label —
+    the open nonterminal whose prediction created the frame.  Two of the
+    paper's components are derived rather than stored, so a step allocates
+    only what the result needs: a frame's processed symbols are the roots
+    of its trees ({!processed}), and the visited set of the left-recursion
+    guard is read off the frames' push positions ({!visited}). *)
 
 open Costar_grammar
 open Costar_grammar.Symbols
 
 type frame = {
   label : nonterminal option;  (** [None] only for the bottom frame. *)
-  syms_rev : symbol list;  (** processed symbols, most recent first *)
-  trees_rev : Tree.t list;  (** partial derivation, most recent first *)
-  suf : symbol list;  (** unprocessed symbols *)
+  start : int;
+      (** input position at which the frame was pushed (0 for the bottom
+          frame); never decreases up the stack *)
+  trees_rev : Tree.t list;
+      (** partial derivation of the processed symbols, most recent first *)
+  suf : symbol list;
+      (** unprocessed symbols; in a caller frame (every frame but the top)
+          the first one is the nonterminal of the open child frame above
+          it, as in the paper *)
 }
 
 type state = {
@@ -26,8 +36,6 @@ type state = {
   cache : Cache.t;
   word : Word.t;  (** the whole input, as the array cursor *)
   pos : int;  (** current input position; remaining = [word.len - pos] *)
-  visited : Int_set.t;
-      (** nonterminals opened since the last consume (left-recursion guard) *)
   unique : bool;  (** false once any prediction reported ambiguity *)
 }
 
@@ -74,6 +82,8 @@ type final =
 type env = {
   g : Grammar.t;
   anl : Analysis.t;
+  labels : nonterminal option array;
+      (** [labels.(x) = Some x], shared by every frame [x] labels *)
 }
 
 val make_env : Grammar.t -> env
@@ -104,9 +114,21 @@ val pos_msg : state -> string
 (** Unconsumed tokens, materialized (traces, tests). *)
 val remaining_tokens : state -> Token.t list
 
-(** Unprocessed suffix-stack symbols below the top frame, topmost first
-    (the continuation passed to LL prediction). *)
+(** Unprocessed suffix-stack symbols per frame, top frame first: a caller
+    frame's [suf] without the open child's nonterminal at its head. *)
 val conts : state -> symbol list list
+
+(** The paper's visited set (§3.3): the nonterminals opened since the last
+    consume.  They are the labels of the topmost frames whose [start] is
+    the current position, so the set is rebuilt from the stack on demand
+    (termination measure, traces, tests); the push guard tests membership
+    the same way without building it. *)
+val visited : state -> Int_set.t
+
+(** The processed symbols of a frame, most recent first: the roots of its
+    partial trees, skipping recovery's skipped-input markers (which stand
+    for no grammar symbol). *)
+val processed : frame -> symbol list
 
 (** Stack height (number of frames). *)
 val height : state -> int

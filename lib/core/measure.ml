@@ -49,13 +49,10 @@ type t = {
 }
 
 let meas g (st : Machine.state) =
-  let sufs =
-    st.Machine.top.Machine.suf
-    :: List.map (fun f -> f.Machine.suf) st.Machine.frames
-  in
+  let sufs = Machine.conts st in
   {
     tokens = Machine.remaining st;
-    score = stack_score g ~visited:st.Machine.visited sufs;
+    score = stack_score g ~visited:(Machine.visited st) sufs;
     height = List.length sufs;
   }
 

@@ -16,21 +16,25 @@
 open Costar_grammar
 open Costar_grammar.Symbols
 
-(** [adaptive_predict g a cache x conts w i] chooses a right-hand side for
-    decision nonterminal [x], reading lookahead from position [i] of the
-    array cursor [w] and extending [cache] as it goes.  [conts] produces
-    the unprocessed remainder of the suffix stack below the decision; it is
-    a thunk because only the (rare) LL fallback needs it, and materializing
-    it eagerly would cost O(stack depth) on every push — quadratic on
-    deeply right-recursive inputs.  The verdict is paired with the
-    lookahead depth it was reached at (exact on [Reject_pred], which is
-    what recovery diagnostics consume; see {!Sll.predict}). *)
+(** [adaptive_predict g a cache x ~conts stack w i] chooses a right-hand
+    side for decision nonterminal [x], reading lookahead from position [i]
+    of the array cursor [w] and extending [cache] as it goes.  [conts stack]
+    is the unprocessed remainder of the suffix stack below the decision.
+    Only the (rare) LL fallback calls it: materializing it eagerly would
+    cost O(stack depth) on every push — quadratic on deeply
+    right-recursive inputs — and passing the caller's stack with a
+    top-level accessor, rather than a thunk, lets a push allocate no
+    closure.  The verdict is paired with the lookahead depth it was
+    reached at (exact on [Reject_pred], which is what recovery diagnostics
+    consume; see {!Sll.predict}).  A single-alternative decision and a
+    decided warm SLL hit return a shared pair and allocate nothing. *)
 val adaptive_predict :
   Grammar.t ->
   Analysis.t ->
   Cache.t ->
   nonterminal ->
-  (unit -> symbol list list) ->
+  conts:('s -> symbol list list) ->
+  's ->
   Word.t ->
   int ->
   Types.prediction * int

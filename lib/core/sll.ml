@@ -218,7 +218,9 @@ let rec fast_verdict cache sid kinds len i =
       else raise_notrace Fast_miss
 
 (* Warm fast path: once the relevant DFA fragment exists, a prediction is a
-   chain of array reads ending in a preboxed verdict, paired with depth 0.
+   chain of array reads ending in a preboxed verdict, paired with depth 0
+   (a decided verdict's pair is preboxed too, so the hit allocates
+   nothing).
    Any miss (or instrumentation, which wants depth counts or per-edge
    coverage) falls back to the general loop, which re-walks the short
    prefix and extends the DFA.  A fast-path reject re-walks too, so its
@@ -234,5 +236,6 @@ let predict g anl cache x (w : Word.t) i =
     else
       match fast_verdict cache sid0 kinds len i with
       | Types.Reject_pred -> predict_general g anl cache x kinds len i
+      | Types.Unique_pred p -> Cache.unique_at cache p
       | p -> (p, 0)
       | exception Fast_miss -> predict_general g anl cache x kinds len i

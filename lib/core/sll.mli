@@ -66,8 +66,8 @@ val prepare : Grammar.t -> Analysis.t -> Cache.t -> nonterminal -> unit
     [x] against the input from position [i] of the array cursor [w],
     reading and extending the DFA cache.  Lookahead reads [w.kinds.(i)],
     [w.kinds.(i+1)], ... directly; once the relevant DFA fragment is cached,
-    a prediction touches no token record and allocates only its result
-    pair.
+    a prediction touches no token record and allocates nothing: a decided
+    verdict comes back as the cache's shared pair ({!Cache.unique_at}).
 
     The result pairs the verdict with the lookahead depth at which it was
     reached (tokens examined past [i]).  The depth is exact whenever the

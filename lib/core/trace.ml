@@ -1,19 +1,19 @@
 open Costar_grammar
 open Costar_grammar.Symbols
 
-let pp_frame env ppf (f : Machine.frame) =
+let pp_frame env ppf ((f : Machine.frame), unprocessed) =
   let g = env.Machine.g in
   (match f.Machine.label with
   | Some x -> Fmt.pf ppf "%s:" (Grammar.nonterminal_name g x)
   | None -> ());
-  Grammar.pp_symbols g ppf f.Machine.suf
+  Grammar.pp_symbols g ppf unprocessed
 
 let pp_state env ppf (st : Machine.state) =
   let g = env.Machine.g in
   (* Suffix stack, top frame first. *)
   Fmt.pf ppf "@[<h>[%a]"
     Fmt.(list ~sep:(any " | ") (pp_frame env))
-    (st.Machine.top :: st.Machine.frames);
+    (List.combine (st.Machine.top :: st.Machine.frames) (Machine.conts st));
   (* Partial trees in the top prefix frame. *)
   (match st.Machine.top.Machine.trees_rev with
   | [] -> ()
@@ -30,7 +30,7 @@ let pp_state env ppf (st : Machine.state) =
         (List.map (fun t -> Grammar.terminal_name g t.Token.term) toks));
   Fmt.pf ppf "  visited: {%s}@]"
     (String.concat ","
-       (List.map (Grammar.nonterminal_name g) (Int_set.elements st.Machine.visited)))
+       (List.map (Grammar.nonterminal_name g) (Int_set.elements (Machine.visited st))))
 
 let run ?cache p word =
   let env = Parser.env p in

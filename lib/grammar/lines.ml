@@ -38,4 +38,19 @@ let pos starts ofs =
   let k = line_index starts ofs in
   (k + 1, ofs - starts.(k))
 
+(* Whether line [k] contains [ofs]: the largest [k] with
+   [starts.(k) <= ofs], without the search. *)
+let on_line starts k ofs =
+  k >= 0
+  && k < Array.length starts
+  && Array.unsafe_get starts k <= ofs
+  && (k + 1 = Array.length starts || ofs < Array.unsafe_get starts (k + 1))
+
+let locate starts ~hint ofs =
+  if on_line starts hint ofs then hint
+  else if on_line starts (hint + 1) ofs then hint + 1
+  else line_index starts ofs
+
+let line_offset starts k = starts.(k)
+
 let line_start starts ofs = starts.(line_index starts ofs)

@@ -18,5 +18,15 @@ val num_lines : t -> int
     exactly where an end-of-input message should point. *)
 val pos : t -> int -> int * int
 
+(** [locate t ~hint ofs] is the 0-based index of the line containing
+    [ofs] (so [pos t ofs = (k + 1, ofs - line_offset t k)]).  Line [hint]
+    and the line after it are tried first, in O(1); any other line, or a
+    [hint] out of range, falls back to the binary search.  A reader that
+    walks the input in order passes the previous answer as [hint]. *)
+val locate : t -> hint:int -> int -> int
+
+(** Byte offset of the first character of line index [k] (0-based). *)
+val line_offset : t -> int -> int
+
 (** Byte offset of the first character of the line containing [ofs]. *)
 val line_start : t -> int -> int

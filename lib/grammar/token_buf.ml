@@ -27,6 +27,10 @@ type t = {
   mutable starts : int_array;  (** byte offset of the first lexeme byte *)
   mutable ends : int_array;  (** byte offset one past the last lexeme byte *)
   mutable lines : Lines.t option;  (** built on first position query *)
+  mutable line_hint : int;
+      (** line index of the last position query: tokens are mostly
+          materialized in input order, so the next one is usually on the
+          same line or the next *)
 }
 
 let create ?(capacity = 64) input =
@@ -38,6 +42,7 @@ let create ?(capacity = 64) input =
     starts = alloc capacity;
     ends = alloc capacity;
     lines = None;
+    line_hint = 0;
   }
 
 (* Pre-sizing from the input length keeps steady-state scanning free of
@@ -63,6 +68,7 @@ let reset b input =
   b.input <- input;
   b.len <- 0;
   b.lines <- None;
+  b.line_hint <- 0;
   let want = capacity_for input in
   if Bigarray.Array1.dim b.kinds < want then begin
     b.kinds <- alloc want;
@@ -107,10 +113,29 @@ let lines b =
     b.lines <- Some l;
     l
 
-let pos b i = Lines.pos (lines b) (start_ofs b i)
+(* The line index of byte offset [ofs], through the last-line hint.  The
+   hint is only a guess — [Lines.locate] checks it — so a stale or racing
+   value costs a binary search, never a wrong position. *)
+let line_of b lines ofs =
+  let k = Lines.locate lines ~hint:b.line_hint ofs in
+  b.line_hint <- k;
+  k
 
+let pos b i =
+  let lines = lines b and ofs = start_ofs b i in
+  let k = line_of b lines ofs in
+  (k + 1, ofs - Lines.line_offset lines k)
+
+(* Built field by field: no [(line, col)] pair and no optional-argument
+   boxes on the way to the record. *)
 let token b i =
-  let line, col = pos b i in
-  Token.make ~line ~col (kind b i) (lexeme b i)
+  let lines = lines b and ofs = start_ofs b i in
+  let k = line_of b lines ofs in
+  {
+    Token.term = kind b i;
+    lexeme = String.sub b.input ofs (end_ofs b i - ofs);
+    line = k + 1;
+    col = ofs - Lines.line_offset lines k;
+  }
 
 let to_tokens b = List.init b.len (token b)

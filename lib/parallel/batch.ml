@@ -180,6 +180,43 @@ let send_msg fd (msg : prefork_msg) =
   Bytes.blit payload 0 b 4 len;
   write_all fd b 0 (4 + len)
 
+(* A worker's result pipe, as seen by the parent: bytes [rd, wr) of [buf]
+   are received but not yet decoded.  Reads land directly at [wr] and
+   complete messages are decoded in place from [rd], so a message is
+   copied only when the buffer must be compacted or grown — never once
+   per read, however many reads a large result takes. *)
+type inbox = {
+  mutable buf : Bytes.t;
+  mutable rd : int;
+  mutable wr : int;
+}
+
+let read_size = 65536
+let inbox_create () = { buf = Bytes.create read_size; rd = 0; wr = 0 }
+
+(* Make room for one [read_size] read at [wr]: slide the undecoded bytes to
+   the front when that frees enough (at least half the buffer is already
+   decoded), otherwise double the buffer.  Either way the bytes moved are
+   at most one partial message, and growth is geometric. *)
+let inbox_reserve ib =
+  let cap = Bytes.length ib.buf in
+  if cap - ib.wr < read_size then begin
+    let pending = ib.wr - ib.rd in
+    let dst =
+      if pending + read_size <= cap / 2 then ib.buf
+      else Bytes.create (max (2 * cap) (pending + read_size))
+    in
+    Bytes.blit ib.buf ib.rd dst 0 pending;
+    ib.buf <- dst;
+    ib.rd <- 0;
+    ib.wr <- pending
+  end
+
+(* Whether a whole length-prefixed message starts at [rd]. *)
+let inbox_complete ib =
+  let avail = ib.wr - ib.rd in
+  avail >= 4 && avail - 4 >= le32_of_bytes ib.buf ib.rd
+
 let worker_loop p ~tokenize inputs work_r out states_inherited =
   let idx = Bytes.create 4 in
   let files = ref 0 in
@@ -255,8 +292,7 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     let reported = Array.make n false in
     let alive = Array.map (fun _ -> true) pids in
     let open_fds = ref workers in
-    let bufs = Array.init workers (fun _ -> Buffer.create 4096) in
-    let chunk = Bytes.create 65536 in
+    let inboxes = Array.init workers (fun _ -> inbox_create ()) in
     let next = ref 0 in
     let work_open = ref (n > 0) in
     let close_work () =
@@ -275,27 +311,18 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
         per_new.(w) <- new_states;
         per_cache.(w) <- [ counters ]
     in
-    (* Drain complete length-prefixed messages from worker [w]'s buffer. *)
+    (* Decode every complete length-prefixed message in worker [w]'s inbox,
+       in place. *)
     let drain w =
-      let s = Buffer.contents bufs.(w) in
-      let len = String.length s in
-      let off = ref 0 in
-      let again = ref true in
-      while !again do
-        again := false;
-        if len - !off >= 4 then begin
-          let m = Costar_grammar.Flatimg.le_word s !off in
-          if m >= 0 && len - !off - 4 >= m then begin
-            handle w (Marshal.from_string s (!off + 4) : prefork_msg);
-            off := !off + 4 + m;
-            again := true
-          end
-        end
+      let ib = inboxes.(w) in
+      while inbox_complete ib do
+        let m = le32_of_bytes ib.buf ib.rd in
+        handle w (Marshal.from_bytes ib.buf (ib.rd + 4) : prefork_msg);
+        ib.rd <- ib.rd + 4 + m
       done;
-      if !off > 0 then begin
-        let rest = String.sub s !off (len - !off) in
-        Buffer.clear bufs.(w);
-        Buffer.add_string bufs.(w) rest
+      if ib.rd = ib.wr then begin
+        ib.rd <- 0;
+        ib.wr <- 0
       end
     in
     let idx_bytes = Bytes.create 4 in
@@ -318,14 +345,16 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
               (fun w' (r, _) -> if r == fd || r = fd then w := w')
               res_pipes;
             let w = !w in
-            match Unix.read fd chunk 0 (Bytes.length chunk) with
+            let ib = inboxes.(w) in
+            inbox_reserve ib;
+            match Unix.read fd ib.buf ib.wr read_size with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | 0 ->
               alive.(w) <- false;
               decr open_fds;
               (try Unix.close fd with Unix.Unix_error _ -> ())
             | k ->
-              Buffer.add_subbytes bufs.(w) chunk 0 k;
+              ib.wr <- ib.wr + k;
               drain w)
           readable;
         if writable <> [] then begin

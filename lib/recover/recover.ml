@@ -174,8 +174,8 @@ let lex_diag ?file msg =
 
 (* A synthesized terminal: the machine would have consumed [T a]; instead
    an empty [Error] marker stands in for the missing token.  No input is
-   consumed, so [visited] is deliberately kept — the left-recursion
-   guard must keep protecting the non-consuming segment. *)
+   consumed and no frame moves, so the visited set — derived from the
+   frames' push positions — keeps protecting the non-consuming segment. *)
 let apply_insert (st : M.state) a =
   match st.M.top.M.suf with
   | T a' :: suf when a' = a ->
@@ -184,7 +184,6 @@ let apply_insert (st : M.state) a =
       M.top =
         {
           st.M.top with
-          M.syms_rev = T a :: st.M.top.M.syms_rev;
           M.trees_rev = Tree.Error (Some (T a), []) :: st.M.top.M.trees_rev;
           M.suf = suf;
         };
@@ -201,7 +200,6 @@ let apply_drop (st : M.state) =
       M.top =
         {
           st.M.top with
-          M.syms_rev = s :: st.M.top.M.syms_rev;
           M.trees_rev = Tree.Error (Some s, []) :: st.M.top.M.trees_rev;
           M.suf = suf;
         };
@@ -209,7 +207,8 @@ let apply_drop (st : M.state) =
   | [] -> invalid_arg "Recover.apply_drop: empty suffix"
 
 (* Skip [n >= 1] input tokens into one [Error (None, leaves)] wrapper.
-   Consuming input resets [visited], exactly like a machine consume. *)
+   Consuming input empties the visited set, exactly like a machine consume:
+   every frame now starts before the new position. *)
 let apply_skip (st : M.state) n =
   let leaves =
     List.init n (fun k -> Tree.Leaf (Word.token st.M.word (st.M.pos + k)))
@@ -219,29 +218,24 @@ let apply_skip (st : M.state) n =
     M.top =
       { st.M.top with M.trees_rev = Tree.Error (None, leaves) :: st.M.top.M.trees_rev };
     M.pos = st.M.pos + n;
-    M.visited = Int_set.empty;
   }
 
 (* Pop [d] frames, closing each as an [Error (Some (NT x), partial kids)]
    node in its caller — the recovery analogue of the machine's return
-   operation (including the visited-set removal). *)
+   operation (popping the frame also takes its label out of the visited
+   set). *)
 let rec apply_pops (st : M.state) d =
   if d = 0 then st
   else
     match st.M.frames, st.M.top.M.label with
-    | caller :: frames, Some x ->
+    | ({ M.suf = _ :: suf; _ } as caller) :: frames, Some x ->
       let node = Tree.Error (Some (NT x), List.rev st.M.top.M.trees_rev) in
       apply_pops
         {
           st with
           M.top =
-            {
-              caller with
-              M.syms_rev = NT x :: caller.M.syms_rev;
-              M.trees_rev = node :: caller.M.trees_rev;
-            };
+            { caller with M.trees_rev = node :: caller.M.trees_rev; M.suf };
           M.frames;
-          M.visited = Int_set.remove x st.M.visited;
         }
         (d - 1)
     | _ -> invalid_arg "Recover.apply_pops: cannot pop the bottom frame"
@@ -283,16 +277,16 @@ let trial env (st0 : M.state) =
    Coco/R recipe over the precomputed Analysis tables. *)
 let resume_sets t (st : M.state) =
   let anl = P.analysis t in
-  let frames = Array.of_list (st.M.top :: st.M.frames) in
-  Array.map
-    (fun (f : M.frame) ->
-      let r = Analysis.first_seq anl f.M.suf in
-      (if Analysis.nullable_seq anl f.M.suf then
-         match f.M.label with
-         | Some x -> ignore (Bitset.union_into ~into:r (Analysis.sync anl x))
-         | None -> ());
-      r)
-    frames
+  Array.of_list
+    (List.map2
+       (fun (f : M.frame) suf ->
+         let r = Analysis.first_seq anl suf in
+         (if Analysis.nullable_seq anl suf then
+            match f.M.label with
+            | Some x -> ignore (Bitset.union_into ~into:r (Analysis.sync anl x))
+            | None -> ());
+         r)
+       (st.M.top :: st.M.frames) (M.conts st))
 
 (* Find the nearest (skip, pop) repair: the smallest number of skipped
    tokens [s], then the fewest popped frames [d], such that the token at
@@ -325,8 +319,8 @@ let find_resync (r : Bitset.t array) (st : M.state) =
    closed out by the machine's finish rule, made total — input left over
    goes through the same repair ladder as every other failure, and a
    malformed bottom frame is wrapped in a root error node. *)
-let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache t word
-    =
+let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
+    ?inspect t word =
   let env = P.env t in
   let g = P.grammar t in
   let start = Grammar.start g in
@@ -352,7 +346,14 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache t word
     last_meas := Some m1;
     transition := "machine step"
   in
-  let inspect = if verify_measure then Some check else None in
+  let inspect =
+    if not verify_measure then inspect
+    else
+      Some
+        (fun st ->
+          check st;
+          match inspect with Some f -> f st | None -> ())
+  in
   let outcome verdict = { verdict; events = List.rev !events } in
   let rec drive st n_errors =
     match P.multistep ?inspect env st with

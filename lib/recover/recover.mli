@@ -88,12 +88,15 @@ val parser_of : t -> Costar_core.Parser.t
     after every step and repair, raising [Failure] on any violation (test
     harnesses only — it walks the stack at every transition); [?cache]
     (default the parser's base cache) is the DFA cache predictions read
-    and extend, exactly as in {!Costar_core.Parser.run_word}. *)
+    and extend, and [?inspect] sees every state the loop resumes from —
+    each machine step's result and each committed repair — exactly as in
+    {!Costar_core.Parser.run_word}. *)
 val run_word :
   ?file:string ->
   ?max_errors:int ->
   ?verify_measure:bool ->
   ?cache:Costar_core.Cache.t ->
+  ?inspect:(Costar_core.Machine.state -> unit) ->
   t ->
   Word.t ->
   outcome

@@ -48,7 +48,11 @@ type frame = {
   suf : symbol list;
 }
 
-let predict t (w : Word.t) pos x conts =
+(* The suffix stack below a decision, for the LL fallback; the pair is
+   built only when the dispatch table cannot settle the decision. *)
+let conts_below (suf, frames) = suf :: List.map (fun f -> f.suf) frames
+
+let predict t (w : Word.t) pos x suf frames =
   let fast = t.single.(x) in
   if fast >= 0 then Core.Types.Unique_pred fast
   else
@@ -59,7 +63,9 @@ let predict t (w : Word.t) pos x conts =
     if d >= 0 then Core.Types.Unique_pred d
     else if d = -2 then Core.Types.Reject_pred
     else
-      fst (Core.Predict.adaptive_predict t.g t.anl t.cache x conts w pos)
+      fst
+        (Core.Predict.adaptive_predict t.g t.anl t.cache x ~conts:conts_below
+           (suf, frames) w pos)
 
 let parse t token_list =
   let w = Word.of_tokens token_list in
@@ -87,8 +93,7 @@ let parse t token_list =
       if Int_set.mem x visited then
         Core.Parser.Error (Core.Types.Left_recursive x)
       else begin
-        let conts () = suf :: List.map (fun f -> f.suf) frames in
-        match predict t w pos x conts with
+        match predict t w pos x suf frames with
         | Core.Types.Unique_pred ix ->
           go
             { label = x; trees_rev = []; suf = (Grammar.prod g ix).Grammar.rhs }

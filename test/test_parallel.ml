@@ -214,6 +214,39 @@ let test_prefork_over_image () =
             results))
     langs
 
+(* Results that span many pipe reads, and a worker that dies mid-file: a
+   large file's result message (hundreds of kilobytes) must decode intact
+   alongside small ones, and the dead worker's file must surface as a typed
+   error while every other file still matches sequential parsing. *)
+let test_prefork_large_and_crash () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let big = Costar_langs.Lang.generate l ~seed:3 ~size:20000 in
+  let crash = "crash this worker" in
+  let inputs =
+    [| big; Costar_langs.Lang.generate l ~seed:4 ~size:30; crash; big |]
+  in
+  let tokenize s = if s = crash then Unix._exit 3 else tokenize_of_lang l s in
+  let expected = sequential_outcomes l [| big; inputs.(1) |] in
+  (match expected.(0) with
+  | Ok r ->
+    check "big result spans several reads" true
+      (String.length (Marshal.to_string r []) > 4 * 65536)
+  | Error msg -> Alcotest.failf "big input does not lex: %s" msg);
+  let results, _ = Batch.run_prefork ~workers:2 (Parser.make g) ~tokenize inputs in
+  List.iter
+    (fun (i, e) ->
+      if not (same_outcome expected.(e) results.(i)) then
+        Alcotest.failf "prefork file %d differs: %a vs %a" i (pp_outcome g)
+          expected.(e) (pp_outcome g) results.(i))
+    [ (0, 0); (1, 1); (3, 0) ];
+  match results.(2) with
+  | Error msg ->
+    Alcotest.(check string)
+      "crashed file reported as a worker exit"
+      "costar batch: worker process exited before reporting this file" msg
+  | Ok _ -> Alcotest.fail "the crashing file produced a result"
+
 (* --- random-grammar differential ----------------------------------------- *)
 
 (* Random grammars parsed through the batch engine: the corpus is several
@@ -431,6 +464,8 @@ let () =
             `Slow test_prefork_differential;
           Alcotest.test_case "prefork over mmapped image = sequential" `Slow
             test_prefork_over_image;
+          Alcotest.test_case "prefork: large results and a crashing worker"
+            `Slow test_prefork_large_and_crash;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"
             `Slow test_batch_differential;
         ]

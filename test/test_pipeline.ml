@@ -315,10 +315,10 @@ let test_run_buf_minor_words () =
         true (per_tok < budget))
     Costar_langs.[ (Json.lang, 150.); (Xml.lang, 150.) ]
 
-(* Warm SLL prediction over the array cursor allocates a small constant per
-   call (the result pair), independent of how many tokens the
-   lookahead scans: the scan itself reads kinds straight from the off-heap
-   buffer. *)
+(* Warm SLL prediction over the array cursor allocates at most a small
+   constant per call (a decided hit returns the cache's shared result
+   pair), independent of how many tokens the lookahead scans: the scan
+   itself reads kinds straight from the off-heap buffer. *)
 let test_predict_word_minor_words () =
   let l = Costar_langs.Json.lang in
   let g = Costar_langs.Lang.grammar l in
@@ -342,9 +342,71 @@ let test_predict_word_minor_words () =
        per_call)
     true (per_call < 16.)
 
+(* --- token positions -------------------------------------------------- *)
+
+(* Leaf positions go through a last-line hint ([Lines.locate]); whatever
+   order tokens are materialized in, each must report exactly the binary
+   search's [Lines.pos].  Inputs mix empty lines, a trailing newline or
+   none, and tokens on the last line and at the very end of input. *)
+let gen_positions =
+  let open QCheck.Gen in
+  let line = string_size ~gen:(oneofl [ 'a'; 'b'; ' ' ]) (int_bound 5) in
+  list_size (int_range 1 6) line >>= fun lines ->
+  bool >>= fun trailing_nl ->
+  let input = String.concat "\n" lines ^ if trailing_nl then "\n" else "" in
+  (* Token start offsets: a random subset of [0, len], always including
+     the end of input (where synthesized tokens sit). *)
+  let n = String.length input in
+  list_repeat (n + 1) bool >>= fun keep ->
+  let starts =
+    List.filteri (fun i _ -> i = n || List.nth keep i) (List.init (n + 1) Fun.id)
+  in
+  oneofl [ `Ascending; `Descending; `Random ] >>= fun order ->
+  int >|= fun seed -> (input, starts, order, seed)
+
+let prop_token_positions =
+  QCheck.Test.make ~count:500 ~name:"hinted token positions = Lines.pos"
+    (QCheck.make
+       ~print:(fun (input, starts, _, seed) ->
+         Printf.sprintf "%S starts=[%s] seed=%d" input
+           (String.concat ";" (List.map string_of_int starts))
+           seed)
+       gen_positions)
+    (fun (input, starts, order, seed) ->
+      let buf = Token_buf.create input in
+      List.iter
+        (fun ofs ->
+          Token_buf.add buf ~kind:0 ~start:ofs
+            ~stop:(min (String.length input) (ofs + 1)))
+        starts;
+      let n = Token_buf.length buf in
+      let idx = Array.init n Fun.id in
+      (match order with
+      | `Ascending -> ()
+      | `Descending -> Array.sort (fun a b -> compare b a) idx
+      | `Random ->
+        let rng = Random.State.make [| seed |] in
+        for i = n - 1 downto 1 do
+          let j = Random.State.int rng (i + 1) in
+          let t = idx.(i) in
+          idx.(i) <- idx.(j);
+          idx.(j) <- t
+        done);
+      let lines = Lines.build input in
+      let w = Word.of_buf buf in
+      Array.for_all
+        (fun i ->
+          let expect = Lines.pos lines (Token_buf.start_ofs buf i) in
+          let t = Token_buf.token buf i and t' = Word.token w i in
+          (t.Token.line, t.Token.col) = expect
+          && (t'.Token.line, t'.Token.col) = expect
+          && Token_buf.pos buf i = expect)
+        idx)
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
+      prop_token_positions;
       prop_scan_buf_agrees;
       prop_classes_correct;
       prop_dfa_matches_nfa;

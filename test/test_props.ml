@@ -82,6 +82,44 @@ let prop_stacks_wf =
       in
       !all_wf)
 
+(* The machine derives the paper's bookkeeping instead of storing it: a
+   frame's processed symbols from its trees, the visited set from the
+   frames' push positions.  At every step both must equal the shadow kept
+   by the paper's own rules, and a run ends in [Left_recursive x] exactly
+   when the paper's guard rejects pushing [x]. *)
+let prop_derived_bookkeeping =
+  QCheck.Test.make ~count:300
+    ~name:"derived visited set and symbols follow the paper's rules"
+    Util.arb_grammar_word (fun (g, w) ->
+      let sh = Util.Shadow.create () in
+      let p = Parser.make g in
+      let r = Util.run p ~inspect:(Util.Shadow.observe sh) (toks g w) in
+      let e = match r with Parser.Error e -> Some e | _ -> None in
+      match Util.Shadow.check_error sh (Parser.env p) e with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
+(* Single-alternative decisions predict without a closure, so only the
+   machine's own guard catches S -> A -> S at one position. *)
+let test_guard_left_recursion () =
+  let g =
+    Grammar.define ~start:"S"
+      [
+        ("S", [ [ Grammar.n "A"; Grammar.t "a" ] ]);
+        ("A", [ [ Grammar.n "S"; Grammar.t "b" ] ]);
+      ]
+  in
+  let sh = Util.Shadow.create () in
+  let p = Parser.make g in
+  match Util.run p ~inspect:(Util.Shadow.observe sh) (toks g [ "b"; "a" ]) with
+  | Parser.Error (Types.Left_recursive x as e) ->
+    Alcotest.(check string)
+      "guard names S" "S" (Grammar.nonterminal_name g x);
+    Alcotest.(check (option string))
+      "shadow agrees" None
+      (Util.Shadow.check_error sh (Parser.env p) (Some e))
+  | _ -> Alcotest.fail "expected Left_recursive S"
+
 let prop_valid_sentences_accepted =
   (* Words sampled from the grammar itself parse successfully (for non-LR
      grammars): a direct completeness check that does not rely on the word
@@ -170,9 +208,19 @@ let props =
       prop_earley_agreement;
       prop_measure_decreases;
       prop_stacks_wf;
+      prop_derived_bookkeeping;
       prop_valid_sentences_accepted;
       prop_cache_reuse_stable;
       prop_sll_overapproximates_ll;
     ]
 
-let () = Alcotest.run "costar_properties" [ ("properties", props) ]
+let () =
+  Alcotest.run "costar_properties"
+    [
+      ("properties", props);
+      ( "guard",
+        [
+          Alcotest.test_case "machine guard on S -> A -> S" `Quick
+            test_guard_left_recursion;
+        ] );
+    ]

@@ -124,6 +124,44 @@ let test_corpus_mutants () =
           l.Lang.name)
     langs
 
+(* The derived bookkeeping under repair surgery: over corpus mutants and
+   random grammars, every state recovery resumes from — machine steps and
+   committed repairs alike — must agree with the paper's visited set and
+   processed symbols kept by the old rules (test/util.ml). *)
+let shadow_run p eng word =
+  let sh = Util.Shadow.create () in
+  let o = R.run_word ~inspect:(Util.Shadow.observe sh) eng word in
+  let e = match o.R.verdict with R.Fatal e -> Some e | _ -> None in
+  Util.Shadow.check_error sh (P.env p) e
+
+let test_derived_bookkeeping () =
+  List.iter
+    (fun l ->
+      let p = P.make (Lang.grammar l) in
+      let eng = R.make p in
+      let source = Lang.generate l ~seed:1 ~size:30 in
+      let tokens = Lang.tokenize_exn l source in
+      for k = 0 to 99 do
+        match Mutate.derive (Rng.split 7 k) ~source ~tokens with
+        | Mutate.Source _ -> ()
+        | Mutate.Tokens (toks', edit) -> (
+          match shadow_run p eng (Word.of_tokens toks') with
+          | None -> ()
+          | Some msg ->
+            Alcotest.failf "%s mutant %d (%s): %s" l.Lang.name k
+              (Mutate.edit_to_string edit) msg)
+      done)
+    langs
+
+let prop_derived_bookkeeping =
+  QCheck.Test.make ~count:300
+    ~name:"derived bookkeeping follows the paper's rules under repair"
+    Util.arb_grammar_word (fun (g, w) ->
+      let p = P.make g in
+      match shadow_run p (R.make p) (Word.of_tokens (Grammar.tokens g w)) with
+      | None -> true
+      | Some msg -> QCheck.Test.fail_report msg)
+
 (* --- Random grammars ----------------------------------------------------- *)
 
 (* Recovery-on ≡ recovery-off over random grammars and mixed valid/invalid
@@ -259,10 +297,12 @@ let () =
             test_corpus_conservative;
           Alcotest.test_case "corpus mutants recover" `Quick
             test_corpus_mutants;
+          Alcotest.test_case "mutants keep the paper's bookkeeping" `Quick
+            test_derived_bookkeeping;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest
-          [ prop_random_grammars; prop_spans ] );
+          [ prop_random_grammars; prop_spans; prop_derived_bookkeeping ] );
       ( "unit",
         [
           Alcotest.test_case "lex_diag parses positions" `Quick test_lex_diag;

@@ -98,3 +98,152 @@ let arb_grammar_word : (Grammar.t * string list) QCheck.arbitrary =
    [Parser.run_word]). *)
 let run ?cache ?inspect p toks =
   Costar_core.Parser.run_word ?cache ?inspect p (Word.of_tokens toks)
+
+(* The paper's machine bookkeeping (§3.2–3.3), kept on the side by its own
+   rules, to check the machine's derived forms against.  The machine
+   stores neither: a frame's processed symbols are the roots of its
+   partial trees ([Machine.processed]) and the visited set is read off the
+   frames' push positions ([Machine.visited]).  Here they are maintained
+   as the paper does — a push adds its nonterminal to [visited] and opens
+   an empty symbol list; a consume appends the terminal and empties
+   [visited]; a return appends the nonterminal to the caller and removes
+   it from [visited] — extended with the recovery engine's surgery:
+   inserting or dropping the head symbol appends it, skipping input
+   empties [visited], and popping a frame is a return.  [observe] is an
+   inspect hook: from the second state on, it infers which transition led
+   to each state, updates the shadow, and records the first disagreement. *)
+module Shadow = struct
+  open Costar_grammar.Symbols
+  module M = Costar_core.Machine
+
+  type frame = {
+    syms : symbol list;  (** processed symbols, most recent first *)
+    trees : int;  (** partial trees, including skipped-input markers *)
+  }
+
+  type t = {
+    mutable prev : M.state option;
+    mutable frames : frame list;  (** aligned with [top :: frames] *)
+    mutable visited : Int_set.t;
+    mutable guard : nonterminal option;
+        (** the nonterminal the paper's guard rejects at the last state *)
+    mutable error : string option;
+  }
+
+  let create () =
+    {
+      prev = None;
+      frames = [ { syms = []; trees = 0 } ];
+      visited = Int_set.empty;
+      guard = None;
+      error = None;
+    }
+
+  let fail t fmt =
+    Printf.ksprintf (fun msg -> if t.error = None then t.error <- Some msg) fmt
+
+  let rec take n l =
+    match l with x :: r when n > 0 -> x :: take (n - 1) r | _ -> []
+
+  let transition t (s0 : M.state) (s1 : M.state) =
+    let h0 = M.height s0 and h1 = M.height s1 in
+    if t.guard <> None then fail t "a push passed the visited guard";
+    if h1 = h0 + 1 then (
+      match s1.M.top.M.label with
+      | Some x ->
+        t.frames <- { syms = []; trees = 0 } :: t.frames;
+        t.visited <- Int_set.add x t.visited
+      | None -> fail t "pushed an unlabeled frame")
+    else if h1 > h0 then fail t "height grew by %d" (h1 - h0)
+    else begin
+      (* Pops: machine returns, or recovery closing frames. *)
+      let rec pop d (fs : M.frame list) shadow =
+        if d = 0 then shadow
+        else
+          match fs, shadow with
+          | { M.label = Some x; _ } :: fs', _ :: caller :: rest ->
+            t.visited <- Int_set.remove x t.visited;
+            pop (d - 1) fs'
+              ({ syms = NT x :: caller.syms; trees = caller.trees + 1 } :: rest)
+          | _ ->
+            fail t "cannot pop";
+            shadow
+      in
+      t.frames <- pop (h0 - h1) (s0.M.top :: s0.M.frames) t.frames;
+      (* Consuming or skipping input empties the visited set. *)
+      if s1.M.pos > s0.M.pos then t.visited <- Int_set.empty;
+      match t.frames with
+      | top :: rest ->
+        let trees = s1.M.top.M.trees_rev in
+        let fresh = List.rev (take (List.length trees - top.trees) trees) in
+        (* With no pops, the one new symbol is the head of the old top
+           suffix: a consume, an inserted terminal or a dropped symbol. *)
+        let head =
+          match s0.M.top.M.suf with s :: _ when h1 = h0 -> Some s | _ -> None
+        in
+        let syms =
+          List.fold_left
+            (fun syms v ->
+              match v, head with
+              | Tree.Error (None, _), _ -> syms
+              | (Tree.Leaf _ | Tree.Error (Some _, [])), Some s -> s :: syms
+              | _ ->
+                fail t "unexpected new tree";
+                syms)
+            top.syms fresh
+        in
+        t.frames <- { syms; trees = top.trees + List.length fresh } :: rest
+      | [] -> fail t "empty shadow stack"
+    end
+
+  let show set = String.concat "," (List.map string_of_int (Int_set.elements set))
+
+  let compare_state t (s : M.state) =
+    let fs = s.M.top :: s.M.frames in
+    if List.length fs <> List.length t.frames then fail t "shadow height differs"
+    else
+      List.iteri
+        (fun i ((f : M.frame), sh) ->
+          if M.processed f <> sh.syms then
+            fail t "processed symbols differ at frame %d" i)
+        (List.combine fs t.frames);
+    if not (Int_set.equal (M.visited s) t.visited) then
+      fail t "visited {%s} <> paper's {%s}" (show (M.visited s)) (show t.visited);
+    t.guard <-
+      (match s.M.top.M.suf with
+      | NT x :: _ when Int_set.mem x t.visited -> Some x
+      | _ -> None)
+
+  let observe t (s : M.state) =
+    (match t.prev with Some s0 -> transition t s0 s | None -> ());
+    compare_state t s;
+    t.prev <- Some s
+
+  (* The run's left-recursion verdict must be the paper guard's: when the
+     guard rejects the last state's push, the run ends in that error; when
+     it does not, a [Left_recursive x] can only be prediction's own
+     nullable-cycle detection (through [x]) at the last state's decision. *)
+  let check_error t (env : M.env) (e : Costar_core.Types.error option) =
+    let module Ty = Costar_core.Types in
+    let predicted_error (st : M.state) x =
+      let below (st : M.state) =
+        List.tl st.M.top.M.suf :: List.tl (M.conts st)
+      in
+      match st.M.top.M.suf with
+      | NT decision :: _ -> (
+        match
+          Costar_core.Predict.adaptive_predict env.M.g
+            (Costar_core.Cache.analysis st.M.cache) st.M.cache decision
+            ~conts:below st st.M.word st.M.pos
+        with
+        | Ty.Error_pred (Ty.Left_recursive y), _ -> y = x
+        | _ -> false)
+      | _ -> false
+    in
+    (match e, t.guard, t.prev with
+    | Some (Ty.Left_recursive x), Some y, _ when x = y -> ()
+    | Some (Ty.Left_recursive x), None, Some st when predicted_error st x -> ()
+    | (None | Some (Ty.Invalid_state _)), None, _ -> ()
+    | _ -> fail t "left-recursion verdict differs from the paper's guard");
+    t.error
+end
