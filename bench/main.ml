@@ -920,10 +920,10 @@ let prefork_bench cfg =
           worker_counts;
         (* Allocation fences, min over samples.  The warm data plane (DFA
            scan into a cleared off-heap buffer) must allocate nothing per
-           token; warm end-to-end additionally builds the parse tree (one
-           Token and one Leaf per consumed token, one Node per reduction)
-           and the machine's per-step frames and states, so it is gated as
-           a budget rather than at zero. *)
+           token; warm end-to-end additionally runs the machine, whose
+           per-step frames and states are heap records (the tree's events
+           go to an off-heap buffer), so it is gated as a budget rather
+           than at zero. *)
         let f = List.nth files (List.length files - 1) in
         let min_words reps fn =
           let best = ref infinity in

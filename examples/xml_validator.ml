@@ -10,7 +10,7 @@ open Costar_langs
 
 (* Collect (open, close) tag-name pairs from element nodes. *)
 let rec check_tags g tree errors =
-  match tree with
+  match Tree.view tree with
   | Tree.Leaf _ -> errors
   | Tree.Node (x, kids) ->
     let errors =
@@ -28,7 +28,8 @@ let rec check_tags g tree errors =
   | Tree.Error (_, kids) ->
     List.fold_left (fun errs kid -> check_tags g kid errs) errors kids
 
-and name_token g = function
+and name_token g v =
+  match Tree.view v with
   | Tree.Leaf tok when Grammar.terminal_name g tok.Token.term = "NAME" ->
     Some tok
   | _ -> None

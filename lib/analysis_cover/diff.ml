@@ -72,11 +72,11 @@ let run ?turbo ?recover g toks =
   let word = Word.of_tokens toks in
   let reference =
     P.run_word (P.make g)
-      ~inspect:(fun st ->
+      ~inspect:(fun ctx st ->
         match !monotone with
         | Error _ -> ()
         | Ok () ->
-          let m = Measure.meas g st in
+          let m = Measure.meas g ctx st in
           (match !prev with
           | Some m0 when not (Measure.compare m m0 < 0) ->
             monotone := Error "the §4 termination measure failed to decrease"

@@ -4,17 +4,22 @@ open Costar_grammar.Symbols
 type frame = {
   label : nonterminal option;
   start : int;
-  trees_rev : Tree.t list;
+  first : int;
   suf : symbol list;
 }
 
 type state = {
   top : frame;
   frames : frame list;
+  pos : int;
+  ev : int;
+  unique : bool;
+}
+
+type ctx = {
   cache : Cache.t;
   word : Word.t;
-  pos : int;
-  unique : bool;
+  events : Tree.Events.t;
 }
 
 type fail_reason =
@@ -34,6 +39,17 @@ type step_result =
   | Step_reject of failure
   | Step_error of Types.error
 
+type stop =
+  | Halted of state
+  | Rejected of state * failure
+  | Failed of Types.error
+
+(* A step that does not continue raises one of these, so that a
+   continuing step returns its state unboxed. *)
+exception Halt
+exception Reject of failure
+exception Fail of Types.error
+
 type final =
   | Final_accept of Tree.t
   | Final_trailing of failure
@@ -43,6 +59,7 @@ type env = {
   g : Grammar.t;
   anl : Analysis.t;
   labels : nonterminal option array;
+  mutable events_per_token : int;
 }
 
 let make_env g =
@@ -52,24 +69,26 @@ let make_env g =
     (* One shared [Some x] per nonterminal: a push labels its frame
        without allocating the option. *)
     labels = Array.init (Grammar.num_nonterminals g) Option.some;
+    events_per_token = 2;
   }
 
-let init_word env ?cache word =
+(* The buffer starts at the event density of the last tree this env
+   finished (see [finish]), so a run rarely grows it: growth allocates
+   and copies, and every off-heap byte allocated speeds up the major GC. *)
+let context env ?cache word =
   let cache =
     match cache with Some c -> c | None -> Cache.create env.anl
   in
+  let n = (env.events_per_token * word.Word.len) + 16 in
+  { cache; word; events = Tree.Events.create n }
+
+let initial env =
   {
     top =
-      {
-        label = None;
-        start = 0;
-        trees_rev = [];
-        suf = [ NT (Grammar.start env.g) ];
-      };
+      { label = None; start = 0; first = 0; suf = [ NT (Grammar.start env.g) ] };
     frames = [];
-    cache;
-    word;
     pos = 0;
+    ev = 0;
     unique = true;
   }
 
@@ -88,9 +107,9 @@ let conts_below st = after_child st.top :: List.map after_child st.frames
 
 let height st = 1 + List.length st.frames
 
-let remaining st = st.word.Word.len - st.pos
+let remaining ctx st = ctx.word.Word.len - st.pos
 
-let remaining_tokens st = Word.drop st.word st.pos
+let remaining_tokens ctx st = Word.drop ctx.word st.pos
 
 (* The paper's visited set is the set of nonterminals opened since the last
    consume.  Every push records the position it happened at, and positions
@@ -112,17 +131,39 @@ let visited st =
   in
   go Int_set.empty (st.top :: st.frames)
 
-(* Processed symbols of a frame, most recent first: the roots of its
-   partial trees.  Recovery's skipped-input markers stand for no symbol. *)
-let processed f =
-  List.filter_map
-    (function Tree.Error (None, _) -> None | v -> Some (Tree.root v))
-    f.trees_rev
+(* The trees of every frame, top frame first, each left to right.  The
+   top frame's children are the events from its [first] to [st.ev]; a
+   caller's end where the frame above it starts. *)
+let trees ctx st =
+  let rec kids (f : frame) j ts =
+    if j < f.first then ts
+    else
+      kids f
+        (j - Tree.Events.size ctx.events j)
+        (Tree.Events.tree ctx.events ctx.word j :: ts)
+  in
+  let rec go hi acc = function
+    | [] -> List.rev acc
+    | (f : frame) :: below -> go f.first (kids f (hi - 1) [] :: acc) below
+  in
+  go st.ev [] (st.top :: st.frames)
 
-let pos_msg st =
-  if st.pos >= st.word.Word.len then "at end of input"
+(* Processed symbols of each frame, most recent first: the roots of its
+   partial trees.  Recovery's skipped-input markers stand for no symbol. *)
+let processed ctx st =
+  List.map
+    (List.fold_left
+       (fun acc v ->
+         match Tree.view v with
+         | Tree.Error (None, _) -> acc
+         | _ -> Tree.root v :: acc)
+       [])
+    (trees ctx st)
+
+let pos_msg ctx st =
+  if st.pos >= ctx.word.Word.len then "at end of input"
   else
-    let tok = Word.token st.word st.pos in
+    let tok = Word.token ctx.word st.pos in
     if tok.Token.line > 0 then
       Printf.sprintf "at line %d, column %d" tok.Token.line tok.Token.col
     else "at token " ^ tok.Token.lexeme
@@ -131,138 +172,147 @@ let pos_msg st =
    terminal ids the grammar never interned. *)
 let safe_terminal_name = Costar_grammar.Names.terminal
 
-let consume env st a suf =
-  if st.pos < st.word.Word.len then
-    if Bigarray.Array1.unsafe_get st.word.Word.kinds st.pos = a then
-      (* The leaf token is materialized here, at consume time: in the
-         buffer pipeline this is where the lexeme is first sliced and the
-         position first recovered (the laziness contract's other end).
-         Advancing [pos] empties the visited set: no frame starts past the
-         consumed token. *)
-      let tok = Word.token st.word st.pos in
-      Step_cont
-        {
-          st with
-          top =
-            { st.top with trees_rev = Tree.Leaf tok :: st.top.trees_rev; suf };
-          pos = st.pos + 1;
-        }
+let reject reason message = raise_notrace (Reject { reason; message })
+let fail e = raise_notrace (Fail e)
+
+let consume env ctx st a suf =
+  let word = ctx.word in
+  if st.pos < word.Word.len then
+    if Bigarray.Array1.unsafe_get word.Word.kinds st.pos = a then begin
+      (* The leaf is the token's index: no token is materialized here (a
+         consumer that views the leaf builds it).  Advancing [pos] empties
+         the visited set: no frame starts past the consumed token. *)
+      Tree.Events.leaf ctx.events st.ev st.pos;
+      { st with top = { st.top with suf }; pos = st.pos + 1; ev = st.ev + 1 }
+    end
     else
-      let tok = Word.token st.word st.pos in
-      Step_reject
-        {
-          reason = Fail_mismatch { expected = a; pos = st.pos };
-          message =
-            Printf.sprintf "expected '%s' but found '%s' (%S) %s"
-              (Grammar.terminal_name env.g a)
-              (safe_terminal_name env.g tok.Token.term)
-              tok.Token.lexeme (pos_msg st);
-        }
+      let tok = Word.token word st.pos in
+      reject (Fail_mismatch { expected = a; pos = st.pos })
+        (Printf.sprintf "expected '%s' but found '%s' (%S) %s"
+           (Grammar.terminal_name env.g a)
+           (safe_terminal_name env.g tok.Token.term)
+           tok.Token.lexeme (pos_msg ctx st))
   else
-    Step_reject
-      {
-        reason = Fail_eof { expected = a };
-        message =
-          Printf.sprintf "expected '%s' but reached end of input"
-            (Grammar.terminal_name env.g a);
-      }
+    reject (Fail_eof { expected = a })
+      (Printf.sprintf "expected '%s' but reached end of input"
+         (Grammar.terminal_name env.g a))
 
 let do_push env st x ix unique =
   Instr.record_cov_prod ix;
-  Step_cont
-    {
-      top =
-        {
-          label = Array.unsafe_get env.labels x;
-          start = st.pos;
-          trees_rev = [];
-          suf = (Grammar.prod env.g ix).rhs;
-        };
-      frames = st.top :: st.frames;
-      cache = st.cache;
-      word = st.word;
-      pos = st.pos;
-      unique = st.unique && unique;
-    }
+  {
+    top =
+      {
+        label = Array.unsafe_get env.labels x;
+        start = st.pos;
+        first = st.ev;
+        suf = (Grammar.prod env.g ix).rhs;
+      };
+    frames = st.top :: st.frames;
+    pos = st.pos;
+    ev = st.ev;
+    unique = st.unique && unique;
+  }
 
-let push env st x =
-  if opened_at st.pos x st.top st.frames then Step_error (Types.Left_recursive x)
+let push env ctx st x =
+  if opened_at st.pos x st.top st.frames then fail (Types.Left_recursive x)
   else
     (* Predict through the cache's own analysis, not [env.anl]: a supplied
        cache (loaded from an image, or built by the static analyzer)
        expresses its configurations in its own frame interner. *)
     match
-      Predict.adaptive_predict env.g (Cache.analysis st.cache) st.cache x
-        ~conts:conts_below st st.word st.pos
+      Predict.adaptive_predict env.g (Cache.analysis ctx.cache) ctx.cache x
+        ~conts:conts_below st ctx.word st.pos
     with
     | Types.Unique_pred ix, _ -> do_push env st x ix true
     | Types.Ambig_pred ix, _ -> do_push env st x ix false
     | Types.Reject_pred, look ->
-      Step_reject
-        {
-          reason = Fail_no_alt { nt = x; pos = st.pos; lookahead = look };
-          message =
-            Printf.sprintf "no viable alternative for %s %s"
-              (Costar_grammar.Names.nonterminal env.g x)
-              (pos_msg st);
-        }
-    | Types.Error_pred e, _ -> Step_error e
+      reject
+        (Fail_no_alt { nt = x; pos = st.pos; lookahead = look })
+        (Printf.sprintf "no viable alternative for %s %s"
+           (Costar_grammar.Names.nonterminal env.g x)
+           (pos_msg ctx st))
+    | Types.Error_pred e, _ -> fail e
 
-let return_op st =
+let return_op ctx st =
   match st.frames with
   | ({ suf = _ :: suf; _ } as caller) :: frames -> (
     match st.top.label with
     | Some x ->
-      let node = Tree.Node (x, List.rev st.top.trees_rev) in
-      Step_cont
-        {
-          st with
-          top = { caller with trees_rev = node :: caller.trees_rev; suf };
-          frames;
-        }
-    | None -> Step_error (Types.Invalid_state "return from an unlabeled frame"))
+      Tree.Events.node ctx.events st.ev x ~first:st.top.first;
+      { st with top = { caller with suf }; frames; ev = st.ev + 1 }
+    | None -> fail (Types.Invalid_state "return from an unlabeled frame"))
   | { suf = []; _ } :: _ ->
-    Step_error (Types.Invalid_state "caller frame without the open child")
-  | [] -> Step_error (Types.Invalid_state "return with no caller frame")
+    fail (Types.Invalid_state "caller frame without the open child")
+  | [] -> fail (Types.Invalid_state "return with no caller frame")
 
-let step env st =
+let advance env ctx st =
   match st.top.suf with
-  | T a :: suf -> consume env st a suf
-  | NT x :: _ -> push env st x
-  | [] -> ( match st.frames with [] -> Step_halt | _ -> return_op st)
+  | T a :: suf -> consume env ctx st a suf
+  | NT x :: _ -> push env ctx st x
+  | [] -> (
+    match st.frames with [] -> raise_notrace Halt | _ -> return_op ctx st)
 
-let finish env st =
-  if st.pos < st.word.Word.len then
+let step env ctx st =
+  match advance env ctx st with
+  | st' -> Step_cont st'
+  | exception Halt -> Step_halt
+  | exception Reject f -> Step_reject f
+  | exception Fail e -> Step_error e
+
+let no_inspect _ _ = ()
+
+let multistep ?(inspect = no_inspect) env ctx st0 =
+  let rec go st =
+    inspect ctx st;
+    match advance env ctx st with
+    | st' -> go st'
+    | exception Halt -> Halted st
+    | exception Reject f -> Rejected (st, f)
+    | exception Fail e -> Failed e
+  in
+  go st0
+
+(* The bottom frame must hold exactly one tree, a node (or, after
+   recovery, an error marker) for the start symbol: one event spanning
+   every event written. *)
+let finish env ctx st =
+  if st.pos < ctx.word.Word.len then
     Final_trailing
       {
         reason = Fail_trailing { pos = st.pos };
         message =
-          Printf.sprintf "parse finished with input remaining %s" (pos_msg st);
+          Printf.sprintf "parse finished with input remaining %s"
+            (pos_msg ctx st);
       }
   else
-    match st.top with
-    | {
-     label = None;
-     trees_rev = [ (Tree.Node (x, _) | Tree.Error (Some (NT x), _)) as v ];
-     suf = [];
-     _;
-    }
-      when x = Grammar.start env.g ->
-      Final_accept v
-    | _ -> Final_malformed
+    let ev = ctx.events and n = st.ev in
+    let start = Grammar.start env.g in
+    if
+      st.frames = [] && st.top.label = None && st.top.suf = [] && n > 0
+      && Tree.Events.size ev (n - 1) = n
+      && (match Tree.Events.symbol ev ctx.word (n - 1) with
+         | Some (NT x) -> x = start
+         | _ -> false)
+    then begin
+      let len = ctx.word.Word.len in
+      if len > 0 then env.events_per_token <- (n + len - 1) / len;
+      Final_accept (Tree.Events.seal ev ctx.word n)
+    end
+    else Final_malformed
 
 (* --- StacksWf_I (Fig. 4) ------------------------------------------------ *)
 
-let stacks_wf env st =
+let stacks_wf env ctx st =
   let g = env.g in
+  let processed = processed ctx st in
   (* A frame's full contents: processed symbols, then the unprocessed
      ones — in a caller frame, headed by the open child's nonterminal. *)
-  let full_of frame = List.rev_append (processed frame) frame.suf in
+  let full_of (frame, done_rev) = List.rev_append done_rev frame.suf in
   let heads_child frame = function
     | None -> true
     | Some x -> ( match frame.suf with NT y :: _ -> y = x | _ -> false)
   in
-  let rec frames_wf child_label frame rest =
+  let rec frames_wf child_label ((frame, _) as fp) rest =
     heads_child frame child_label
     &&
     match rest with
@@ -270,13 +320,13 @@ let stacks_wf env st =
       (* Bottom frame: spells exactly the start symbol. *)
       frame.label = None
       &&
-      match full_of frame with
+      match full_of fp with
       | [ NT x ] -> x = Grammar.start g
       | _ -> false)
     | caller :: below -> (
       match frame.label with
       | Some x ->
-        (match Grammar.find_production g x (full_of frame) with
+        (match Grammar.find_production g x (full_of fp) with
         | Some _ -> true
         | None -> false)
         && frames_wf (Some x) caller below
@@ -288,4 +338,12 @@ let stacks_wf env st =
     | [] -> true
     | (f : frame) :: below -> f.start <= above && starts_ok f.start below
   in
-  frames_wf None st.top st.frames && starts_ok st.pos (st.top :: st.frames)
+  let rec firsts_ok above = function
+    | [] -> true
+    | (f : frame) :: below -> f.first <= above && firsts_ok f.first below
+  in
+  (match List.combine (st.top :: st.frames) processed with
+  | top :: rest -> frames_wf None top rest
+  | [] -> false)
+  && starts_ok st.pos (st.top :: st.frames)
+  && firsts_ok st.ev (st.top :: st.frames)

@@ -7,12 +7,22 @@
 
     Following the Coq implementation, each frame pairs the prefix-stack and
     suffix-stack components at one level: the partial parse trees of the
-    processed symbols (reversed), the unprocessed symbols, and the label —
-    the open nonterminal whose prediction created the frame.  Two of the
+    processed symbols, the unprocessed symbols, and the label — the open
+    nonterminal whose prediction created the frame.  The partial trees are
+    not stored in the frame: the machine appends each finished subtree to
+    the run's postorder event buffer ({!Tree.Events}), and a frame records
+    only the event index where its children start.  Two more of the
     paper's components are derived rather than stored, so a step allocates
-    only what the result needs: a frame's processed symbols are the roots
+    only its new frame and state: a frame's processed symbols are the roots
     of its trees ({!processed}), and the visited set of the left-recursion
-    guard is read off the frames' push positions ({!visited}). *)
+    guard is read off the frames' push positions ({!visited}).
+
+    What stays the same for the whole run — the prediction cache, the
+    input word and the event buffer — lives in a per-run context
+    ({!ctx}); a state carries only what a step changes.  States stay
+    immutable: a step writes events only at indices at or above its
+    state's [ev], so resuming from an earlier state (as recovery's trials
+    do) simply overwrites the events of the discarded branch. *)
 
 open Costar_grammar
 open Costar_grammar.Symbols
@@ -22,8 +32,10 @@ type frame = {
   start : int;
       (** input position at which the frame was pushed (0 for the bottom
           frame); never decreases up the stack *)
-  trees_rev : Tree.t list;
-      (** partial derivation of the processed symbols, most recent first *)
+  first : int;
+      (** event index where the frame's children start: its partial trees
+          are the subtrees between [first] and the next frame's [first]
+          (the state's [ev] for the top frame) *)
   suf : symbol list;
       (** unprocessed symbols; in a caller frame (every frame but the top)
           the first one is the nonterminal of the open child frame above
@@ -33,10 +45,16 @@ type frame = {
 type state = {
   top : frame;
   frames : frame list;  (** callers, innermost first *)
-  cache : Cache.t;
-  word : Word.t;  (** the whole input, as the array cursor *)
   pos : int;  (** current input position; remaining = [word.len - pos] *)
+  ev : int;  (** number of events written: the next one goes here *)
   unique : bool;  (** false once any prediction reported ambiguity *)
+}
+
+(** What one run shares across its steps. *)
+type ctx = {
+  cache : Cache.t;  (** the DFA cache every prediction reads and extends *)
+  word : Word.t;  (** the whole input, as the array cursor *)
+  events : Tree.Events.t;  (** the run's postorder tree events *)
 }
 
 (** Why a step rejected — the structured arm the error-recovery layer
@@ -78,41 +96,65 @@ type final =
       (** the bottom frame does not spell the start symbol — unreachable
           for a machine run, reachable after recovery's repairs *)
 
-(** Static context: the grammar and its analyses. *)
+(** Per-parser context: the grammar, its analyses, and a buffer size hint. *)
 type env = {
   g : Grammar.t;
   anl : Analysis.t;
   labels : nonterminal option array;
       (** [labels.(x) = Some x], shared by every frame [x] labels *)
+  mutable events_per_token : int;
+      (** tree events per input token of the last run {!finish} accepted
+          (rounded up): the starting size of the next run's event buffer.
+          Only a size hint; runs in parallel may race on it harmlessly. *)
 }
 
 val make_env : Grammar.t -> env
 
-(** Initial machine state for the grammar's start symbol over an array
-    cursor: the machine consumes [word.kinds.(pos)] directly, and
-    prediction's warm fast path never touches a token record.  [cache]
-    (default: a fresh one) is the DFA cache every prediction of the run
-    reads and extends. *)
-val init_word : env -> ?cache:Cache.t -> Word.t -> state
+(** A run's context over an array cursor: the machine consumes
+    [word.kinds.(pos)] directly, and prediction's warm fast path never
+    touches a token record.  [cache] (default: a fresh one) is the DFA
+    cache every prediction of the run reads and extends; the event buffer
+    is fresh, since the run's tree keeps it. *)
+val context : env -> ?cache:Cache.t -> Word.t -> ctx
+
+(** The initial state: the start symbol in the bottom frame. *)
+val initial : env -> state
 
 (** One atomic machine operation: consume, push, or return; [Step_halt]
-    once the stack is empty.  {!Parser.multistep} is the loop over it. *)
-val step : env -> state -> step_result
+    once the stack is empty. *)
+val step : env -> ctx -> state -> step_result
 
-(** The finish rule, applied to a state whose stack is empty. *)
-val finish : env -> state -> final
+(** Why the machine loop stopped. *)
+type stop =
+  | Halted of state  (** the stack emptied; {!finish} decides the outcome *)
+  | Rejected of state * failure  (** a step rejected in this state *)
+  | Failed of Types.error  (** a step raised a machine error *)
+
+(** [multistep env ctx st] is the paper's [multistep] loop (§3.2): it
+    steps the machine from [st] until the stack empties, a step rejects,
+    or a step fails, calling [inspect ctx] on every state it visits (the
+    first one included).  A continuing step hands its state over unboxed,
+    not in a [Step_cont].  {!Parser.run_word} finishes its [Halted] state;
+    the recovery engine repairs a [Rejected] state and resumes the
+    loop. *)
+val multistep :
+  ?inspect:(ctx -> state -> unit) -> env -> ctx -> state -> stop
+
+(** The finish rule, applied to a state whose stack is empty.  An accept
+    also records the tree's event density in [env.events_per_token]. *)
+val finish : env -> ctx -> state -> final
 
 (** Number of unconsumed tokens. *)
-val remaining : state -> int
+val remaining : ctx -> state -> int
 
 (** Human-readable description of the current input position ("at line L,
     column C" / "at token ..." / "at end of input") — the phrase the
     machine's own reject messages embed, exposed so the recovery layer can
     render byte-identical messages. *)
-val pos_msg : state -> string
+val pos_msg : ctx -> state -> string
 
 (** Unconsumed tokens, materialized (traces, tests). *)
-val remaining_tokens : state -> Token.t list
+val remaining_tokens : ctx -> state -> Token.t list
 
 (** Unprocessed suffix-stack symbols per frame, top frame first: a caller
     frame's [suf] without the open child's nonterminal at its head. *)
@@ -125,10 +167,14 @@ val conts : state -> symbol list list
     the same way without building it. *)
 val visited : state -> Int_set.t
 
-(** The processed symbols of a frame, most recent first: the roots of its
-    partial trees, skipping recovery's skipped-input markers (which stand
-    for no grammar symbol). *)
-val processed : frame -> symbol list
+(** The partial trees of every frame, top frame first, each frame's left
+    to right.  The handles share the run's buffer (traces, tests). *)
+val trees : ctx -> state -> Tree.t list list
+
+(** The processed symbols of every frame, top frame first, each most
+    recent first: the roots of its partial trees, skipping recovery's
+    skipped-input markers (which stand for no grammar symbol). *)
+val processed : ctx -> state -> symbol list list
 
 (** Stack height (number of frames). *)
 val height : state -> int
@@ -136,4 +182,4 @@ val height : state -> int
 (** The stack well-formedness invariant StacksWf_I (paper, Fig. 4): every
     non-bottom frame, with its caller's label, spells out a production of
     the grammar, and the bottom frame spells the start symbol. *)
-val stacks_wf : env -> state -> bool
+val stacks_wf : env -> ctx -> state -> bool

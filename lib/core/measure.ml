@@ -48,10 +48,10 @@ type t = {
   height : int;
 }
 
-let meas g (st : Machine.state) =
+let meas g ctx (st : Machine.state) =
   let sufs = Machine.conts st in
   {
-    tokens = Machine.remaining st;
+    tokens = Machine.remaining ctx st;
     score = stack_score g ~visited:(Machine.visited st) sufs;
     height = List.length sufs;
   }

@@ -32,7 +32,7 @@ type t = {
   height : int;
 }
 
-val meas : Grammar.t -> Machine.state -> t
+val meas : Grammar.t -> Machine.ctx -> Machine.state -> t
 
 (** Lexicographic order on triples (the paper's [<3], flipped to [compare]
     conventions). *)

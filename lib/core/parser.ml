@@ -45,27 +45,12 @@ let set_base_cache p c =
     invalid_arg "Parser.set_base_cache: cache belongs to a different analysis";
   p.base <- Some c
 
-type stop =
-  | Halted of Machine.state
-  | Rejected of Machine.state * Machine.failure
-  | Failed of Types.error
-
-let multistep ?(inspect = ignore) env st0 =
-  let rec go st =
-    inspect st;
-    match Machine.step env st with
-    | Machine.Step_cont st' -> go st'
-    | Machine.Step_halt -> Halted st
-    | Machine.Step_reject f -> Rejected (st, f)
-    | Machine.Step_error e -> Failed e
-  in
-  go st0
-
 let run_word ?cache ?inspect p word =
   let cache = match cache with Some c -> c | None -> base_cache p in
-  match multistep ?inspect p.menv (Machine.init_word p.menv ~cache word) with
-  | Halted st -> (
-    match Machine.finish p.menv st with
+  let ctx = Machine.context p.menv ~cache word in
+  match Machine.multistep ?inspect p.menv ctx (Machine.initial p.menv) with
+  | Machine.Halted st -> (
+    match Machine.finish p.menv ctx st with
     | Machine.Final_accept v ->
       (* The uniqueness flag of the state that produced the final tree
          decides the label (paper, §3.2). *)
@@ -73,7 +58,7 @@ let run_word ?cache ?inspect p word =
     | Machine.Final_trailing f -> Reject f.Machine.message
     | Machine.Final_malformed ->
       Error (Types.Invalid_state "malformed final configuration"))
-  | Rejected (_, f) -> Reject f.Machine.message
-  | Failed e -> Error e
+  | Machine.Rejected (_, f) -> Reject f.Machine.message
+  | Machine.Failed e -> Error e
 
 let parse g tokens = run_word (make g) (Word.of_tokens tokens)

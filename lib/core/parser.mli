@@ -38,22 +38,6 @@ val base_cache : t -> Cache.t
     was built against a different analysis. *)
 val set_base_cache : t -> Cache.t -> unit
 
-(** Why the machine loop stopped. *)
-type stop =
-  | Halted of Machine.state
-      (** the stack emptied; {!Machine.finish} decides the outcome *)
-  | Rejected of Machine.state * Machine.failure
-      (** a step rejected in this state *)
-  | Failed of Types.error  (** a step raised a machine error *)
-
-(** [multistep env st] is the paper's [multistep] loop (§3.2): it steps the
-    machine from [st] until the stack empties, a step rejects, or a step
-    fails, calling [inspect] on every state it visits (the first one
-    included).  {!run_word} finishes its [Halted] state; the recovery
-    engine repairs a [Rejected] state and resumes the loop. *)
-val multistep :
-  ?inspect:(Machine.state -> unit) -> Machine.env -> Machine.state -> stop
-
 (** [run_word p w] parses the input word [w] (an array cursor over a token
     list or a scanner buffer).  Predictions read and extend [cache],
     default {!base_cache}: what [w] teaches the base cache is kept for
@@ -61,9 +45,13 @@ val multistep :
     [Cache.create (analysis p)]) shares nothing with other runs.  Cache
     contents never affect results, only speed.  [inspect] is called on
     every intermediate machine state, the initial one included (traces and
-    invariant checks). *)
+    invariant checks), with the run's context. *)
 val run_word :
-  ?cache:Cache.t -> ?inspect:(Machine.state -> unit) -> t -> Word.t -> result
+  ?cache:Cache.t ->
+  ?inspect:(Machine.ctx -> Machine.state -> unit) ->
+  t ->
+  Word.t ->
+  result
 
 (** The paper's API: [parse g w] runs a fresh parser for [g] over the
     token list [w]. *)

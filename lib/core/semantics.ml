@@ -7,7 +7,8 @@ type 'a actions = {
 
 let eval g actions tree =
   let exception Malformed of string in
-  let rec go = function
+  let rec go v =
+    match Tree.view v with
     | Tree.Leaf tok -> actions.on_token tok
     | Tree.Node (x, kids) -> (
       let roots = List.map Tree.root kids in

@@ -8,22 +8,20 @@ let pp_frame env ppf ((f : Machine.frame), unprocessed) =
   | None -> ());
   Grammar.pp_symbols g ppf unprocessed
 
-let pp_state env ppf (st : Machine.state) =
+let pp_state env ctx ppf (st : Machine.state) =
   let g = env.Machine.g in
   (* Suffix stack, top frame first. *)
   Fmt.pf ppf "@[<h>[%a]"
     Fmt.(list ~sep:(any " | ") (pp_frame env))
     (List.combine (st.Machine.top :: st.Machine.frames) (Machine.conts st));
   (* Partial trees in the top prefix frame. *)
-  (match st.Machine.top.Machine.trees_rev with
-  | [] -> ()
-  | trees ->
-    Fmt.pf ppf "  trees: %a"
-      Fmt.(list ~sep:sp (Tree.pp g))
-      (List.rev trees));
+  (match Machine.trees ctx st with
+  | [] :: _ | [] -> ()
+  | trees :: _ ->
+    Fmt.pf ppf "  trees: %a" Fmt.(list ~sep:sp (Tree.pp g)) trees);
   (* Remaining input and visited set. *)
   Fmt.pf ppf "  input: %s"
-    (match Machine.remaining_tokens st with
+    (match Machine.remaining_tokens ctx st with
     | [] -> "<eof>"
     | toks ->
       String.concat " "
@@ -37,7 +35,8 @@ let run ?cache p word =
   let lines = ref [] in
   let result =
     Parser.run_word ?cache p word
-      ~inspect:(fun st -> lines := Fmt.str "%a" (pp_state env) st :: !lines)
+      ~inspect:(fun ctx st ->
+        lines := Fmt.str "%a" (pp_state env ctx) st :: !lines)
   in
   (List.rev !lines, result)
 

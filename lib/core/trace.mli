@@ -6,7 +6,8 @@
 
 open Costar_grammar
 
-val pp_state : Machine.env -> Format.formatter -> Machine.state -> unit
+val pp_state :
+  Machine.env -> Machine.ctx -> Format.formatter -> Machine.state -> unit
 
 (** Run the parser over [word] (through [cache], default the parser's
     base cache), collecting one rendered line per machine state (the

@@ -131,7 +131,7 @@ let first_tree g w =
   let module KSet = Set.Make (Key) in
   let rec build_sym s i j path =
     match s with
-    | T _ -> if sym_ok s i j then Some (Tree.Leaf toks.(i)) else None
+    | T _ -> if sym_ok s i j then Some (Tree.leaf toks.(i)) else None
     | NT x ->
       if (not (sym_ok s i j)) || KSet.mem (x, i, j) path then None
       else begin
@@ -140,7 +140,7 @@ let first_tree g w =
           | [] -> None
           | ix :: rest -> (
             match build_seq (Grammar.prod g ix).Grammar.rhs i j path with
-            | Some kids -> Some (Tree.Node (x, kids))
+            | Some kids -> Some (Tree.node x kids)
             | None -> try_prods rest)
         in
         try_prods (Grammar.prods_of g x)
@@ -173,14 +173,14 @@ let enumerate ?(limit = 2) ?(depth = 64) g w =
     else
       match s with
       | T a ->
-        if j = i + 1 && toks.(i).Token.term = a then [ Tree.Leaf toks.(i) ]
+        if j = i + 1 && toks.(i).Token.term = a then [ Tree.leaf toks.(i) ]
         else []
       | NT x ->
         List.concat_map
           (fun ix ->
             let rhs = (Grammar.prod g ix).Grammar.rhs in
             List.map
-              (fun kids -> Tree.Node (x, kids))
+              (fun kids -> Tree.node x kids)
               (seq_trees rhs i j (d - 1)))
           (Grammar.prods_of g x)
   and seq_trees syms i j d =

@@ -1,7 +1,7 @@
 open Symbols
 
 let rec well_formed g v =
-  match v with
+  match Tree.view v with
   | Tree.Leaf _ -> true
   | Tree.Node (x, kids) ->
     let roots = List.map Tree.root kids in

@@ -7,10 +7,9 @@
    leaves, error messages, dumps).
 
    The arrays are [Bigarray.Array1]s of native ints, not [int array]s:
-   bigarray storage lives outside the OCaml heap, so a pre-sized buffer
-   that is [reset] between requests contributes nothing to the minor heap
-   and nothing to GC scan work — the off-heap data plane of DESIGN.md
-   §13.  The native-int kind (rather than int32) is what keeps reads
+   bigarray storage lives outside the OCaml heap, so a buffer contributes
+   nothing to the minor heap and nothing to GC scan work — the off-heap
+   data plane of DESIGN.md §13.  The native-int kind (rather than int32) is what keeps reads
    unboxed unconditionally: [Array1.unsafe_get] on an int-kind bigarray
    returns a plain [int] in all compilation modes, while an int32 kind
    would return a boxed [Int32.t]. *)
@@ -57,24 +56,21 @@ let input b = b.input
 
 (* Forget the tokens but keep the arrays (and the newline table — it
    depends only on the input): re-scanning the same input allocates
-   nothing. *)
+   nothing.  Parse-tree leaves are indices into the buffer, so a tree
+   built over it reads whatever the next scan writes there. *)
 let clear b = b.len <- 0
 
-(* Rebind the arena to a new input: same storage, new request.  The
-   arrays are grown up front (if the new input needs more) so the
-   subsequent scan proceeds without growth copies; the newline table is
-   dropped (it belonged to the old input). *)
-let reset b input =
-  b.input <- input;
-  b.len <- 0;
-  b.lines <- None;
-  b.line_hint <- 0;
-  let want = capacity_for input in
-  if Bigarray.Array1.dim b.kinds < want then begin
-    b.kinds <- alloc want;
-    b.starts <- alloc want;
-    b.ends <- alloc want
-  end
+(* The same storage, narrowed to the tokens written: sub-array views, no
+   copy.  What holds the view (a parse tree's word) then marshals only
+   the tokens, whatever the buffer's spare capacity. *)
+let trimmed b =
+  let used (a : int_array) = Bigarray.Array1.sub a 0 b.len in
+  {
+    b with
+    kinds = used b.kinds;
+    starts = used b.starts;
+    ends = used b.ends;
+  }
 
 let grow b =
   let cap = Bigarray.Array1.dim b.kinds in

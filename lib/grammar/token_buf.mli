@@ -9,8 +9,8 @@
     nothing more.
 
     The arrays are native-int {!Bigarray.Array1}s: the storage lives
-    outside the OCaml heap, so a pre-sized buffer reused across requests
-    (see {!reset}) adds nothing to minor-GC pressure or heap scan work. *)
+    outside the OCaml heap, so a buffer adds nothing to minor-GC pressure
+    or heap scan work. *)
 
 type int_array = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
 (** Off-heap int array; [Array1.unsafe_get] returns an unboxed [int]. *)
@@ -28,14 +28,16 @@ val length : t -> int
 val input : t -> string
 
 (** Drop all tokens, keeping the arrays (and newline table): re-scanning
-    the same input into a cleared buffer allocates nothing. *)
+    the same input into a cleared buffer allocates nothing.  A parse tree
+    over the buffer ({!Word.of_buf}) holds token indices into it, not
+    tokens, so the buffer must not be cleared while such a tree is alive:
+    the next scan would silently rewrite the tree's leaves. *)
 val clear : t -> unit
 
-(** [reset b input] rebinds the buffer to a new input, keeping (and if
-    necessary growing, up front) the arrays: one arena serves many
-    requests, so steady-state lexing allocates nothing per request.  The
-    newline table is dropped with the old input. *)
-val reset : t -> string -> unit
+(** A buffer over the same storage whose arrays end at the last token (no
+    copy).  It shares the tokens, so clearing the original rewrites them;
+    it marshals without the original's spare capacity. *)
+val trimmed : t -> t
 
 (** Append one token.  [start]/[stop] delimit the lexeme in the input;
     a synthesized token (e.g. the indenter's INDENT) uses [start = stop],

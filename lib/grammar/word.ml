@@ -1,19 +1,26 @@
 (* The parser core's view of its input: a dense off-heap array of
-   terminal ids plus a lazy token materializer.  Prediction and the
+   terminal ids plus the token source it came from.  Prediction and the
    machine's consume step read [kinds.(i)] directly; a boxed [Token.t] is
-   built only for parse-tree leaves and error messages.
+   built only when a consumer asks for one (a viewed parse-tree leaf, an
+   error message).
 
    Both frontends lower to this one representation: [of_tokens] wraps
-   the legacy list pipeline (tokens already exist, so [leaf] just
-   indexes them), [of_buf] wraps the zero-copy buffer pipeline ([leaf]
-   slices the lexeme and binary-searches the newline table on demand).
-   [of_buf] shares the buffer's bigarray storage — no copy, and the
-   cursor adds nothing to GC scan work (DESIGN.md §13). *)
+   the legacy list pipeline (the tokens already exist, so [token] just
+   indexes them), [of_buf] wraps the zero-copy buffer pipeline ([token]
+   slices the lexeme and locates the position on demand).  [of_buf]
+   shares the buffer's bigarray storage through views narrowed to the
+   tokens — no copy, and the cursor adds nothing to GC scan work
+   (DESIGN.md §13).  A word holds data only, no closure, so a parse tree
+   that points into it marshals as plain data. *)
+
+type source =
+  | Buf of Token_buf.t
+  | Tokens of Token.t array
 
 type t = {
   kinds : Token_buf.int_array;  (** terminal id per token; [0 .. len-1] *)
   len : int;
-  leaf : int -> Token.t;  (** materialize token [i] *)
+  src : source;
 }
 
 let of_tokens toks =
@@ -23,21 +30,24 @@ let of_tokens toks =
     Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 n)
   in
   Array.iteri (fun i tok -> Bigarray.Array1.set kinds i (Token.term tok)) arr;
-  { kinds; len = n; leaf = Array.get arr }
+  { kinds; len = n; src = Tokens arr }
 
 let of_buf buf =
-  {
-    kinds = Token_buf.kinds_unsafe buf;
-    len = Token_buf.length buf;
-    leaf = Token_buf.token buf;
-  }
+  let buf = Token_buf.trimmed buf in
+  { kinds = Token_buf.kinds_unsafe buf; len = Token_buf.length buf; src = Buf buf }
 
 let length w = w.len
 let kind w i = Bigarray.Array1.get w.kinds i
-let token w i = w.leaf i
 
-let to_tokens w = List.init w.len w.leaf
+let token w i =
+  match w.src with Buf b -> Token_buf.token b i | Tokens a -> a.(i)
 
-(* Remaining input from position [i], as a list (trace dumps, the LL
-   fallback's list-free cousin keeps indices; this is for display). *)
-let drop w i = List.init (max 0 (w.len - i)) (fun k -> w.leaf (i + k))
+let lexeme w i =
+  match w.src with
+  | Buf b -> Token_buf.lexeme b i
+  | Tokens a -> a.(i).Token.lexeme
+
+let to_tokens w = List.init w.len (token w)
+
+(* Remaining input from position [i], as a list (trace dumps). *)
+let drop w i = List.init (max 0 (w.len - i)) (fun k -> token w (i + k))

@@ -254,12 +254,3 @@ let scan_buf c input =
   match scan_into c buf input with
   | () -> Ok buf
   | exception Lex_err e -> Error e
-
-(* Arena reuse: rebind the caller's buffer to the new input and scan into
-   it.  A pre-sized arena cycled through [scan_reuse] makes steady-state
-   lexing allocate nothing per request. *)
-let scan_reuse c buf input =
-  Token_buf.reset buf input;
-  match scan_into c buf input with
-  | () -> Ok buf
-  | exception Lex_err e -> Error e

@@ -89,14 +89,5 @@ val scan_buf :
     @raise Lex_err on a lexical error. *)
 val scan_into : compiled -> Costar_grammar.Token_buf.t -> string -> unit
 
-(** [scan_reuse c buf input] rebinds [buf] to [input]
-    ({!Costar_grammar.Token_buf.reset}) and scans into it: one pre-sized
-    arena serves many requests, so steady-state lexing allocates nothing
-    per request.  Returns the same buffer on success. *)
-val scan_reuse :
-  compiled ->
-  Costar_grammar.Token_buf.t ->
-  string ->
-  (Costar_grammar.Token_buf.t, error) result
 
 exception Lex_err of error

@@ -71,46 +71,52 @@ let build g =
   match conflicts g with [] -> Ok (build_raw g) | cs -> Error cs
 
 (* The driver mirrors the CoStar machine's merged frames, minus prediction:
-   each frame records the open nonterminal, the reversed subtrees built so
-   far, and the unprocessed symbols. *)
+   each frame records the open nonterminal, the event index where its
+   children start, and the unprocessed symbols.  Finished subtrees go to
+   a postorder event buffer, as in the machine. *)
 type frame = {
   label : nonterminal option;
-  trees_rev : Tree.t list;
+  first : int;
   suf : symbol list;
 }
 
-let parse t w =
+let parse t toks =
   let g = t.g in
   let terms = Grammar.num_terminals g in
+  let w = Word.of_tokens toks in
+  let n = w.Word.len in
+  let events = Tree.Events.create ((2 * n) + 16) in
   let lookup x = function
     | Some a -> (
       match t.cells.((x * terms) + a) with [ ix ] -> Some ix | _ -> None)
     | None -> ( match t.eof.(x) with [ ix ] -> Some ix | _ -> None)
   in
-  let rec go top frames tokens =
+  let rec go top frames pos ev =
     match top.suf with
-    | T a :: suf -> (
-      match tokens with
-      | tok :: rest when tok.Token.term = a ->
-        go { top with trees_rev = Tree.Leaf tok :: top.trees_rev; suf } frames rest
-      | tok :: _ ->
+    | T a :: suf ->
+      if pos < n && Word.kind w pos = a then begin
+        Tree.Events.leaf events ev pos;
+        go { top with suf } frames (pos + 1) (ev + 1)
+      end
+      else if pos < n then
+        let tok = Word.token w pos in
         Error
           (Printf.sprintf "expected '%s' but found '%s' at line %d"
              (Grammar.terminal_name g a)
              (Grammar.terminal_name g tok.Token.term)
              tok.Token.line)
-      | [] ->
+      else
         Error
           (Printf.sprintf "expected '%s' but reached end of input"
-             (Grammar.terminal_name g a)))
+             (Grammar.terminal_name g a))
     | NT x :: suf -> (
-      let la = match tokens with tok :: _ -> Some tok.Token.term | [] -> None in
+      let la = if pos < n then Some (Word.kind w pos) else None in
       match lookup x la with
       | Some ix ->
         go
-          { label = Some x; trees_rev = []; suf = (Grammar.prod g ix).rhs }
+          { label = Some x; first = ev; suf = (Grammar.prod g ix).rhs }
           ({ top with suf } :: frames)
-          tokens
+          pos ev
       | None ->
         Error
           (Printf.sprintf "no table entry for %s on %s"
@@ -121,21 +127,20 @@ let parse t w =
     | [] -> (
       match frames, top.label with
       | caller :: frames', Some x ->
-        let node = Tree.Node (x, List.rev top.trees_rev) in
-        go { caller with trees_rev = node :: caller.trees_rev } frames' tokens
-      | [], None -> (
-        match tokens, top.trees_rev with
-        | [], [ v ] -> Ok v
-        | tok :: _, _ ->
+        Tree.Events.node events ev x ~first:top.first;
+        go caller frames' pos (ev + 1)
+      | [], None ->
+        if pos < n then
+          let tok = Word.token w pos in
           Error
             (Printf.sprintf "input remains at line %d: '%s'" tok.Token.line
                tok.Token.lexeme)
-        | [], _ -> Error "malformed final state")
+        else if ev > 0 && Tree.Events.size events (ev - 1) = ev then
+          Ok (Tree.Events.seal events w ev)
+        else Error "malformed final state"
       | _ -> Error "malformed stack")
   in
-  go
-    { label = None; trees_rev = []; suf = [ NT (Grammar.start g) ] }
-    [] w
+  go { label = None; first = 0; suf = [ NT (Grammar.start g) ] } [] 0 0
 
 let parse_with g w =
   match build g with

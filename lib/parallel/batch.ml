@@ -290,7 +290,15 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     Unix.close work_r;
     Array.iter (fun (_, wfd) -> Unix.close wfd) res_pipes;
     let reported = Array.make n false in
-    let alive = Array.map (fun _ -> true) pids in
+    (* The result pipes still open.  The list changes only when a worker
+       exits, so the select loop below allocates per round only what
+       [Unix.select] returns: the parent's allocation then stays a small
+       constant per 64 KB read, however large the results. *)
+    let live = ref (Array.to_list (Array.map fst res_pipes)) in
+    let worker_of fd =
+      let rec go w = if fst res_pipes.(w) = fd then w else go (w + 1) in
+      go 0
+    in
     let open_fds = ref workers in
     let inboxes = Array.init workers (fun _ -> inbox_create ()) in
     let next = ref 0 in
@@ -327,30 +335,19 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     in
     let idx_bytes = Bytes.create 4 in
     while !open_fds > 0 do
-      let rfds =
-        Array.to_list
-          (Array.of_seq
-             (Seq.filter_map
-                (fun w -> if alive.(w) then Some (fst res_pipes.(w)) else None)
-                (Seq.init workers Fun.id)))
-      in
       let wfds = if !work_open && !next < n then [ work_w ] else [] in
-      match Unix.select rfds wfds [] (-1.0) with
+      match Unix.select !live wfds [] (-1.0) with
       | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
       | readable, writable, _ ->
         List.iter
           (fun fd ->
-            let w = ref 0 in
-            Array.iteri
-              (fun w' (r, _) -> if r == fd || r = fd then w := w')
-              res_pipes;
-            let w = !w in
+            let w = worker_of fd in
             let ib = inboxes.(w) in
             inbox_reserve ib;
             match Unix.read fd ib.buf ib.wr read_size with
             | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
             | 0 ->
-              alive.(w) <- false;
+              live := List.filter (fun fd' -> fd' <> fd) !live;
               decr open_fds;
               (try Unix.close fd with Unix.Unix_error _ -> ())
             | k ->

@@ -132,16 +132,16 @@ let code_of_reason = function
   | M.Fail_eof _ -> "P002"
   | M.Fail_no_alt _ -> "P003"
 
-let diag_of_failure t ~file (st : M.state) (f : M.failure) repair =
+let diag_of_failure t ~file (w : Word.t) (f : M.failure) repair =
   let g = P.grammar t in
   let span =
     match f.M.reason with
-    | M.Fail_eof _ -> span_of_range st.M.word st.M.word.Word.len 0
+    | M.Fail_eof _ -> span_of_range w w.Word.len 0
     | M.Fail_mismatch { pos; _ } | M.Fail_trailing { pos } ->
-      span_of_range st.M.word pos 1
+      span_of_range w pos 1
     | M.Fail_no_alt { pos; _ } ->
-      if pos >= st.M.word.Word.len then span_of_range st.M.word pos 0
-      else span_of_range st.M.word pos 1
+      if pos >= w.Word.len then span_of_range w pos 0
+      else span_of_range w pos 1
   in
   let notes =
     (match f.M.reason with
@@ -172,79 +172,62 @@ let lex_diag ?file msg =
 
 (* --- State surgery ------------------------------------------------------ *)
 
+(* Every repair appends events at the state's [ev], as a machine step
+   does, so a repair tried from a shared state and then discarded leaves
+   nothing behind that the next attempt does not overwrite. *)
+
 (* A synthesized terminal: the machine would have consumed [T a]; instead
    an empty [Error] marker stands in for the missing token.  No input is
    consumed and no frame moves, so the visited set — derived from the
    frames' push positions — keeps protecting the non-consuming segment. *)
-let apply_insert (st : M.state) a =
+let apply_insert (ctx : M.ctx) (st : M.state) a =
   match st.M.top.M.suf with
   | T a' :: suf when a' = a ->
-    {
-      st with
-      M.top =
-        {
-          st.M.top with
-          M.trees_rev = Tree.Error (Some (T a), []) :: st.M.top.M.trees_rev;
-          M.suf = suf;
-        };
-    }
+    Tree.Events.error ctx.M.events st.M.ev (Some (T a)) ~first:st.M.ev;
+    { st with M.top = { st.M.top with M.suf = suf }; M.ev = st.M.ev + 1 }
   | _ -> invalid_arg "Recover.apply_insert: head of suffix is not the terminal"
 
 (* Drop the undrivable head symbol (a nonterminal prediction gave up on):
    an empty [Error] marker records the hole. *)
-let apply_drop (st : M.state) =
+let apply_drop (ctx : M.ctx) (st : M.state) =
   match st.M.top.M.suf with
   | s :: suf ->
-    {
-      st with
-      M.top =
-        {
-          st.M.top with
-          M.trees_rev = Tree.Error (Some s, []) :: st.M.top.M.trees_rev;
-          M.suf = suf;
-        };
-    }
+    Tree.Events.error ctx.M.events st.M.ev (Some s) ~first:st.M.ev;
+    { st with M.top = { st.M.top with M.suf = suf }; M.ev = st.M.ev + 1 }
   | [] -> invalid_arg "Recover.apply_drop: empty suffix"
 
 (* Skip [n >= 1] input tokens into one [Error (None, leaves)] wrapper.
    Consuming input empties the visited set, exactly like a machine consume:
    every frame now starts before the new position. *)
-let apply_skip (st : M.state) n =
-  let leaves =
-    List.init n (fun k -> Tree.Leaf (Word.token st.M.word (st.M.pos + k)))
-  in
-  {
-    st with
-    M.top =
-      { st.M.top with M.trees_rev = Tree.Error (None, leaves) :: st.M.top.M.trees_rev };
-    M.pos = st.M.pos + n;
-  }
+let apply_skip (ctx : M.ctx) (st : M.state) n =
+  let ev = ctx.M.events in
+  for k = 0 to n - 1 do
+    Tree.Events.leaf ev (st.M.ev + k) (st.M.pos + k)
+  done;
+  Tree.Events.error ev (st.M.ev + n) None ~first:st.M.ev;
+  { st with M.pos = st.M.pos + n; M.ev = st.M.ev + n + 1 }
 
 (* Pop [d] frames, closing each as an [Error (Some (NT x), partial kids)]
    node in its caller — the recovery analogue of the machine's return
    operation (popping the frame also takes its label out of the visited
    set). *)
-let rec apply_pops (st : M.state) d =
+let rec apply_pops (ctx : M.ctx) (st : M.state) d =
   if d = 0 then st
   else
     match st.M.frames, st.M.top.M.label with
     | ({ M.suf = _ :: suf; _ } as caller) :: frames, Some x ->
-      let node = Tree.Error (Some (NT x), List.rev st.M.top.M.trees_rev) in
-      apply_pops
-        {
-          st with
-          M.top =
-            { caller with M.trees_rev = node :: caller.M.trees_rev; M.suf };
-          M.frames;
-        }
+      Tree.Events.error ctx.M.events st.M.ev (Some (NT x))
+        ~first:st.M.top.M.first;
+      apply_pops ctx
+        { st with M.top = { caller with M.suf }; M.frames; M.ev = st.M.ev + 1 }
         (d - 1)
     | _ -> invalid_arg "Recover.apply_pops: cannot pop the bottom frame"
 
 (* Unwind everything: close every open frame and drop the unprocessed
    suffix of the bottom frame.  After this the stack is empty and the
    driver's finalizer runs. *)
-let apply_unwind (st : M.state) =
-  let st = apply_pops st (List.length st.M.frames) in
+let apply_unwind ctx (st : M.state) =
+  let st = apply_pops ctx st (List.length st.M.frames) in
   { st with M.top = { st.M.top with M.suf = [] } }
 
 (* --- Progress trials ---------------------------------------------------- *)
@@ -255,16 +238,16 @@ let apply_unwind (st : M.state) =
    machine performs at most |stack| returns and |nonterminals| pushes
    (the visited guard), so the budget below covers every genuine
    success; rejects, errors, and budget exhaustion fail the trial. *)
-let trial env (st0 : M.state) =
+let trial env ctx (st0 : M.state) =
   let g = env.M.g in
   let budget = M.height st0 + (2 * Grammar.num_nonterminals g) + 8 in
   let pos0 = st0.M.pos in
   let rec go st n =
     if st.M.pos > pos0 then true
     else
-      match M.step env st with
+      match M.step env ctx st with
       | M.Step_cont st' -> n > 0 && go st' (n - 1)
-      | M.Step_halt -> st.M.pos >= st.M.word.Word.len
+      | M.Step_halt -> st.M.pos >= ctx.M.word.Word.len
       | M.Step_reject _ | M.Step_error _ -> false
   in
   go st0 budget
@@ -293,9 +276,9 @@ let resume_sets t (st : M.state) =
    [pos + s] is in the resume set of depth [d].  (0, 0) is excluded —
    it is the configuration that just failed.  [None] means no token
    resynchronizes: skip to end of input and unwind. *)
-let find_resync (r : Bitset.t array) (st : M.state) =
-  let kinds = st.M.word.Word.kinds in
-  let len = st.M.word.Word.len in
+let find_resync (r : Bitset.t array) (w : Word.t) (st : M.state) =
+  let kinds = w.Word.kinds in
+  let len = w.Word.len in
   let n = Array.length r in
   let find_d a min_d =
     let rec go d = if d >= n then None else if Bitset.mem r.(d) a then Some d else go (d + 1) in
@@ -313,7 +296,7 @@ let find_resync (r : Bitset.t array) (st : M.state) =
 
 (* --- The driver --------------------------------------------------------- *)
 
-(* Recovery runs the parser's own loop ({!P.multistep}): clean stretches of
+(* Recovery runs the parser's own loop ({!M.multistep}): clean stretches of
    input are the very machine steps a plain parse takes.  A reject is
    repaired and the loop resumed from the repaired state; an empty stack is
    closed out by the machine's finish rule, made total — input left over
@@ -325,6 +308,8 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
   let g = P.grammar t in
   let start = Grammar.start g in
   let cache = match cache with Some c -> c | None -> P.base_cache t in
+  let ctx = M.context env ~cache word in
+  let len = word.Word.len in
   let events = ref [] in
   let emit diag repair ~at ~consumed =
     events := { diag; repair; at; consumed } :: !events
@@ -334,8 +319,8 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
      strictly decrease the measure of the state before it.  [transition]
      names what produced the next state, for the failure message. *)
   let last_meas = ref None and transition = ref "machine step" in
-  let check st =
-    let m1 = Measure.meas g st in
+  let check ctx st =
+    let m1 = Measure.meas g ctx st in
     (match !last_meas with
     | Some m0 when Measure.compare m1 m0 >= 0 ->
       failwith
@@ -350,89 +335,95 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
     if not verify_measure then inspect
     else
       Some
-        (fun st ->
-          check st;
-          match inspect with Some f -> f st | None -> ())
+        (fun ctx st ->
+          check ctx st;
+          match inspect with Some f -> f ctx st | None -> ())
   in
   let outcome verdict = { verdict; events = List.rev !events } in
   let rec drive st n_errors =
-    match P.multistep ?inspect env st with
-    | P.Halted st -> (
-      match M.finish env st with
+    match M.multistep ?inspect env ctx st with
+    | M.Halted st -> (
+      match M.finish env ctx st with
       | M.Final_accept v ->
         outcome (if st.M.unique then Recovered v else Recovered_ambig v)
       | M.Final_trailing f -> drive (recover st f n_errors) (n_errors + 1)
       | M.Final_malformed ->
-        let tree = Tree.Error (Some (NT start), List.rev st.M.top.M.trees_rev) in
+        (* Wrap the bottom frame's trees in a root error node. *)
+        Tree.Events.error ctx.M.events st.M.ev (Some (NT start))
+          ~first:st.M.top.M.first;
+        let tree = Tree.Events.seal ctx.M.events word (st.M.ev + 1) in
         outcome (if st.M.unique then Recovered tree else Recovered_ambig tree))
-    | P.Rejected (st, f) -> drive (recover st f n_errors) (n_errors + 1)
-    | P.Failed e -> outcome (Fatal e)
+    | M.Rejected (st, f) -> drive (recover st f n_errors) (n_errors + 1)
+    | M.Failed e -> outcome (Fatal e)
   (* One failure, one repair.  Every branch returns a state whose measure
      strictly decreased (checked when the loop resumes from it). *)
   and recover (st : M.state) (f : M.failure) n_errors =
     let commit what repair ~consumed st' =
-      emit (diag_of_failure t ~file st f repair) repair
+      emit (diag_of_failure t ~file word f repair) repair
         ~at:
           (match f.M.reason with
           | M.Fail_mismatch { pos; _ }
           | M.Fail_no_alt { pos; _ }
           | M.Fail_trailing { pos } ->
             pos
-          | M.Fail_eof _ -> st.M.word.Word.len)
+          | M.Fail_eof _ -> len)
         ~consumed;
       transition := what;
       st'
     in
     let panic () =
       let r = resume_sets t st in
-      match find_resync r st with
+      match find_resync r word st with
       | Some (s, d) ->
-        let st' = apply_pops st d in
-        let st' = if s > 0 then apply_skip st' s else st' in
+        let st' = apply_pops ctx st d in
+        let st' = if s > 0 then apply_skip ctx st' s else st' in
         commit "panic resync" (Skipped { tokens = s; popped = d }) ~consumed:s
           st'
       | None ->
         (* No resynchronization point: consume everything and close. *)
-        let remaining = st.M.word.Word.len - st.M.pos in
+        let remaining = len - st.M.pos in
         let popped = List.length st.M.frames in
-        let st' = if remaining > 0 then apply_skip st remaining else st in
-        let st' = apply_unwind st' in
+        let st' = if remaining > 0 then apply_skip ctx st remaining else st in
+        let st' = apply_unwind ctx st' in
         if remaining > 0 then
           commit "skip-to-eof" (Skipped { tokens = remaining; popped })
             ~consumed:remaining st'
         else commit "unwind" (Closed { popped }) ~consumed:0 st'
     in
     if n_errors >= max_errors then begin
-      let remaining = st.M.word.Word.len - st.M.pos in
+      let remaining = len - st.M.pos in
       let popped = List.length st.M.frames in
-      let st' = if remaining > 0 then apply_skip st remaining else st in
-      let st' = apply_unwind st' in
+      let st' = if remaining > 0 then apply_skip ctx st remaining else st in
+      let st' = apply_unwind ctx st' in
       commit "give-up" (Gave_up { tokens = remaining; popped })
         ~consumed:remaining st'
     end
     else
       match f.M.reason with
       | M.Fail_mismatch { expected; _ } ->
-        let inserted = apply_insert st expected in
-        if trial env inserted then
+        let inserted = apply_insert ctx st expected in
+        if trial env ctx inserted then
           commit "insertion" (Inserted expected) ~consumed:0 inserted
         else
-          let deleted = apply_skip st 1 in
-          if trial env deleted then commit "deletion" Deleted ~consumed:1 deleted
+          let deleted = apply_skip ctx st 1 in
+          if trial env ctx deleted then
+            commit "deletion" Deleted ~consumed:1 deleted
           else panic ()
       | M.Fail_no_alt _ ->
-        if st.M.pos >= st.M.word.Word.len then begin
+        if st.M.pos >= len then begin
           (* Prediction starved at end of input: closing the stack is the
              only move. *)
           let popped = List.length st.M.frames in
-          commit "eof unwind" (Closed { popped }) ~consumed:0 (apply_unwind st)
+          commit "eof unwind" (Closed { popped }) ~consumed:0
+            (apply_unwind ctx st)
         end
         else begin
-          let deleted = apply_skip st 1 in
-          if trial env deleted then commit "deletion" Deleted ~consumed:1 deleted
+          let deleted = apply_skip ctx st 1 in
+          if trial env ctx deleted then
+            commit "deletion" Deleted ~consumed:1 deleted
           else
-            let dropped = apply_drop st in
-            if trial env dropped then
+            let dropped = apply_drop ctx st in
+            if trial env ctx dropped then
               commit "symbol drop"
                 (Dropped (List.hd st.M.top.M.suf))
                 ~consumed:0 dropped
@@ -440,12 +431,13 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
         end
       | M.Fail_eof _ ->
         let popped = List.length st.M.frames in
-        commit "eof unwind" (Closed { popped }) ~consumed:0 (apply_unwind st)
+        commit "eof unwind" (Closed { popped }) ~consumed:0
+          (apply_unwind ctx st)
       | M.Fail_trailing _ ->
         (* Input left over at an empty stack: skip it; the finish rule then
            closes the tree around the skipped tokens. *)
-        let remaining = st.M.word.Word.len - st.M.pos in
+        let remaining = len - st.M.pos in
         commit "trailing-input skip" (Skipped { tokens = remaining; popped = 0 })
-          ~consumed:remaining (apply_skip st remaining)
+          ~consumed:remaining (apply_skip ctx st remaining)
   in
-  drive (M.init_word env ~cache word) 0
+  drive (M.initial env) 0

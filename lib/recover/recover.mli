@@ -1,7 +1,7 @@
 (** Multi-error recovery over the interned machine (ROADMAP item 2).
 
     The engine runs the parser's own loop,
-    {!Costar_core.Parser.multistep}; as long as no step rejects, a
+    {!Costar_core.Machine.multistep}; as long as no step rejects, a
     recovering run and a plain one visit the same states, so on
     well-formed input recovery
     produces a bit-identical tree and an identical DFA-cache evolution
@@ -96,7 +96,7 @@ val run_word :
   ?max_errors:int ->
   ?verify_measure:bool ->
   ?cache:Costar_core.Cache.t ->
-  ?inspect:(Costar_core.Machine.state -> unit) ->
+  ?inspect:(Costar_core.Machine.ctx -> Costar_core.Machine.state -> unit) ->
   t ->
   Word.t ->
   outcome

@@ -44,7 +44,7 @@ let cache_states t = Core.Cache.num_states t.cache
 
 type frame = {
   label : nonterminal;  (* -1 for the bottom frame *)
-  trees_rev : Tree.t list;
+  first : int;  (* event index where the frame's children start *)
   suf : symbol list;
 }
 
@@ -71,6 +71,7 @@ let parse t token_list =
   let w = Word.of_tokens token_list in
   let n = w.len in
   let g = t.g in
+  let events = Tree.Events.create ((2 * n) + 16) in
   let reject_at pos msg =
     Core.Parser.Reject
       (if pos < n then
@@ -79,13 +80,13 @@ let parse t token_list =
            tok.Token.col
        else msg ^ " at end of input")
   in
-  let rec go top frames pos visited unique =
+  let rec go top frames pos ev visited unique =
     match top.suf with
     | T a :: suf ->
-      if pos < n && Word.kind w pos = a then
-        go
-          { top with trees_rev = Tree.Leaf (Word.token w pos) :: top.trees_rev; suf }
-          frames (pos + 1) Int_set.empty unique
+      if pos < n && Word.kind w pos = a then begin
+        Tree.Events.leaf events ev pos;
+        go { top with suf } frames (pos + 1) (ev + 1) Int_set.empty unique
+      end
       else
         reject_at pos
           (Printf.sprintf "expected '%s'" (Grammar.terminal_name g a))
@@ -96,14 +97,14 @@ let parse t token_list =
         match predict t w pos x suf frames with
         | Core.Types.Unique_pred ix ->
           go
-            { label = x; trees_rev = []; suf = (Grammar.prod g ix).Grammar.rhs }
+            { label = x; first = ev; suf = (Grammar.prod g ix).Grammar.rhs }
             ({ top with suf } :: frames)
-            pos (Int_set.add x visited) unique
+            pos ev (Int_set.add x visited) unique
         | Core.Types.Ambig_pred ix ->
           go
-            { label = x; trees_rev = []; suf = (Grammar.prod g ix).Grammar.rhs }
+            { label = x; first = ev; suf = (Grammar.prod g ix).Grammar.rhs }
             ({ top with suf } :: frames)
-            pos (Int_set.add x visited) false
+            pos ev (Int_set.add x visited) false
         | Core.Types.Reject_pred ->
           reject_at pos
             (Printf.sprintf "no viable alternative for %s"
@@ -113,22 +114,19 @@ let parse t token_list =
     | [] -> (
       match frames with
       | caller :: frames' ->
-        let node = Tree.Node (top.label, List.rev top.trees_rev) in
-        go
-          { caller with trees_rev = node :: caller.trees_rev }
-          frames' pos
+        Tree.Events.node events ev top.label ~first:top.first;
+        go caller frames' pos (ev + 1)
           (Int_set.remove top.label visited)
           unique
-      | [] -> (
+      | [] ->
         if pos < n then reject_at pos "parse finished with input remaining"
+        else if ev > 0 && Tree.Events.size events (ev - 1) = ev then
+          let v = Tree.Events.seal events w ev in
+          if unique then Core.Parser.Unique v else Core.Parser.Ambig v
         else
-          match top.trees_rev with
-          | [ v ] ->
-            if unique then Core.Parser.Unique v else Core.Parser.Ambig v
-          | _ ->
-            Core.Parser.Error
-              (Core.Types.Invalid_state "malformed final configuration")))
+          Core.Parser.Error
+            (Core.Types.Invalid_state "malformed final configuration"))
   in
   go
-    { label = -1; trees_rev = []; suf = [ NT (Grammar.start g) ] }
-    [] 0 Int_set.empty true
+    { label = -1; first = 0; suf = [ NT (Grammar.start g) ] }
+    [] 0 0 Int_set.empty true

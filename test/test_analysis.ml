@@ -118,9 +118,9 @@ let test_measure_on_corpus () =
   let steps = ref 0 in
   (match
      Util.run p
-       ~inspect:(fun st ->
+       ~inspect:(fun ctx st ->
          incr steps;
-         let m = Costar_core.Measure.meas mg st in
+         let m = Costar_core.Measure.meas mg ctx st in
          (match !prev with
          | Some m' -> ok := !ok && Costar_core.Measure.compare m m' < 0
          | None -> ());

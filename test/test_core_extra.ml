@@ -21,6 +21,42 @@ let test_deep_input () =
     check_int "yield length" n (List.length (Tree.yield v))
   | r -> Alcotest.failf "expected Unique, got %a" (Parser.pp_result list_grammar) r
 
+(* Tree walks run on explicit stacks: json nested 200 000 deep is walked
+   by every traversal without Stack_overflow, and rendering it costs
+   about as many minor words per node as rendering a flat array of the
+   same length. *)
+let test_deep_tree_walks () =
+  let n = 200_000 in
+  let lang = Costar_langs.Json.lang in
+  let p = Parser.make (Costar_langs.Lang.grammar lang) in
+  let g = Parser.grammar p in
+  let parse text =
+    match Costar_langs.Lang.tokenize_buf lang text with
+    | Error msg -> Alcotest.failf "json does not lex: %s" msg
+    | Ok buf -> (
+      match Parser.run_word p (Word.of_buf buf) with
+      | Parser.Unique v -> v
+      | r -> Alcotest.failf "expected Unique, got %a" (Parser.pp_result g) r)
+  in
+  let deep_text = String.make n '[' ^ String.make n ']' in
+  let deep = parse deep_text in
+  let flat = parse ("[" ^ String.concat "," (List.init n (fun _ -> "0")) ^ "]") in
+  check_int "yield" (2 * n) (List.length (Tree.yield deep));
+  check "depth grows with nesting" true (Tree.depth deep > n);
+  check_int "compare to a reparse" 0 (Tree.compare deep (parse deep_text));
+  check "deep <> flat" true (Tree.compare deep flat <> 0);
+  check "dot" true (String.length (Tree.to_dot g deep) > n);
+  let pp_words_per_node v =
+    (* Format lays the output out in full; only the bytes are dropped. *)
+    let ppf = Format.make_formatter (fun _ _ _ -> ()) ignore in
+    let w0 = Gc.minor_words () in
+    Format.fprintf ppf "%a@." (Tree.pp g) v;
+    (Gc.minor_words () -. w0) /. float_of_int (Tree.size v)
+  in
+  let d = pp_words_per_node deep and f = pp_words_per_node flat in
+  if d > 1.5 *. f then
+    Alcotest.failf "Tree.pp: %.1f minor words/node deep vs %.1f flat" d f
+
 let test_reject_position () =
   let g =
     Grammar.define ~start:"S"
@@ -125,8 +161,14 @@ let test_wide_alternation () =
   List.iter
     (fun name ->
       match Parser.parse g (Grammar.tokens g [ name; "end" ]) with
-      | Parser.Unique (Tree.Node (_, [ Tree.Leaf tok; _ ])) ->
-        Alcotest.(check string) "right branch" name (Token.lexeme tok)
+      | Parser.Unique v -> (
+        match Tree.view v with
+        | Tree.Node (_, [ first; _ ]) -> (
+          match Tree.view first with
+          | Tree.Leaf tok ->
+            Alcotest.(check string) "right branch" name (Token.lexeme tok)
+          | _ -> Alcotest.failf "%s: first child is not a leaf" name)
+        | _ -> Alcotest.failf "%s: unexpected tree shape" name)
       | r -> Alcotest.failf "%s: unexpected %a" name (Parser.pp_result g) r)
     names
 
@@ -148,16 +190,17 @@ let test_long_lookahead_decision () =
 let test_machine_accessors () =
   let p = Parser.make list_grammar in
   let env = Parser.env p in
-  let st =
-    Machine.init_word env (Word.of_tokens (Grammar.tokens list_grammar [ "x" ]))
+  let ctx =
+    Machine.context env (Word.of_tokens (Grammar.tokens list_grammar [ "x" ]))
   in
+  let st = Machine.initial env in
   check_int "initial height" 1 (Machine.height st);
   check_int "initial conts" 1 (List.length (Machine.conts st));
-  check "initial state well-formed" true (Machine.stacks_wf env st);
-  match Machine.step env st with
+  check "initial state well-formed" true (Machine.stacks_wf env ctx st);
+  match Machine.step env ctx st with
   | Machine.Step_cont st' ->
     check_int "after push" 2 (Machine.height st');
-    check "still well-formed" true (Machine.stacks_wf env st')
+    check "still well-formed" true (Machine.stacks_wf env ctx st')
   | _ -> Alcotest.fail "expected Step_cont"
 
 let test_all_rhs_orders_respected () =
@@ -181,8 +224,13 @@ let test_all_rhs_orders_respected () =
   in
   let top g =
     match Parser.parse g (Grammar.tokens g [ "a" ]) with
-    | Parser.Ambig (Tree.Node (_, [ Tree.Node (x, _) ])) ->
-      Grammar.nonterminal_name g x
+    | Parser.Ambig v as r -> (
+      match Tree.view v with
+      | Tree.Node (_, [ kid ]) -> (
+        match Tree.view kid with
+        | Tree.Node (x, _) -> Grammar.nonterminal_name g x
+        | _ -> Alcotest.failf "unexpected %a" (Parser.pp_result g) r)
+      | _ -> Alcotest.failf "unexpected %a" (Parser.pp_result g) r)
     | r -> Alcotest.failf "unexpected %a" (Parser.pp_result g) r
   in
   Alcotest.(check string) "first alternative (X first)" "X" (top g1);
@@ -238,6 +286,7 @@ let test_null_ambiguity () =
 let suite =
   [
     Alcotest.test_case "30k-token input" `Quick test_deep_input;
+    Alcotest.test_case "200k-deep tree walks" `Quick test_deep_tree_walks;
     Alcotest.test_case "reject carries position" `Quick test_reject_position;
     Alcotest.test_case "leftover input rejected" `Quick
       test_leftover_input_rejected;

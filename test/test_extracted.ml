@@ -9,7 +9,8 @@ module E = Costar_extracted.Extracted
 let check = Alcotest.(check bool)
 
 (* Convert a core tree to the extracted representation for comparison. *)
-let rec convert g = function
+let rec convert g v =
+  match Tree.view v with
   | Tree.Leaf tok ->
     E.Leaf (Grammar.terminal_name g tok.Token.term, tok.Token.lexeme)
   | Tree.Node (x, kids) ->

@@ -190,15 +190,12 @@ let test_witness_kinds () =
 let test_tree_ops () =
   let tok name = Grammar.token g1 name name in
   let v =
-    Tree.Node
-      ( nt g1 "S",
-        [
-          Tree.Node
-            ( nt g1 "A",
-              [ Tree.Leaf (tok "a"); Tree.Node (nt g1 "A", [ Tree.Leaf (tok "b") ]) ]
-            );
-          Tree.Leaf (tok "d");
-        ] )
+    Tree.node (nt g1 "S")
+      [
+        Tree.node (nt g1 "A")
+          [ Tree.leaf (tok "a"); Tree.node (nt g1 "A") [ Tree.leaf (tok "b") ] ];
+        Tree.leaf (tok "d");
+      ]
   in
   check_int "size" 6 (Tree.size v);
   check_int "depth" 4 (Tree.depth v);
@@ -209,7 +206,7 @@ let test_tree_ops () =
     (List.map Token.lexeme y);
   check "derives" true (Derivation.recognizes_start g1 y v);
   (* Perturbed tree must fail the checker. *)
-  let bad = Tree.Node (nt g1 "S", [ Tree.Leaf (tok "d") ]) in
+  let bad = Tree.node (nt g1 "S") [ Tree.leaf (tok "d") ] in
   check "bad tree rejected" false
     (Derivation.recognizes_start g1 [ tok "d" ] bad);
   (* DOT export mentions every label *)
@@ -220,6 +217,143 @@ let test_tree_ops () =
   in
   let dot = Tree.to_dot g1 v in
   check "dot has S" true (contains dot "\"S\"")
+
+(* The flat walks against recursive reference versions over [Tree.view]
+   (the boxed-tree definitions), on random trees over [g1] that mix nodes,
+   leaves and every kind of error marker. *)
+module Naive = struct
+  let kids v =
+    match Tree.view v with
+    | Tree.Leaf _ -> []
+    | Tree.Node (_, k) | Tree.Error (_, k) -> k
+
+  let rec size v = List.fold_left (fun a k -> a + size k) 1 (kids v)
+
+  let rec depth v = 1 + List.fold_left (fun a k -> max a (depth k)) 0 (kids v)
+
+  let rec yield v =
+    match Tree.view v with
+    | Tree.Leaf tok -> [ tok ]
+    | _ -> List.concat_map yield (kids v)
+
+  let rank v =
+    match Tree.view v with Tree.Leaf _ -> 0 | Tree.Node _ -> 1 | Tree.Error _ -> 2
+
+  let rec compare v1 v2 =
+    match Tree.view v1, Tree.view v2 with
+    | Tree.Leaf t1, Tree.Leaf t2 ->
+      let c = Int.compare t1.Token.term t2.Token.term in
+      if c <> 0 then c else String.compare t1.Token.lexeme t2.Token.lexeme
+    | Tree.Node (x1, k1), Tree.Node (x2, k2) ->
+      let c = Int.compare x1 x2 in
+      if c <> 0 then c else List.compare compare k1 k2
+    | Tree.Error (s1, k1), Tree.Error (s2, k2) ->
+      let c = Option.compare compare_symbol s1 s2 in
+      if c <> 0 then c else List.compare compare k1 k2
+    | _ -> Int.compare (rank v1) (rank v2)
+
+  let rec pp g ppf v =
+    match Tree.view v with
+    | Tree.Leaf tok -> Format.fprintf ppf "'%s'" tok.Token.lexeme
+    | Tree.Node (x, k) -> node g ppf (Grammar.nonterminal_name g x) k
+    | Tree.Error (None, k) -> node g ppf "ERROR" k
+    | Tree.Error (Some s, k) -> node g ppf ("ERROR:" ^ Grammar.symbol_name g s) k
+
+  and node g ppf label k =
+    Format.fprintf ppf "@[<hov 1>(%s%a)@]" label
+      (fun ppf -> List.iter (fun v -> Format.fprintf ppf "@ %a" (pp g) v))
+      k
+
+  let to_dot g v =
+    let buf = Buffer.create 256 in
+    Buffer.add_string buf "digraph parse_tree {\n  node [shape=box];\n";
+    let ctr = ref 0 in
+    let escape s = String.concat "\\\"" (String.split_on_char '"' s) in
+    let rec go v =
+      incr ctr;
+      let id = !ctr in
+      let node label attrs =
+        Buffer.add_string buf
+          (Printf.sprintf "  n%d [label=\"%s\"%s];\n" id (escape label) attrs)
+      in
+      (match Tree.view v with
+      | Tree.Leaf tok -> node tok.Token.lexeme ", shape=ellipse"
+      | Tree.Node (x, _) -> node (Grammar.nonterminal_name g x) ""
+      | Tree.Error (at, _) ->
+        node
+          (match at with
+          | None -> "ERROR"
+          | Some s -> "ERROR: " ^ Grammar.symbol_name g s)
+          ", shape=diamond, color=red");
+      List.iter
+        (fun k ->
+          let kid = go k in
+          Buffer.add_string buf (Printf.sprintf "  n%d -> n%d;\n" id kid))
+        (kids v);
+      id
+    in
+    ignore (go v);
+    Buffer.add_string buf "}\n";
+    Buffer.contents buf
+
+  (* A copy rebuilt through the constructors. *)
+  let rec copy v =
+    match Tree.view v with
+    | Tree.Leaf tok -> Tree.leaf tok
+    | Tree.Node (x, k) -> Tree.node x (List.map copy k)
+    | Tree.Error (s, k) -> Tree.error s (List.map copy k)
+end
+
+let gen_tree =
+  let open QCheck.Gen in
+  let n_nts = Grammar.num_nonterminals g1 and n_terms = Grammar.num_terminals g1 in
+  let leaf =
+    map2
+      (fun a l -> Tree.leaf (Token.make a l))
+      (int_bound (n_terms - 1))
+      (oneofl [ "a"; "b"; "x\"y" ])
+  in
+  let marker =
+    oneof
+      [
+        return None;
+        map (fun a -> Some (T a)) (int_bound (n_terms - 1));
+        map (fun x -> Some (NT x)) (int_bound (n_nts - 1));
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then leaf
+         else
+           frequency
+             [
+               (1, leaf);
+               ( 4,
+                 int_bound 3 >>= fun k ->
+                 list_repeat k (self (n / (k + 1))) >>= fun kids ->
+                 frequency
+                   [
+                     (3, map (fun x -> Tree.node x kids) (int_bound (n_nts - 1)));
+                     (1, map (fun s -> Tree.error s kids) marker);
+                   ] );
+             ])
+
+let prop_flat_walks =
+  QCheck.Test.make ~count:500 ~name:"flat tree walks = recursive reference"
+    (QCheck.make
+       ~print:(fun (v, _) -> Tree.to_string g1 v)
+       QCheck.Gen.(pair gen_tree gen_tree))
+    (fun (v, w) ->
+      let sign c = Int.compare c 0 in
+      Tree.size v = Naive.size v
+      && Tree.depth v = Naive.depth v
+      && Tree.width v = List.length (Naive.yield v)
+      && List.equal Token.equal (Tree.yield v) (Naive.yield v)
+      && String.equal (Tree.to_string g1 v) (Fmt.str "%a" (Naive.pp g1) v)
+      && String.equal (Tree.to_dot g1 v) (Naive.to_dot g1 v)
+      && sign (Tree.compare v w) = sign (Naive.compare v w)
+      && Tree.equal v (Naive.copy v)
+      && Tree.equal v w = (Naive.compare v w = 0))
 
 let test_define_errors () =
   check "duplicate rule rejected" true
@@ -269,6 +403,7 @@ let suite =
     Alcotest.test_case "hidden left recursion" `Quick test_hidden_left_recursion;
     Alcotest.test_case "left-recursion witnesses" `Quick test_witness_kinds;
     Alcotest.test_case "tree operations" `Quick test_tree_ops;
+    QCheck_alcotest.to_alcotest prop_flat_walks;
     Alcotest.test_case "define errors" `Quick test_define_errors;
     Alcotest.test_case "interning pool" `Quick test_pool;
   ]

@@ -56,17 +56,9 @@ let canon_of_cache g c =
     List.sort compare !trans,
     List.sort compare !inits )
 
-let same_result r1 r2 =
-  match r1, r2 with
-  | Parser.Unique t1, Parser.Unique t2 -> Tree.equal t1 t2
-  | Parser.Ambig t1, Parser.Ambig t2 -> Tree.equal t1 t2
-  | Parser.Reject m1, Parser.Reject m2 -> String.equal m1 m2
-  | Parser.Error e1, Parser.Error e2 -> e1 = e2
-  | _ -> false
-
 let same_outcome o1 o2 =
   match o1, o2 with
-  | Ok r1, Ok r2 -> same_result r1 r2
+  | Ok r1, Ok r2 -> Util.same_result ~messages:true r1 r2
   | Error m1, Error m2 -> String.equal m1 m2
   | _ -> false
 

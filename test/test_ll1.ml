@@ -127,7 +127,7 @@ let test_eof_column () =
   | Error _ -> Alcotest.fail "grammar is LL(1)"
   | Ok table ->
     (match Ll1.parse table [] with
-    | Ok (Tree.Node (_, [])) -> ()
+    | Ok v when (match Tree.view v with Tree.Node (_, []) -> true | _ -> false) -> ()
     | _ -> Alcotest.fail "expected empty-word parse");
     (match Ll1.parse table (Grammar.tokens g [ "x"; "x" ]) with
     | Ok v -> check_int "width" 2 (Tree.width v)

@@ -70,7 +70,9 @@ let collect_states g w =
   let p = Parser.make g in
   let states = ref [] in
   let result =
-    Util.run p ~inspect:(fun st -> states := st :: !states) w
+    Util.run p
+      ~inspect:(fun ctx st -> states := Measure.meas g ctx st :: !states)
+      w
   in
   (List.rev !states, result)
 
@@ -84,7 +86,7 @@ let test_fig2_trace_measures () =
      because our machine performs the final S-return and accept check as
      separate configurations). *)
   check_int "state count" 10 (List.length states);
-  let measures = List.map (Measure.meas fig2) states in
+  let measures = states in
   let rec strictly_decreasing = function
     | m1 :: (m2 :: _ as rest) ->
       Measure.compare m2 m1 < 0 && strictly_decreasing rest
@@ -102,7 +104,7 @@ let test_push_decreases_score () =
      score component.  s0 -> s1 is the push of S. *)
   let w = Grammar.tokens fig2 [ "a"; "b"; "d" ] in
   let states, _ = collect_states fig2 w in
-  match List.map (Measure.meas fig2) states with
+  match states with
   | m0 :: m1 :: _ ->
     check_int "tokens constant" m0.Measure.tokens m1.Measure.tokens;
     check "score decreases" true
@@ -114,7 +116,7 @@ let test_return_preserves_score_decreases_height () =
      decreases.  In the Fig. 2 trace, s5 -> s6 is a return. *)
   let w = Grammar.tokens fig2 [ "a"; "b"; "d" ] in
   let states, _ = collect_states fig2 w in
-  let m = List.map (Measure.meas fig2) states in
+  let m = states in
   let m5 = List.nth m 5 and m6 = List.nth m 6 in
   check_int "tokens constant" m5.Measure.tokens m6.Measure.tokens;
   check "score non-increasing" true
@@ -141,7 +143,7 @@ let prop_cursor_measure_decreases =
       | Ok () ->
         let w = Grammar.tokens g names in
         let states, _ = collect_states g w in
-        let measures = List.map (Measure.meas g) states in
+        let measures = states in
         strictly_decreasing measures)
 
 let test_epsilon_grammar_base_clamped () =

@@ -29,21 +29,13 @@ let domain_counts =
         | _ -> failwith ("COSTAR_TEST_DOMAINS: bad count " ^ x))
       (String.split_on_char ',' s)
 
-let same_result r1 r2 =
-  match r1, r2 with
-  | Parser.Unique t1, Parser.Unique t2 -> Tree.equal t1 t2
-  | Parser.Ambig t1, Parser.Ambig t2 -> Tree.equal t1 t2
-  | Parser.Reject m1, Parser.Reject m2 -> String.equal m1 m2
-  | Parser.Error e1, Parser.Error e2 -> e1 = e2
-  | _ -> false
-
 let pp_outcome g ppf = function
   | Ok r -> Parser.pp_result g ppf r
   | Error msg -> Fmt.pf ppf "Lex_error (%s)" msg
 
 let same_outcome o1 o2 =
   match o1, o2 with
-  | Ok r1, Ok r2 -> same_result r1 r2
+  | Ok r1, Ok r2 -> Util.same_result ~messages:true r1 r2
   | Error m1, Error m2 -> String.equal m1 m2
   | _ -> false
 
@@ -218,6 +210,40 @@ let test_prefork_over_image () =
    large file's result message (hundreds of kilobytes) must decode intact
    alongside small ones, and the dead worker's file must surface as a typed
    error while every other file still matches sequential parsing. *)
+(* A result crosses the process boundary as plain data: it marshals
+   without [Marshal.Closures], comes back as an equal tree, and its size
+   does not depend on spare capacity in the token buffer or the event
+   buffer, since a tree keeps only the used prefix of each. *)
+let test_result_marshal () =
+  let l = Costar_langs.Json.lang in
+  let p = Parser.make (Costar_langs.Lang.grammar l) in
+  let text = Costar_langs.Lang.generate l ~seed:5 ~size:300 in
+  let parse capacity =
+    let buf = Token_buf.create ~capacity text in
+    Costar_lex.Scanner.scan_into (Lazy.force Costar_langs.Json.compiled) buf text;
+    Parser.run_word p (Word.of_buf buf)
+  in
+  let bytes v = Marshal.to_string v [] in
+  let r = parse 8 in
+  (match (Marshal.from_string (bytes r) 0 : Parser.result), r with
+  | Parser.Unique t', Parser.Unique t ->
+    check "round-trips to an equal tree" true (Tree.equal t t')
+  | _ -> Alcotest.fail "expected a Unique result");
+  check_int "token-buffer capacity adds no bytes" (String.length (bytes r))
+    (String.length (bytes (parse 100_000)));
+  let word = Word.of_tokens [ Token.make 0 "a"; Token.make 0 "b" ] in
+  let tree capacity =
+    let ev = Tree.Events.create capacity in
+    Tree.Events.leaf ev 0 0;
+    Tree.Events.leaf ev 1 1;
+    Tree.Events.node ev 2 0 ~first:0;
+    Tree.Events.seal ev word 3
+  in
+  check "same tree" true (Tree.equal (tree 1) (tree 10_000));
+  check_int "event-buffer capacity adds no bytes"
+    (String.length (bytes (tree 1)))
+    (String.length (bytes (tree 10_000)))
+
 let test_prefork_large_and_crash () =
   let l = Costar_langs.Json.lang in
   let g = Costar_langs.Lang.grammar l in
@@ -464,6 +490,8 @@ let () =
             `Slow test_prefork_differential;
           Alcotest.test_case "prefork over mmapped image = sequential" `Slow
             test_prefork_over_image;
+          Alcotest.test_case "results marshal as plain data" `Quick
+            test_result_marshal;
           Alcotest.test_case "prefork: large results and a crashing worker"
             `Slow test_prefork_large_and_crash;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"

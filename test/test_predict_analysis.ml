@@ -227,27 +227,10 @@ let test_precompiled_parse_warm () =
       let toks = Grammar.tokens g w in
       let r_cold = Util.run p toks in
       let r_warm = Util.run ~cache:pre p toks in
-      let same =
-        match r_cold, r_warm with
-        | Parser.Unique t1, Parser.Unique t2 | Parser.Ambig t1, Parser.Ambig t2
-          ->
-          Tree.equal t1 t2
-        | Parser.Reject _, Parser.Reject _ -> true
-        | Parser.Error e1, Parser.Error e2 -> e1 = e2
-        | _ -> false
-      in
-      check "warm result identical" true same)
+      check "warm result identical" true (Util.same_result r_cold r_warm))
     words
 
 (* Properties on randomized grammars. *)
-
-let parser_result_equal r1 r2 =
-  match r1, r2 with
-  | Parser.Unique t1, Parser.Unique t2 | Parser.Ambig t1, Parser.Ambig t2 ->
-    Tree.equal t1 t2
-  | Parser.Reject _, Parser.Reject _ -> true
-  | Parser.Error e1, Parser.Error e2 -> e1 = e2
-  | _ -> false
 
 (* A decision the analyzer classifies SLL(k) with no conflicts must never
    take the LL fallback at runtime: fallback requires an SLL Ambig verdict,
@@ -325,7 +308,7 @@ let prop_precompiled_cache_transparent =
       let p = Parser.make g in
       let toks = Grammar.tokens g w in
       let pre = (A.analyze ~oracle:false g).A.cache in
-      parser_result_equal (Util.run p toks) (Util.run ~cache:pre p toks))
+      Util.same_result (Util.run p toks) (Util.run ~cache:pre p toks))
 
 let props =
   List.map QCheck_alcotest.to_alcotest

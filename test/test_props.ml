@@ -58,12 +58,14 @@ let prop_measure_decreases =
       let word = toks g w in
       let p = Parser.make g in
       let states = ref [] in
-      let _ = Util.run p ~inspect:(fun st -> states := st :: !states) word in
+      let _ =
+        Util.run p
+          ~inspect:(fun ctx st -> states := Measure.meas g ctx st :: !states)
+          word
+      in
       (* [states] is newest-first; check successive pairs. *)
       let rec ok = function
-        | s2 :: s1 :: rest ->
-          Measure.compare (Measure.meas g s2) (Measure.meas g s1) < 0
-          && ok (s1 :: rest)
+        | m2 :: m1 :: rest -> Measure.compare m2 m1 < 0 && ok (m1 :: rest)
         | _ -> true
       in
       ok !states)
@@ -77,7 +79,8 @@ let prop_stacks_wf =
       let env = Parser.env p in
       let _ =
         Util.run p
-          ~inspect:(fun st -> all_wf := !all_wf && Machine.stacks_wf env st)
+          ~inspect:(fun ctx st ->
+            all_wf := !all_wf && Machine.stacks_wf env ctx st)
           word
       in
       !all_wf)

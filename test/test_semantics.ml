@@ -84,7 +84,7 @@ let test_eval_malformed_tree () =
   let x =
     match Grammar.nonterminal_of_name g "S" with Some x -> x | None -> assert false
   in
-  let bad = Tree.Node (x, [ Tree.Leaf plus ]) in
+  let bad = Tree.node x [ Tree.leaf plus ] in
   match Semantics.eval g sum_actions bad with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an evaluation error"
@@ -96,7 +96,8 @@ let test_eval_agrees_with_manual_fold () =
   match Util.run p w with
   | Parser.Unique v ->
     let manual =
-      let rec go = function
+      let rec go v =
+        match Tree.view v with
         | Tree.Leaf t -> sum_actions.Semantics.on_token t
         | Tree.Node (_, kids) -> List.fold_left (fun a k -> a + go k) 0 kids
         | Tree.Error _ -> Alcotest.fail "plain engine produced an error node"

@@ -8,13 +8,10 @@ module P = Costar_core.Parser
 let check = Alcotest.(check bool)
 
 let same_result g r1 r2 =
-  match r1, r2 with
-  | P.Unique v1, P.Unique v2 | P.Ambig v1, P.Ambig v2 -> Tree.equal v1 v2
-  | P.Reject _, P.Reject _ -> true
-  | P.Error e1, P.Error e2 -> e1 = e2
-  | _ ->
-    Fmt.epr "core: %a@.turbo: %a@." (P.pp_result g) r1 (P.pp_result g) r2;
-    false
+  Util.same_result r1 r2
+  ||
+  (Fmt.epr "core: %a@.turbo: %a@." (P.pp_result g) r1 (P.pp_result g) r2;
+   false)
 
 let test_langs_agree () =
   List.iter

@@ -94,6 +94,18 @@ let arb_grammar_word : (Grammar.t * string list) QCheck.arbitrary =
   in
   QCheck.make ~print:print_case gen
 
+(* Result equality: the same verdict with [Tree.equal] trees.  Reject
+   messages are compared only under [~messages:true].  Results are never
+   compared with polymorphic equality: a tree handle also carries its
+   event buffer and token source, which are not part of the tree. *)
+let same_result ?(messages = false) r1 r2 =
+  let module P = Costar_core.Parser in
+  match r1, r2 with
+  | P.Unique t1, P.Unique t2 | P.Ambig t1, P.Ambig t2 -> Tree.equal t1 t2
+  | P.Reject m1, P.Reject m2 -> (not messages) || String.equal m1 m2
+  | P.Error e1, P.Error e2 -> e1 = e2
+  | _ -> false
+
 (* A token-list run through a prepared parser (the list form of
    [Parser.run_word]). *)
 let run ?cache ?inspect p toks =
@@ -122,7 +134,7 @@ module Shadow = struct
   }
 
   type t = {
-    mutable prev : M.state option;
+    mutable prev : (M.ctx * M.state) option;
     mutable frames : frame list;  (** aligned with [top :: frames] *)
     mutable visited : Int_set.t;
     mutable guard : nonterminal option;
@@ -142,10 +154,7 @@ module Shadow = struct
   let fail t fmt =
     Printf.ksprintf (fun msg -> if t.error = None then t.error <- Some msg) fmt
 
-  let rec take n l =
-    match l with x :: r when n > 0 -> x :: take (n - 1) r | _ -> []
-
-  let transition t (s0 : M.state) (s1 : M.state) =
+  let transition t ctx (s0 : M.state) (s1 : M.state) =
     let h0 = M.height s0 and h1 = M.height s1 in
     if t.guard <> None then fail t "a push passed the visited guard";
     if h1 = h0 + 1 then (
@@ -174,8 +183,7 @@ module Shadow = struct
       if s1.M.pos > s0.M.pos then t.visited <- Int_set.empty;
       match t.frames with
       | top :: rest ->
-        let trees = s1.M.top.M.trees_rev in
-        let fresh = List.rev (take (List.length trees - top.trees) trees) in
+        let fresh = List.filteri (fun i _ -> i >= top.trees) (List.hd (M.trees ctx s1)) in
         (* With no pops, the one new symbol is the head of the old top
            suffix: a consume, an inserted terminal or a dropped symbol. *)
         let head =
@@ -184,7 +192,7 @@ module Shadow = struct
         let syms =
           List.fold_left
             (fun syms v ->
-              match v, head with
+              match Tree.view v, head with
               | Tree.Error (None, _), _ -> syms
               | (Tree.Leaf _ | Tree.Error (Some _, [])), Some s -> s :: syms
               | _ ->
@@ -198,13 +206,13 @@ module Shadow = struct
 
   let show set = String.concat "," (List.map string_of_int (Int_set.elements set))
 
-  let compare_state t (s : M.state) =
-    let fs = s.M.top :: s.M.frames in
+  let compare_state t ctx (s : M.state) =
+    let fs = M.processed ctx s in
     if List.length fs <> List.length t.frames then fail t "shadow height differs"
     else
       List.iteri
-        (fun i ((f : M.frame), sh) ->
-          if M.processed f <> sh.syms then
+        (fun i (syms, sh) ->
+          if not (List.equal equal_symbol syms sh.syms) then
             fail t "processed symbols differ at frame %d" i)
         (List.combine fs t.frames);
     if not (Int_set.equal (M.visited s) t.visited) then
@@ -214,10 +222,10 @@ module Shadow = struct
       | NT x :: _ when Int_set.mem x t.visited -> Some x
       | _ -> None)
 
-  let observe t (s : M.state) =
-    (match t.prev with Some s0 -> transition t s0 s | None -> ());
-    compare_state t s;
-    t.prev <- Some s
+  let observe t ctx (s : M.state) =
+    (match t.prev with Some (_, s0) -> transition t ctx s0 s | None -> ());
+    compare_state t ctx s;
+    t.prev <- Some (ctx, s)
 
   (* The run's left-recursion verdict must be the paper guard's: when the
      guard rejects the last state's push, the run ends in that error; when
@@ -225,7 +233,7 @@ module Shadow = struct
      nullable-cycle detection (through [x]) at the last state's decision. *)
   let check_error t (env : M.env) (e : Costar_core.Types.error option) =
     let module Ty = Costar_core.Types in
-    let predicted_error (st : M.state) x =
+    let predicted_error ((ctx : M.ctx), (st : M.state)) x =
       let below (st : M.state) =
         List.tl st.M.top.M.suf :: List.tl (M.conts st)
       in
@@ -233,8 +241,8 @@ module Shadow = struct
       | NT decision :: _ -> (
         match
           Costar_core.Predict.adaptive_predict env.M.g
-            (Costar_core.Cache.analysis st.M.cache) st.M.cache decision
-            ~conts:below st st.M.word st.M.pos
+            (Costar_core.Cache.analysis ctx.M.cache) ctx.M.cache decision
+            ~conts:below st ctx.M.word st.M.pos
         with
         | Ty.Error_pred (Ty.Left_recursive y), _ -> y = x
         | _ -> false)
