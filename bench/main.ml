@@ -42,6 +42,13 @@ let parse_cold p toks =
   done;
   parse_list ~cache:(Costar_core.Cache.copy base) p toks
 
+(* The base cache [parse_cold] copies never parses, so its first-token
+   table never learns an entry and every copy starts cold.  Checked after
+   a timed series, outside the timed region. *)
+let check_cold p =
+  if Costar_core.Cache.learned_decisions (P.base_cache p) <> [] then
+    failwith "parse_cold: the base cache's first-token table learned entries"
+
 (* ------------------------------------------------------------------ *)
 (* Configuration                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -214,29 +221,29 @@ let fig8 corpora =
 let fig9 cfg corpora =
   print_endline "== Figure 9: input size vs CoStar parse time ==";
   Printf.printf
-    "(each point: %d trials; each parse starts from the static grammar cache \
-     only,\n keeping nothing learned from earlier parses, as in the paper)\n"
+    "(each point: best of %d trials; each parse starts from the static \
+     grammar cache only,\n keeping nothing learned from earlier parses, as \
+     in the paper)\n"
     cfg.trials;
   List.iter
     (fun { lang; files } ->
       let p = P.make (Lang.grammar lang) in
       Printf.printf "\n-- %s (%d files) --\n" lang.Lang.name (List.length files);
-      Printf.printf "%10s %10s %12s %12s\n" "tokens" "bytes" "mean(ms)"
-        "stdev(ms)";
+      Printf.printf "%10s %10s %12s\n" "tokens" "bytes" "best(ms)";
       let points =
         List.map
           (fun f ->
-            let mean, stdev =
-              time_trials ~trials:cfg.trials (fun () ->
+            let best =
+              time_best ~trials:cfg.trials (fun () ->
                   let r = parse_cold p f.toks in
                   expect_unique lang r;
                   r)
             in
-            Printf.printf "%10d %10d %12.3f %12.3f\n" f.n_toks f.bytes
-              (mean *. 1e3) (stdev *. 1e3);
-            (float_of_int f.n_toks, mean))
+            Printf.printf "%10d %10d %12.3f\n" f.n_toks f.bytes (best *. 1e3);
+            (float_of_int f.n_toks, best))
           files
       in
+      check_cold p;
       let points = List.sort compare points in
       let xs = Array.of_list (List.map fst points) in
       let ys = Array.of_list (List.map snd points) in
@@ -263,6 +270,9 @@ let fig9 cfg corpora =
 let fig10 cfg corpora =
   print_endline
     "== Figure 10: CoStar slowdown w.r.t. Turbo (ANTLR stand-in) ==";
+  print_endline
+    "(per file: best of the trials of each side; mean ± sd of the ratios over \
+     the files)";
   Printf.printf "%-10s %25s %32s\n" "Benchmark" "parser-only slowdown"
     "(lexer+CoStar)/(lexer+Turbo)";
   List.iter
@@ -276,16 +286,16 @@ let fig10 cfg corpora =
              (fun f ->
                if f.n_toks < 20 then None
                else begin
-                 let lex_t, _ =
-                   time_trials ~trials:cfg.trials (fun () ->
+                 let lex_t =
+                   time_best ~trials:cfg.trials (fun () ->
                        Lang.tokenize lang f.src)
                  in
-                 let costar_t, _ =
-                   time_trials ~trials:cfg.trials (fun () ->
+                 let costar_t =
+                   time_best ~trials:cfg.trials (fun () ->
                        parse_cold p f.toks)
                  in
-                 let turbo_t, _ =
-                   time_trials ~trials:cfg.trials (fun () ->
+                 let turbo_t =
+                   time_best ~trials:cfg.trials (fun () ->
                        (* cold cache per trial, matching the paper's ANTLR
                           configuration (fresh parser per trial) *)
                        Costar_turbo.Turbo.reset_cache turbo;
@@ -297,6 +307,7 @@ let fig10 cfg corpora =
                end)
              files)
       in
+      check_cold p;
       let ratios = Array.of_list ratios in
       let pipe_ratios = Array.of_list pipe_ratios in
       Printf.printf "%-10s %17.1fx ± %-5.1f %24.1fx ± %-5.1f\n" lang.Lang.name
@@ -314,6 +325,7 @@ let fig10 cfg corpora =
 let fig11 cfg corpora =
   print_endline
     "== Figure 11: cold vs pre-warmed cache, MiniPython (Turbo) ==";
+  Printf.printf "(each point: best of %d trials)\n" cfg.trials;
   let { lang; files } =
     List.find (fun c -> c.lang.Lang.name = "minipy") corpora
   in
@@ -322,8 +334,8 @@ let fig11 cfg corpora =
   let cold =
     List.map
       (fun f ->
-        let t, _ =
-          time_trials ~trials:cfg.trials (fun () ->
+        let t =
+          time_best ~trials:cfg.trials (fun () ->
               Costar_turbo.Turbo.reset_cache turbo;
               Costar_turbo.Turbo.parse turbo f.toks)
         in
@@ -336,8 +348,8 @@ let fig11 cfg corpora =
   let warm =
     List.map
       (fun f ->
-        let t, _ =
-          time_trials ~trials:cfg.trials (fun () ->
+        let t =
+          time_best ~trials:cfg.trials (fun () ->
               Costar_turbo.Turbo.parse turbo f.toks)
         in
         (f, t))

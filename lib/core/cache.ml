@@ -109,6 +109,16 @@ type t = {
   mutable n_states : int;
   mutable n_trans : int; (* transitions added at THIS layer *)
   inits : int array; (* nonterminal -> initial state id, or -1 *)
+  (* The first-token decision table: row [x], column [a] (a terminal, or
+     [n_terms] for end of input) memoizes what this cache's DFA for [x]
+     decides after reading at most that one token: [(p lsl 2) lor tag]
+     where [tag] is the depth the DFA walk decided at (0 or 1), or
+     [single_tag] for a single-alternative decision (no walk at all);
+     [no_entry] while unknown, [no_decision] once the DFA is known to need
+     more (or to reject, or to fail over to LL).  Entries are facts about
+     DFA states that never change, so copies, snapshots and overlays carry
+     them verbatim.  A table hit is the whole warm prediction. *)
+  decisions : int array;
   (* A third read layer below [base]: an mmapped v3 image.  Reads that miss
      both the own layer and the base fall through to the image's dense
      rows; state infos are decoded from the image lazily, per state, on
@@ -118,6 +128,22 @@ type t = {
 
 let unique_pairs g =
   Array.init (Array.length (Grammar.prods g)) (fun ix -> (Types.Unique_pred ix, 0))
+
+let no_entry = -1
+let no_decision = -2
+let single_tag = 2
+
+(* A fresh table knows the single-alternative decisions: they need no
+   lookahead and no DFA. *)
+let fresh_decisions g n_terms =
+  let stride = n_terms + 1 in
+  let t = Array.make (max 1 (Grammar.num_nonterminals g * stride)) no_entry in
+  for x = 0 to Grammar.num_nonterminals g - 1 do
+    match Grammar.prods_of g x with
+    | [ ix ] -> Array.fill t (x * stride) stride ((ix lsl 2) lor single_tag)
+    | _ -> ()
+  done;
+  t
 
 let create anl =
   let g = Analysis.grammar anl in
@@ -140,6 +166,7 @@ let create anl =
     n_states = 0;
     n_trans = 0;
     inits = Array.make (max 1 (Grammar.num_nonterminals g)) (-1);
+    decisions = fresh_decisions g (Grammar.num_terminals g);
     img = None;
   }
 
@@ -335,46 +362,99 @@ let rec info c sid =
 (* The warm-path transition read: -1 when absent.  [find_trans] wraps it in
    an option for ordinary callers.  An overlay row, once created, shadows
    the whole base row for its state (copy-on-write in [add_trans]), so the
-   fallthrough fires only while a state has no overlay row at all. *)
+   fallthrough fires only while a state has no overlay row at all.  Input
+   tokens may carry terminal ids the grammar never interned: they have no
+   column, so no transition is ever recorded for them (no configuration
+   moves on them, and the walk goes on to the empty state). *)
 let rec trans_get c sid a =
-  let row = Array.unsafe_get c.trans sid in
-  if row != no_row then Array.unsafe_get row a
+  if a < 0 || a >= c.n_terms then -1
   else
-    match c.base with
-    | Some b when sid < c.base_states -> trans_get b sid a
-    | _ -> (
-      (* Third layer: the mmapped image's dense row — one unboxed word
-         read, straight off the page cache. *)
-      match c.img with
-      | Some im when sid < im.i_states ->
-        Flatimg.get_u im.i_words (im.i_trans_at + (sid * im.i_terms) + a)
-      | _ -> -1)
+    let row = Array.unsafe_get c.trans sid in
+    if row != no_row then Array.unsafe_get row a
+    else
+      match c.base with
+      | Some b when sid < c.base_states -> trans_get b sid a
+      | _ -> (
+        (* Third layer: the mmapped image's dense row — one unboxed word
+           read, straight off the page cache. *)
+        match c.img with
+        | Some im when sid < im.i_states ->
+          Flatimg.get_u im.i_words (im.i_trans_at + (sid * im.i_terms) + a)
+        | _ -> -1)
+
+(* {2 The first-token decision table} *)
+
+let decisions c = c.decisions
+
+let column c (w : Word.t) i =
+  if i >= w.Word.len then c.n_terms
+  else
+    let a = Bigarray.Array1.unsafe_get w.Word.kinds i in
+    if a >= 0 && a < c.n_terms then a else -1
+
+let decision c x w i =
+  let col = column c w i in
+  if col < 0 then no_decision
+  else Array.unsafe_get c.decisions ((x * (c.n_terms + 1)) + col)
+
+(* What the DFA decides after at most one token, read off the states it
+   already has: the initial state's own verdict, its end-of-input verdict,
+   or the verdict of its successor on the column's terminal. *)
+let learn c x w i =
+  let col = column c w i in
+  let s0 = init_get c x in
+  if col >= 0 && s0 >= 0 then begin
+    let k = (x * (c.n_terms + 1)) + col in
+    let decided p depth = c.decisions.(k) <- (p lsl 2) lor depth in
+    let inf = info c s0 in
+    match inf.verdict, inf.accepting with
+    | V_all_pred p, _ -> decided p 0
+    | V_empty, _ -> c.decisions.(k) <- no_decision
+    | V_pending, [ p ] when col = c.n_terms -> decided p 0
+    | V_pending, _ when col = c.n_terms -> c.decisions.(k) <- no_decision
+    | V_pending, _ -> (
+      let s1 = trans_get c s0 col in
+      if s1 >= 0 then
+        match (info c s1).verdict with
+        | V_all_pred p -> decided p 1
+        | V_empty | V_pending -> c.decisions.(k) <- no_decision)
+  end
+
+let learned_decisions c =
+  let stride = c.n_terms + 1 in
+  let acc = ref [] in
+  Array.iteri
+    (fun k e ->
+      if e >= 0 && e land 3 <> single_tag then
+        acc := (k / stride, k mod stride, e lsr 2, e land 3) :: !acc)
+    c.decisions;
+  List.rev !acc
 
 let find_trans c sid a =
   let s = trans_get c sid a in
   if s < 0 then None else Some s
 
 let add_trans c sid a sid' =
-  let row =
-    let row = c.trans.(sid) in
-    if row != no_row then row
-    else begin
-      (* Copy-on-write: seed the fresh row from the layered read view
-         (base row, image row, or image behind the base), so once
-         installed it fully shadows the layers below for reads. *)
-      let row =
-        Array.init (max 1 c.n_terms) (fun t ->
-            if t < c.n_terms then trans_get c sid t else -1)
-      in
-      c.trans.(sid) <- row;
-      row
+  if a >= 0 && a < c.n_terms then begin
+    let row =
+      let row = c.trans.(sid) in
+      if row != no_row then row
+      else begin
+        (* Copy-on-write: seed the fresh row from the layered read view
+           (base row, image row, or image behind the base), so once
+           installed it fully shadows the layers below for reads. *)
+        let row = Array.init (max 1 c.n_terms) (fun t -> trans_get c sid t) in
+        c.trans.(sid) <- row;
+        row
+      end
+    in
+    (* Idempotent: re-adding an existing transition (e.g. [absorb]
+       replaying a base fact the destination already has) must not
+       double-count. *)
+    if row.(a) < 0 then begin
+      row.(a) <- sid';
+      c.n_trans <- c.n_trans + 1
     end
-  in
-  (* Idempotent: re-adding an existing transition (e.g. [absorb] replaying
-     a base fact the destination already has) must not double-count. *)
-  if row.(a) < 0 then begin
-    row.(a) <- sid';
-    c.n_trans <- c.n_trans + 1
   end
 
 let find_closure c cfg =
@@ -412,6 +492,7 @@ let copy c =
     trans =
       Array.map (fun row -> if row == no_row then row else Array.copy row) c.trans;
     inits = Array.copy c.inits;
+    decisions = Array.copy c.decisions;
   }
 
 (* {2 Freezing and overlays}
@@ -462,6 +543,9 @@ let overlay (fz : frozen) =
     n_states = fz.n_states;
     n_trans = 0;
     inits = Array.make (Array.length fz.inits) (-1);
+    (* The overlay starts with the snapshot's table, so a hit stays one
+       read. *)
+    decisions = Array.copy fz.decisions;
     (* Reads that miss the overlay fall to [base], which consults its own
        image if it has one — the overlay needs no direct image pointer. *)
     img = None;
@@ -506,7 +590,12 @@ let absorb dst src =
         match src.closures.(id) with
         | None -> ()
         | Some r -> add_closure dst (cfg_of_id src id) r
-    done
+    done;
+    (* Table entries are facts of the same DFA (by value), so they agree
+       wherever both caches know them; take the ones [dst] lacks. *)
+    Array.iteri
+      (fun k e -> if dst.decisions.(k) = no_entry then dst.decisions.(k) <- e)
+      src.decisions
   end
 
 (* {2 Persistence: flat cache images (format v3)}
@@ -808,6 +897,9 @@ let image_cache ~anl (im : image) =
     n_states = im.i_states;
     n_trans = 0;
     inits = Array.make (max 1 (Grammar.num_nonterminals g)) (-1);
+    (* Images do not store the table: it is relearned from the image's
+       states by the parses that read them. *)
+    decisions = fresh_decisions g im.i_terms;
     img = Some im;
   }
 

@@ -125,6 +125,41 @@ val unique_at : t -> int -> Types.prediction * int
 
 val add_init : t -> nonterminal -> state_id -> unit
 
+(** {1 The first-token decision table}
+
+    One int per (decision nonterminal, lookahead column), where the column
+    is the terminal at the lookahead position, or the end of input: the
+    production this cache's DFA decides after reading at most that one
+    token, so that a warm prediction is one array read.  {!create}
+    prefills the single-alternative decisions; every other entry is learned
+    ({!learn}) from DFA states the general prediction path has built, so a
+    fresh cache starts cold.  {!copy}, {!freeze}, {!overlay} and {!absorb}
+    carry the table; images do not store it, and a loaded cache relearns it
+    from the image's states.
+
+    An entry [e >= 0] is [(p lsl 2) lor tag]: production [p], decided by a
+    DFA walk at depth [tag] (0 or 1), or [tag = 2] for a single-alternative
+    decision, which walks no DFA.  A negative entry is a miss. *)
+
+(** The table itself, row-major with [num_terminals + 1] columns (the last
+    one for the end of input), for the machine's inline read.  Its length
+    never changes; callers must not write it. *)
+val decisions : t -> int array
+
+(** The table entry for decision [x] at position [i] of [w]: [-1] while
+    unknown, [-2] where no production is tabled (the DFA needs more
+    lookahead, rejects or fails over to LL, or the token's terminal id is
+    outside the grammar). *)
+val decision : t -> nonterminal -> Word.t -> int -> int
+
+(** Fill the entry for decision [x] at position [i] of [w] from the DFA
+    states already in the cache; a no-op while they are missing. *)
+val learn : t -> nonterminal -> Word.t -> int -> unit
+
+(** Every learned entry (single-alternative prefill excluded) as
+    [(x, column, production, depth)], in table order. *)
+val learned_decisions : t -> (nonterminal * int * int * int) list
+
 (** [intern cache configs] returns the id for this canonical configuration
     set, allocating (and precomputing {!info} for) a fresh state if new. *)
 val intern : t -> Config.sll list -> state_id
@@ -175,8 +210,9 @@ val add_closure :
     share one physical copy with zero deserialization — the substrate of
     the prefork serving tier (DESIGN.md §13).  Everything is
     bounds-and-range validated before any offset is trusted.  Closure
-    memos are not stored; they are recomputed deterministically on
-    demand.  Nothing read from a file is ever unmarshalled. *)
+    memos and the first-token table are not stored; they are recomputed
+    deterministically on demand.  Nothing read from a file is ever
+    unmarshalled. *)
 
 type image_error =
   | Img_io of string  (** open/read/mmap failure, with the reason *)

@@ -34,6 +34,9 @@ type cache_counters = {
   mutable trans_misses : int;
   mutable closure_hits : int;
   mutable closure_misses : int;
+  mutable table_hits : int;
+      (** predictions the first-token table answered (a subset of the SLL
+          calls; not a DFA-walk counter) *)
 }
 
 (** Coverage tallies for one domain.  Keys are the dense ids the rest of
@@ -68,6 +71,7 @@ let key =
             trans_misses = 0;
             closure_hits = 0;
             closure_misses = 0;
+            table_hits = 0;
           };
         cov =
           {
@@ -93,6 +97,22 @@ let record tbl x n =
 
 let record_sll x n = if !enabled then record (state ()).sll_tbl x n
 let record_ll x n = if !enabled then record (state ()).ll_tbl x n
+
+(* A hit in the first-token decision table ({!Cache.decisions}) counts as
+   the DFA walk it replaces: one SLL call at the entry's depth, plus the
+   transition hit a depth-1 walk reads.  A single-alternative entry
+   replaces no walk and counts nothing. *)
+let record_table_hit x e =
+  if !enabled then begin
+    let c = (state ()).cache in
+    c.table_hits <- c.table_hits + 1;
+    match e land 3 with
+    | 0 -> record_sll x 0
+    | 1 ->
+      record_sll x 1;
+      c.trans_hits <- c.trans_hits + 1
+    | _ -> ()
+  end
 
 let record_state_intern () =
   if !enabled then
@@ -172,7 +192,8 @@ let reset () =
   st.cache.trans_hits <- 0;
   st.cache.trans_misses <- 0;
   st.cache.closure_hits <- 0;
-  st.cache.closure_misses <- 0
+  st.cache.closure_misses <- 0;
+  st.cache.table_hits <- 0
 
 (** Totals for the calling domain: (sll calls, sll lookahead tokens,
     ll calls, ll lookahead). *)
@@ -199,6 +220,7 @@ let sum_cache_counters l =
         trans_misses = acc.trans_misses + c.trans_misses;
         closure_hits = acc.closure_hits + c.closure_hits;
         closure_misses = acc.closure_misses + c.closure_misses;
+        table_hits = acc.table_hits + c.table_hits;
       })
     {
       state_interns = 0;
@@ -206,6 +228,7 @@ let sum_cache_counters l =
       trans_misses = 0;
       closure_hits = 0;
       closure_misses = 0;
+      table_hits = 0;
     }
     l
 

@@ -8,43 +8,54 @@
     Following the Coq implementation, each frame pairs the prefix-stack and
     suffix-stack components at one level: the partial parse trees of the
     processed symbols, the unprocessed symbols, and the label — the open
-    nonterminal whose prediction created the frame.  The partial trees are
-    not stored in the frame: the machine appends each finished subtree to
-    the run's postorder event buffer ({!Tree.Events}), and a frame records
-    only the event index where its children start.  Two more of the
-    paper's components are derived rather than stored, so a step allocates
-    only its new frame and state: a frame's processed symbols are the roots
-    of its trees ({!processed}), and the visited set of the left-recursion
-    guard is read off the frames' push positions ({!visited}).
+    nonterminal whose prediction created the frame.  The representation
+    keeps only what a step cannot derive:
+    - the partial trees are not stored: the machine appends each finished
+      subtree to the run's postorder event buffer ({!Tree.Events}), and a
+      frame records only the event index where its children start; a
+      frame's processed symbols are the roots of its trees ({!processed});
+    - the visited set of the left-recursion guard is read off the frames'
+      push positions ({!visited});
+    - the state holds the top frame's unprocessed suffix, and each frame
+      links straight to its caller and holds the caller's suffix past the
+      open child ([ret]), so the stack is a chain of frames with no list
+      cells: a consume or a return allocates nothing but the next state.
 
-    What stays the same for the whole run — the prediction cache, the
-    input word and the event buffer — lives in a per-run context
-    ({!ctx}); a state carries only what a step changes.  States stay
-    immutable: a step writes events only at indices at or above its
-    state's [ev], so resuming from an earlier state (as recovery's trials
-    do) simply overwrites the events of the discarded branch. *)
+    What stays the same for the whole run — the prediction cache, its
+    first-token table, the input word and the event buffer — lives in a
+    per-run context ({!ctx}); a state carries only what a step changes.
+    States stay immutable: a step writes events only at indices at or
+    above its state's [ev], so resuming from an earlier state (as
+    recovery's trials do) simply overwrites the events of the discarded
+    branch. *)
 
 open Costar_grammar
 open Costar_grammar.Symbols
 
-type frame = {
-  label : nonterminal option;  (** [None] only for the bottom frame. *)
-  start : int;
-      (** input position at which the frame was pushed (0 for the bottom
-          frame); never decreases up the stack *)
-  first : int;
-      (** event index where the frame's children start: its partial trees
-          are the subtrees between [first] and the next frame's [first]
-          (the state's [ev] for the top frame) *)
-  suf : symbol list;
-      (** unprocessed symbols; in a caller frame (every frame but the top)
-          the first one is the nonterminal of the open child frame above
-          it, as in the paper *)
-}
+(** A stack of frames, innermost first.  The bottom frame, which spells
+    the start symbol, has no label and was pushed at position 0 with its
+    children starting at event 0, so it is the constant [Bottom]. *)
+type frame =
+  | Bottom
+  | Frame of {
+      label : nonterminal;  (** the open nonterminal *)
+      start : int;
+          (** input position at which the frame was pushed; never
+              decreases up the stack *)
+      first : int;
+          (** event index where the frame's children start: its partial
+              trees are the subtrees between [first] and the [first] of
+              the frame above (the state's [ev] for the top frame) *)
+      ret : symbol list;
+          (** the caller's unprocessed symbols after this frame returns:
+              the paper's caller suffix without the open child's
+              nonterminal at its head *)
+      below : frame;  (** the caller *)
+    }
 
 type state = {
-  top : frame;
-  frames : frame list;  (** callers, innermost first *)
+  suf : symbol list;  (** the top frame's unprocessed symbols *)
+  top : frame;  (** the top frame and, through it, its callers *)
   pos : int;  (** current input position; remaining = [word.len - pos] *)
   ev : int;  (** number of events written: the next one goes here *)
   unique : bool;  (** false once any prediction reported ambiguity *)
@@ -55,6 +66,8 @@ type ctx = {
   cache : Cache.t;  (** the DFA cache every prediction reads and extends *)
   word : Word.t;  (** the whole input, as the array cursor *)
   events : Tree.Events.t;  (** the run's postorder tree events *)
+  decisions : int array;
+      (** [Cache.decisions cache], read in place by every push *)
 }
 
 (** Why a step rejected — the structured arm the error-recovery layer
@@ -100,8 +113,9 @@ type final =
 type env = {
   g : Grammar.t;
   anl : Analysis.t;
-  labels : nonterminal option array;
-      (** [labels.(x) = Some x], shared by every frame [x] labels *)
+  lhs : nonterminal array;  (** left-hand side per production index *)
+  rhs : symbol list array;  (** right-hand side per production index *)
+  stride : int;  (** columns of a first-token table row: terminals + 1 *)
   mutable events_per_token : int;
       (** tree events per input token of the last run {!finish} accepted
           (rounded up): the starting size of the next run's event buffer.
@@ -114,14 +128,17 @@ val make_env : Grammar.t -> env
     [word.kinds.(pos)] directly, and prediction's warm fast path never
     touches a token record.  [cache] (default: a fresh one) is the DFA
     cache every prediction of the run reads and extends; the event buffer
-    is fresh, since the run's tree keeps it. *)
+    is fresh, since the run's tree keeps it.
+    @raise Invalid_argument if [cache]'s first-token table does not have
+    this grammar's shape. *)
 val context : env -> ?cache:Cache.t -> Word.t -> ctx
 
 (** The initial state: the start symbol in the bottom frame. *)
 val initial : env -> state
 
-(** One atomic machine operation: consume, push, or return; [Step_halt]
-    once the stack is empty. *)
+(** One primitive machine transition: consume, push, or return;
+    [Step_halt] once the stack is empty.  A push of an ε-production is a
+    push here, and the return from it the next step, as in the paper. *)
 val step : env -> ctx -> state -> step_result
 
 (** Why the machine loop stopped. *)
@@ -132,11 +149,18 @@ type stop =
 
 (** [multistep env ctx st] is the paper's [multistep] loop (§3.2): it
     steps the machine from [st] until the stack empties, a step rejects,
-    or a step fails, calling [inspect ctx] on every state it visits (the
-    first one included).  A continuing step hands its state over unboxed,
-    not in a [Step_cont].  {!Parser.run_word} finishes its [Halted] state;
-    the recovery engine repairs a [Rejected] state and resumes the
-    loop. *)
+    or a step fails.  {!Parser.run_word} finishes its [Halted] state; the
+    recovery engine repairs a [Rejected] state and resumes the loop.
+
+    With [inspect], it iterates {!step} and calls [inspect ctx] on every
+    state it visits (the first one included).  Without it, the loop is
+    unboxed: the state's fields are the arguments of a tail-recursive
+    loop, a transition allocates only the frame a push opens, and a
+    [state] record is built only where the loop stops.  It also fuses
+    ε-productions: a push that predicts one writes the node event and
+    advances the caller's suffix in the same transition, with no frame.
+    Both forms stop with the same result, the same events and the same
+    final state: the fused loop only skips the ε-frames in between. *)
 val multistep :
   ?inspect:(ctx -> state -> unit) -> env -> ctx -> state -> stop
 
@@ -156,9 +180,14 @@ val pos_msg : ctx -> state -> string
 (** Unconsumed tokens, materialized (traces, tests). *)
 val remaining_tokens : ctx -> state -> Token.t list
 
-(** Unprocessed suffix-stack symbols per frame, top frame first: a caller
-    frame's [suf] without the open child's nonterminal at its head. *)
+(** Unprocessed suffix-stack symbols per frame, top frame first: [suf],
+    then each frame's [ret] (a caller's suffix without the open child's
+    nonterminal at its head). *)
 val conts : state -> symbol list list
+
+(** The frames' labels, top frame first ([None] for the bottom frame),
+    aligned with {!conts}. *)
+val labels : state -> nonterminal option list
 
 (** The paper's visited set (§3.3): the nonterminals opened since the last
     consume.  They are the labels of the topmost frames whose [start] is

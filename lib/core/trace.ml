@@ -1,9 +1,9 @@
 open Costar_grammar
 open Costar_grammar.Symbols
 
-let pp_frame env ppf ((f : Machine.frame), unprocessed) =
+let pp_frame env ppf (label, unprocessed) =
   let g = env.Machine.g in
-  (match f.Machine.label with
+  (match label with
   | Some x -> Fmt.pf ppf "%s:" (Grammar.nonterminal_name g x)
   | None -> ());
   Grammar.pp_symbols g ppf unprocessed
@@ -13,7 +13,7 @@ let pp_state env ctx ppf (st : Machine.state) =
   (* Suffix stack, top frame first. *)
   Fmt.pf ppf "@[<h>[%a]"
     Fmt.(list ~sep:(any " | ") (pp_frame env))
-    (List.combine (st.Machine.top :: st.Machine.frames) (Machine.conts st));
+    (List.combine (Machine.labels st) (Machine.conts st));
   (* Partial trees in the top prefix frame. *)
   (match Machine.trees ctx st with
   | [] :: _ | [] -> ()

@@ -98,6 +98,13 @@ module Events = struct
   let seal b word n : tree =
     if n < 1 then invalid_arg "Tree.Events.seal: no events";
     { ev = Bigarray.Array1.sub b.a 0 (2 * n); word; root = n - 1 }
+
+  let bytes b n =
+    let s = Bytes.create (8 * n) in
+    for j = 0 to (2 * n) - 1 do
+      Bytes.set_int32_le s (4 * j) (Bigarray.Array1.get b.a j)
+    done;
+    Bytes.unsafe_to_string s
 end
 
 (* --- Reading events ------------------------------------------------------ *)

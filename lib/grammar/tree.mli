@@ -91,6 +91,10 @@ module Events : sig
       it marshals without the buffer's spare capacity.  Write nothing at
       an index below [n] afterwards. *)
   val seal : t -> Word.t -> int -> tree
+
+  (** The raw encoding of events [0 .. n-1], so that two buffers can be
+      compared byte for byte (differential tests of the machine loop). *)
+  val bytes : t -> int -> string
 end
 
 (** Root symbol of a tree: the token's terminal for a leaf, the nonterminal

@@ -181,19 +181,19 @@ let lex_diag ?file msg =
    consumed and no frame moves, so the visited set — derived from the
    frames' push positions — keeps protecting the non-consuming segment. *)
 let apply_insert (ctx : M.ctx) (st : M.state) a =
-  match st.M.top.M.suf with
+  match st.M.suf with
   | T a' :: suf when a' = a ->
     Tree.Events.error ctx.M.events st.M.ev (Some (T a)) ~first:st.M.ev;
-    { st with M.top = { st.M.top with M.suf = suf }; M.ev = st.M.ev + 1 }
+    { st with M.suf; M.ev = st.M.ev + 1 }
   | _ -> invalid_arg "Recover.apply_insert: head of suffix is not the terminal"
 
 (* Drop the undrivable head symbol (a nonterminal prediction gave up on):
    an empty [Error] marker records the hole. *)
 let apply_drop (ctx : M.ctx) (st : M.state) =
-  match st.M.top.M.suf with
+  match st.M.suf with
   | s :: suf ->
     Tree.Events.error ctx.M.events st.M.ev (Some s) ~first:st.M.ev;
-    { st with M.top = { st.M.top with M.suf = suf }; M.ev = st.M.ev + 1 }
+    { st with M.suf; M.ev = st.M.ev + 1 }
   | [] -> invalid_arg "Recover.apply_drop: empty suffix"
 
 (* Skip [n >= 1] input tokens into one [Error (None, leaves)] wrapper.
@@ -214,21 +214,20 @@ let apply_skip (ctx : M.ctx) (st : M.state) n =
 let rec apply_pops (ctx : M.ctx) (st : M.state) d =
   if d = 0 then st
   else
-    match st.M.frames, st.M.top.M.label with
-    | ({ M.suf = _ :: suf; _ } as caller) :: frames, Some x ->
-      Tree.Events.error ctx.M.events st.M.ev (Some (NT x))
-        ~first:st.M.top.M.first;
+    match st.M.top with
+    | M.Frame f ->
+      Tree.Events.error ctx.M.events st.M.ev (Some (NT f.label)) ~first:f.first;
       apply_pops ctx
-        { st with M.top = { caller with M.suf }; M.frames; M.ev = st.M.ev + 1 }
+        { st with M.suf = f.ret; M.top = f.below; M.ev = st.M.ev + 1 }
         (d - 1)
-    | _ -> invalid_arg "Recover.apply_pops: cannot pop the bottom frame"
+    | M.Bottom -> invalid_arg "Recover.apply_pops: cannot pop the bottom frame"
 
 (* Unwind everything: close every open frame and drop the unprocessed
    suffix of the bottom frame.  After this the stack is empty and the
    driver's finalizer runs. *)
 let apply_unwind ctx (st : M.state) =
-  let st = apply_pops ctx st (List.length st.M.frames) in
-  { st with M.top = { st.M.top with M.suf = [] } }
+  let st = apply_pops ctx st (M.height st - 1) in
+  { st with M.suf = [] }
 
 (* --- Progress trials ---------------------------------------------------- *)
 
@@ -262,14 +261,14 @@ let resume_sets t (st : M.state) =
   let anl = P.analysis t in
   Array.of_list
     (List.map2
-       (fun (f : M.frame) suf ->
+       (fun label suf ->
          let r = Analysis.first_seq anl suf in
          (if Analysis.nullable_seq anl suf then
-            match f.M.label with
+            match label with
             | Some x -> ignore (Bitset.union_into ~into:r (Analysis.sync anl x))
             | None -> ());
          r)
-       (st.M.top :: st.M.frames) (M.conts st))
+       (M.labels st) (M.conts st))
 
 (* Find the nearest (skip, pop) repair: the smallest number of skipped
    tokens [s], then the fewest popped frames [d], such that the token at
@@ -348,9 +347,9 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
         outcome (if st.M.unique then Recovered v else Recovered_ambig v)
       | M.Final_trailing f -> drive (recover st f n_errors) (n_errors + 1)
       | M.Final_malformed ->
-        (* Wrap the bottom frame's trees in a root error node. *)
-        Tree.Events.error ctx.M.events st.M.ev (Some (NT start))
-          ~first:st.M.top.M.first;
+        (* Wrap the bottom frame's trees (all events, since the stack is
+           empty) in a root error node. *)
+        Tree.Events.error ctx.M.events st.M.ev (Some (NT start)) ~first:0;
         let tree = Tree.Events.seal ctx.M.events word (st.M.ev + 1) in
         outcome (if st.M.unique then Recovered tree else Recovered_ambig tree))
     | M.Rejected (st, f) -> drive (recover st f n_errors) (n_errors + 1)
@@ -382,7 +381,7 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
       | None ->
         (* No resynchronization point: consume everything and close. *)
         let remaining = len - st.M.pos in
-        let popped = List.length st.M.frames in
+        let popped = M.height st - 1 in
         let st' = if remaining > 0 then apply_skip ctx st remaining else st in
         let st' = apply_unwind ctx st' in
         if remaining > 0 then
@@ -392,7 +391,7 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
     in
     if n_errors >= max_errors then begin
       let remaining = len - st.M.pos in
-      let popped = List.length st.M.frames in
+      let popped = M.height st - 1 in
       let st' = if remaining > 0 then apply_skip ctx st remaining else st in
       let st' = apply_unwind ctx st' in
       commit "give-up" (Gave_up { tokens = remaining; popped })
@@ -413,7 +412,7 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
         if st.M.pos >= len then begin
           (* Prediction starved at end of input: closing the stack is the
              only move. *)
-          let popped = List.length st.M.frames in
+          let popped = M.height st - 1 in
           commit "eof unwind" (Closed { popped }) ~consumed:0
             (apply_unwind ctx st)
         end
@@ -425,12 +424,12 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
             let dropped = apply_drop ctx st in
             if trial env ctx dropped then
               commit "symbol drop"
-                (Dropped (List.hd st.M.top.M.suf))
+                (Dropped (List.hd st.M.suf))
                 ~consumed:0 dropped
             else panic ()
         end
       | M.Fail_eof _ ->
-        let popped = List.length st.M.frames in
+        let popped = M.height st - 1 in
         commit "eof unwind" (Closed { popped }) ~consumed:0
           (apply_unwind ctx st)
       | M.Fail_trailing _ ->

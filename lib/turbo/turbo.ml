@@ -48,9 +48,9 @@ type frame = {
   suf : symbol list;
 }
 
-(* The suffix stack below a decision, for the LL fallback; the pair is
-   built only when the dispatch table cannot settle the decision. *)
-let conts_below (suf, frames) = suf :: List.map (fun f -> f.suf) frames
+(* The suffix stack below a decision, for the LL fallback; it is built
+   only when the dispatch table cannot settle the decision. *)
+let conts_below suf frames = suf :: List.map (fun f -> f.suf) frames
 
 let predict t (w : Word.t) pos x suf frames =
   let fast = t.single.(x) in
@@ -65,7 +65,7 @@ let predict t (w : Word.t) pos x suf frames =
     else
       fst
         (Core.Predict.adaptive_predict t.g t.anl t.cache x ~conts:conts_below
-           (suf, frames) w pos)
+           suf frames w pos)
 
 let parse t token_list =
   let w = Word.of_tokens token_list in

@@ -108,11 +108,16 @@ let test_private_cache_stays_private () =
   let p = Parser.make list_grammar in
   let w = Grammar.tokens list_grammar [ "x"; "x"; "x" ] in
   let base_states () = Cache.num_states (Parser.base_cache p) in
+  let base_table () = Cache.learned_decisions (Parser.base_cache p) in
   let before = base_states () in
+  let table_before = base_table () in
   let private_cache = Cache.create (Parser.analysis p) in
   let r1 = Util.run ~cache:private_cache p w in
   check_int "base cache untouched" before (base_states ());
+  check "base table untouched" true (base_table () = table_before);
   check "private cache learned" true (Cache.num_states private_cache > 0);
+  check "private table learned" true
+    (Cache.learned_decisions private_cache <> []);
   let r2 = Util.run p w in
   check "base cache learned" true (base_states () > before);
   match r1, r2 with
@@ -143,12 +148,23 @@ let test_empty_input_non_nullable () =
 
 let test_foreign_terminal_rejected () =
   (* Tokens whose terminal id belongs to no grammar terminal cannot crash
-     the parser; they are ordinary mismatches. *)
-  let g = Grammar.define ~start:"S" [ ("S", [ [ Grammar.t "a" ] ]) ] in
+     the parser; they are ordinary mismatches, or no viable alternative at
+     a decision that reads them as lookahead (twice: the second run finds
+     the DFA state the first one built). *)
   let alien = Token.make 9999 "???" in
-  match Parser.parse g [ alien ] with
-  | Parser.Reject _ -> ()
-  | r -> Alcotest.failf "expected Reject, got %a" (Parser.pp_result g) r
+  List.iter
+    (fun rules ->
+      let g = Grammar.define ~start:"S" rules in
+      let p = Parser.make g in
+      for _ = 1 to 2 do
+        match Util.run p [ alien ] with
+        | Parser.Reject _ -> ()
+        | r -> Alcotest.failf "expected Reject, got %a" (Parser.pp_result g) r
+      done)
+    [
+      [ ("S", [ [ Grammar.t "a" ] ]) ];
+      [ ("S", [ [ Grammar.t "a" ]; [ Grammar.t "b" ] ]) ];
+    ]
 
 let test_wide_alternation () =
   (* 40 alternatives with distinct leading terminals: every one must be

@@ -3,8 +3,9 @@
    against the Earley recognizer, an independent oracle: at every decision
    of a random grammar, the productions whose right-hand side derives the
    word bound what each verdict may claim.  The memoized closure must
-   match the direct one, [Cache.add_trans] must be idempotent, and an
-   image of an older format version is refused. *)
+   match the direct one, [Cache.add_trans] must be idempotent, an image
+   of an older format version is refused, and the first-token decision
+   table keeps its bookkeeping through copies, snapshots and images. *)
 
 open Costar_grammar
 open Costar_core
@@ -204,6 +205,98 @@ let test_v1_cache_rejected () =
     Alcotest.(check bool) "error says how to regenerate" true
       (contains "costar analyze")
 
+(* --- First-token decision table ------------------------------------------ *)
+
+(* A two-token decision: after 'a' both alternatives are still live, so
+   the DFA decides only on the second token and the table never holds an
+   entry for it — yet every parse predicts the right branch. *)
+let test_two_token_decision_untabled () =
+  let g =
+    Grammar.define ~start:"S"
+      [ ("S", [ [ Grammar.t "a"; Grammar.t "b" ]; [ Grammar.t "a"; Grammar.t "c" ] ]) ]
+  in
+  let p = Parser.make g in
+  let cache = Cache.create (Parser.analysis p) in
+  for _ = 1 to 3 do
+    List.iter
+      (fun second ->
+        let w = Word.of_tokens (Grammar.tokens g [ "a"; second ]) in
+        match Parser.run_word ~cache p w with
+        | Parser.Unique v -> (
+          match Tree.view v with
+          | Tree.Node (_, [ _; kid ]) -> (
+            match Tree.view kid with
+            | Tree.Leaf tok ->
+              Alcotest.(check string) "branch" second (Token.lexeme tok)
+            | _ -> Alcotest.fail "expected a leaf")
+          | _ -> Alcotest.fail "expected two children")
+        | r -> Alcotest.failf "expected Unique, got %a" (Parser.pp_result g) r)
+      [ "b"; "c" ]
+  done;
+  Alcotest.(check (list (pair int int))) "no learned entry" []
+    (List.map (fun (x, c, _, _) -> (x, c)) (Cache.learned_decisions cache));
+  check_int "no table hit for S at 'a'" (-2)
+    (Cache.decision cache (nt g "S") (Word.of_tokens (Grammar.tokens g [ "a"; "b" ])) 0)
+
+let json_inputs () =
+  let l = Costar_langs.Json.lang in
+  List.map
+    (fun seed ->
+      Word.of_buf
+        (Costar_langs.Lang.tokenize_buf_exn l
+           (Costar_langs.Lang.generate l ~seed ~size:60)))
+    [ 1; 2; 3 ]
+
+let warm p cache inputs =
+  List.iter (fun w -> ignore (Parser.run_word ~cache p w)) inputs
+
+(* Entries are DFA facts: a copy, a snapshot and an overlay over it all
+   answer from the same table. *)
+let test_table_survives_copy_and_overlay () =
+  let p = Parser.make (Costar_langs.Lang.grammar Costar_langs.Json.lang) in
+  let c = Cache.create (Parser.analysis p) in
+  warm p c (json_inputs ());
+  let learned = Cache.learned_decisions c in
+  Alcotest.(check bool) "the table learned" true (learned <> []);
+  let same what c' =
+    Alcotest.(check bool) what true (Cache.learned_decisions c' = learned)
+  in
+  same "copy" (Cache.copy c);
+  same "overlay over a snapshot" (Cache.overlay (Cache.freeze c));
+  (* A copy grows on its own: the original's table is unchanged. *)
+  let c' = Cache.copy (Cache.create (Parser.analysis p)) in
+  warm p c' (json_inputs ());
+  same "relearned copy" c'
+
+(* Images do not store the table: a loaded cache starts with no learned
+   entry and learns, from the image's states, exactly what the heap cache
+   it was saved from learned. *)
+let test_image_relearns_table () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let p = Parser.make g in
+  let anl = Parser.analysis p in
+  let c = Cache.create anl in
+  let inputs = json_inputs () in
+  warm p c inputs;
+  let fp = Grammar.fingerprint g in
+  let file = Filename.temp_file "costar_table" ".img" in
+  Fun.protect
+    ~finally:(fun () -> Sys.remove file)
+    (fun () ->
+      Cache.save_image ~fingerprint:fp c file;
+      List.iter
+        (fun (what, load) ->
+          match load ~anl ~fingerprint:fp file with
+          | Error e -> Alcotest.failf "%s: %s" what (Cache.image_error_to_string e)
+          | Ok c' ->
+            Alcotest.(check bool) (what ^ " starts empty") true
+              (Cache.learned_decisions c' = []);
+            warm p c' inputs;
+            Alcotest.(check bool) (what ^ " relearns the same entries") true
+              (Cache.learned_decisions c' = Cache.learned_decisions c))
+        [ ("load_image", Cache.load_image); ("load_image_heap", Cache.load_image_heap) ])
+
 let props =
   List.map QCheck_alcotest.to_alcotest
     [
@@ -220,6 +313,12 @@ let () =
           Alcotest.test_case "add_trans idempotent" `Quick
             test_add_trans_idempotent;
           Alcotest.test_case "v1 cache rejected" `Quick test_v1_cache_rejected;
+          Alcotest.test_case "two-token decision never tabled" `Quick
+            test_two_token_decision_untabled;
+          Alcotest.test_case "table survives copy, freeze and overlay" `Quick
+            test_table_survives_copy_and_overlay;
+          Alcotest.test_case "loaded image relearns the table" `Quick
+            test_image_relearns_table;
         ] );
       ("differential", props);
     ]

@@ -226,7 +226,7 @@ let test_single_production_shortcut () =
   let anl = Analysis.make g in
   let cache = Cache.create anl in
   let pred, _ =
-    Predict.adaptive_predict g anl cache (nt g "S") ~conts:Fun.id [ [] ]
+    Predict.adaptive_predict g anl cache (nt g "S") ~conts:(fun l () -> l) [ [] ] ()
       (word g [ "a"; "b" ]) 0
   in
   (match pred with

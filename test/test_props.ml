@@ -147,7 +147,10 @@ let prop_valid_sentences_accepted =
           | Parser.Reject _ | Parser.Error _ -> false))
 
 let prop_cache_reuse_stable =
-  (* Running with a reused cache gives the same result as a fresh cache. *)
+  (* Running with a reused cache gives the same result as a fresh cache.
+     The reused cache's first-token table must actually answer: once it
+     holds an entry for the start decision at the first token, the warm
+     run's first push reads it. *)
   QCheck.Test.make ~count:200 ~name:"warm cache does not change results"
     Util.arb_grammar_word (fun (g, w) ->
       let word = toks g w in
@@ -155,17 +158,35 @@ let prop_cache_reuse_stable =
       let r1 = Util.run p word in
       let cache = Cache.create (Parser.analysis p) in
       ignore (Util.run ~cache p word);
-      let r2 = Util.run ~cache p word in
-      let same =
-        match r1, r2 with
-        | Parser.Unique v1, Parser.Unique v2 | Parser.Ambig v1, Parser.Ambig v2
-          ->
-          Tree.equal v1 v2
-        | Parser.Reject _, Parser.Reject _ -> true
-        | Parser.Error e1, Parser.Error e2 -> e1 = e2
-        | _ -> false
+      let start_entry =
+        Cache.decision cache (Grammar.start g) (Word.of_tokens word) 0
       in
-      same)
+      Instr.reset ();
+      Instr.enabled := true;
+      let r2 = Util.run ~cache p word in
+      Instr.enabled := false;
+      let hits = (Instr.cache_totals ()).Instr.table_hits in
+      if start_entry >= 0 && hits = 0 then
+        QCheck.Test.fail_report "the warm run never read the table";
+      Util.same_result ~messages:true r1 r2)
+
+let prop_machine_loops_agree =
+  (* The unboxed loop, the loop under an [inspect] hook and iterated
+     [Machine.step] stop alike (test/util.ml), cold and then with the
+     cache and its table warm, left-recursive grammars included. *)
+  QCheck.Test.make ~count:600 ~name:"unboxed multistep = iterated step"
+    Util.arb_grammar_word (fun (g, w) ->
+      let p = Parser.make g in
+      let word = Word.of_tokens (toks g w) in
+      let check () =
+        match Util.Loops.disagreement p word with
+        | None -> ()
+        | Some (n1, s1, n2, s2) ->
+          QCheck.Test.fail_reportf "%s: %s@.%s: %s" n1 s1 n2 s2
+      in
+      check ();
+      check ();
+      true)
 
 let prop_sll_overapproximates_ll =
   (* Direct check of the failover soundness argument (Lemma 5.4) at the
@@ -214,6 +235,7 @@ let props =
       prop_derived_bookkeeping;
       prop_valid_sentences_accepted;
       prop_cache_reuse_stable;
+      prop_machine_loops_agree;
       prop_sll_overapproximates_ll;
     ]
 

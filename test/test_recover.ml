@@ -153,6 +153,82 @@ let test_derived_bookkeeping () =
       done)
     langs
 
+(* The unboxed loop against the primitive step on recovery mutants: the
+   machine loop three ways from the initial state (test/util.ml), and a
+   whole recovery — whose repairs resume the loop from states the loop
+   itself stopped in — with and without an [inspect] hook, which switches
+   [Machine.multistep] from the fused loop to iterated [Machine.step].
+   Then the warmed first-token table against a fresh cache per input. *)
+let outcome_summary (o : R.outcome) =
+  let verdict =
+    match o.R.verdict with
+    | R.Recovered _ -> "recovered"
+    | R.Recovered_ambig _ -> "recovered-ambig"
+    | R.Fatal e -> Fmt.str "fatal %a" Costar_core.Types.pp_error e
+  in
+  verdict
+  :: List.map
+       (fun (e : R.event) ->
+         Printf.sprintf "%s at %d consumed %d" e.R.diag.D.message e.R.at
+           e.R.consumed)
+       o.R.events
+
+let same_recovery (o1 : R.outcome) (o2 : R.outcome) =
+  outcome_summary o1 = outcome_summary o2
+  &&
+  match o1.R.verdict, o2.R.verdict with
+  | (R.Recovered t1 | R.Recovered_ambig t1), (R.Recovered t2 | R.Recovered_ambig t2)
+    ->
+    Tree.equal t1 t2
+  | _ -> true
+
+let test_mutant_loops_agree () =
+  List.iter
+    (fun l ->
+      let p = P.make (Lang.grammar l) in
+      let eng = R.make p in
+      let source = Lang.generate l ~seed:2 ~size:30 in
+      let tokens = Lang.tokenize_exn l source in
+      for k = 0 to 149 do
+        let toks' =
+          match Mutate.derive (Rng.split 13 k) ~source ~tokens with
+          | Mutate.Tokens (toks', _) -> Some toks'
+          | Mutate.Source (s, _) -> (
+            match Lang.tokenize l s with Ok t -> Some t | Error _ -> None)
+        in
+        match toks' with
+        | None -> ()
+        | Some toks' ->
+          let word = Word.of_tokens toks' in
+          (match Util.Loops.disagreement p word with
+          | None -> ()
+          | Some (n1, s1, n2, s2) ->
+            Alcotest.failf "%s mutant %d: %s %s@.%s %s" l.Lang.name k n1 s1 n2
+              s2);
+          let plain = R.run_word eng word in
+          let hooked = R.run_word ~inspect:(fun _ _ -> ()) eng word in
+          if not (same_recovery plain hooked) then
+            Alcotest.failf "%s mutant %d: recovery differs with an inspect hook"
+              l.Lang.name k;
+          (* The base cache and its table are warm by now; a fresh cache
+             per input must give the same parse and the same repairs. *)
+          let fresh () = Cache.create (P.analysis p) in
+          if
+            not
+              (Util.same_result ~messages:true (P.run_word p word)
+                 (P.run_word ~cache:(fresh ()) p word))
+          then
+            Alcotest.failf "%s mutant %d: warm table parse differs from fresh"
+              l.Lang.name k;
+          if not (same_recovery plain (R.run_word ~cache:(fresh ()) eng word))
+          then
+            Alcotest.failf "%s mutant %d: warm table recovery differs from fresh"
+              l.Lang.name k
+      done;
+      if Cache.learned_decisions (P.base_cache p) = [] then
+        Alcotest.failf "%s: the base cache's table learned nothing" l.Lang.name)
+    langs
+
 let prop_derived_bookkeeping =
   QCheck.Test.make ~count:300
     ~name:"derived bookkeeping follows the paper's rules under repair"
@@ -299,6 +375,8 @@ let () =
             test_corpus_mutants;
           Alcotest.test_case "mutants keep the paper's bookkeeping" `Quick
             test_derived_bookkeeping;
+          Alcotest.test_case "unboxed loop = step, warm = fresh on mutants" `Quick
+            test_mutant_loops_agree;
         ] );
       ( "properties",
         List.map QCheck_alcotest.to_alcotest

@@ -158,19 +158,19 @@ module Shadow = struct
     let h0 = M.height s0 and h1 = M.height s1 in
     if t.guard <> None then fail t "a push passed the visited guard";
     if h1 = h0 + 1 then (
-      match s1.M.top.M.label with
-      | Some x ->
+      match s1.M.top with
+      | M.Frame { label = x; _ } ->
         t.frames <- { syms = []; trees = 0 } :: t.frames;
         t.visited <- Int_set.add x t.visited
-      | None -> fail t "pushed an unlabeled frame")
+      | M.Bottom -> fail t "pushed an unlabeled frame")
     else if h1 > h0 then fail t "height grew by %d" (h1 - h0)
     else begin
       (* Pops: machine returns, or recovery closing frames. *)
-      let rec pop d (fs : M.frame list) shadow =
+      let rec pop d labels shadow =
         if d = 0 then shadow
         else
-          match fs, shadow with
-          | { M.label = Some x; _ } :: fs', _ :: caller :: rest ->
+          match labels, shadow with
+          | Some x :: fs', _ :: caller :: rest ->
             t.visited <- Int_set.remove x t.visited;
             pop (d - 1) fs'
               ({ syms = NT x :: caller.syms; trees = caller.trees + 1 } :: rest)
@@ -178,7 +178,7 @@ module Shadow = struct
             fail t "cannot pop";
             shadow
       in
-      t.frames <- pop (h0 - h1) (s0.M.top :: s0.M.frames) t.frames;
+      t.frames <- pop (h0 - h1) (M.labels s0) t.frames;
       (* Consuming or skipping input empties the visited set. *)
       if s1.M.pos > s0.M.pos then t.visited <- Int_set.empty;
       match t.frames with
@@ -187,7 +187,7 @@ module Shadow = struct
         (* With no pops, the one new symbol is the head of the old top
            suffix: a consume, an inserted terminal or a dropped symbol. *)
         let head =
-          match s0.M.top.M.suf with s :: _ when h1 = h0 -> Some s | _ -> None
+          match s0.M.suf with s :: _ when h1 = h0 -> Some s | _ -> None
         in
         let syms =
           List.fold_left
@@ -218,7 +218,7 @@ module Shadow = struct
     if not (Int_set.equal (M.visited s) t.visited) then
       fail t "visited {%s} <> paper's {%s}" (show (M.visited s)) (show t.visited);
     t.guard <-
-      (match s.M.top.M.suf with
+      (match s.M.suf with
       | NT x :: _ when Int_set.mem x t.visited -> Some x
       | _ -> None)
 
@@ -234,15 +234,13 @@ module Shadow = struct
   let check_error t (env : M.env) (e : Costar_core.Types.error option) =
     let module Ty = Costar_core.Types in
     let predicted_error ((ctx : M.ctx), (st : M.state)) x =
-      let below (st : M.state) =
-        List.tl st.M.top.M.suf :: List.tl (M.conts st)
-      in
-      match st.M.top.M.suf with
+      let below (st : M.state) () = List.tl st.M.suf :: List.tl (M.conts st) in
+      match st.M.suf with
       | NT decision :: _ -> (
         match
           Costar_core.Predict.adaptive_predict env.M.g
             (Costar_core.Cache.analysis ctx.M.cache) ctx.M.cache decision
-            ~conts:below st ctx.M.word st.M.pos
+            ~conts:below st () ctx.M.word st.M.pos
         with
         | Ty.Error_pred (Ty.Left_recursive y), _ -> y = x
         | _ -> false)
@@ -254,4 +252,77 @@ module Shadow = struct
     | (None | Some (Ty.Invalid_state _)), None, _ -> ()
     | _ -> fail t "left-recursion verdict differs from the paper's guard");
     t.error
+end
+
+(* The machine loop three ways from the initial state: [Machine.step]
+   iterated here, [Machine.multistep] with an [inspect] hook (which
+   iterates [step] itself), and the unboxed [Machine.multistep], which
+   fuses ε-productions — in that order, each in its own context over the
+   one cache, so the unboxed run is the one that reads a warmed first-token
+   table.  Each stop is rendered with everything the three must agree on:
+   the stop kind, the final or rejecting state (position, event count,
+   height, suffix stack, uniqueness flag), the failure, and a digest of
+   the event buffer's bytes. *)
+module Loops = struct
+  module M = Costar_core.Machine
+
+  let sym = function
+    | Symbols.T a -> Printf.sprintf "t%d" a
+    | Symbols.NT x -> Printf.sprintf "n%d" x
+
+  let state (ctx : M.ctx) (st : M.state) =
+    Printf.sprintf "pos %d ev %d height %d unique %b conts [%s] events %s"
+      st.M.pos st.M.ev (M.height st) st.M.unique
+      (String.concat " | "
+         (List.map (fun l -> String.concat " " (List.map sym l)) (M.conts st)))
+      (Digest.to_hex (Digest.string (Tree.Events.bytes ctx.M.events st.M.ev)))
+
+  let reason = function
+    | M.Fail_mismatch { expected; pos } ->
+      Printf.sprintf "mismatch t%d at %d" expected pos
+    | M.Fail_eof { expected } -> Printf.sprintf "eof t%d" expected
+    | M.Fail_no_alt { nt; pos; lookahead } ->
+      Printf.sprintf "no alt n%d at %d after %d" nt pos lookahead
+    | M.Fail_trailing { pos } -> Printf.sprintf "trailing at %d" pos
+
+  let summary ctx = function
+    | M.Halted st -> "halted " ^ state ctx st
+    | M.Rejected (st, f) ->
+      Printf.sprintf "rejected %s: %s (%s)" (state ctx st) (reason f.M.reason)
+        f.M.message
+    | M.Failed e -> Fmt.str "failed %a" Costar_core.Types.pp_error e
+
+  let iterate env ctx st =
+    let rec go st =
+      match M.step env ctx st with
+      | M.Step_cont st' -> go st'
+      | M.Step_halt -> M.Halted st
+      | M.Step_reject f -> M.Rejected (st, f)
+      | M.Step_error e -> M.Failed e
+    in
+    go st
+
+  let summaries ?cache p word =
+    let env = Costar_core.Parser.env p in
+    let cache =
+      match cache with Some c -> c | None -> Costar_core.Parser.base_cache p
+    in
+    let run loop =
+      let ctx = M.context env ~cache word in
+      summary ctx (loop ctx (M.initial env))
+    in
+    [
+      run (iterate env);
+      run (M.multistep ~inspect:(fun _ _ -> ()) env);
+      run (M.multistep env);
+    ]
+
+  (* [None] when the three agree, else the first two that differ. *)
+  let disagreement ?cache p word =
+    match summaries ?cache p word with
+    | [ a; b; c ] ->
+      if a <> b then Some ("step", a, "inspect", b)
+      else if b <> c then Some ("inspect", b, "unboxed", c)
+      else None
+    | _ -> assert false
 end
