@@ -258,8 +258,8 @@ let parse_cmd =
       & info [ "stats" ]
           ~doc:
             "Print prediction and DFA-cache statistics (lookahead consumed, \
-             state interns, transition and closure-memo hit rates) to stderr \
-             after parsing.")
+             state interns, transition and closure-memo hit rates, static \
+             LL(1) table hits) to stderr after parsing.")
   in
   let run lang grammar lexer start input tokens dot trace cache_file stats
       recover format max_severity max_warnings =
@@ -361,11 +361,13 @@ let parse_cmd =
           sll_calls sll_toks ll_calls ll_toks;
         Printf.eprintf
           "dfa cache: %d state interns; transitions %d hits / %d misses \
-           (%.1f%% hit); closure memo %d hits / %d misses (%.1f%% hit)\n"
+           (%.1f%% hit); closure memo %d hits / %d misses (%.1f%% hit); \
+           static LL(1) %d hits\n"
           c.I.state_interns c.I.trans_hits c.I.trans_misses
           (pct c.I.trans_hits (c.I.trans_hits + c.I.trans_misses))
           c.I.closure_hits c.I.closure_misses
-          (pct c.I.closure_hits (c.I.closure_hits + c.I.closure_misses));
+          (pct c.I.closure_hits (c.I.closure_hits + c.I.closure_misses))
+          c.I.static_hits;
         I.enabled := false
       end;
       match outcome.R.verdict with

@@ -132,15 +132,46 @@ let unique_pairs g =
 let no_entry = -1
 let no_decision = -2
 let single_tag = 2
+let static_tag = 3
 
-(* A fresh table knows the single-alternative decisions: they need no
-   lookahead and no DFA. *)
-let fresh_decisions g n_terms =
+(* The gate under which the LL(1) cells are exactly what the DFA decides
+   after one token (DESIGN.md §7): every nonterminal reachable and
+   productive, none left-recursive.  Then every configuration's closure is
+   non-empty and never meets left recursion, so a move of [x]'s initial
+   state on [a] keeps exactly the alternatives whose PREDICT set holds [a],
+   and the initial state accepts exactly the nullable alternatives when
+   [follow_end x]. *)
+let ll1_exact anl =
+  let g = Analysis.grammar anl in
+  let rec all x =
+    x < 0
+    || (Analysis.reachable anl x && Analysis.productive anl x && all (x - 1))
+  in
+  all (Grammar.num_nonterminals g - 1)
+  && Int_set.is_empty (Left_recursion.left_recursive_nts g anl)
+
+(* A fresh table knows the single-alternative decisions, which need no
+   lookahead and no DFA, and, under the gate, the one-candidate LL(1)
+   cells of every other decision, tagged [static_tag]. *)
+let fresh_decisions anl =
+  let g = Analysis.grammar anl in
+  let n_terms = Grammar.num_terminals g in
   let stride = n_terms + 1 in
   let t = Array.make (max 1 (Grammar.num_nonterminals g * stride)) no_entry in
+  let static = ll1_exact anl in
+  let cells, eof = Analysis.ll1_cells anl in
   for x = 0 to Grammar.num_nonterminals g - 1 do
     match Grammar.prods_of g x with
     | [ ix ] -> Array.fill t (x * stride) stride ((ix lsl 2) lor single_tag)
+    | _ :: _ :: _ when static ->
+      let set col = function
+        | [ ix ] -> t.((x * stride) + col) <- (ix lsl 2) lor static_tag
+        | _ -> ()
+      in
+      for a = 0 to n_terms - 1 do
+        set a cells.((x * n_terms) + a)
+      done;
+      set n_terms eof.(x)
     | _ -> ()
   done;
   t
@@ -166,7 +197,7 @@ let create anl =
     n_states = 0;
     n_trans = 0;
     inits = Array.make (max 1 (Grammar.num_nonterminals g)) (-1);
-    decisions = fresh_decisions g (Grammar.num_terminals g);
+    decisions = fresh_decisions anl;
     img = None;
   }
 
@@ -419,16 +450,6 @@ let learn c x w i =
         | V_all_pred p -> decided p 1
         | V_empty | V_pending -> c.decisions.(k) <- no_decision)
   end
-
-let learned_decisions c =
-  let stride = c.n_terms + 1 in
-  let acc = ref [] in
-  Array.iteri
-    (fun k e ->
-      if e >= 0 && e land 3 <> single_tag then
-        acc := (k / stride, k mod stride, e lsr 2, e land 3) :: !acc)
-    c.decisions;
-  List.rev !acc
 
 let find_trans c sid a =
   let s = trans_get c sid a in
@@ -897,9 +918,9 @@ let image_cache ~anl (im : image) =
     n_states = im.i_states;
     n_trans = 0;
     inits = Array.make (max 1 (Grammar.num_nonterminals g)) (-1);
-    (* Images do not store the table: it is relearned from the image's
-       states by the parses that read them. *)
-    decisions = fresh_decisions g im.i_terms;
+    (* Images do not store the table: a loaded cache starts from the
+       static one and relearns the rest from the image's states. *)
+    decisions = fresh_decisions anl;
     img = Some im;
   }
 

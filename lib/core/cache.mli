@@ -130,16 +130,30 @@ val add_init : t -> nonterminal -> state_id -> unit
     One int per (decision nonterminal, lookahead column), where the column
     is the terminal at the lookahead position, or the end of input: the
     production this cache's DFA decides after reading at most that one
-    token, so that a warm prediction is one array read.  {!create}
-    prefills the single-alternative decisions; every other entry is learned
-    ({!learn}) from DFA states the general prediction path has built, so a
-    fresh cache starts cold.  {!copy}, {!freeze}, {!overlay} and {!absorb}
-    carry the table; images do not store it, and a loaded cache relearns it
-    from the image's states.
+    token, so that a warm prediction is one array read.
 
-    An entry [e >= 0] is [(p lsl 2) lor tag]: production [p], decided by a
-    DFA walk at depth [tag] (0 or 1), or [tag = 2] for a single-alternative
-    decision, which walks no DFA.  A negative entry is a miss. *)
+    {!create} (and the image loaders) prefill the static entries.  Every
+    single-alternative decision is one.  So is every one-candidate cell of
+    {!Analysis.ll1_cells}, provided every nonterminal is reachable and
+    productive and none is left-recursive.  For such a grammar a one-token
+    move of [x]'s initial DFA state keeps exactly the alternatives whose
+    PREDICT set holds the token, and the state accepts at end of input
+    exactly the nullable alternatives when [follow_end x] holds (DESIGN.md
+    §7).  So a static entry is what the DFA would decide, and a cold parse
+    builds no DFA state for it.  Every other entry is learned ({!learn})
+    from DFA states the general prediction path has built.  For a grammar
+    that gets the LL(1) cells, a learned entry is always a settled miss,
+    since the cells already hold every decision one token settles.
+    {!copy}, {!freeze}, {!overlay} and {!absorb} carry the table.  Images
+    do not store it: a loaded cache starts from the static entries and
+    relearns the rest from the image's states.
+
+    An entry [e >= 0] is [(p lsl 2) lor tag], for production [p]:
+    - [tag] 0 or 1: decided by a DFA walk at that depth;
+    - [tag = 2]: a single-alternative decision, which walks no DFA;
+    - [tag = 3]: a static LL(1) cell, which stands for a walk at depth 1
+      on a terminal column and at depth 0 on the end-of-input column.
+    A negative entry is a miss. *)
 
 (** The table itself, row-major with [num_terminals + 1] columns (the last
     one for the end of input), for the machine's inline read.  Its length
@@ -155,10 +169,6 @@ val decision : t -> nonterminal -> Word.t -> int -> int
 (** Fill the entry for decision [x] at position [i] of [w] from the DFA
     states already in the cache; a no-op while they are missing. *)
 val learn : t -> nonterminal -> Word.t -> int -> unit
-
-(** Every learned entry (single-alternative prefill excluded) as
-    [(x, column, production, depth)], in table order. *)
-val learned_decisions : t -> (nonterminal * int * int * int) list
 
 (** [intern cache configs] returns the id for this canonical configuration
     set, allocating (and precomputing {!info} for) a fresh state if new. *)

@@ -37,6 +37,10 @@ type cache_counters = {
   mutable table_hits : int;
       (** predictions the first-token table answered (a subset of the SLL
           calls; not a DFA-walk counter) *)
+  mutable static_hits : int;
+      (** table hits on static LL(1) entries before a token: each stands
+          for the one DFA transition its walk would have read (a subset of
+          [table_hits]) *)
 }
 
 (** Coverage tallies for one domain.  Keys are the dense ids the rest of
@@ -72,6 +76,7 @@ let key =
             closure_hits = 0;
             closure_misses = 0;
             table_hits = 0;
+            static_hits = 0;
           };
         cov =
           {
@@ -101,8 +106,11 @@ let record_ll x n = if !enabled then record (state ()).ll_tbl x n
 (* A hit in the first-token decision table ({!Cache.decisions}) counts as
    the DFA walk it replaces: one SLL call at the entry's depth, plus the
    transition hit a depth-1 walk reads.  A single-alternative entry
-   replaces no walk and counts nothing. *)
-let record_table_hit x e =
+   replaces no walk and counts nothing.  A static LL(1) entry (tag 3)
+   counts the SLL call at its depth: before a token, depth 1 and a static
+   hit in place of the transition hit, since no DFA row was read; at the
+   end of input, depth 0 like any other depth-0 entry. *)
+let record_table_hit x e ~at_end =
   if !enabled then begin
     let c = (state ()).cache in
     c.table_hits <- c.table_hits + 1;
@@ -111,7 +119,13 @@ let record_table_hit x e =
     | 1 ->
       record_sll x 1;
       c.trans_hits <- c.trans_hits + 1
-    | _ -> ()
+    | 2 -> ()
+    | _ ->
+      if at_end then record_sll x 0
+      else begin
+        record_sll x 1;
+        c.static_hits <- c.static_hits + 1
+      end
   end
 
 let record_state_intern () =
@@ -193,7 +207,8 @@ let reset () =
   st.cache.trans_misses <- 0;
   st.cache.closure_hits <- 0;
   st.cache.closure_misses <- 0;
-  st.cache.table_hits <- 0
+  st.cache.table_hits <- 0;
+  st.cache.static_hits <- 0
 
 (** Totals for the calling domain: (sll calls, sll lookahead tokens,
     ll calls, ll lookahead). *)
@@ -221,6 +236,7 @@ let sum_cache_counters l =
         closure_hits = acc.closure_hits + c.closure_hits;
         closure_misses = acc.closure_misses + c.closure_misses;
         table_hits = acc.table_hits + c.table_hits;
+        static_hits = acc.static_hits + c.static_hits;
       })
     {
       state_interns = 0;
@@ -229,6 +245,7 @@ let sum_cache_counters l =
       closure_hits = 0;
       closure_misses = 0;
       table_hits = 0;
+      static_hits = 0;
     }
     l
 

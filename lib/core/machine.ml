@@ -246,7 +246,8 @@ let rec run once env ctx suf top pos ev unique =
         else Array.unsafe_get ctx.decisions ((x * env.stride) + env.stride - 1)
       in
       if e >= 0 && not !Instr.cov_enabled then begin
-        if !Instr.enabled then Instr.record_table_hit x e;
+        if !Instr.enabled then
+          Instr.record_table_hit x e ~at_end:(pos >= word.Word.len);
         enter once env ctx (e lsr 2) rest top pos ev unique
       end
       else

@@ -5,7 +5,7 @@ let adaptive_predict g anl cache x ~conts s1 s2 w i =
   if e >= 0 && not !Instr.cov_enabled then begin
     (* Warm: the first-token table settles the decision with one read.
        Coverage needs the DFA state ids, so it always walks. *)
-    Instr.record_table_hit x e;
+    Instr.record_table_hit x e ~at_end:(i >= w.Word.len);
     Cache.unique_at cache (e lsr 2)
   end
   else

@@ -58,6 +58,10 @@ type t = {
   callers_framed : (nonterminal * Frames.frame) list array;
       (* [callers] with each continuation pre-interned, so stable-return
          forks in the closure hot path never touch symbol lists *)
+  ll1_cells : int list array;
+      (* LL(1) candidates, [x * num_terminals + a] -> productions in
+         grammar order *)
+  ll1_eof : int list array;  (* the same for end of input, per nonterminal *)
 }
 
 (* --- Construction ------------------------------------------------------- *)
@@ -325,6 +329,46 @@ let compute_callers g occs =
            [] occs))
     occs
 
+let nullable_seq t syms =
+  List.for_all (function T _ -> false | NT x -> t.nullable.(x)) syms
+
+let first_seq t syms =
+  let acc = Bitset.create (Grammar.num_terminals t.g) in
+  let rec go = function
+    | [] -> ()
+    | T a :: _ -> ignore (Bitset.add acc a)
+    | NT x :: rest ->
+      ignore (Bitset.union_into ~into:acc t.first.(x));
+      if t.nullable.(x) then go rest
+  in
+  go syms;
+  acc
+
+(* The LL(1) table's candidate cells: production [p] of [x] enters the
+   cell of every terminal in PREDICT(p) = FIRST(rhs) ∪ (FOLLOW(x) if rhs is
+   nullable), and the end-of-input cell when rhs is nullable and
+   [follow_end x].  Each production enters a cell at most once: a nullable
+   right-hand side whose FIRST and FOLLOW(lhs) share a terminal is one
+   candidate there, not a conflict with itself.  Productions are visited
+   last to first so consing leaves every cell in grammar order. *)
+let compute_ll1_cells t =
+  let n_terms = Grammar.num_terminals t.g in
+  let cells = Array.make (Grammar.num_nonterminals t.g * n_terms) [] in
+  let eof = Array.make (Grammar.num_nonterminals t.g) [] in
+  let prods = Grammar.prods t.g in
+  for ix = Array.length prods - 1 downto 0 do
+    let p = prods.(ix) in
+    let x = p.Grammar.lhs in
+    let add a = cells.((x * n_terms) + a) <- ix :: cells.((x * n_terms) + a) in
+    let la = first_seq t p.rhs in
+    if nullable_seq t p.rhs then begin
+      ignore (Bitset.union_into ~into:la t.follow.(x));
+      if t.follow_end.(x) then eof.(x) <- ix :: eof.(x)
+    end;
+    Bitset.iter add la
+  done;
+  (cells, eof)
+
 let make g =
   let n_nts = Grammar.num_nonterminals g in
   let n_terms = Grammar.num_terminals g in
@@ -355,6 +399,8 @@ let make g =
         Array.map
           (List.map (fun (y, beta) -> (y, Frames.frame_of_syms frames beta)))
           callers;
+      ll1_cells = [||];
+      ll1_eof = [||];
     }
   in
   compute_nullable t;
@@ -362,8 +408,11 @@ let make g =
   compute_follow t;
   compute_reachable t;
   compute_productive t;
+  let ll1_cells, ll1_eof = compute_ll1_cells t in
   {
     t with
+    ll1_cells;
+    ll1_eof;
     sync = Array.init n_nts (fun x -> Bitset.union t.first.(x) t.follow.(x));
     min_yield = compute_min_yield g t.productive;
   }
@@ -381,21 +430,7 @@ let productive t x = t.productive.(x)
 let callers t x = t.callers.(x)
 let callers_framed t x = t.callers_framed.(x)
 let frames t = t.frames
-
-let nullable_seq t syms =
-  List.for_all (function T _ -> false | NT x -> t.nullable.(x)) syms
-
-let first_seq t syms =
-  let acc = Bitset.create (Grammar.num_terminals t.g) in
-  let rec go = function
-    | [] -> ()
-    | T a :: _ -> ignore (Bitset.add acc a)
-    | NT x :: rest ->
-      ignore (Bitset.union_into ~into:acc t.first.(x));
-      if t.nullable.(x) then go rest
-  in
-  go syms;
-  acc
+let ll1_cells t = (t.ll1_cells, t.ll1_eof)
 
 let min_yield t x = if t.productive.(x) then Some t.min_yield.(x) else None
 

@@ -61,6 +61,19 @@ val sync : t -> nonterminal -> Bitset.t
 val reachable : t -> nonterminal -> bool
 val productive : t -> nonterminal -> bool
 
+(** {1 LL(1) cells} *)
+
+(** [ll1_cells a] is [(cells, eof)], the candidate productions of the
+    LL(1) table, computed once by {!make}: [cells.(x * num_terminals + t)]
+    lists the productions of [x] whose PREDICT set (FIRST of the right-hand
+    side, plus FOLLOW([x]) when it is nullable) contains [t], and
+    [eof.(x)] the nullable productions of [x] when {!follow_end} holds.
+    Each cell lists a production at most once, in grammar order.  A cell
+    with two or more candidates is an LL(1) conflict.  The LL(1) parser,
+    Turbo's dispatch table and the prediction cache's static first-token
+    decisions all read these cells.  Do not mutate. *)
+val ll1_cells : t -> int list array * int list array
+
 (** {1 CoStar-specific artifacts} *)
 
 (** [callers a x] lists every occurrence of [x] on a right-hand side, as

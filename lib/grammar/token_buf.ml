@@ -91,6 +91,22 @@ let add b ~kind ~start ~stop =
   Bigarray.Array1.unsafe_set b.ends i stop;
   b.len <- i + 1
 
+(* One call per run of tokens, not per token: the indenter copies whole
+   lines verbatim. *)
+let append_range dst src i j =
+  if i < 0 || j > src.len || i > j then invalid_arg "Token_buf.append_range";
+  let k = j - i in
+  while dst.len + k > Bigarray.Array1.dim dst.kinds do
+    grow dst
+  done;
+  let at = dst.len - i in
+  for t = i to j - 1 do
+    Bigarray.Array1.unsafe_set dst.kinds (at + t) (Bigarray.Array1.unsafe_get src.kinds t);
+    Bigarray.Array1.unsafe_set dst.starts (at + t) (Bigarray.Array1.unsafe_get src.starts t);
+    Bigarray.Array1.unsafe_set dst.ends (at + t) (Bigarray.Array1.unsafe_get src.ends t)
+  done;
+  dst.len <- dst.len + k
+
 let kind b i = Bigarray.Array1.get b.kinds i
 let start_ofs b i = Bigarray.Array1.get b.starts i
 let end_ofs b i = Bigarray.Array1.get b.ends i

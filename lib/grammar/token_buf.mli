@@ -44,6 +44,11 @@ val trimmed : t -> t
     making its lexeme empty and its position that of [start]. *)
 val add : t -> kind:int -> start:int -> stop:int -> unit
 
+(** [append_range dst src i j] appends tokens [i] to [j - 1] of [src] to
+    [dst], offsets unchanged, so both buffers must be over the same input.
+    Raises [Invalid_argument] unless [0 <= i <= j <= length src]. *)
+val append_range : t -> t -> int -> int -> unit
+
 val kind : t -> int -> Symbols.terminal
 val start_ofs : t -> int -> int
 val end_ofs : t -> int -> int

@@ -207,6 +207,7 @@ let build_classes trans =
 
 let of_nfa nfa =
   let intervals = Nfa.intervals nfa in
+  let marks = Nfa.marks nfa in
   let ids = ref Key_map.empty in
   let trans_acc = ref [] in
   let accepts_acc = ref [] in
@@ -235,13 +236,15 @@ let of_nfa nfa =
          numbered exactly as a byte-by-byte walk would number them. *)
       List.iter
         (fun (lo, hi) ->
-          match Nfa.eps_closure nfa (Nfa.step nfa states (Char.chr lo)) with
+          match
+            Nfa.eps_closure marks (Nfa.step marks states (Char.chr lo))
+          with
           | [] -> ()
           | states' -> Array.fill row lo (hi - lo + 1) (intern states'))
         intervals;
       id
   in
-  let start = intern (Nfa.eps_closure nfa [ Nfa.start nfa ]) in
+  let start = intern (Nfa.eps_closure marks [ Nfa.start nfa ]) in
   let n = !next_id in
   let trans = Array.make n [||] in
   List.iter (fun (id, row) -> trans.(id) <- row) !trans_acc;

@@ -88,20 +88,40 @@ let build rules =
     b.b_accepts;
   { num_states = b.n; start; eps; trans; accepts }
 
-let eps_closure nfa states =
-  let seen = Array.make nfa.num_states false in
+(* A scratch state set for one subset construction: [mark] flags the
+   members and [touched] lists them, so adding, listing and clearing cost
+   the members, not the whole NFA.  One set serves every step of a run,
+   which owns it: nothing is shared between runs or domains. *)
+type marks = {
+  nfa : t;
+  mark : Bytes.t;
+  mutable touched : state list;
+}
+
+let marks nfa = { nfa; mark = Bytes.make nfa.num_states '\000'; touched = [] }
+
+let mem m s = Bytes.unsafe_get m.mark s <> '\000'
+
+let add m s =
+  Bytes.unsafe_set m.mark s '\001';
+  m.touched <- s :: m.touched
+
+(* The members in ascending order; empties the set. *)
+let take m =
+  let members = m.touched in
+  List.iter (fun s -> Bytes.unsafe_set m.mark s '\000') members;
+  m.touched <- [];
+  List.sort (fun (a : int) b -> compare a b) members
+
+let eps_closure m states =
   let rec go s =
-    if not seen.(s) then begin
-      seen.(s) <- true;
-      List.iter go nfa.eps.(s)
+    if not (mem m s) then begin
+      add m s;
+      List.iter go m.nfa.eps.(s)
     end
   in
   List.iter go states;
-  let acc = ref [] in
-  for s = nfa.num_states - 1 downto 0 do
-    if seen.(s) then acc := s :: !acc
-  done;
-  !acc
+  take m
 
 let intervals nfa =
   (* [cut.(c)]: an interval starts at byte [c]. *)
@@ -121,16 +141,11 @@ let intervals nfa =
   done;
   !acc
 
-let step nfa states c =
-  let seen = Array.make nfa.num_states false in
+let step m states c =
   List.iter
     (fun s ->
       List.iter
-        (fun (lo, hi, s') -> if c >= lo && c <= hi then seen.(s') <- true)
-        nfa.trans.(s))
+        (fun (lo, hi, s') -> if c >= lo && c <= hi && not (mem m s') then add m s')
+        m.nfa.trans.(s))
     states;
-  let acc = ref [] in
-  for s = nfa.num_states - 1 downto 0 do
-    if seen.(s) then acc := s :: !acc
-  done;
-  !acc
+  take m

@@ -16,11 +16,21 @@ val start : t -> state
     input list. *)
 val build : Regex.t list -> t
 
-(** Epsilon closure of a set of states, as a sorted list. *)
-val eps_closure : t -> state list -> state list
+(** A scratch state set for one NFA.  A subset construction makes one
+    and passes it to every {!eps_closure} and {!step} of its run, so a
+    step costs the states it touches instead of an array over every NFA
+    state.  It is mutable and must not be shared between concurrent
+    runs. *)
+type marks
 
-(** States reachable from [states] by consuming byte [c] (not closed). *)
-val step : t -> state list -> char -> state list
+val marks : t -> marks
+
+(** Epsilon closure of a set of states of the NFA, as a sorted list. *)
+val eps_closure : marks -> state list -> state list
+
+(** States reachable from [states] by consuming byte [c] (not closed), as
+    a sorted list. *)
+val step : marks -> state list -> char -> state list
 
 (** The bytes 0..255 cut into ascending inclusive intervals [(lo, hi)]
     that no transition range splits: all bytes of one interval step every

@@ -24,29 +24,8 @@ type table = {
   eof : int list array;
 }
 
-(* Each production enters a cell at most once: a nullable right-hand side
-   whose FIRST and FOLLOW(lhs) share a terminal is one candidate there, not
-   a conflict with itself. *)
-let raw_cells anl =
-  let g = Analysis.grammar anl in
-  let nts = Grammar.num_nonterminals g and terms = Grammar.num_terminals g in
-  let cells = Array.make (nts * terms) [] in
-  let eof = Array.make nts [] in
-  let add_cell x a ix = cells.((x * terms) + a) <- cells.((x * terms) + a) @ [ ix ] in
-  Array.iter
-    (fun p ->
-      let x = p.Grammar.lhs in
-      let la = Analysis.first_seq anl p.rhs in
-      if Analysis.nullable_seq anl p.rhs then begin
-        ignore (Bitset.union_into ~into:la (Analysis.follow anl x));
-        if Analysis.follow_end anl x then eof.(x) <- eof.(x) @ [ p.ix ]
-      end;
-      Bitset.iter (fun a -> add_cell x a p.ix) la)
-    (Grammar.prods g);
-  (cells, eof)
-
 let build_raw g =
-  let cells, eof = raw_cells (Analysis.make g) in
+  let cells, eof = Analysis.ll1_cells (Analysis.make g) in
   { g; cells; eof }
 
 let conflicts g =

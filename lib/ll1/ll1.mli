@@ -21,12 +21,6 @@ type table
 (** [build g] constructs the LL(1) table, or reports all conflicts. *)
 val build : Grammar.t -> (table, conflict list) result
 
-(** [raw_cells anl] is the table of [Analysis.grammar anl] with every
-    candidate kept, conflicts included: [cells.(x * num_terminals + a)]
-    and [eof.(x)] list the productions of [x] predicted on terminal [a] and
-    on end-of-input, in grammar order, each at most once. *)
-val raw_cells : Analysis.t -> int list array * int list array
-
 (** Number of conflicts without building (for reporting). *)
 val conflicts : Grammar.t -> conflict list
 

@@ -22,7 +22,7 @@ let create g =
   let anl = Analysis.make g in
   let dispatch, dispatch_eof =
     let cell = function [] -> -2 | [ ix ] -> ix | _ -> -1 in
-    let cells, eof = Costar_ll1.Ll1.raw_cells anl in
+    let cells, eof = Analysis.ll1_cells anl in
     (Array.map cell cells, Array.map cell eof)
   in
   let single =

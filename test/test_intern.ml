@@ -4,8 +4,9 @@
    of a random grammar, the productions whose right-hand side derives the
    word bound what each verdict may claim.  The memoized closure must
    match the direct one, [Cache.add_trans] must be idempotent, an image
-   of an older format version is refused, and the first-token decision
-   table keeps its bookkeeping through copies, snapshots and images. *)
+   of an older format version is refused, the first-token decision table
+   keeps its bookkeeping through copies, snapshots and images, and its
+   static LL(1) entries are exactly what the DFA decides. *)
 
 open Costar_grammar
 open Costar_core
@@ -233,8 +234,8 @@ let test_two_token_decision_untabled () =
         | r -> Alcotest.failf "expected Unique, got %a" (Parser.pp_result g) r)
       [ "b"; "c" ]
   done;
-  Alcotest.(check (list (pair int int))) "no learned entry" []
-    (List.map (fun (x, c, _, _) -> (x, c)) (Cache.learned_decisions cache));
+  Alcotest.(check bool) "no tabled production" true
+    (Array.for_all (fun e -> e < 0) (Cache.decisions cache));
   check_int "no table hit for S at 'a'" (-2)
     (Cache.decision cache (nt g "S") (Word.of_tokens (Grammar.tokens g [ "a"; "b" ])) 0)
 
@@ -250,17 +251,21 @@ let json_inputs () =
 let warm p cache inputs =
   List.iter (fun w -> ignore (Parser.run_word ~cache p w)) inputs
 
+(* The whole first-token table, static entries and learned ones. *)
+let table c = Array.copy (Cache.decisions c)
+
 (* Entries are DFA facts: a copy, a snapshot and an overlay over it all
-   answer from the same table. *)
+   answer from the same table.  Json is LL(1) but for a few two-token
+   decisions, so what a warm cache adds to the static table is settled
+   misses; the comparisons are over the whole table. *)
 let test_table_survives_copy_and_overlay () =
   let p = Parser.make (Costar_langs.Lang.grammar Costar_langs.Json.lang) in
   let c = Cache.create (Parser.analysis p) in
+  let fresh = table c in
   warm p c (json_inputs ());
-  let learned = Cache.learned_decisions c in
-  Alcotest.(check bool) "the table learned" true (learned <> []);
-  let same what c' =
-    Alcotest.(check bool) what true (Cache.learned_decisions c' = learned)
-  in
+  let learned = table c in
+  Alcotest.(check bool) "the table learned" true (learned <> fresh);
+  let same what c' = Alcotest.(check bool) what true (table c' = learned) in
   same "copy" (Cache.copy c);
   same "overlay over a snapshot" (Cache.overlay (Cache.freeze c));
   (* A copy grows on its own: the original's table is unchanged. *)
@@ -268,17 +273,19 @@ let test_table_survives_copy_and_overlay () =
   warm p c' (json_inputs ());
   same "relearned copy" c'
 
-(* Images do not store the table: a loaded cache starts with no learned
-   entry and learns, from the image's states, exactly what the heap cache
-   it was saved from learned. *)
+(* Images do not store the table: a loaded cache starts with exactly the
+   static table a fresh cache has, and learns, from the image's states,
+   exactly what the heap cache it was saved from learned. *)
 let test_image_relearns_table () =
   let l = Costar_langs.Json.lang in
   let g = Costar_langs.Lang.grammar l in
   let p = Parser.make g in
   let anl = Parser.analysis p in
   let c = Cache.create anl in
+  let fresh = table c in
   let inputs = json_inputs () in
   warm p c inputs;
+  Alcotest.(check bool) "the heap cache learned" true (table c <> fresh);
   let fp = Grammar.fingerprint g in
   let file = Filename.temp_file "costar_table" ".img" in
   Fun.protect
@@ -290,12 +297,117 @@ let test_image_relearns_table () =
           match load ~anl ~fingerprint:fp file with
           | Error e -> Alcotest.failf "%s: %s" what (Cache.image_error_to_string e)
           | Ok c' ->
-            Alcotest.(check bool) (what ^ " starts empty") true
-              (Cache.learned_decisions c' = []);
+            Alcotest.(check bool) (what ^ " starts with the static table") true
+              (table c' = fresh);
             warm p c' inputs;
             Alcotest.(check bool) (what ^ " relearns the same entries") true
-              (Cache.learned_decisions c' = Cache.learned_decisions c))
+              (table c' = table c))
         [ ("load_image", Cache.load_image); ("load_image_heap", Cache.load_image_heap) ])
+
+(* --- Static LL(1) entries ---------------------------------------------- *)
+
+(* The gate, restated from its definition: every nonterminal reachable
+   and productive, none left-recursive. *)
+let ll1_exact g anl =
+  List.for_all
+    (fun x -> Analysis.reachable anl x && Analysis.productive anl x)
+    (List.init (Grammar.num_nonterminals g) Fun.id)
+  && Symbols.Int_set.is_empty (Left_recursion.left_recursive_nts g anl)
+
+(* Where a fresh cache's table differs from what the DFA decides.  Outside
+   the gate the table is the single-alternative prefill and nothing else.
+   Inside it, each entry of a multi-alternative decision is checked
+   against what [Cache.learn] writes after [Sll.predict] walks a fresh
+   cache on that one column (learn overwrites the static entry): a
+   production decided at depth 1 on a terminal, or at depth 0 at the end of
+   input, must be the static entry; anything else, a settled miss, must be
+   an empty static entry. *)
+let static_table_mismatch g =
+  let anl = Analysis.make g in
+  let n_terms = Grammar.num_terminals g in
+  let stride = n_terms + 1 in
+  let table = Cache.decisions (Cache.create anl) in
+  let exact = ll1_exact g anl in
+  let word col =
+    Word.of_tokens
+      (if col = n_terms then []
+       else [ { Token.term = col; lexeme = ""; line = 1; col = 0 } ])
+  in
+  let expected x col =
+    match Grammar.prods_of g x with
+    | [ ix ] -> (ix lsl 2) lor 2
+    | _ :: _ :: _ when exact -> (
+      let c = Cache.create anl and w = word col in
+      ignore (Sll.predict g anl c x w 0);
+      Cache.learn c x w 0;
+      match Cache.decision c x w 0 with
+      | -2 -> -1
+      | e when e >= 0 && e land 3 = if col = n_terms then 0 else 1 ->
+        ((e lsr 2) lsl 2) lor 3
+      | e -> Alcotest.failf "learn wrote %d for %s at column %d" e
+               (Grammar.nonterminal_name g x) col)
+    | _ -> -1
+  in
+  let bad = ref None in
+  for x = Grammar.num_nonterminals g - 1 downto 0 do
+    for col = n_terms downto 0 do
+      let e = table.((x * stride) + col) and e' = expected x col in
+      if e <> e' then bad := Some (x, col, e, e')
+    done
+  done;
+  !bad
+
+let report g (x, col, e, e') =
+  Printf.sprintf "%s at column %d: table %d, DFA %d"
+    (Grammar.nonterminal_name g x) col e e'
+
+let prop_static_table_exact =
+  QCheck.Test.make ~count:600 ~name:"static table = what the DFA decides"
+    (QCheck.make ~print:(Fmt.to_to_string Grammar.pp) Util.gen_grammar)
+    (fun g ->
+      match static_table_mismatch g with
+      | None -> true
+      | Some m -> QCheck.Test.fail_report (report g m))
+
+let langs = Costar_langs.[ Json.lang; Xml.lang; Dot.lang; Minipy.lang ]
+
+let test_static_table_langs () =
+  List.iter
+    (fun l ->
+      let g = Costar_langs.Lang.grammar l in
+      (match static_table_mismatch g with
+      | None -> ()
+      | Some m -> Alcotest.failf "%s: %s" l.Costar_langs.Lang.name (report g m));
+      Alcotest.(check bool)
+        (l.Costar_langs.Lang.name ^ " has static LL(1) entries") true
+        (Array.exists
+           (fun e -> e >= 0 && e land 3 = 3)
+           (Cache.decisions (Cache.create (Analysis.make g)))))
+    langs
+
+(* A cold parse builds DFA states only for decisions that need two tokens:
+   a generated minipy file of about 4 KB interns 15 states or fewer across
+   seeds, against about 400 when every decision was built from closures. *)
+let test_cold_minipy_states () =
+  let l = Costar_langs.Minipy.lang in
+  List.iter
+    (fun seed ->
+      let p = Parser.make (Costar_langs.Lang.grammar l) in
+      let w =
+        Word.of_buf
+          (Costar_langs.Lang.tokenize_buf_exn l
+             (Costar_langs.Lang.generate l ~seed ~size:800))
+      in
+      Instr.reset ();
+      Instr.enabled := true;
+      let r = Parser.run_word p w in
+      Instr.enabled := false;
+      (match r with
+      | Parser.Unique _ -> ()
+      | r -> Alcotest.failf "seed %d: %a" seed (Parser.pp_result (Parser.grammar p)) r);
+      let n = (Instr.cache_totals ()).Instr.state_interns in
+      if n > 40 then Alcotest.failf "seed %d: %d state interns (bound 40)" seed n)
+    [ 1; 2; 3 ]
 
 let props =
   List.map QCheck_alcotest.to_alcotest
@@ -303,6 +415,7 @@ let props =
       prop_sll_predict_agrees;
       prop_ll_predict_agrees;
       prop_closure_and_fork_agree;
+      prop_static_table_exact;
     ]
 
 let () =
@@ -319,6 +432,10 @@ let () =
             test_table_survives_copy_and_overlay;
           Alcotest.test_case "loaded image relearns the table" `Quick
             test_image_relearns_table;
+          Alcotest.test_case "static table = what the DFA decides (4 langs)"
+            `Quick test_static_table_langs;
+          Alcotest.test_case "cold minipy parse interns at most 40 states"
+            `Quick test_cold_minipy_states;
         ] );
       ("differential", props);
     ]

@@ -183,6 +183,49 @@ let prop_scanner_reconstructs =
           (String.concat "" (List.map (fun r -> r.Scanner.lexeme) raws))
       | Error _ -> false)
 
+(* The subset construction numbers states in the order a byte-by-byte walk
+   reaches them, and the class compression follows from the tables, so a
+   scanner's tables are a function of its rules.  Each bundled scanner's
+   state count, class count and a digest of its start state, byte classes,
+   accepting rules and class transitions are pinned: a change to how the
+   DFA is built must leave them byte for byte as they are. *)
+let dfa_digest d =
+  let b = Buffer.create 4096 in
+  let add i =
+    Buffer.add_string b (string_of_int i);
+    Buffer.add_char b ','
+  in
+  add (Dfa.start d);
+  add (Dfa.num_states d);
+  add (Dfa.num_classes d);
+  Array.iter add (Dfa.class_table d);
+  for s = 0 to Dfa.num_states d - 1 do
+    add (Dfa.accept_ix d s);
+    for k = 0 to Dfa.num_classes d - 1 do
+      add (Dfa.next_class d s k)
+    done
+  done;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_bundled_scanners_pinned () =
+  List.iter
+    (fun (l, states, classes, digest) ->
+      let name = l.Costar_langs.Lang.name in
+      match Costar_langs.Lang.scanner l with
+      | None -> Alcotest.failf "%s has no scanner" name
+      | Some sc ->
+        let d = Scanner.dfa sc in
+        check_int (name ^ " states") states (Dfa.num_states d);
+        check_int (name ^ " classes") classes (Dfa.num_classes d);
+        check_str (name ^ " tables") digest (dfa_digest d))
+    Costar_langs.
+      [
+        (Json.lang, 38, 25, "aec2c4d2a76188403a0126c71c192266");
+        (Xml.lang, 60, 29, "596b59c7b0c92927271fa8591002b4ba");
+        (Dot.lang, 61, 34, "72e59a685831ffd28b4d71b28e206c12");
+        (Minipy.lang, 192, 60, "985c00bf5563921210f1e4ea34826525");
+      ]
+
 let suite =
   [
     Alcotest.test_case "basic scanning" `Quick test_basic;
@@ -196,6 +239,8 @@ let suite =
     Alcotest.test_case "tokenize vs grammar" `Quick test_tokenize_against_grammar;
     Alcotest.test_case "ranges and classes" `Quick test_ranges_and_classes;
     Alcotest.test_case "regex nullability" `Quick test_regex_nullable;
+    Alcotest.test_case "bundled scanners pinned" `Quick
+      test_bundled_scanners_pinned;
     QCheck_alcotest.to_alcotest prop_scanner_total;
     QCheck_alcotest.to_alcotest prop_scanner_reconstructs;
   ]
