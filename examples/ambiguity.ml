@@ -23,6 +23,8 @@ let () =
   Fmt.pr "Grammar (Fig. 6):@.  %a@.@." Grammar.pp g;
   (match Costar_core.Parser.parse g w with
   | Costar_core.Parser.Ambig v ->
+    (* Trees here start mid-line: Tree.pp lays each out as at a line
+       start and prints it as one block. *)
     Fmt.pr "CoStar: input \"a\" is AMBIGUOUS; returned tree: %a@."
       (Tree.pp g) v
   | r -> Fmt.pr "unexpected: %a@." (Costar_core.Parser.pp_result g) r);

@@ -50,6 +50,8 @@ let () =
   let w = Grammar.tokens no_lr [ "NUM"; "+"; "NUM"; "*"; "NUM" ] in
   (match Costar_core.Parser.parse no_lr w with
   | Costar_core.Parser.Ambig v ->
+    (* Mid-line (after two spaces): Tree.pp lays the tree out as at a
+       line start and prints it as one block. *)
     Fmt.pr "NUM + NUM * NUM is ambiguous; CoStar committed to:@.  %a@."
       (Tree.pp no_lr) v
   | r -> Fmt.pr "%a@." (Costar_core.Parser.pp_result no_lr) r);

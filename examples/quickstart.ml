@@ -45,6 +45,8 @@ let () =
       | Ok tokens -> (
         match Costar_core.Parser.run_word parser (Word.of_tokens tokens) with
         | Costar_core.Parser.Unique tree ->
+          (* Mid-line: Tree.pp lays the tree out as at a line start and
+             prints it as one block. *)
           Fmt.pr "unique parse %a@." (Tree.pp grammar) tree
         | Costar_core.Parser.Ambig tree ->
           Fmt.pr "AMBIGUOUS, e.g. %a@." (Tree.pp grammar) tree

@@ -6,6 +6,9 @@ type result =
   | Reject of string
   | Error of Types.error
 
+(* The tree follows "Unique " mid-line: [Tree.pp] lays it out as if it
+   started a line and prints it as one block, so its lines keep their
+   indentation whatever the column. *)
 let pp_result g ppf = function
   | Unique v -> Fmt.pf ppf "Unique %a" (Tree.pp g) v
   | Ambig v -> Fmt.pf ppf "Ambig %a" (Tree.pp g) v

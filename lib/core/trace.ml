@@ -14,7 +14,9 @@ let pp_state env ctx ppf (st : Machine.state) =
   Fmt.pf ppf "@[<h>[%a]"
     Fmt.(list ~sep:(any " | ") (pp_frame env))
     (List.combine (Machine.labels st) (Machine.conts st));
-  (* Partial trees in the top prefix frame. *)
+  (* Partial trees in the top prefix frame.  Each starts mid-line, so
+     [Tree.pp] lays it out as at a line start and prints it as one
+     block. *)
   (match Machine.trees ctx st with
   | [] :: _ | [] -> ()
   | trees :: _ ->

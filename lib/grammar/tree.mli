@@ -136,9 +136,29 @@ val compare : t -> t -> int
 val nonterminals : t -> Int_set.t
 
 (** [pp g] renders a tree with symbol names resolved against [g], in
-    s-expression style: [(S (A 'a' 'b') 'd')]. *)
+    s-expression style: [(S (A 'a' 'b') 'd')].
+
+    The layout is the one Format gives
+    ["@[<hov 1>(%s%a)@]"] with ["@ "] before every child (a leaf is
+    ['lexeme']), byte for byte, when the tree starts a line of a
+    formatter with nothing pending: every hov box of indent 1, breaks
+    and line fills decided as OCaml 5.1's format.ml decides them,
+    including boxes forced onto a new line past the maximum indentation.
+    The margin and maximum indentation are the formatter's
+    ({!Format.pp_get_margin}, {!Format.pp_get_max_indent}); its box
+    limit ({!Format.pp_set_max_boxes}) is not consulted.
+
+    [pp] computes that layout itself and gives the formatter the result
+    as plain text, in strings of about 1.9 KB declared at their byte
+    length.  Where the tree starts mid-line, it is still laid out as if
+    at a line start and reaches the formatter as one block, so its lines
+    do not move with the column it starts at, and the breaks around it
+    count its bytes, newlines and indentation included. *)
 val pp : Grammar.t -> Format.formatter -> t -> unit
 
+(** The text of {!pp} under the geometry of a fresh formatter (margin
+    78, maximum indentation 68), as [Fmt.str "%a" (pp g)] would give it,
+    written straight into a buffer. *)
 val to_string : Grammar.t -> t -> string
 
 (** GraphViz DOT rendering of a parse tree (one node per tree node). *)

@@ -236,20 +236,31 @@ let apply_unwind ctx (st : M.state) =
    parse finishes cleanly at end of input.  Between two consumes the
    machine performs at most |stack| returns and |nonterminals| pushes
    (the visited guard), so the budget below covers every genuine
-   success; rejects, errors, and budget exhaustion fail the trial. *)
+   success; a reject or budget exhaustion is [Stuck].
+
+   A repair that consumes nothing leaves frames open at the current
+   position, so what follows it may push a nonterminal that one of them
+   already opened there: the push guard then reports left recursion in a
+   grammar that has none.  Such a trial is [Tripped], and the repair is
+   not taken. *)
+type trial = Progress | Stuck | Tripped
+
 let trial env ctx (st0 : M.state) =
   let g = env.M.g in
   let budget = M.height st0 + (2 * Grammar.num_nonterminals g) + 8 in
   let pos0 = st0.M.pos in
   let rec go st n =
-    if st.M.pos > pos0 then true
+    if st.M.pos > pos0 then Progress
     else
       match M.step env ctx st with
-      | M.Step_cont st' -> n > 0 && go st' (n - 1)
-      | M.Step_halt -> st.M.pos >= ctx.M.word.Word.len
-      | M.Step_reject _ | M.Step_error _ -> false
+      | M.Step_cont st' -> if n > 0 then go st' (n - 1) else Stuck
+      | M.Step_halt -> if st.M.pos >= ctx.M.word.Word.len then Progress else Stuck
+      | M.Step_reject _ -> Stuck
+      | M.Step_error _ -> Tripped
   in
   go st0 budget
+
+let progresses env ctx st = trial env ctx st = Progress
 
 (* --- Panic-mode resynchronization --------------------------------------- *)
 
@@ -272,22 +283,24 @@ let resume_sets t (st : M.state) =
 
 (* Find the nearest (skip, pop) repair: the smallest number of skipped
    tokens [s], then the fewest popped frames [d], such that the token at
-   [pos + s] is in the resume set of depth [d].  (0, 0) is excluded —
-   it is the configuration that just failed.  [None] means no token
-   resynchronizes: skip to end of input and unwind. *)
-let find_resync (r : Bitset.t array) (w : Word.t) (st : M.state) =
+   [pos + s] is in the resume set of depth [d] and [ok s d] holds.
+   (0, 0) is excluded — it is the configuration that just failed.
+   [None] means no token resynchronizes: skip to end of input and
+   unwind. *)
+let find_resync (r : Bitset.t array) (w : Word.t) (st : M.state) ~ok =
   let kinds = w.Word.kinds in
   let len = w.Word.len in
   let n = Array.length r in
-  let find_d a min_d =
-    let rec go d = if d >= n then None else if Bitset.mem r.(d) a then Some d else go (d + 1) in
-    go min_d
+  let rec find_d s a d =
+    if d >= n then None
+    else if Bitset.mem r.(d) a && ok s d then Some d
+    else find_d s a (d + 1)
   in
   let rec scan s =
     if st.M.pos + s >= len then None
     else
       let a = Bigarray.Array1.get kinds (st.M.pos + s) in
-      match find_d a (if s = 0 then 1 else 0) with
+      match find_d s a (if s = 0 then 1 else 0) with
       | Some d -> Some (s, d)
       | None -> scan (s + 1)
   in
@@ -372,7 +385,19 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
     in
     let panic () =
       let r = resume_sets t st in
-      match find_resync r word st with
+      (* Popping without skipping consumes nothing: if a frame left open
+         was pushed at this position (the top one, since positions never
+         decrease up the stack), take the candidate only if the guard
+         lets the machine go on from it. *)
+      let ok s d =
+        s > 0
+        ||
+        let st' = apply_pops ctx st d in
+        match st'.M.top with
+        | M.Frame f when f.start = st'.M.pos -> trial env ctx st' <> Tripped
+        | _ -> true
+      in
+      match find_resync r word st ~ok with
       | Some (s, d) ->
         let st' = apply_pops ctx st d in
         let st' = if s > 0 then apply_skip ctx st' s else st' in
@@ -401,11 +426,11 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
       match f.M.reason with
       | M.Fail_mismatch { expected; _ } ->
         let inserted = apply_insert ctx st expected in
-        if trial env ctx inserted then
+        if progresses env ctx inserted then
           commit "insertion" (Inserted expected) ~consumed:0 inserted
         else
           let deleted = apply_skip ctx st 1 in
-          if trial env ctx deleted then
+          if progresses env ctx deleted then
             commit "deletion" Deleted ~consumed:1 deleted
           else panic ()
       | M.Fail_no_alt _ ->
@@ -418,11 +443,11 @@ let run_word ?file ?(max_errors = 100) ?(verify_measure = false) ?cache
         end
         else begin
           let deleted = apply_skip ctx st 1 in
-          if trial env ctx deleted then
+          if progresses env ctx deleted then
             commit "deletion" Deleted ~consumed:1 deleted
           else
             let dropped = apply_drop ctx st in
-            if trial env ctx dropped then
+            if progresses env ctx dropped then
               commit "symbol drop"
                 (Dropped (List.hd st.M.suf))
                 ~consumed:0 dropped

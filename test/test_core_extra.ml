@@ -24,7 +24,9 @@ let test_deep_input () =
 (* Tree walks run on explicit stacks: json nested 200 000 deep is walked
    by every traversal without Stack_overflow, and rendering it costs
    about as many minor words per node as rendering a flat array of the
-   same length. *)
+   same length, and at most a quarter of a minor word per byte written
+   (the strings handed to the formatter, about an eighth, and little
+   else). *)
 let test_deep_tree_walks () =
   let n = 200_000 in
   let lang = Costar_langs.Json.lang in
@@ -46,12 +48,18 @@ let test_deep_tree_walks () =
   check_int "compare to a reparse" 0 (Tree.compare deep (parse deep_text));
   check "deep <> flat" true (Tree.compare deep flat <> 0);
   check "dot" true (String.length (Tree.to_dot g deep) > n);
+  let bytes = ref 0 in
   let pp_words_per_node v =
     (* Format lays the output out in full; only the bytes are dropped. *)
-    let ppf = Format.make_formatter (fun _ _ _ -> ()) ignore in
+    let ppf = Format.make_formatter (fun _ _ n -> bytes := !bytes + n) ignore in
+    bytes := 0;
     let w0 = Gc.minor_words () in
     Format.fprintf ppf "%a@." (Tree.pp g) v;
-    (Gc.minor_words () -. w0) /. float_of_int (Tree.size v)
+    let w = Gc.minor_words () -. w0 in
+    let per_byte = w /. float_of_int !bytes in
+    if per_byte > 0.25 then
+      Alcotest.failf "Tree.pp: %.3f minor words per output byte (bound 0.25)" per_byte;
+    w /. float_of_int (Tree.size v)
   in
   let d = pp_words_per_node deep and f = pp_words_per_node flat in
   if d > 1.5 *. f then

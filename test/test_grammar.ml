@@ -355,6 +355,189 @@ let prop_flat_walks =
       && Tree.equal v (Naive.copy v)
       && Tree.equal v w = (Naive.compare v w = 0))
 
+(* Tree.pp runs its own copy of Format's layout engine; the reference is
+   the Format printer [Naive.pp].  Both are fed into a fresh
+   buffer formatter with ["%a@."], so the tree starts a line, over random
+   trees with error markers, random geometry (margins 4-200, and a few
+   far wider for the chains), chains thousands of levels deep (far past
+   [max_indent]), and leaves padded so that the root box exactly fills,
+   or just misses, the line. *)
+type shape =
+  | L of string
+  | N of int * shape list
+  | E of symbol option * shape list
+
+let rec shape_tree = function
+  | L s -> Tree.leaf (Token.make 0 s)
+  | N (x, k) -> Tree.node x (List.map shape_tree k)
+  | E (s, k) -> Tree.error s (List.map shape_tree k)
+
+let shape_label = function
+  | N (x, _) -> Grammar.nonterminal_name g1 x
+  | E (None, _) -> "ERROR"
+  | E (Some s, _) -> "ERROR:" ^ Grammar.symbol_name g1 s
+  | L s -> s
+
+(* The width of the shape printed on one line. *)
+let rec flat_width = function
+  | L s -> String.length s + 2
+  | (N (_, k) | E (_, k)) as v ->
+    List.fold_left (fun a c -> a + 1 + flat_width c) (String.length (shape_label v) + 2) k
+
+(* Lengthen the last leaf by [n] characters (no-op without leaves). *)
+let rec pad_last n = function
+  | L s -> Some (L (s ^ String.make n 'p'))
+  | N (x, k) -> Option.map (fun k -> N (x, k)) (pad_kids n k)
+  | E (s, k) -> Option.map (fun k -> E (s, k)) (pad_kids n k)
+
+and pad_kids n k =
+  match List.rev k with
+  | [] -> None
+  | last :: rest -> (
+    match pad_last n last with
+    | Some last -> Some (List.rev (last :: rest))
+    | None -> Option.map (fun r -> List.rev (last :: r)) (pad_kids n (List.rev rest)))
+
+(* Mostly short lexemes, now and then one longer than a 1920-byte output
+   chunk; the letters vary, so a byte copied twice or dropped shows. *)
+let gen_lexeme =
+  QCheck.Gen.(
+    map3
+      (fun k q c ->
+        let s = String.init k (fun i -> Char.chr (97 + ((c + i) mod 26))) in
+        if q then "\"" ^ s else s)
+      (frequency [ (40, int_bound 12); (1, int_range 1900 4500) ])
+      (int_bound 4 >|= ( = ) 0)
+      (int_bound 25))
+
+let gen_shape =
+  let open QCheck.Gen in
+  let n_nts = Grammar.num_nonterminals g1 and n_terms = Grammar.num_terminals g1 in
+  let marker =
+    oneof
+      [
+        return None;
+        map (fun a -> Some (T a)) (int_bound (n_terms - 1));
+        map (fun x -> Some (NT x)) (int_bound (n_nts - 1));
+      ]
+  in
+  sized
+  @@ fix (fun self n ->
+         if n <= 1 then map (fun s -> L s) gen_lexeme
+         else
+           frequency
+             [
+               (1, map (fun s -> L s) gen_lexeme);
+               ( 4,
+                 int_bound 4 >>= fun k ->
+                 list_repeat k (self (n / (k + 1))) >>= fun kids ->
+                 frequency
+                   [
+                     (3, map (fun x -> N (x, kids)) (int_bound (n_nts - 1)));
+                     (1, map (fun s -> E (s, kids)) marker);
+                   ] );
+             ])
+
+let render ~margin ~max_indent pp v =
+  let b = Buffer.create 256 in
+  let ppf = Format.formatter_of_buffer b in
+  Format.pp_set_geometry ppf ~max_indent ~margin;
+  Format.fprintf ppf "%a@." pp v;
+  Buffer.contents b
+
+let same_render ~margin ~max_indent v =
+  String.equal
+    (render ~margin ~max_indent (Tree.pp g1) v)
+    (render ~margin ~max_indent (Naive.pp g1) v)
+
+(* A max_indent in [2, margin - 1] picked by [k]. *)
+let max_indent_of margin k = 2 + (k mod (margin - 2))
+
+let prop_pp_reference =
+  QCheck.Test.make ~count:300 ~name:"Tree.pp = Format reference (random geometry)"
+    (QCheck.make
+       ~print:(fun (v, m, k, d) ->
+         Printf.sprintf "margin %d, max_indent %d, fill %+d: %s" m (max_indent_of m k) d
+           (Tree.to_string g1 (shape_tree v)))
+       QCheck.Gen.(
+         quad gen_shape
+           (frequency [ (3, int_range 4 24); (2, int_range 25 200) ])
+           (int_bound 1000) (int_range (-2) 1)))
+    (fun (v, margin, k, delta) ->
+      (* Pad so the whole tree is [delta] characters wider than the line. *)
+      let v =
+        Option.value ~default:v (pad_last (max 0 (margin + delta - flat_width v)) v)
+      in
+      let t = shape_tree v in
+      (* Eight consecutive margins: each box and break crosses the line's
+         end at one of them somewhere in the corpus. *)
+      List.for_all
+        (fun m -> same_render ~margin:m ~max_indent:(max_indent_of m k) t)
+        (List.init 8 (fun i -> min 200 (margin + i)))
+      && String.equal (Tree.to_string g1 t) (Fmt.str "%a" (Naive.pp g1) t))
+
+(* A chain [d] levels deep built straight into an event buffer: level [k]
+   is a node (or an error marker) over [before k], the next level, and
+   [after k]. *)
+let chain levels inner =
+  let d = Array.length levels in
+  let b = Tree.Events.create 16 in
+  let toks = ref [] and ntok = ref 0 and ev = ref 0 in
+  let leaf s =
+    toks := Token.make 0 s :: !toks;
+    Tree.Events.leaf b !ev !ntok;
+    incr ntok;
+    incr ev
+  in
+  let firsts = Array.make d 0 in
+  Array.iteri
+    (fun k (_, before, _) ->
+      firsts.(k) <- !ev;
+      List.iter leaf before)
+    levels;
+  leaf inner;
+  for k = d - 1 downto 0 do
+    let lab, _, after = levels.(k) in
+    List.iter leaf after;
+    (match lab with
+    | Some x -> Tree.Events.node b !ev x ~first:firsts.(k)
+    | None -> Tree.Events.error b !ev (Some (NT 0)) ~first:firsts.(k));
+    incr ev
+  done;
+  Tree.Events.seal b (Word.of_tokens (List.rev !toks)) !ev
+
+let gen_chain =
+  let open QCheck.Gen in
+  let n_nts = Grammar.num_nonterminals g1 in
+  let level =
+    triple
+      (frequency [ (9, map Option.some (int_bound (n_nts - 1))); (1, return None) ])
+      (list_size (int_bound 1) gen_lexeme)
+      (list_size (int_bound 1) gen_lexeme)
+  in
+  int_range 2000 2600 >>= fun d ->
+  map2 (fun levels inner -> chain (Array.of_list levels) inner) (list_repeat d level) gen_lexeme
+
+let prop_pp_deep =
+  QCheck.Test.make ~count:20 ~name:"Tree.pp = Format reference (chains past max_indent)"
+    (QCheck.make
+       ~print:(fun (v, m, k) ->
+         Printf.sprintf "margin %d, max_indent %d, depth %d" m (max_indent_of m k) (Tree.depth v))
+       QCheck.Gen.(
+         triple gen_chain
+           (* A wide margin indents past an output chunk. *)
+           (frequency [ (2, int_range 4 200); (1, int_range 1900 4000) ])
+           (int_bound 1000)))
+    (fun (t, margin, k) ->
+      same_render ~margin ~max_indent:(max_indent_of margin k) t
+      && String.equal (Tree.to_string g1 t) (Fmt.str "%a" (Naive.pp g1) t))
+
+(* Indentation wider than an output chunk: a bare chain 3000 deep climbs
+   one column per level up to a maximum indentation of 2400. *)
+let test_pp_wide_indent () =
+  let v = chain (Array.make 3000 (Some (nt g1 "S"), [], [])) "x" in
+  check "same as the Format printer" true (same_render ~margin:2500 ~max_indent:2400 v)
+
 let test_define_errors () =
   check "duplicate rule rejected" true
     (try
@@ -404,6 +587,9 @@ let suite =
     Alcotest.test_case "left-recursion witnesses" `Quick test_witness_kinds;
     Alcotest.test_case "tree operations" `Quick test_tree_ops;
     QCheck_alcotest.to_alcotest prop_flat_walks;
+    QCheck_alcotest.to_alcotest prop_pp_reference;
+    QCheck_alcotest.to_alcotest prop_pp_deep;
+    Alcotest.test_case "Tree.pp indents past an output chunk" `Quick test_pp_wide_indent;
     Alcotest.test_case "define errors" `Quick test_define_errors;
     Alcotest.test_case "interning pool" `Quick test_pool;
   ]

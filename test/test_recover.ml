@@ -365,6 +365,42 @@ let test_max_errors () =
   (* Without a limit the leftover input is skipped. *)
   repairs "trailing input, no limit" [ "Skipped" ] (kinds (run 100 "[1] 2"))
 
+(* A grammar that is not left-recursive (and derives no word).  Panic
+   mode resynchronizes at the failing token by popping one frame and
+   skipping nothing; the caller then pushes a nonterminal that a frame
+   below already opened at that position, and the push guard reports
+   left recursion.  That candidate must be passed over for the next one
+   (here: popping three frames), not end the run in
+   [Fatal (Left_recursive _)]; the plain parse rejects the word.  QCheck seed 273693237 of the random
+   property above found it. *)
+let test_guard_after_resync () =
+  let g =
+    Grammar.define ~extra_terminals:[ "a"; "b"; "c" ] ~start:"S"
+      [
+        ("S", [ [ Grammar.t "c"; Grammar.n "A" ] ]);
+        ("A", [ [ Grammar.n "C"; Grammar.n "A"; Grammar.n "B" ] ]);
+        ("B", [ [ Grammar.t "b"; Grammar.n "C" ]; [ Grammar.n "A" ] ]);
+        ("C", [ [ Grammar.n "S" ] ]);
+      ]
+  in
+  Alcotest.(check bool) "not left-recursive" true (Result.is_ok (Left_recursion.check g));
+  let word =
+    Word.of_tokens
+      (List.map (fun a -> Grammar.token g a a) [ "b"; "c"; "b"; "c"; "c"; "a"; "b"; "b"; "b"; "c" ])
+  in
+  let p = P.make g in
+  (match P.run_word p word with
+  | P.Reject _ -> ()
+  | r -> Alcotest.failf "plain parse: expected Reject, got %a" (P.pp_result g) r);
+  let o = R.run_word ~verify_measure:true (R.make p) word in
+  match o.R.verdict with
+  | R.Fatal e ->
+    Alcotest.failf "recovery was Fatal: %s" (Costar_core.Types.error_to_string g e)
+  | R.Recovered t | R.Recovered_ambig t ->
+    Alcotest.(check bool) "events" true (o.R.events <> []);
+    Alcotest.(check bool) "error nodes" true (Tree.has_errors t);
+    Alcotest.(check bool) "yield is the input" true (Tree.yield t = Word.to_tokens word)
+
 let () =
   Alcotest.run "recover"
     [
@@ -386,5 +422,7 @@ let () =
         [
           Alcotest.test_case "lex_diag parses positions" `Quick test_lex_diag;
           Alcotest.test_case "max_errors bails early" `Quick test_max_errors;
+          Alcotest.test_case "guard trip after a resync" `Quick
+            test_guard_after_resync;
         ] );
     ]
