@@ -964,7 +964,7 @@ let prefork_bench cfg =
             match Costar_lex.Scanner.compile sc g with
             | Error msg -> failwith msg
             | Ok compiled ->
-              let buf = Token_buf.create_for_input f.src in
+              let buf = Token_buf.create f.src in
               Costar_lex.Scanner.scan_into compiled buf f.src;
               let n = max 1 (Token_buf.length buf) in
               min_words 3 (fun () ->

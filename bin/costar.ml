@@ -278,6 +278,7 @@ let parse_cmd =
     end;
     let lex_t0 = Unix.gettimeofday () in
     let lex_minor0 = Gc.minor_words () in
+    let lex_heap0 = Token_buf.allocated_bytes () in
     let word =
       match buf_of_input ?lexer g l text with
       | Some (Ok buf) -> Ok (Word.of_buf buf)
@@ -296,6 +297,7 @@ let parse_cmd =
     in
     let lex_t = Unix.gettimeofday () -. lex_t0 in
     let lex_minor = Gc.minor_words () -. lex_minor0 in
+    let lex_heap = Token_buf.allocated_bytes () - lex_heap0 in
     let cache =
       Option.map
         (fun cf ->
@@ -321,11 +323,12 @@ let parse_cmd =
         let toks_s t = if t > 0. then float_of_int n /. t else 0. in
         Printf.eprintf
           "lexing: %d tokens from %d bytes in %.4fs (%.2f Mtokens/s, %.1f \
-           MB/s); %.3f minor words/token\n"
+           MB/s); %.3f minor words/token (%.1f off-heap bytes/token)\n"
           n (String.length text) lex_t
           (toks_s lex_t /. 1e6)
           (float_of_int (String.length text) /. lex_t /. 1e6)
-          (per_token lex_minor);
+          (per_token lex_minor)
+          (per_token (float_of_int lex_heap));
         (* Includes prediction instrumentation, which --stats turns on. *)
         Printf.eprintf "parsing: %.4fs; %.3f minor words/token\n" parse_t
           (per_token parse_minor);
@@ -335,16 +338,19 @@ let parse_cmd =
         | Some (Ok _) ->
           let t0 = Unix.gettimeofday () in
           let m0 = Gc.minor_words () in
+          let h0 = Token_buf.allocated_bytes () in
           (match buf_of_input ?lexer g l text with
           | Some (Ok buf) ->
             let t = Unix.gettimeofday () -. t0 in
             let m = Gc.minor_words () -. m0 in
+            let h = Token_buf.allocated_bytes () - h0 in
+            let per_tok x = x /. float_of_int (max 1 (Token_buf.length buf)) in
             Printf.eprintf
               "lexing (warm): %.2f Mtokens/s, %.1f MB/s; %.3f minor \
-               words/token\n"
+               words/token (%.1f off-heap bytes/token)\n"
               (toks_s t /. 1e6)
               (float_of_int (String.length text) /. t /. 1e6)
-              (m /. float_of_int (max 1 (Costar_grammar.Token_buf.length buf)))
+              (per_tok m) (per_tok (float_of_int h))
           | _ -> ())
         | _ -> ())
       end;
@@ -726,9 +732,9 @@ let lex_cmd =
       & flag
       & info [ "stats" ]
           ~doc:
-            "Print scan throughput (tokens/s, MB/s) and GC minor words per \
-             token to stderr; the warm line rescans with all lazy tables \
-             built.")
+            "Print scan throughput (tokens/s, MB/s), GC minor words per \
+             token and off-heap bytes per token to stderr; the warm line \
+             rescans with all lazy tables built.")
   in
   let run lang input format stats =
     let name =
@@ -747,6 +753,7 @@ let lex_cmd =
     in
     let t0 = Unix.gettimeofday () in
     let m0 = Gc.minor_words () in
+    let h0 = Token_buf.allocated_bytes () in
     match Costar_langs.Lang.tokenize_buf l text with
     | Error msg ->
       prerr_endline ("lexical error: " ^ msg);
@@ -754,6 +761,7 @@ let lex_cmd =
     | Ok buf ->
       let lex_t = Unix.gettimeofday () -. t0 in
       let lex_minor = Gc.minor_words () -. m0 in
+      let lex_heap = Token_buf.allocated_bytes () - h0 in
       let n = Token_buf.length buf in
       (* The dump below is where lexemes and positions are materialized —
          the scan recorded only kind and offsets. *)
@@ -782,23 +790,29 @@ let lex_cmd =
         done;
         print_string "\n]\n");
       if stats then begin
-        let report label t minor n =
+        (* Off-heap bytes: what the token arrays took outside the OCaml
+           heap (the scratch's growth on a cold scan, the exact-size
+           result on every scan), which paces the major GC. *)
+        let report label t minor heap n =
+          let per_tok x = x /. float_of_int (max 1 n) in
           Printf.eprintf
             "%s: %d tokens from %d bytes in %.4fs (%.2f Mtokens/s, %.1f \
-             MB/s); %.3f minor words/token\n"
+             MB/s); %.3f minor words/token (%.1f off-heap bytes/token)\n"
             label n (String.length text) t
             (float_of_int n /. t /. 1e6)
             (float_of_int (String.length text) /. t /. 1e6)
-            (minor /. float_of_int (max 1 n))
+            (per_tok minor) (per_tok (float_of_int heap))
         in
-        report "scan (cold)" lex_t lex_minor n;
+        report "scan (cold)" lex_t lex_minor lex_heap n;
         let t0 = Unix.gettimeofday () in
         let m0 = Gc.minor_words () in
+        let h0 = Token_buf.allocated_bytes () in
         match Costar_langs.Lang.tokenize_buf l text with
         | Ok buf2 ->
           report "scan (warm)"
             (Unix.gettimeofday () -. t0)
             (Gc.minor_words () -. m0)
+            (Token_buf.allocated_bytes () - h0)
             (Token_buf.length buf2)
         | Error _ -> ()
       end

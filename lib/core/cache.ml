@@ -420,7 +420,7 @@ let decisions c = c.decisions
 let column c (w : Word.t) i =
   if i >= w.Word.len then c.n_terms
   else
-    let a = Bigarray.Array1.unsafe_get w.Word.kinds i in
+    let a = Int32.to_int (Bigarray.Array1.unsafe_get w.Word.kinds i) in
     if a >= 0 && a < c.n_terms then a else -1
 
 let decision c x w i =

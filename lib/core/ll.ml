@@ -105,7 +105,7 @@ let predict g anl x conts (w : Word.t) i0 =
         | [ p ] -> (Types.Unique_pred p, depth)
         | p :: _ -> (Types.Ambig_pred p, depth)
       else (
-        match closure g anl (move anl configs (Bigarray.Array1.unsafe_get kinds i)) with
+        match closure g anl (move anl configs (Int32.to_int (Bigarray.Array1.unsafe_get kinds i))) with
         | Error e -> (Types.Error_pred e, depth)
         | Ok configs' -> loop (depth + 1) configs' (i + 1))
   in

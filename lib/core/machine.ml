@@ -221,7 +221,9 @@ let rec run once env ctx suf top pos ev unique =
   match suf with
   | T a :: rest ->
     let word = ctx.word in
-    if pos < word.Word.len && Bigarray.Array1.unsafe_get word.Word.kinds pos = a
+    if
+      pos < word.Word.len
+      && Int32.to_int (Bigarray.Array1.unsafe_get word.Word.kinds pos) = a
     then begin
       (* The leaf is the token's index: no token is materialized here.
          Advancing [pos] empties the visited set: no frame starts past the
@@ -239,7 +241,7 @@ let rec run once env ctx suf top pos ev unique =
       let word = ctx.word in
       let e =
         if pos < word.Word.len then
-          let a = Bigarray.Array1.unsafe_get word.Word.kinds pos in
+          let a = Int32.to_int (Bigarray.Array1.unsafe_get word.Word.kinds pos) in
           if a >= 0 && a < env.stride - 1 then
             Array.unsafe_get ctx.decisions ((x * env.stride) + a)
           else -1

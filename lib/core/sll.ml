@@ -140,8 +140,10 @@ let init_configs g anl x =
 
 (* The lookahead stream is an array cursor: [kinds] holds one terminal id
    per remaining token (valid up to [len]), [i] is the current position.
-   The warm path never touches a token record — only [kinds.(i)]. *)
-let rec loop g anl depth cache sid kinds len i =
+   The warm path never touches a token record — only [kinds.(i)].  The
+   annotation is what makes that read unboxed: without the array's kind
+   at the read, it is a C call that boxes its int32. *)
+let rec loop g anl depth cache sid (kinds : Token_buf.int_array) len i =
   let info = Cache.info cache sid in
   match info.Cache.verdict with
   | Cache.V_empty -> (Types.Reject_pred, depth)
@@ -153,7 +155,7 @@ let rec loop g anl depth cache sid kinds len i =
       | [ p ] -> (Types.Unique_pred p, depth)
       | p :: _ -> (Types.Ambig_pred p, depth)
     else begin
-      let a = Bigarray.Array1.unsafe_get kinds i in
+      let a = Int32.to_int (Bigarray.Array1.unsafe_get kinds i) in
       Instr.record_cov_edge sid a;
       (* Warm path: a pair of array reads. *)
       let sid' = Cache.trans_get cache sid a in
@@ -205,7 +207,7 @@ exception Fast_miss
    never touches configurations or frames — only per-state verdicts and
    int transition rows — so it does not need the interner-identity guard of
    [init] (those facts are grammar-level and interner-independent). *)
-let rec fast_verdict cache sid kinds len i =
+let rec fast_verdict cache sid (kinds : Token_buf.int_array) len i =
   let info = Cache.info cache sid in
   match info.Cache.verdict with
   | Cache.V_empty -> Types.Reject_pred
@@ -213,7 +215,9 @@ let rec fast_verdict cache sid kinds len i =
   | Cache.V_pending ->
     if i >= len then info.Cache.eof_pred
     else
-      let sid' = Cache.trans_get cache sid (Bigarray.Array1.unsafe_get kinds i) in
+      let sid' =
+        Cache.trans_get cache sid (Int32.to_int (Bigarray.Array1.unsafe_get kinds i))
+      in
       if sid' >= 0 then fast_verdict cache sid' kinds len (i + 1)
       else raise_notrace Fast_miss
 

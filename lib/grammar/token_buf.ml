@@ -6,18 +6,32 @@
    lazily, per token, only where they are actually consumed (parse-tree
    leaves, error messages, dumps).
 
-   The arrays are [Bigarray.Array1]s of native ints, not [int array]s:
-   bigarray storage lives outside the OCaml heap, so a buffer contributes
-   nothing to the minor heap and nothing to GC scan work — the off-heap
-   data plane of DESIGN.md §13.  The native-int kind (rather than int32) is what keeps reads
-   unboxed unconditionally: [Array1.unsafe_get] on an int-kind bigarray
-   returns a plain [int] in all compilation modes, while an int32 kind
-   would return a boxed [Int32.t]. *)
+   The arrays are [Bigarray.Array1]s, not [int array]s: bigarray storage
+   lives outside the OCaml heap, so a buffer contributes nothing to the
+   minor heap and nothing to GC scan work — the off-heap data plane of
+   DESIGN.md §13.  It is not free, though: every off-heap byte a parse
+   allocates speeds up the major GC, which paces itself against it
+   ([caml_alloc_custom_mem]).  So the elements are int32, as [Tree]
+   events are, for the same reason: half the bytes of native ints, half
+   the major work they trigger.  Native code reads an int32 bigarray of
+   statically known kind without boxing — a reader that takes the array
+   as an argument must annotate it with [int_array], or the read becomes
+   a boxing C call.  The price is a range: every field below 2^31, which
+   [add] checks.  And the scanner keeps a per-domain scratch buffer and
+   returns exact-size copies ([copy]), so a scan allocates only the
+   12 bytes per token it returns. *)
 
-type int_array = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
+type int_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+(* Off-heap bytes this process's token arrays have allocated, for the lex
+   layer's ledger ([costar lex --stats]). *)
+let allocated = Atomic.make 0
 
 let alloc n : int_array =
-  Bigarray.Array1.create Bigarray.int Bigarray.c_layout n
+  ignore (Atomic.fetch_and_add allocated (4 * n));
+  Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout n
+
+let allocated_bytes () = Atomic.get allocated
 
 type t = {
   mutable input : string;  (** the scanned input; lexemes are slices of it *)
@@ -32,24 +46,12 @@ type t = {
           same line or the next *)
 }
 
+let of_arrays input len kinds starts ends =
+  { input; len; kinds; starts; ends; lines = None; line_hint = 0 }
+
 let create ?(capacity = 64) input =
   let capacity = max 8 capacity in
-  {
-    input;
-    len = 0;
-    kinds = alloc capacity;
-    starts = alloc capacity;
-    ends = alloc capacity;
-    lines = None;
-    line_hint = 0;
-  }
-
-(* Pre-sizing from the input length keeps steady-state scanning free of
-   even the amortized growth copies: one token per ~8 bytes is an
-   overestimate for every bundled language. *)
-let capacity_for input = (String.length input / 8) + 16
-
-let create_for_input input = create ~capacity:(capacity_for input) input
+  of_arrays input 0 (alloc capacity) (alloc capacity) (alloc capacity)
 
 let length b = b.len
 let input b = b.input
@@ -60,22 +62,38 @@ let input b = b.input
    built over it reads whatever the next scan writes there. *)
 let clear b = b.len <- 0
 
+let reset b input =
+  b.input <- input;
+  b.len <- 0;
+  b.lines <- None;
+  b.line_hint <- 0
+
+(* The tokens written, in fresh arrays of exactly [len] elements: one
+   [memmove] per array.  The newline table is not carried over, so a
+   copy marshals as tokens and input only. *)
+let copy b =
+  let n = b.len in
+  let exact (a : int_array) =
+    let c = alloc n in
+    Bigarray.Array1.blit (Bigarray.Array1.sub a 0 n) c;
+    c
+  in
+  of_arrays b.input n (exact b.kinds) (exact b.starts) (exact b.ends)
+
 (* The same storage, narrowed to the tokens written: sub-array views, no
    copy.  What holds the view (a parse tree's word) then marshals only
-   the tokens, whatever the buffer's spare capacity. *)
+   the tokens, whatever the buffer's spare capacity.  A buffer with no
+   spare capacity (a scan result) needs no views, only its own record. *)
 let trimmed b =
-  let used (a : int_array) = Bigarray.Array1.sub a 0 b.len in
-  {
-    b with
-    kinds = used b.kinds;
-    starts = used b.starts;
-    ends = used b.ends;
-  }
+  if Bigarray.Array1.dim b.kinds = b.len then { b with len = b.len }
+  else
+    let used (a : int_array) = Bigarray.Array1.sub a 0 b.len in
+    { b with kinds = used b.kinds; starts = used b.starts; ends = used b.ends }
 
 let grow b =
   let cap = Bigarray.Array1.dim b.kinds in
   let extend (a : int_array) =
-    let bigger = alloc (2 * cap) in
+    let bigger = alloc (max 8 (2 * cap)) in
     Bigarray.Array1.blit a (Bigarray.Array1.sub bigger 0 cap);
     bigger
   in
@@ -84,11 +102,13 @@ let grow b =
   b.ends <- extend b.ends
 
 let add b ~kind ~start ~stop =
+  if (kind lor start lor stop) lsr 31 <> 0 then
+    invalid_arg "Token_buf.add: field outside [0, 2^31-1]";
   if b.len = Bigarray.Array1.dim b.kinds then grow b;
   let i = b.len in
-  Bigarray.Array1.unsafe_set b.kinds i kind;
-  Bigarray.Array1.unsafe_set b.starts i start;
-  Bigarray.Array1.unsafe_set b.ends i stop;
+  Bigarray.Array1.unsafe_set b.kinds i (Int32.of_int kind);
+  Bigarray.Array1.unsafe_set b.starts i (Int32.of_int start);
+  Bigarray.Array1.unsafe_set b.ends i (Int32.of_int stop);
   b.len <- i + 1
 
 (* One call per run of tokens, not per token: the indenter copies whole
@@ -107,9 +127,9 @@ let append_range dst src i j =
   done;
   dst.len <- dst.len + k
 
-let kind b i = Bigarray.Array1.get b.kinds i
-let start_ofs b i = Bigarray.Array1.get b.starts i
-let end_ofs b i = Bigarray.Array1.get b.ends i
+let kind b i = Int32.to_int (Bigarray.Array1.get b.kinds i)
+let start_ofs b i = Int32.to_int (Bigarray.Array1.get b.starts i)
+let end_ofs b i = Int32.to_int (Bigarray.Array1.get b.ends i)
 
 (* The backing array, possibly longer than [length]; pair it with
    [length] (as {!Word.of_buf} does) rather than iterating it blindly. *)

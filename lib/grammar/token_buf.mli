@@ -8,21 +8,32 @@
     are only ever stepped over by prediction cost three int writes and
     nothing more.
 
-    The arrays are native-int {!Bigarray.Array1}s: the storage lives
-    outside the OCaml heap, so a buffer adds nothing to minor-GC pressure
-    or heap scan work. *)
+    The arrays are {!Bigarray.Array1}s: the storage lives outside the
+    OCaml heap, so a buffer adds nothing to minor-GC pressure or heap
+    scan work.  Off-heap bytes still pace the major GC, so the elements
+    are int32 (12 bytes per token) and a scan returns exact-size arrays
+    (see {!copy}); every field must lie in [0 .. 2^31-1]. *)
 
-type int_array = (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t
-(** Off-heap int array; [Array1.unsafe_get] returns an unboxed [int]. *)
+type int_array = (int32, Bigarray.int32_elt, Bigarray.c_layout) Bigarray.Array1.t
+(** Off-heap int32 array.  [Array1.unsafe_get] returns an unboxed
+    [int32] only where the array's type is statically known: a function
+    that takes one as an argument must annotate it with this type, or
+    each read is a C call that boxes its result. *)
 
 type t
 
 (** [create ?capacity input] is an empty buffer over [input]. *)
 val create : ?capacity:int -> string -> t
 
-(** Like {!create}, sized from [String.length input] so that scanning a
-    typical corpus never grows the arrays. *)
-val create_for_input : string -> t
+(** [reset b input] empties [b] and rebinds it to [input], keeping its
+    arrays: the scanner's per-domain scratch buffer is reset per scan. *)
+val reset : t -> string -> unit
+
+(** A buffer over the same input holding the same tokens in fresh arrays
+    of exactly [length] elements, without the newline table.  This is
+    what a scan returns: it allocates 12 bytes per token off the heap and
+    shares nothing with the buffer it copies. *)
+val copy : t -> t
 
 val length : t -> int
 val input : t -> string
@@ -35,13 +46,15 @@ val input : t -> string
 val clear : t -> unit
 
 (** A buffer over the same storage whose arrays end at the last token (no
-    copy).  It shares the tokens, so clearing the original rewrites them;
-    it marshals without the original's spare capacity. *)
+    copy; a buffer without spare capacity gets only a new record).  It
+    shares the tokens, so clearing the original rewrites them; it
+    marshals without the original's spare capacity. *)
 val trimmed : t -> t
 
 (** Append one token.  [start]/[stop] delimit the lexeme in the input;
     a synthesized token (e.g. the indenter's INDENT) uses [start = stop],
-    making its lexeme empty and its position that of [start]. *)
+    making its lexeme empty and its position that of [start].
+    Raises [Invalid_argument] if a field lies outside [0 .. 2^31-1]. *)
 val add : t -> kind:int -> start:int -> stop:int -> unit
 
 (** [append_range dst src i j] appends tokens [i] to [j - 1] of [src] to
@@ -56,6 +69,10 @@ val end_ofs : t -> int -> int
 (** The kinds backing array.  May be longer than [length]; only indices
     below [length] are meaningful. *)
 val kinds_unsafe : t -> int_array
+
+(** Off-heap bytes allocated for token arrays so far, by every domain of
+    this process: the lex layer's off-heap ledger. *)
+val allocated_bytes : unit -> int
 
 (** Lazy lexeme: a fresh slice of the input. *)
 val lexeme : t -> int -> string

@@ -26,10 +26,10 @@ type t = {
 let of_tokens toks =
   let arr = Array.of_list toks in
   let n = Array.length arr in
-  let kinds =
-    Bigarray.Array1.create Bigarray.int Bigarray.c_layout (max 1 n)
+  let kinds : Token_buf.int_array =
+    Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout (max 1 n)
   in
-  Array.iteri (fun i tok -> Bigarray.Array1.set kinds i (Token.term tok)) arr;
+  Array.iteri (fun i tok -> Bigarray.Array1.set kinds i (Int32.of_int (Token.term tok))) arr;
   { kinds; len = n; src = Tokens arr }
 
 let of_buf buf =
@@ -37,7 +37,7 @@ let of_buf buf =
   { kinds = Token_buf.kinds_unsafe buf; len = Token_buf.length buf; src = Buf buf }
 
 let length w = w.len
-let kind w i = Bigarray.Array1.get w.kinds i
+let kind w i = Int32.to_int (Bigarray.Array1.get w.kinds i)
 
 let token w i =
   match w.src with Buf b -> Token_buf.token b i | Tokens a -> a.(i)

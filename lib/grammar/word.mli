@@ -1,6 +1,6 @@
 (** The array cursor the parser core runs on.
 
-    A word is a dense off-heap array of terminal ids (a native-int
+    A word is a dense off-heap array of terminal ids (an int32
     bigarray, shared with the producing {!Token_buf}) plus the token
     source it indexes; the core consumes [(word, index)] pairs so the
     prediction fast path is pure unboxed array reads, and a parse-tree

@@ -110,6 +110,10 @@ let ids_of_grammar g =
 
 exception Unindent of string
 
+(* The output goes to a per-domain scratch buffer, like the scanner's,
+   and only the finished stream is copied out at its exact size. *)
+let scratch = Domain.DLS.new_key (fun () -> Token_buf.create "")
+
 (* The loop reads terminal ids straight off the kinds array and classifies
    each with one byte read.  Tokens between structural events (a newline,
    a line start that may indent or dedent) are copied to the output as one
@@ -119,7 +123,8 @@ let run_buf ids buf =
   let lines = Token_buf.lines buf in
   let n = Token_buf.length buf in
   let kinds = Token_buf.kinds_unsafe buf in
-  let out = Token_buf.create ~capacity:(n + 16) input in
+  let out = Domain.DLS.get scratch in
+  Token_buf.reset out input;
   let emit_at kind ofs = Token_buf.add out ~kind ~start:ofs ~stop:ofs in
   let indents = ref [ 0 ] in
   let handle_line_start i =
@@ -164,7 +169,7 @@ let run_buf ids buf =
       has_content
     end
     else
-      let kind = Bigarray.Array1.unsafe_get kinds i in
+      let kind = Int32.to_int (Bigarray.Array1.unsafe_get kinds i) in
       let role =
         if kind >= 0 && kind < Bytes.length ids.roles then
           Bytes.unsafe_get ids.roles kind
@@ -219,4 +224,4 @@ let run_buf ids buf =
     List.iter
       (fun level -> if level > 0 then emit_at ids.dedent anchor)
       !indents;
-    Ok out
+    Ok (Token_buf.copy out)

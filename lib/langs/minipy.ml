@@ -191,8 +191,10 @@ let compiled =
 
 let indenter_ids = lazy (Indenter.ids_of_grammar (Lazy.force grammar))
 
+(* The indenter reads the scanner's scratch directly: only its own output
+   is copied out. *)
 let tokenize_buf input =
-  match Scanner.scan_buf (Lazy.force compiled) input with
+  match Scanner.scan_scratch (Lazy.force compiled) input with
   | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
   | Ok buf -> Indenter.run_buf (Lazy.force indenter_ids) buf
 

@@ -148,7 +148,7 @@ let tokenize t g input =
    Every table the loop reads is an off-heap bigarray (the DFA's int8
    class map and int16 successor table, plus the per-state emit table
    below), so a warm scan touches the OCaml heap only to grow the token
-   buffer — which a pre-sized arena never does. *)
+   buffer — which the per-domain scratch of [scan_buf] rarely does. *)
 type compiled = {
   sc : t;
   cstart : int;
@@ -249,8 +249,17 @@ let scan_into c buf input =
     pos := !best_end
   done
 
-let scan_buf c input =
-  let buf = Token_buf.create_for_input input in
+(* One scratch buffer per domain, kept between scans and grown by
+   doubling: a warm scan writes into arrays it already has, and only the
+   exact-size copy that [scan_buf] returns is new off-heap memory.  (No
+   systhreads run scans, so a domain never has two in flight.) *)
+let scratch = Domain.DLS.new_key (fun () -> Token_buf.create "")
+
+let scan_scratch c input =
+  let buf = Domain.DLS.get scratch in
+  Token_buf.reset buf input;
   match scan_into c buf input with
   | () -> Ok buf
   | exception Lex_err e -> Error e
+
+let scan_buf c input = Result.map Token_buf.copy (scan_scratch c input)

@@ -78,10 +78,20 @@ val compile : t -> Costar_grammar.Grammar.t -> (compiled, string) result
 
 val scanner_of_compiled : compiled -> t
 
-(** [scan_buf c input] scans the whole input into a fresh token buffer.
-    Steady-state cost per token: the DFA walk plus three int writes —
-    no allocation. *)
+(** [scan_buf c input] scans the whole input into the domain's scratch
+    buffer and returns an exact-size copy ({!Costar_grammar.Token_buf.copy}).
+    Steady-state cost per token: the DFA walk, three int32 writes and
+    the 12-byte copy — no minor-heap allocation, and no off-heap bytes
+    beyond the copy. *)
 val scan_buf :
+  compiled -> string -> (Costar_grammar.Token_buf.t, error) result
+
+(** [scan_scratch c input] is {!scan_buf} without the copy: the result
+    {e is} the domain's scratch buffer, valid only until the next
+    [scan_buf] or [scan_scratch] on this domain.  For a post-pass (the
+    indenter) that reads the raw stream and writes its own buffer; copy
+    anything that must outlive the next scan. *)
+val scan_scratch :
   compiled -> string -> (Costar_grammar.Token_buf.t, error) result
 
 (** [scan_into c buf input] is {!scan_buf} into a caller-supplied buffer

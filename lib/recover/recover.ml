@@ -299,7 +299,7 @@ let find_resync (r : Bitset.t array) (w : Word.t) (st : M.state) ~ok =
   let rec scan s =
     if st.M.pos + s >= len then None
     else
-      let a = Bigarray.Array1.get kinds (st.M.pos + s) in
+      let a = Int32.to_int (Bigarray.Array1.get kinds (st.M.pos + s)) in
       match find_d s a (if s = 0 then 1 else 0) with
       | Some d -> Some (s, d)
       | None -> scan (s + 1)

@@ -126,6 +126,48 @@ let test_batch_differential () =
         domain_counts)
     langs
 
+(* Every domain scans into its own scratch buffer and hands out copies.
+   The token buffers workers produce — kept until all workers are done,
+   so a scratch that escaped would show the last file its domain scanned
+   — must equal the same pipeline run sequentially, token for token. *)
+let test_batch_token_buffers () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      let inputs = corpus_for l in
+      let expected =
+        Array.map
+          (fun s -> Result.map Token_buf.to_tokens (Costar_langs.Lang.tokenize_buf l s))
+          inputs
+      in
+      List.iter
+        (fun d ->
+          let bufs = Array.make (Array.length inputs) None in
+          let tokenize s =
+            let r = Costar_langs.Lang.tokenize_buf l s in
+            (match r, Array.find_index (fun t -> t == s) inputs with
+            | Ok buf, Some i -> bufs.(i) <- Some buf
+            | _ -> ());
+            Result.map Word.of_buf r
+          in
+          let p = Parser.make (Costar_langs.Lang.grammar l) in
+          ignore (Batch.run_batch ~domains:d p ~tokenize inputs);
+          Array.iteri
+            (fun i e ->
+              match e, bufs.(i) with
+              | Ok toks, Some buf ->
+                check
+                  (Printf.sprintf "%s %dd file %d: same tokens" name d i)
+                  true
+                  (List.equal
+                     (fun (t : Token.t) (t' : Token.t) -> t = t')
+                     toks (Token_buf.to_tokens buf))
+              | Error _, None -> ()
+              | _ -> Alcotest.failf "%s %dd file %d: acceptance differs" name d i)
+            expected)
+        [ 1; 2; 4 ])
+    langs
+
 (* --- prefork differential ------------------------------------------------ *)
 
 (* The process tier must satisfy the exact same differential as the domain
@@ -508,6 +550,8 @@ let () =
             `Slow test_prefork_large_and_crash;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"
             `Slow test_batch_differential;
+          Alcotest.test_case "batch token buffers = sequential (1/2/4 domains)"
+            `Quick test_batch_token_buffers;
         ]
         @ props );
       ( "snapshot",

@@ -198,6 +198,32 @@ let prop_parse_buf_agrees =
 
 let langs = Costar_langs.[ Json.lang; Xml.lang; Dot.lang; Minipy.lang ]
 
+(* One documented difference: the indenter anchors its end-of-input
+   tokens at [String.length input], where the list pass puts them at
+   column 0 of the line after the last token, a line that an input without
+   a final newline does not have. *)
+let check_same_tokens what toks buf =
+  check_int (what ^ ": token count") (List.length toks) (Token_buf.length buf);
+  let input = Token_buf.input buf in
+  let eof = String.length input in
+  let at_eof i =
+    Token_buf.start_ofs buf i = eof
+    && Token_buf.end_ofs buf i = eof
+    && not (String.ends_with ~suffix:"\n" input)
+  in
+  List.iteri
+    (fun i t ->
+      let t' = Token_buf.token buf i in
+      let same =
+        if at_eof i then t.Token.term = t'.Token.term && t.Token.lexeme = ""
+        else same_token t t'
+      in
+      if not same then
+        Alcotest.failf "%s: token %d differs: (%d,%S,%d:%d) vs (%d,%S,%d:%d)"
+          what i t.Token.term t.Token.lexeme t.Token.line t.Token.col
+          t'.Token.term t'.Token.lexeme t'.Token.line t'.Token.col)
+    toks
+
 let test_langs_differential () =
   List.iter
     (fun l ->
@@ -207,19 +233,7 @@ let test_langs_differential () =
           let input = Costar_langs.Lang.generate l ~seed ~size:120 in
           let toks = Costar_langs.Lang.tokenize_exn l input in
           let buf = Costar_langs.Lang.tokenize_buf_exn l input in
-          check_int
-            (Printf.sprintf "%s seed %d: token count" name seed)
-            (List.length toks) (Token_buf.length buf);
-          List.iteri
-            (fun i t ->
-              let t' = Token_buf.token buf i in
-              if not (same_token t t') then
-                Alcotest.failf
-                  "%s seed %d: token %d differs: (%d,%S,%d:%d) vs (%d,%S,%d:%d)"
-                  name seed i t.Token.term t.Token.lexeme t.Token.line
-                  t.Token.col t'.Token.term t'.Token.lexeme t'.Token.line
-                  t'.Token.col)
-            toks;
+          check_same_tokens (Printf.sprintf "%s seed %d" name seed) toks buf;
           let p = Parser.make (Costar_langs.Lang.grammar l) in
           check
             (Printf.sprintf "%s seed %d: same parse result" name seed)
@@ -240,6 +254,144 @@ let test_minipy_indent_error_agrees () =
   | Error m1, Error m2 -> Alcotest.(check string) "same error" m1 m2
   | _ -> Alcotest.fail "expected both pipelines to reject"
 
+(* --- the per-domain scratch and exact-size results ---------------------- *)
+
+(* Generated files, a truncated copy (minipy: an open indent), a copy with
+   a byte no lexer accepts and the same byte mid-file. *)
+let lang_inputs l =
+  let gen seed = Costar_langs.Lang.generate l ~seed ~size:80 in
+  let whole = gen 4 in
+  let half = String.length whole / 2 in
+  [
+    whole;
+    gen 5;
+    String.sub whole 0 half;
+    gen 6 ^ "\x01";
+    String.sub whole 0 half ^ "\x01" ^ String.sub whole half (String.length whole - half);
+    "";
+  ]
+
+(* Tokens, positions and lexer error messages of the buffer pipeline agree
+   with the list pipeline on the four languages. *)
+let test_langs_errors_agree () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      List.iteri
+        (fun k input ->
+          let what = Printf.sprintf "%s input %d" name k in
+          match
+            ( Costar_langs.Lang.tokenize l input,
+              Costar_langs.Lang.tokenize_buf l input )
+          with
+          | Ok toks, Ok buf -> check_same_tokens what toks buf
+          | Error m1, Error m2 -> Alcotest.(check string) what m1 m2
+          | Ok _, Error m -> Alcotest.failf "%s: only the buffer pipeline failed: %s" what m
+          | Error m, Ok _ -> Alcotest.failf "%s: only the list pipeline failed: %s" what m)
+        (lang_inputs l))
+    langs
+
+(* The same over the example lexer specs, through [Scanner.scan_buf]. *)
+let example_dir =
+  let beside = Filename.concat (Filename.dirname Sys.executable_name) "../examples/grammars" in
+  if Sys.file_exists beside then beside else "examples/grammars"
+
+let test_example_lexers_agree () =
+  List.iter
+    (fun (name, inputs) ->
+      let read ext = In_channel.with_open_bin (Filename.concat example_dir (name ^ ext)) In_channel.input_all in
+      let g =
+        match Costar_ebnf.Parse.grammar_of_string (read ".ebnf") with
+        | Ok g -> g
+        | Error msg -> Alcotest.failf "%s.ebnf: %s" name msg
+      in
+      let sc =
+        match Spec.scanner_of_string (read ".lexer") with
+        | Ok sc -> sc
+        | Error msg -> Alcotest.failf "%s.lexer: %s" name msg
+      in
+      let compiled =
+        match Scanner.compile sc g with
+        | Ok c -> c
+        | Error msg -> Alcotest.failf "%s: compile failed: %s" name msg
+      in
+      List.iteri
+        (fun k input ->
+          let what = Printf.sprintf "%s input %d" name k in
+          match Scanner.tokenize sc g input, Scanner.scan_buf compiled input with
+          | Ok toks, Ok buf -> check_same_tokens what toks buf
+          | Error e1, Error e2 ->
+            Alcotest.(check string) what
+              (Fmt.str "%a" Scanner.pp_error e1)
+              (Fmt.str "%a" Scanner.pp_error e2)
+          | _ -> Alcotest.failf "%s: the pipelines disagree on acceptance" what)
+        inputs)
+    [
+      ( "expr",
+        [ "a + 12 * (b - 3) / c_1"; "x\n  * (y +\n 7)\n"; "a + $ b"; "(1 -\n 2) ? 3"; "" ] );
+      ( "ini",
+        [
+          "[main]\nkey = 12 ;\n# a comment\nx = y ;\n";
+          "[a]\n[b]\nk=1;";
+          "[a]\nk = 1 ;\n  %bad";
+          "";
+        ] );
+    ]
+
+(* A result never shares storage with the scratch the next scan writes:
+   two results taken back to back on one domain both still hold their own
+   tokens, whichever language (minipy's goes through the indenter's
+   scratch too). *)
+let test_results_independent () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      let a = Costar_langs.Lang.generate l ~seed:21 ~size:150 in
+      let b = Costar_langs.Lang.generate l ~seed:22 ~size:40 in
+      let ba = Costar_langs.Lang.tokenize_buf_exn l a in
+      let bb = Costar_langs.Lang.tokenize_buf_exn l b in
+      (* A failing scan in between must not disturb them either. *)
+      ignore (Costar_langs.Lang.tokenize_buf l (b ^ "\x01"));
+      check_same_tokens (name ^ " first") (Costar_langs.Lang.tokenize_exn l a) ba;
+      check_same_tokens (name ^ " second") (Costar_langs.Lang.tokenize_exn l b) bb;
+      check (name ^ ": distinct arrays") true
+        (Token_buf.kinds_unsafe ba != Token_buf.kinds_unsafe bb))
+    langs
+
+(* A scan returns arrays of exactly [length] elements, and warm, it
+   allocates nothing off the heap but those: 12 bytes per token. *)
+let test_exact_size_results () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      List.iter
+        (fun input ->
+          ignore (Costar_langs.Lang.tokenize_buf l input);
+          let b0 = Token_buf.allocated_bytes () in
+          let buf = Costar_langs.Lang.tokenize_buf_exn l input in
+          let n = Token_buf.length buf in
+          check_int (name ^ ": dim = length") n
+            (Bigarray.Array1.dim (Token_buf.kinds_unsafe buf));
+          check_int (name ^ ": warm off-heap bytes = 12 per token") (12 * n)
+            (Token_buf.allocated_bytes () - b0))
+        [ Costar_langs.Lang.generate l ~seed:31 ~size:400; "" ])
+    langs
+
+let test_add_range () =
+  let buf = Token_buf.create "" in
+  let top = (1 lsl 31) - 1 in
+  Token_buf.add buf ~kind:top ~start:top ~stop:top;
+  check_int "2^31-1 round-trips" top (Token_buf.end_ofs buf 0);
+  check_int "kind round-trips" top (Token_buf.kind buf 0);
+  let raises f = match f () with () -> false | exception Invalid_argument _ -> true in
+  check "stop past 2^31-1 raises" true
+    (raises (fun () -> Token_buf.add buf ~kind:0 ~start:0 ~stop:(top + 1)));
+  check "kind past 2^31-1 raises" true
+    (raises (fun () -> Token_buf.add buf ~kind:(top + 1) ~start:0 ~stop:0));
+  check "negative start raises" true
+    (raises (fun () -> Token_buf.add buf ~kind:0 ~start:(-1) ~stop:0));
+  check_int "nothing added by the failures" 1 (Token_buf.length buf)
+
 (* --- steady-state allocation --------------------------------------------- *)
 
 let test_scan_minor_words () =
@@ -254,7 +406,7 @@ let test_scan_minor_words () =
     | Ok c -> c
     | Error msg -> Alcotest.failf "compile failed: %s" msg
   in
-  let buf = Token_buf.create_for_input input in
+  let buf = Token_buf.create input in
   Scanner.scan_into compiled buf input;
   let n = Token_buf.length buf in
   check "corpus has tokens" true (n > 1000);
@@ -337,6 +489,52 @@ let test_predict_word_minor_words () =
     (Printf.sprintf "warm Sll.predict allocates O(1) words/call (got %.1f)"
        per_call)
     true (per_call < 16.)
+
+(* A warm prediction reads lookahead straight off the int32 kinds array
+   and ends in a preboxed verdict: nothing at all on the minor heap.  A
+   read through an array whose type the compiler cannot see is a C call
+   that boxes its int32, one allocation per lookahead token.  The calls
+   measured are the (decision, position) pairs, over the first tokens of
+   a generated file, whose walk reads at least one token and ends in a
+   unique verdict (an instrumented call reports the depth). *)
+let test_predict_zero_words () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      let g = Costar_langs.Lang.grammar l in
+      let p = Parser.make g in
+      let a = Parser.analysis p in
+      let input = Costar_langs.Lang.generate l ~seed:11 ~size:300 in
+      let w = Word.of_buf (Costar_langs.Lang.tokenize_buf_exn l input) in
+      ignore (Parser.run_word p w);
+      let cache = Parser.base_cache p in
+      let calls = ref [] in
+      Instr.enabled := true;
+      for x = 0 to Grammar.num_nonterminals g - 1 do
+        if List.length (Grammar.prods_of g x) > 1 then
+          for i = 0 to min 200 (Word.length w) - 1 do
+            match Sll.predict g a cache x w i with
+            | Types.Unique_pred _, depth when depth >= 1 -> calls := (x, i) :: !calls
+            | _ -> ()
+          done
+      done;
+      Instr.enabled := false;
+      let calls = Array.of_list !calls in
+      check (name ^ ": some predictions read lookahead") true (Array.length calls > 10);
+      let xs = Array.map fst calls and is = Array.map snd calls in
+      for k = 0 to Array.length calls - 1 do
+        ignore (Sll.predict g a cache xs.(k) w is.(k))
+      done;
+      let m0 = Gc.minor_words () in
+      for k = 0 to Array.length calls - 1 do
+        ignore (Sll.predict g a cache xs.(k) w is.(k))
+      done;
+      let words = Gc.minor_words () -. m0 in
+      check
+        (Printf.sprintf "%s: %d warm Sll.predict calls allocate 0 minor words (got %.0f)"
+           name (Array.length calls) words)
+        true (words = 0.))
+    langs
 
 (* --- token positions -------------------------------------------------- *)
 
@@ -507,6 +705,16 @@ let () =
             test_langs_differential;
           Alcotest.test_case "minipy indent errors agree" `Quick
             test_minipy_indent_error_agrees;
+          Alcotest.test_case "buffer pipeline = list: tokens and lex errors (4 langs)"
+            `Quick test_langs_errors_agree;
+          Alcotest.test_case "scan_buf = list pipeline (example lexers)" `Quick
+            test_example_lexers_agree;
+          Alcotest.test_case "back-to-back results stay independent" `Quick
+            test_results_independent;
+          Alcotest.test_case "results are exact-size, 12 bytes per token" `Quick
+            test_exact_size_results;
+          Alcotest.test_case "Token_buf.add rejects fields past 2^31-1" `Quick
+            test_add_range;
           Alcotest.test_case "unboxed loop = step, warm table = fresh (4 langs)"
             `Quick test_corpus_loops_and_table;
           Alcotest.test_case "table hits count as DFA walks (4 langs)" `Quick
@@ -520,5 +728,7 @@ let () =
             `Quick test_run_buf_minor_words;
           Alcotest.test_case "warm predict_word allocates O(1) per call"
             `Quick test_predict_word_minor_words;
+          Alcotest.test_case "warm Sll.predict allocates 0 words (4 langs)"
+            `Quick test_predict_zero_words;
         ] );
     ]
