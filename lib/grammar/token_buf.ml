@@ -46,7 +46,13 @@ type t = {
           same line or the next *)
 }
 
-let of_arrays input len kinds starts ends =
+let of_arrays input len (kinds : int_array) (starts : int_array) (ends : int_array) =
+  if
+    len < 0
+    || len > Bigarray.Array1.dim kinds
+    || len > Bigarray.Array1.dim starts
+    || len > Bigarray.Array1.dim ends
+  then invalid_arg "Token_buf.of_arrays: an array is shorter than the length";
   { input; len; kinds; starts; ends; lines = None; line_hint = 0 }
 
 let create ?(capacity = 64) input =
@@ -134,6 +140,8 @@ let end_ofs b i = Int32.to_int (Bigarray.Array1.get b.ends i)
 (* The backing array, possibly longer than [length]; pair it with
    [length] (as {!Word.of_buf} does) rather than iterating it blindly. *)
 let kinds_unsafe b = b.kinds
+let starts_unsafe b = b.starts
+let ends_unsafe b = b.ends
 
 let lexeme b i = String.sub b.input (start_ofs b i) (end_ofs b i - start_ofs b i)
 

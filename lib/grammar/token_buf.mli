@@ -25,6 +25,15 @@ type t
 (** [create ?capacity input] is an empty buffer over [input]. *)
 val create : ?capacity:int -> string -> t
 
+(** [of_arrays input len kinds starts ends] is a buffer over [input]
+    holding the [len] tokens the arrays spell (no copy: the buffer reads
+    and grows from the given arrays).  Every start/end offset must lie in
+    [0 .. String.length input]; only the lengths are checked here.  The
+    prefork tier builds results over arrays mapped from a worker's
+    result file.
+    @raise Invalid_argument if an array has fewer than [len] elements. *)
+val of_arrays : string -> int -> int_array -> int_array -> int_array -> t
+
 (** [reset b input] empties [b] and rebinds it to [input], keeping its
     arrays: the scanner's per-domain scratch buffer is reset per scan. *)
 val reset : t -> string -> unit
@@ -69,6 +78,11 @@ val end_ofs : t -> int -> int
 (** The kinds backing array.  May be longer than [length]; only indices
     below [length] are meaningful. *)
 val kinds_unsafe : t -> int_array
+
+(** The start and end offset backing arrays, like {!kinds_unsafe}. *)
+val starts_unsafe : t -> int_array
+
+val ends_unsafe : t -> int_array
 
 (** Off-heap bytes allocated for token arrays so far, by every domain of
     this process: the lex layer's off-heap ledger. *)

@@ -118,6 +118,18 @@ let sub t i = { t with root = i }
 
 let symbol_at t i = symbol_of t.word (word_at t i)
 
+let to_events t = (t.ev, t.root)
+
+(* Checks only what a handle needs to stay inside [ev]: the root event
+   exists and its subtree starts at or after event 0. *)
+let of_events (ev : int_array) word root =
+  if root < 0 || (2 * root) + 1 >= Bigarray.Array1.dim ev then
+    invalid_arg "Tree.of_events: root outside the event array";
+  let t = { ev; word; root } in
+  let n = size_at t root in
+  if n < 1 || n > root + 1 then invalid_arg "Tree.of_events: root subtree outside the event array";
+  t
+
 (* The children of event [i], left to right: walk back from [i - 1] by
    subtree sizes, consing, so the leftmost child comes out first. *)
 let children t i =

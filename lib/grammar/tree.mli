@@ -97,6 +97,25 @@ module Events : sig
   val bytes : t -> int -> string
 end
 
+(** {1 A tree's storage}
+
+    For moving a tree without [Marshal] (the prefork tier copies it into
+    shared memory): a tree is a root index into an int32 event array, and
+    its events are [root - size t + 1 .. root], event [i] at elements
+    [2 * i] (kind/label word) and [2 * i + 1] (subtree size).  Sizes are
+    relative, so a subtree's events copied to the front of another array
+    are the same tree with root [size t - 1]. *)
+
+(** [to_events t] is [(ev, root)]: the array [t] reads, which may hold
+    other events around the tree's, and the index of its root event. *)
+val to_events : t -> Token_buf.int_array * int
+
+(** [of_events ev word root] is the tree rooted at event [root] of [ev],
+    its leaves indexing [word]: the inverse of {!to_events}, sharing [ev].
+    @raise Invalid_argument if the root event or its subtree lies outside
+    [ev].  The events below the root are not checked. *)
+val of_events : Token_buf.int_array -> Word.t -> int -> t
+
 (** Root symbol of a tree: the token's terminal for a leaf, the nonterminal
     for a node, the repaired symbol for an [Error] marker that has one.
     @raise Invalid_argument on [Error (None, _)] — skipped-input markers

@@ -111,8 +111,14 @@ let ids_of_grammar g =
 exception Unindent of string
 
 (* The output goes to a per-domain scratch buffer, like the scanner's,
-   and only the finished stream is copied out at its exact size. *)
+   and only the finished stream is copied out at its exact size.  Then
+   the scratch is rebound to [""]: it keeps its capacity, not the input
+   or its newline table. *)
 let scratch = Domain.DLS.new_key (fun () -> Token_buf.create "")
+
+let release out result =
+  Token_buf.reset out "";
+  result
 
 (* The loop reads terminal ids straight off the kinds array and classifies
    each with one byte read.  Tokens between structural events (a newline,
@@ -205,7 +211,7 @@ let run_buf ids buf =
         go (i + 1) run depth true at_line_start
   in
   match go 0 0 0 false true with
-  | exception Unindent msg -> Error msg
+  | exception Unindent msg -> release out (Error msg)
   | has_content ->
     (* End of input: close the open logical line and the indent stack.
        The list pass anchors these at [last emitted token's line + 1], so
@@ -224,4 +230,4 @@ let run_buf ids buf =
     List.iter
       (fun level -> if level > 0 then emit_at ids.dedent anchor)
       !indents;
-    Ok (Token_buf.copy out)
+    release out (Ok (Token_buf.copy out))

@@ -33,7 +33,7 @@ val ids_of_grammar : Costar_grammar.Grammar.t -> ids
     table and synthesized tokens are zero-width entries ([start = stop])
     anchored at the start of the line they open or close (end-of-input
     synths at [String.length input]).  [buf] may be the scanner's scratch
-    ({!Costar_lex.Scanner.scan_scratch}): the pass writes a scratch of
+    (inside {!Costar_lex.Scanner.with_scratch}): the pass writes a scratch of
     its own and returns an exact-size copy
     ({!Costar_grammar.Token_buf.copy}), so the only off-heap bytes it
     allocates are the 12 per token of its result. *)

@@ -193,10 +193,11 @@ let indenter_ids = lazy (Indenter.ids_of_grammar (Lazy.force grammar))
 
 (* The indenter reads the scanner's scratch directly: only its own output
    is copied out. *)
-let tokenize_buf input =
-  match Scanner.scan_scratch (Lazy.force compiled) input with
+let indent_scanned = function
   | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
   | Ok buf -> Indenter.run_buf (Lazy.force indenter_ids) buf
+
+let tokenize_buf input = Scanner.with_scratch (Lazy.force compiled) input indent_scanned
 
 (* --- Generator --------------------------------------------------------- *)
 

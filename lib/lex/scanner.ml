@@ -252,14 +252,26 @@ let scan_into c buf input =
 (* One scratch buffer per domain, kept between scans and grown by
    doubling: a warm scan writes into arrays it already has, and only the
    exact-size copy that [scan_buf] returns is new off-heap memory.  (No
-   systhreads run scans, so a domain never has two in flight.) *)
+   systhreads run scans, so a domain never has two in flight.)  Once the
+   scan's consumer is done, the scratch is rebound to [""]: it keeps its
+   capacity, but not the input string or its newline table. *)
 let scratch = Domain.DLS.new_key (fun () -> Token_buf.create "")
 
-let scan_scratch c input =
+let with_scratch c input f =
   let buf = Domain.DLS.get scratch in
   Token_buf.reset buf input;
-  match scan_into c buf input with
-  | () -> Ok buf
-  | exception Lex_err e -> Error e
+  let scanned =
+    match scan_into c buf input with
+    | () -> Ok buf
+    | exception Lex_err e -> Error e
+  in
+  match f scanned with
+  | v ->
+    Token_buf.reset buf "";
+    v
+  | exception e ->
+    Token_buf.reset buf "";
+    raise e
 
-let scan_buf c input = Result.map Token_buf.copy (scan_scratch c input)
+let copy_scanned = Result.map Token_buf.copy
+let scan_buf c input = with_scratch c input copy_scanned

@@ -86,13 +86,18 @@ val scanner_of_compiled : compiled -> t
 val scan_buf :
   compiled -> string -> (Costar_grammar.Token_buf.t, error) result
 
-(** [scan_scratch c input] is {!scan_buf} without the copy: the result
-    {e is} the domain's scratch buffer, valid only until the next
-    [scan_buf] or [scan_scratch] on this domain.  For a post-pass (the
-    indenter) that reads the raw stream and writes its own buffer; copy
-    anything that must outlive the next scan. *)
-val scan_scratch :
-  compiled -> string -> (Costar_grammar.Token_buf.t, error) result
+(** [with_scratch c input f] is [f] applied to {!scan_buf}'s result
+    without the copy: the buffer [f] sees {e is} the domain's scratch,
+    valid only until [f] returns, when the scratch is emptied and
+    rebound to [""] (so it holds neither [input] nor its newline table).
+    For a post-pass (the indenter) that reads the raw stream and writes
+    its own buffer; [f] must copy anything that outlives it, and must
+    not scan on this domain itself. *)
+val with_scratch :
+  compiled ->
+  string ->
+  ((Costar_grammar.Token_buf.t, error) result -> 'a) ->
+  'a
 
 (** [scan_into c buf input] is {!scan_buf} into a caller-supplied buffer
     (which must have been created over [input]).

@@ -1,3 +1,4 @@
+open Costar_grammar
 open Costar_core
 
 type domain_stats = {
@@ -127,20 +128,53 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
    file indices (each write atomic, far below PIPE_BUF) and closes the
    write end when done; workers blocking-read one index at a time, so
    large files load-balance exactly like the atomic cursor above.  Every
-   worker reports over its own result pipe — length-prefixed marshalled
-   messages, parent↔own-child only — and the parent multiplexes the pipes
-   with [select], feeding work and draining results in one loop.
+   worker reports over its own result pipe — length-prefixed frames,
+   parent↔own-child only — and the parent multiplexes the pipes with
+   [select], feeding work and draining results in one loop.
+
+   Results: a tree over a scanner buffer (every tree the language
+   tokenizers give) does not cross the pipe.  Before forking, the parent
+   creates one result file per worker and unlinks it at once; the worker
+   copies the tree's events and the word's kinds/starts/ends arrays into
+   its file through a shared mapping and sends only a fixed header saying
+   where they are.  After [waitpid] the parent maps each file once and
+   builds every such result as views into that mapping, over its own copy
+   of the input: no [Marshal], and the input text never travels back.  A
+   result lives as long as any view of its mapping.  Everything else — a
+   reject, a lexer error, a tree over a token list, the final stats — is a
+   small marshalled frame.
 
    Crash isolation: a worker that dies (OOM, signal, runtime failure)
    closes its result pipe; the parent keeps serving the remaining workers,
    the dead worker's claimed-but-unreported file surfaces as a typed
-   per-file error, and every other file is still parsed.  A domain crash,
-   by contrast, would take the whole process down. *)
+   per-file error, and every other file is still parsed.  Its result file
+   is mapped only up to the last header it sent.  A domain crash, by
+   contrast, would take the whole process down. *)
 
 type prefork_msg =
   | Pf_result of int * (Parser.result, string) result
   | Pf_done of int * int * int * Instr.cache_counters
       (* files, bytes, states interned past the inherited base *)
+
+(* A result in a worker's result file: from int32 element [off], the
+   events [0 .. nev - 1] (two elements each; [root] is the root event),
+   then the kinds, the starts and the ends of [ntok] tokens. *)
+type shared = {
+  sh_file : int;  (** input index *)
+  sh_ambig : bool;
+  sh_off : int;
+  sh_nev : int;
+  sh_root : int;
+  sh_ntok : int;
+}
+
+(* A frame is a 4-byte LE payload length, then the payload: a kind byte
+   and its body — a marshalled [prefork_msg], or a [shared] header as
+   five 8-byte LE ints (file, off, nev, root, ntok). *)
+let frame_marshal = 'M'
+let frame_unique = 'U'
+let frame_ambig = 'A'
+let header_len = 1 + (5 * 8)
 
 let rec write_all fd b off len =
   if len > 0 then begin
@@ -175,16 +209,180 @@ let le32_to_bytes b off v =
 let send_msg fd (msg : prefork_msg) =
   let payload = Marshal.to_bytes msg [] in
   let len = Bytes.length payload in
-  let b = Bytes.create (4 + len) in
-  le32_to_bytes b 0 len;
-  Bytes.blit payload 0 b 4 len;
-  write_all fd b 0 (4 + len)
+  let b = Bytes.create (5 + len) in
+  le32_to_bytes b 0 (1 + len);
+  Bytes.set b 4 frame_marshal;
+  Bytes.blit payload 0 b 5 len;
+  write_all fd b 0 (5 + len)
+
+(* [hdr] is the worker's own [4 + header_len]-byte frame buffer. *)
+let send_shared fd hdr sh =
+  le32_to_bytes hdr 0 header_len;
+  Bytes.set hdr 4 (if sh.sh_ambig then frame_ambig else frame_unique);
+  List.iteri
+    (fun k v -> Bytes.set_int64_le hdr (5 + (8 * k)) (Int64.of_int v))
+    [ sh.sh_file; sh.sh_off; sh.sh_nev; sh.sh_root; sh.sh_ntok ];
+  write_all fd hdr 0 (4 + header_len)
+
+let shared_of_frame b pos ~ambig =
+  let field k = Int64.to_int (Bytes.get_int64_le b (pos + (8 * k))) in
+  {
+    sh_file = field 0;
+    sh_ambig = ambig;
+    sh_off = field 1;
+    sh_nev = field 2;
+    sh_root = field 3;
+    sh_ntok = field 4;
+  }
+
+(* {3 Result files} *)
+
+(* /dev/shm when it is writable: a tmpfs, so results never reach a disk. *)
+let result_dir () =
+  let shm = "/dev/shm" in
+  match Unix.access shm [ Unix.W_OK; Unix.X_OK ] with
+  | () when Sys.is_directory shm -> shm
+  | () | (exception (Unix.Unix_error _ | Sys_error _)) -> Filename.get_temp_dir_name ()
+
+let result_seq = ref 0
+
+(* A fresh file, unlinked at once: it lives as long as an open descriptor
+   or a mapping of it, so no exit path leaves it behind. *)
+let rec open_result_file dir =
+  incr result_seq;
+  let name =
+    Filename.concat dir (Printf.sprintf "costar-prefork-%d-%d" (Unix.getpid ()) !result_seq)
+  in
+  match Unix.openfile name [ Unix.O_RDWR; Unix.O_CREAT; Unix.O_EXCL; Unix.O_CLOEXEC ] 0o600 with
+  | exception Unix.Unix_error (Unix.EEXIST, _, _) -> open_result_file dir
+  | fd ->
+    (try Unix.unlink name
+     with e ->
+       Unix.close fd;
+       raise e);
+    fd
+
+let map_int32 fd ~pos ~shared n : Token_buf.int_array =
+  Bigarray.array1_of_genarray
+    (Unix.map_file fd ~pos:(Int64.of_int (4 * pos)) Bigarray.int32 Bigarray.c_layout shared [| n |])
+
+(* The worker's side of its result file: results are packed into mapped
+   windows of at least [window] elements, each starting at a multiple of
+   [window_align] elements (64 KiB, a multiple of the page size), so a
+   worker maps once per megabyte of results, not once per file.  The file
+   grows with each window; its unwritten tail stays a hole. *)
+type outbox = {
+  ob_fd : Unix.file_descr;
+  mutable win : Token_buf.int_array;
+  mutable win_at : int;  (** element offset of [win] in the file *)
+  mutable used : int;  (** elements of [win] written *)
+}
+
+let window = 1 lsl 18
+let window_align = 1 lsl 14
+
+let outbox_create fd =
+  { ob_fd = fd; win = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0; win_at = 0; used = 0 }
+
+(* Room for [need] elements: the index in [win] where they start. *)
+let outbox_reserve ob need =
+  if ob.used + need > Bigarray.Array1.dim ob.win then begin
+    let next = ob.win_at + ob.used in
+    let at = (next + window_align - 1) / window_align * window_align in
+    ob.win <- map_int32 ob.ob_fd ~pos:at ~shared:true (max need window);
+    ob.win_at <- at;
+    ob.used <- 0
+  end;
+  let k = ob.used in
+  ob.used <- k + need;
+  k
+
+(* Copy tree [t] over [buf]'s tokens into the result file: the tree's own
+   events, moved to the front (root [nev - 1]), then the three token
+   arrays. *)
+let put_shared ob i ~ambig t buf =
+  let ev, root = Tree.to_events t in
+  let nev = Tree.size t in
+  let ntok = Token_buf.length buf in
+  let k = outbox_reserve ob ((2 * nev) + (3 * ntok)) in
+  let copy (src : Token_buf.int_array) from len at =
+    Bigarray.Array1.blit (Bigarray.Array1.sub src from len) (Bigarray.Array1.sub ob.win (k + at) len)
+  in
+  copy ev (2 * (root - nev + 1)) (2 * nev) 0;
+  copy (Token_buf.kinds_unsafe buf) 0 ntok (2 * nev);
+  copy (Token_buf.starts_unsafe buf) 0 ntok ((2 * nev) + ntok);
+  copy (Token_buf.ends_unsafe buf) 0 ntok ((2 * nev) + (2 * ntok));
+  { sh_file = i; sh_ambig = ambig; sh_off = ob.win_at + k; sh_nev = nev; sh_root = nev - 1; sh_ntok = ntok }
+
+(* The parent's side.  A header is used only once its fields are in
+   range: no sum below can overflow, and the region lies in the mapping. *)
+let shared_len sh = (2 * sh.sh_nev) + (3 * sh.sh_ntok)
+
+let shared_sane sh =
+  let bound = 1 lsl 40 in
+  sh.sh_off >= 0 && sh.sh_off < bound && sh.sh_nev >= 1 && sh.sh_nev < bound
+  && sh.sh_ntok >= 0 && sh.sh_ntok < bound && sh.sh_root >= 0 && sh.sh_root < sh.sh_nev
+
+(* Every token lies within the parent's copy of the input. *)
+let offsets_within (starts : Token_buf.int_array) (ends : Token_buf.int_array) ntok len =
+  let ok = ref true in
+  for k = 0 to ntok - 1 do
+    let s = Int32.to_int (Bigarray.Array1.unsafe_get starts k) in
+    let e = Int32.to_int (Bigarray.Array1.unsafe_get ends k) in
+    if s < 0 || s > len || e < 0 || e > len then ok := false
+  done;
+  !ok
+
+let shared_result (file : Token_buf.int_array) sh input =
+  if not (shared_sane sh && sh.sh_off + shared_len sh <= Bigarray.Array1.dim file) then
+    Error "costar batch: worker result lies outside its result file"
+  else
+    let region at len = Bigarray.Array1.sub file (sh.sh_off + at) len in
+    let n = sh.sh_ntok and ev_len = 2 * sh.sh_nev in
+    let kinds = region ev_len n in
+    let starts = region (ev_len + n) n in
+    let ends = region (ev_len + (2 * n)) n in
+    if not (offsets_within starts ends n (String.length input)) then
+      Error "costar batch: worker result has tokens outside its input"
+    else
+      let word = Word.of_buf (Token_buf.of_arrays input n kinds starts ends) in
+      match Tree.of_events (region 0 ev_len) word sh.sh_root with
+      | exception Invalid_argument _ -> Error "costar batch: worker result has a malformed tree"
+      | t -> Ok (if sh.sh_ambig then Parser.Ambig t else Parser.Unique t)
+
+(* Map worker's result file once, up to the end of the last region its
+   headers name (a crashed worker's file may hold more), and build every
+   shared result from it. *)
+let collect_shared results inputs fd headers =
+  let extent =
+    List.fold_left
+      (fun a sh -> if shared_sane sh then max a (sh.sh_off + shared_len sh) else a)
+      0 headers
+  in
+  let file_len = Int64.to_int (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size / 4 in
+  let mapped =
+    match min extent file_len with
+    | 0 -> Ok (Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0)
+    | len -> (
+      try Ok (map_int32 fd ~pos:0 ~shared:false len)
+      with Unix.Unix_error (e, _, _) ->
+        Error ("costar batch: cannot map a worker's result file: " ^ Unix.error_message e))
+  in
+  List.iter
+    (fun sh ->
+      results.(sh.sh_file) <-
+        (match mapped with
+        | Ok file -> shared_result file sh inputs.(sh.sh_file)
+        | Error msg -> Error msg))
+    headers
+
+(* {3 The parent's inbox} *)
 
 (* A worker's result pipe, as seen by the parent: bytes [rd, wr) of [buf]
    are received but not yet decoded.  Reads land directly at [wr] and
-   complete messages are decoded in place from [rd], so a message is
-   copied only when the buffer must be compacted or grown — never once
-   per read, however many reads a large result takes. *)
+   complete frames are decoded in place from [rd], so a frame is copied
+   only when the buffer must be compacted or grown — never once per
+   read, however many reads a large frame takes. *)
 type inbox = {
   mutable buf : Bytes.t;
   mutable rd : int;
@@ -197,7 +395,7 @@ let inbox_create () = { buf = Bytes.create read_size; rd = 0; wr = 0 }
 (* Make room for one [read_size] read at [wr]: slide the undecoded bytes to
    the front when that frees enough (at least half the buffer is already
    decoded), otherwise double the buffer.  Either way the bytes moved are
-   at most one partial message, and growth is geometric. *)
+   at most one partial frame, and growth is geometric. *)
 let inbox_reserve ib =
   let cap = Bytes.length ib.buf in
   if cap - ib.wr < read_size then begin
@@ -212,13 +410,14 @@ let inbox_reserve ib =
     ib.wr <- pending
   end
 
-(* Whether a whole length-prefixed message starts at [rd]. *)
+(* Whether a whole frame starts at [rd]. *)
 let inbox_complete ib =
   let avail = ib.wr - ib.rd in
   avail >= 4 && avail - 4 >= le32_of_bytes ib.buf ib.rd
 
-let worker_loop p ~tokenize inputs work_r out states_inherited =
+let worker_loop p ~tokenize inputs work_r out ob states_inherited =
   let idx = Bytes.create 4 in
+  let hdr = Bytes.create (4 + header_len) in
   let files = ref 0 in
   let bytes_n = ref 0 in
   (try
@@ -228,12 +427,17 @@ let worker_loop p ~tokenize inputs work_r out states_inherited =
        | () ->
          let i = le32_of_bytes idx 0 in
          let input = inputs.(i) in
-         let outcome =
-           match tokenize input with
-           | Error msg -> Error msg
-           | Ok word -> Ok (Parser.run_word p word)
-         in
-         send_msg out (Pf_result (i, outcome));
+         (match tokenize input with
+         | Error msg -> send_msg out (Pf_result (i, Error msg))
+         | Ok word -> (
+           let r = Parser.run_word p word in
+           match word.Word.src, r with
+           | Word.Buf buf, (Parser.Unique t | Parser.Ambig t) -> (
+             let ambig = match r with Parser.Ambig _ -> true | _ -> false in
+             match put_shared ob i ~ambig t buf with
+             | sh -> send_shared out hdr sh
+             | exception Unix.Unix_error _ -> send_msg out (Pf_result (i, Ok r)))
+           | _ -> send_msg out (Pf_result (i, Ok r))));
          incr files;
          bytes_n := !bytes_n + String.length input;
          go ()
@@ -251,6 +455,8 @@ let worker_loop p ~tokenize inputs work_r out states_inherited =
      belongs to the parent and must not be emitted twice. *)
   Unix._exit 0
 
+let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
 let run_prefork ?(workers = 2) p ~tokenize inputs =
   let n = Array.length inputs in
   let workers = max 1 workers in
@@ -265,6 +471,18 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
   let per_new = Array.make workers 0 in
   let per_cache = Array.make workers [] in
   if n > 0 then begin
+    (* Result files still open in the parent: each is closed once mapped,
+       and every one on the way out, whatever happens. *)
+    let res_files = Array.make workers None in
+    let close_res w =
+      Option.iter close_quietly res_files.(w);
+      res_files.(w) <- None
+    in
+    Fun.protect ~finally:(fun () -> Array.iteri (fun w _ -> close_res w) res_files)
+    @@ fun () ->
+    let dir = result_dir () in
+    Array.iteri (fun w _ -> res_files.(w) <- Some (open_result_file dir)) res_files;
+    let res_fd w = Option.get res_files.(w) in
     let work_r, work_w = Unix.pipe ~cloexec:false () in
     let res_pipes = Array.init workers (fun _ -> Unix.pipe ~cloexec:false ()) in
     (* The parent may write work after every reader died (all workers
@@ -277,19 +495,24 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
       Array.init workers (fun w ->
           match Unix.fork () with
           | 0 ->
-            Unix.close work_w;
-            Array.iteri
-              (fun w' (r, wfd) ->
-                Unix.close r;
-                if w' <> w then Unix.close wfd)
-              res_pipes;
+            (try
+               Unix.close work_w;
+               Array.iteri
+                 (fun w' (r, wfd) ->
+                   Unix.close r;
+                   if w' <> w then Unix.close wfd)
+                 res_pipes;
+               Array.iteri (fun w' _ -> if w' <> w then close_res w') res_files
+             with _ -> Unix._exit 2);
             worker_loop p ~tokenize inputs work_r (snd res_pipes.(w))
-              states_before
+              (outbox_create (res_fd w)) states_before
           | pid -> pid)
     in
     Unix.close work_r;
     Array.iter (fun (_, wfd) -> Unix.close wfd) res_pipes;
     let reported = Array.make n false in
+    (* Each worker's shared-result headers, newest first. *)
+    let headers = Array.make workers [] in
     (* The result pipes still open.  The list changes only when a worker
        exits, so the select loop below allocates per round only what
        [Unix.select] returns: the parent's allocation then stays a small
@@ -306,7 +529,7 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     let close_work () =
       if !work_open then begin
         work_open := false;
-        try Unix.close work_w with Unix.Unix_error _ -> ()
+        close_quietly work_w
       end
     in
     let handle w = function
@@ -319,13 +542,22 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
         per_new.(w) <- new_states;
         per_cache.(w) <- [ counters ]
     in
-    (* Decode every complete length-prefixed message in worker [w]'s inbox,
-       in place. *)
+    (* Decode every complete frame in worker [w]'s inbox, in place.  A
+       header naming no input of this call is dropped. *)
     let drain w =
       let ib = inboxes.(w) in
       while inbox_complete ib do
         let m = le32_of_bytes ib.buf ib.rd in
-        handle w (Marshal.from_bytes ib.buf (ib.rd + 4) : prefork_msg);
+        let kind = if m > 0 then Bytes.get ib.buf (ib.rd + 4) else ' ' in
+        if kind = frame_marshal then
+          handle w (Marshal.from_bytes ib.buf (ib.rd + 5) : prefork_msg)
+        else if (kind = frame_unique || kind = frame_ambig) && m = header_len then begin
+          let sh = shared_of_frame ib.buf (ib.rd + 5) ~ambig:(kind = frame_ambig) in
+          if sh.sh_file >= 0 && sh.sh_file < n then begin
+            headers.(w) <- sh :: headers.(w);
+            reported.(sh.sh_file) <- true
+          end
+        end;
         ib.rd <- ib.rd + 4 + m
       done;
       if ib.rd = ib.wr then begin
@@ -349,7 +581,7 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
             | 0 ->
               live := List.filter (fun fd' -> fd' <> fd) !live;
               decr open_fds;
-              (try Unix.close fd with Unix.Unix_error _ -> ())
+              close_quietly fd
             | k ->
               ib.wr <- ib.wr + k;
               drain w)
@@ -370,6 +602,11 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     (match old_sigpipe with
     | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
     | None -> ());
+    Array.iteri
+      (fun w hs ->
+        if hs <> [] then collect_shared results inputs (res_fd w) hs;
+        close_res w)
+      headers;
     for i = 0 to n - 1 do
       if not reported.(i) then
         results.(i) <-

@@ -75,11 +75,22 @@ val run_batch :
 
     Work is sharded over a shared pipe of 4-byte file indices (atomic
     writes, blocking one-index reads — the process analogue of
-    [run_batch]'s atomic cursor); results return over one pipe per worker
-    as length-prefixed marshalled messages, multiplexed by the parent with
-    [select].  A worker crash loses only its in-flight file, which
-    surfaces as a per-file [Error]; remaining files are parsed by the
-    surviving workers.
+    [run_batch]'s atomic cursor); each worker reports over its own pipe,
+    multiplexed by the parent with [select].  A [Unique]/[Ambig] tree
+    over a {!Word.of_buf} word does not cross the pipe: the worker copies
+    its events and the word's token arrays into a result file the parent
+    created and unlinked before forking (in [/dev/shm] when it is
+    writable, else in [Filename.get_temp_dir_name ()]), and sends a fixed
+    header.  The parent maps each worker's file once and returns such a
+    tree as views into that mapping over its own [inputs.(i)]; the mapping
+    is released when the last view of it is collected.  A header whose
+    region or token offsets fall outside the file or the input becomes a
+    per-file [Error].  Rejects, lexer errors and trees over
+    {!Word.of_tokens} words come back marshalled.  A worker crash loses
+    only its in-flight file, which surfaces as a per-file [Error];
+    remaining files are parsed by the surviving workers.  A worker that
+    cannot write its file because the file system is full dies of
+    [SIGBUS], which is such a crash.
 
     Unlike [run_batch], nothing learned by a worker flows back into the
     parent's cache (processes do not share heaps).  Verdicts are

@@ -315,6 +315,129 @@ let test_prefork_large_and_crash () =
       "costar batch: worker process exited before reporting this file" msg
   | Ok _ -> Alcotest.fail "the crashing file produced a result"
 
+(* --- prefork result transport --------------------------------------------- *)
+
+(* A tree over a scanner buffer comes back as views into the worker's
+   result file, mapped by the parent; the mapping lives as long as a view
+   of it.  Results of one call must stay intact through a full major
+   collection and a later call (which maps files of its own). *)
+let test_prefork_results_outlive_the_call () =
+  let run l =
+    let inputs = corpus_for l in
+    let results, _ =
+      Batch.run_prefork ~workers:2
+        (Parser.make (Costar_langs.Lang.grammar l))
+        ~tokenize:(tokenize_of_lang l) inputs
+    in
+    (sequential_outcomes l inputs, results)
+  in
+  let check_same what l (expected, results) =
+    Array.iteri
+      (fun i r ->
+        if not (same_outcome expected.(i) r) then
+          Alcotest.failf "%s: file %d differs: %a vs %a" what i
+            (pp_outcome (Costar_langs.Lang.grammar l))
+            expected.(i)
+            (pp_outcome (Costar_langs.Lang.grammar l))
+            r)
+      results
+  in
+  let first = run Costar_langs.Minipy.lang in
+  Gc.full_major ();
+  let second = run Costar_langs.Json.lang in
+  Gc.full_major ();
+  check_same "first call, after a second" Costar_langs.Minipy.lang first;
+  check_same "second call" Costar_langs.Json.lang second
+
+let open_fds () = Array.length (Sys.readdir "/proc/self/fd")
+
+(* Result files are named costar-prefork-PID-N until they are unlinked,
+   right after they are opened. *)
+let leftover_result_files () =
+  List.concat_map
+    (fun dir ->
+      match Sys.readdir dir with
+      | names ->
+        List.filter
+          (fun f -> String.starts_with ~prefix:"costar-prefork-" f)
+          (Array.to_list names)
+      | exception Sys_error _ -> [])
+    [ "/dev/shm"; Filename.get_temp_dir_name () ]
+
+(* Every call closes what it opened — the pipes and each worker's result
+   file — also when a worker crashes, and leaves no file behind. *)
+let test_prefork_releases_descriptors () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let inputs = corpus_for l in
+  let crash = "crash this worker" in
+  let tokenize s = if s = crash then Unix._exit 3 else tokenize_of_lang l s in
+  let before = open_fds () in
+  for k = 1 to 5 do
+    let inputs = if k = 3 then Array.append inputs [| crash |] else inputs in
+    let results, _ = Batch.run_prefork ~workers:2 (Parser.make g) ~tokenize inputs in
+    check_int (Printf.sprintf "call %d: result count" k) (Array.length inputs)
+      (Array.length results)
+  done;
+  check_int "open descriptors after five calls" before (open_fds ());
+  Alcotest.(check (list string)) "no result file left" [] (leftover_result_files ())
+
+(* What still crosses the pipe marshalled: a tree over a token-list word,
+   a grammar reject and a lexer error, in one call beside a tree that
+   takes the shared file. *)
+let test_prefork_marshalled_paths () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let listed = "[1, {\"a\": [true, null]}, \"s\"]" in
+  let tokenize s =
+    if s == listed then Result.map Word.of_tokens (Costar_langs.Lang.tokenize l s)
+    else tokenize_of_lang l s
+  in
+  let inputs =
+    [| listed; Costar_langs.Lang.generate l ~seed:12 ~size:80; "[1, 2"; "[1, \x01]" |]
+  in
+  let p = Parser.make g in
+  let expected =
+    Array.map
+      (fun s ->
+        match tokenize s with
+        | Error msg -> Error msg
+        | Ok w -> Ok (Parser.run_word p w))
+      inputs
+  in
+  (match expected with
+  | [| Ok (Parser.Unique _); Ok (Parser.Unique _); Ok (Parser.Reject _); Error _ |] -> ()
+  | _ -> Alcotest.fail "the corpus does not cover the four paths");
+  let results, _ = Batch.run_prefork ~workers:2 (Parser.make g) ~tokenize inputs in
+  Array.iteri
+    (fun i r ->
+      if not (same_outcome expected.(i) r) then
+        Alcotest.failf "file %d differs: %a vs %a" i (pp_outcome g) expected.(i)
+          (pp_outcome g) r)
+    results
+
+(* The parent checks each header before it builds views over its own
+   input.  A tokenizer that lexes a padded copy gives tokens past the end
+   of the input the parent holds: that file becomes an [Error], and the
+   call still returns every other file. *)
+let test_prefork_checks_headers () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let short = "[1]" in
+  let tokenize s =
+    if s == short then tokenize_of_lang l ("      " ^ s) else tokenize_of_lang l s
+  in
+  let other = Costar_langs.Lang.generate l ~seed:13 ~size:40 in
+  let results, _ =
+    Batch.run_prefork ~workers:2 (Parser.make g) ~tokenize [| short; other |]
+  in
+  (match results.(0) with
+  | Error msg ->
+    Alcotest.(check string) "refused" "costar batch: worker result has tokens outside its input" msg
+  | Ok _ -> Alcotest.fail "a result over tokens outside its input was accepted");
+  check "the other file is parsed" true
+    (same_outcome (sequential_outcomes l [| other |]).(0) results.(1))
+
 (* --- random-grammar differential ----------------------------------------- *)
 
 (* Random grammars parsed through the batch engine: the corpus is several
@@ -548,6 +671,14 @@ let () =
             test_result_marshal;
           Alcotest.test_case "prefork: large results and a crashing worker"
             `Slow test_prefork_large_and_crash;
+          Alcotest.test_case "prefork results outlive the call" `Quick
+            test_prefork_results_outlive_the_call;
+          Alcotest.test_case "prefork releases descriptors and files" `Quick
+            test_prefork_releases_descriptors;
+          Alcotest.test_case "prefork marshalled paths = sequential" `Quick
+            test_prefork_marshalled_paths;
+          Alcotest.test_case "prefork checks result headers" `Quick
+            test_prefork_checks_headers;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"
             `Slow test_batch_differential;
           Alcotest.test_case "batch token buffers = sequential (1/2/4 domains)"

@@ -377,6 +377,29 @@ let test_exact_size_results () =
         [ Costar_langs.Lang.generate l ~seed:31 ~size:400; "" ])
     langs
 
+(* Between scans the per-domain scratch buffers (the scanner's, and the
+   indenter's for minipy) keep their capacity but not the last input:
+   once the result is dropped, nothing holds the string, whether the
+   scan succeeded or failed. *)
+let test_scratch_releases_input () =
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      List.iter
+        (fun (what, suffix) ->
+          let weak = Weak.create 1 in
+          let lex () =
+            let input = Costar_langs.Lang.generate l ~seed:41 ~size:2000 ^ suffix in
+            Weak.set weak 0 (Some input);
+            ignore (Sys.opaque_identity (Costar_langs.Lang.tokenize_buf l input))
+          in
+          lex ();
+          Gc.full_major ();
+          check (Printf.sprintf "%s %s: input collected" name what) false
+            (Weak.check weak 0))
+        [ ("lexed", ""); ("rejected", "\x01") ])
+    langs
+
 let test_add_range () =
   let buf = Token_buf.create "" in
   let top = (1 lsl 31) - 1 in
@@ -713,6 +736,8 @@ let () =
             test_results_independent;
           Alcotest.test_case "results are exact-size, 12 bytes per token" `Quick
             test_exact_size_results;
+          Alcotest.test_case "scratch buffers let go of the input (4 langs)" `Quick
+            test_scratch_releases_input;
           Alcotest.test_case "Token_buf.add rejects fields past 2^31-1" `Quick
             test_add_range;
           Alcotest.test_case "unboxed loop = step, warm table = fresh (4 langs)"
