@@ -3,10 +3,9 @@
 
      E1  --only fig8      grammar & data-set statistics (Fig. 8, a table)
      E2  --only fig9      input size vs parse time + regression/LOWESS (Fig. 9)
-     E3  --only fig10     CoStar slowdown w.r.t. Turbo/"ANTLR" (Fig. 10)
+     E3  --only fig10     extraction-style engine vs the core (Fig. 10)
      E4  --only fig11     cold vs warm prediction cache on MiniPython (Fig. 11)
      E7  --only ll1       LL(1) conflict report: XML is not LL(1) (§6.1 claim)
-     E8  --only ablation  interned ints vs extraction-style strings (§6.1)
      E9  --only earley    general-CFG baseline vs CoStar (§7 claim)
      E12 --only precache  offline DFA precompilation: analyze once, parse warm
      E13 --only intern    interned prediction hot path: cold vs warm us/token
@@ -72,7 +71,7 @@ let parse_args () =
       ( "--only",
         Arg.String (fun s -> only := Some s),
         "<exp> run one experiment: \
-         fig8|fig9|fig10|fig11|ll1|ablation|earley|lookahead|gss|precache|intern|pipeline|batch|e16" );
+         fig8|fig9|fig10|fig11|ll1|earley|lookahead|gss|precache|intern|pipeline|batch|e16" );
       ("--bechamel", Arg.Set bech, " also run Bechamel micro-benchmarks");
       ( "--json-dir",
         Arg.String (fun s -> json_dir := Some s),
@@ -265,22 +264,25 @@ let fig9 cfg corpora =
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
-(* E3: Fig. 10 — slowdown w.r.t. the Turbo (ANTLR stand-in) parser     *)
+(* E3: Fig. 10 — the extraction-style engine against the core          *)
 (* ------------------------------------------------------------------ *)
 
+(* The paper measures its extracted parser against ANTLR.  Here
+   [Extracted] plays the extracted code (string symbols compared
+   lexicographically, AVL maps, a DFA cache per parse) and the core plays
+   the optimized parser, each from a cold cache as in the paper. *)
 let fig10 cfg corpora =
-  print_endline
-    "== Figure 10: CoStar slowdown w.r.t. Turbo (ANTLR stand-in) ==";
+  print_endline "== Figure 10: extraction-style engine slowdown w.r.t. the core ==";
   print_endline
     "(per file: best of the trials of each side; mean ± sd of the ratios over \
      the files)";
-  Printf.printf "%-10s %25s %32s\n" "Benchmark" "parser-only slowdown"
-    "(lexer+CoStar)/(lexer+Turbo)";
+  Printf.printf "%-10s %6s %25s %36s\n" "Benchmark" "|P|" "parser-only slowdown"
+    "(lexer+Extracted)/(lexer+core)";
   List.iter
     (fun { lang; files } ->
       let g = Lang.grammar lang in
       let p = P.make g in
-      let turbo = Costar_turbo.Turbo.create g in
+      let eg = Costar_extracted.Extracted.of_grammar g in
       let ratios, pipe_ratios =
         List.split
           (List.filter_map
@@ -291,27 +293,22 @@ let fig10 cfg corpora =
                    time_best ~trials:cfg.trials (fun () ->
                        Lang.tokenize lang f.src)
                  in
-                 let costar_t =
-                   time_best ~trials:cfg.trials (fun () ->
-                       parse_cold p f.toks)
+                 let core_t =
+                   time_best ~trials:cfg.trials (fun () -> parse_cold p f.toks)
                  in
-                 let turbo_t =
+                 let ext_t =
                    time_best ~trials:cfg.trials (fun () ->
-                       (* cold cache per trial, matching the paper's ANTLR
-                          configuration (fresh parser per trial) *)
-                       Costar_turbo.Turbo.reset_cache turbo;
-                       Costar_turbo.Turbo.parse turbo f.toks)
+                       Costar_extracted.Extracted.parse_tokens eg g f.toks)
                  in
-                 Some
-                   ( costar_t /. turbo_t,
-                     (lex_t +. costar_t) /. (lex_t +. turbo_t) )
+                 Some (ext_t /. core_t, (lex_t +. ext_t) /. (lex_t +. core_t))
                end)
              files)
       in
       check_cold p;
       let ratios = Array.of_list ratios in
       let pipe_ratios = Array.of_list pipe_ratios in
-      Printf.printf "%-10s %17.1fx ± %-5.1f %24.1fx ± %-5.1f\n" lang.Lang.name
+      Printf.printf "%-10s %6d %17.1fx ± %-5.1f %28.1fx ± %-5.1f\n"
+        lang.Lang.name (Grammar.num_productions g)
         (Stats.Summary.mean ratios)
         (Stats.Summary.stdev ratios)
         (Stats.Summary.mean pipe_ratios)
@@ -324,38 +321,22 @@ let fig10 cfg corpora =
 (* ------------------------------------------------------------------ *)
 
 let fig11 cfg corpora =
-  print_endline
-    "== Figure 11: cold vs pre-warmed cache, MiniPython (Turbo) ==";
-  Printf.printf "(each point: best of %d trials)\n" cfg.trials;
+  print_endline "== Figure 11: cold vs pre-warmed cache, MiniPython (core) ==";
+  Printf.printf
+    "(each point: best of %d trials; cold = the static grammar cache only, \
+     warm = a cache prewarmed on the whole corpus)\n"
+    cfg.trials;
   let { lang; files } =
     List.find (fun c -> c.lang.Lang.name = "minipy") corpora
   in
-  let g = Lang.grammar lang in
-  let turbo = Costar_turbo.Turbo.create g in
-  let cold =
-    List.map
-      (fun f ->
-        let t =
-          time_best ~trials:cfg.trials (fun () ->
-              Costar_turbo.Turbo.reset_cache turbo;
-              Costar_turbo.Turbo.parse turbo f.toks)
-        in
-        (f, t))
-      files
+  let p = P.make (Lang.grammar lang) in
+  let time_each parse =
+    List.map (fun f -> (f, time_best ~trials:cfg.trials (fun () -> parse f.toks))) files
   in
-  (* Pre-warm on the whole corpus, then measure warm times. *)
-  Costar_turbo.Turbo.reset_cache turbo;
-  List.iter (fun f -> ignore (Costar_turbo.Turbo.parse turbo f.toks)) files;
-  let warm =
-    List.map
-      (fun f ->
-        let t =
-          time_best ~trials:cfg.trials (fun () ->
-              Costar_turbo.Turbo.parse turbo f.toks)
-        in
-        (f, t))
-      files
-  in
+  let cold = time_each (parse_cold p) in
+  check_cold p;
+  let shared = warmed_cache p files in
+  let warm = time_each (parse_list ~cache:shared p) in
   Printf.printf "%10s %14s %14s %16s %16s\n" "tokens" "cold(ms)" "warm(ms)"
     "cold us/token" "warm us/token";
   List.iter2
@@ -368,40 +349,23 @@ let fig11 cfg corpora =
   (* The paper's observation: per-token cost falls with file size when the
      cache is cold (warm-up amortizes), and the effect disappears when the
      cache is pre-warmed. *)
-  let per_token l =
-    List.filter_map
-      (fun (f, t) ->
-        if f.n_toks < 50 then None
-        else Some (f.n_toks, t /. float_of_int f.n_toks))
-      l
-  in
   let summarize name l =
-    let pts = per_token l in
+    let pts =
+      List.filter_map
+        (fun (f, t) ->
+          if f.n_toks < 50 then None else Some (t /. float_of_int f.n_toks))
+        l
+    in
     let k = List.length pts / 2 in
-    let small = List.filteri (fun i _ -> i < k) pts in
-    let large = List.filteri (fun i _ -> i >= k) pts in
-    let mean l = Stats.Summary.mean (Array.of_list (List.map snd l)) in
+    let mean l = Stats.Summary.mean (Array.of_list l) in
+    let small = mean (List.filteri (fun i _ -> i < k) pts) in
+    let large = mean (List.filteri (fun i _ -> i >= k) pts) in
     Printf.printf
       "%s: mean per-token cost, smaller half %.2f us vs larger half %.2f us (ratio %.2f)\n"
-      name (mean small *. 1e6) (mean large *. 1e6)
-      (mean small /. mean large)
+      name (small *. 1e6) (large *. 1e6) (small /. large)
   in
   summarize "cold" cold;
   summarize "warm" warm;
-  (* CoStar-side extension: the verified parser with a reused cache. *)
-  let p = P.make g in
-  let shared = warmed_cache p files in
-  let costar_warm =
-    List.map
-      (fun f ->
-        let t, _ =
-          time_trials ~trials:cfg.trials (fun () ->
-              parse_list ~cache:shared p f.toks)
-        in
-        (f, t))
-      files
-  in
-  summarize "CoStar warm (extension)" costar_warm;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -428,39 +392,6 @@ let ll1_table corpora =
     "a table for none of them without refactoring. In particular the XML";
   print_endline
     "element rule is not LL(k) for any k (unbounded attribute lookahead).";
-  print_newline ()
-
-(* ------------------------------------------------------------------ *)
-(* E8: symbol-representation ablation                                  *)
-(* ------------------------------------------------------------------ *)
-
-let ablation cfg corpora =
-  print_endline
-    "== E8 (ablation): interned ints vs extraction-style strings ==";
-  print_endline
-    "(the paper profiles extracted code and finds comparison functions dominate;";
-  print_endline
-    " slowdown should grow with grammar size, cf. its JSON-vs-Python discussion)";
-  Printf.printf "%-10s %6s %14s %14s %10s\n" "Benchmark" "|P|" "core(ms)"
-    "extracted(ms)" "slowdown";
-  List.iter
-    (fun { lang; files } ->
-      let g = Lang.grammar lang in
-      let eg = Costar_extracted.Extracted.of_grammar g in
-      let p = P.make g in
-      (* Mid-sized file to keep the string version affordable. *)
-      let f = List.nth files (List.length files / 2) in
-      let core_t, _ =
-        time_trials ~trials:cfg.trials (fun () -> parse_list p f.toks)
-      in
-      let ext_t, _ =
-        time_trials ~trials:cfg.trials (fun () ->
-            Costar_extracted.Extracted.parse_tokens eg g f.toks)
-      in
-      Printf.printf "%-10s %6d %14.3f %14.3f %9.1fx\n" lang.Lang.name
-        (Grammar.num_productions g)
-        (core_t *. 1e3) (ext_t *. 1e3) (ext_t /. core_t))
-    corpora;
   print_newline ()
 
 (* ------------------------------------------------------------------ *)
@@ -1122,29 +1053,18 @@ let bechamel_run corpora =
           ~name:(Printf.sprintf "fig9/costar-%s" lang.Lang.name)
           (Staged.stage (fun () -> ignore (parse_list p f.toks))))
       corpora
-    @ (* fig10: turbo counterpart *)
-    List.map
-      (fun c ->
-        let lang, f = mid c in
-        let turbo = Costar_turbo.Turbo.create (Lang.grammar lang) in
-        Test.make
-          ~name:(Printf.sprintf "fig10/turbo-%s" lang.Lang.name)
-          (Staged.stage (fun () ->
-               Costar_turbo.Turbo.reset_cache turbo;
-               ignore (Costar_turbo.Turbo.parse turbo f.toks))))
-      corpora
     @
     let lang, f = mid minipy in
-    let turbo_warm = Costar_turbo.Turbo.create (Lang.grammar lang) in
-    ignore (Costar_turbo.Turbo.parse turbo_warm f.toks);
+    let p = P.make (Lang.grammar lang) in
     let jlang, jf = mid json in
     let jp = P.make (Lang.grammar jlang) in
     let jeg = Costar_extracted.Extracted.of_grammar (Lang.grammar jlang) in
     [
       (* fig11: warm-cache parse *)
-      Test.make ~name:"fig11/turbo-minipy-warm"
-        (Staged.stage (fun () ->
-             ignore (Costar_turbo.Turbo.parse turbo_warm f.toks)));
+      Test.make ~name:"fig11/costar-minipy-warm"
+        (Staged.stage
+           (let cache = warmed_cache p [ f ] in
+            fun () -> ignore (parse_list ~cache p f.toks)));
       (* fig8: the grammar-statistics computation itself *)
       Test.make ~name:"fig8/stats-json"
         (Staged.stage (fun () ->
@@ -1158,8 +1078,8 @@ let bechamel_run corpora =
         (Staged.stage
            (let xg = Lang.grammar Xml.lang in
             fun () -> ignore (Costar_ll1.Ll1.conflicts xg)));
-      (* ablation: extraction-style parse *)
-      Test.make ~name:"ablation/extracted-json"
+      (* fig10: extraction-style parse *)
+      Test.make ~name:"fig10/extracted-json"
         (Staged.stage (fun () ->
              ignore
                (Costar_extracted.Extracted.parse_tokens jeg
@@ -1208,7 +1128,6 @@ let () =
   if wants cfg "fig10" then fig10 cfg corpora;
   if wants cfg "fig11" then fig11 cfg corpora;
   if wants cfg "ll1" then ll1_table corpora;
-  if wants cfg "ablation" then ablation cfg corpora;
   if wants cfg "earley" then earley cfg corpora;
   if wants cfg "lookahead" then lookahead cfg corpora;
   if wants cfg "gss" then gss_ablation cfg corpora;

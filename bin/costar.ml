@@ -1167,9 +1167,10 @@ let cover_cmd =
       & info [ "diff" ]
           ~doc:
             "Differentially check every token sentence (corpus and \
-             generated) across the core, Turbo, and Earley engines, with \
-             the §4 termination-measure and diagnostic-position \
-             obligations.  Any disagreement exits 3.")
+             generated) across the core, the extraction-style engine and \
+             the Earley oracle, which share no prediction code, with the \
+             §4 termination-measure and diagnostic-position obligations.  \
+             Any disagreement exits 3.")
   in
   (* One coverage line per target kind, fixed field positions so CI can
      gate with awk: `coverage <kind> <covered>/<coverable> <pct> <dead>`. *)
@@ -1226,9 +1227,9 @@ let cover_cmd =
     let diff_results = ref [] in
     let eng = lazy (R.make (P.make g)) in
     if diff then begin
-      let turbo = Costar_turbo.Turbo.create g in
+      let extracted = Costar_extracted.Extracted.of_grammar g in
       let check label toks =
-        match Diff.run ~turbo ~recover:(Lazy.force eng) g toks with
+        match Diff.run ~extracted ~recover:(Lazy.force eng) g toks with
         | Ok () -> ()
         | Error msg ->
           incr diff_failures;
@@ -1476,7 +1477,8 @@ let cover_cmd =
           statically dead targets flagged (C001-C004), corpus residue \
           measured, and --close generating a witness sentence per \
           uncovered-but-reachable target.  --diff differentially checks \
-          every sentence across the core, Turbo, and Earley engines.")
+          every sentence across the core, the extraction-style engine and \
+          the Earley oracle.")
     term
 
 let () =

@@ -1,17 +1,18 @@
 (* Differential runner for generated corpora: one input, three engines.
 
-   The verified-core parser is the reference; the Turbo engine must agree
-   tree-for-tree and the Earley oracle must agree on the verdict (tree
-   count 0 / 1 / ≥2 maps onto Reject / Unique / Ambig).  Two more
-   obligations ride along on the reference run: the paper's §4 termination
-   measure must strictly decrease across every machine step, and rejection
-   diagnostics must carry sane positions.  Any violation is a one-line
+   The verified-core parser is the reference; the extraction-style engine
+   ([Extracted], string symbols and AVL maps, no prediction code shared
+   with the core) must agree tree-for-tree and the Earley oracle must
+   agree on the verdict (tree count 0 / 1 / ≥2 maps onto Reject / Unique
+   / Ambig).  Two more obligations ride along on the reference run: the
+   paper's §4 termination measure must strictly decrease across every
+   machine step, and rejection diagnostics must carry sane positions.  Any violation is a one-line
    human-readable report; a run over a corpus is a fuzz gate. *)
 
 open Costar_grammar
 module P = Costar_core.Parser
 module Measure = Costar_core.Measure
-module Turbo = Costar_turbo.Turbo
+module Extracted = Costar_extracted.Extracted
 module Count = Costar_earley.Count
 module R = Costar_recover.Recover
 
@@ -55,15 +56,38 @@ let position_sane toks msg =
     !ok
   end
 
-(* Run one input through the trio.  [turbo] lets a caller reuse one cached
-   engine across a corpus (the point of Turbo); a fresh one is created
-   otherwise. *)
+let rec to_extracted g v =
+  match Tree.view v with
+  | Tree.Leaf tok ->
+    Extracted.Leaf (Grammar.terminal_name g tok.Token.term, tok.Token.lexeme)
+  | Tree.Node (x, kids) ->
+    Extracted.Node (Grammar.nonterminal_name g x, List.map (to_extracted g) kids)
+  | Tree.Error _ -> invalid_arg "Diff.to_extracted: tree has an error node"
+
+let agree_extracted g core ex =
+  let err fmt = Printf.ksprintf Result.error fmt in
+  match (core, ex) with
+  | P.Unique t1, Extracted.Unique t2 | P.Ambig t1, Extracted.Ambig t2 ->
+    if to_extracted g t1 = t2 then Ok ()
+    else err "extracted/core tree mismatch on a %s parse" (result_kind core)
+  | P.Reject _, Extracted.Reject | P.Error _, Extracted.Error _ -> Ok ()
+  | _ ->
+    err "extracted/core verdict mismatch: core %s, extracted %s"
+      (result_kind core)
+      (match ex with
+      | Extracted.Unique _ -> "Unique"
+      | Extracted.Ambig _ -> "Ambig"
+      | Extracted.Reject -> "Reject"
+      | Extracted.Error _ -> "Error")
+
 let verdict_kind = function
   | R.Recovered _ -> "Recovered"
   | R.Recovered_ambig _ -> "Recovered_ambig"
   | R.Fatal _ -> "Fatal"
 
-let run ?turbo ?recover g toks =
+(* Run one input through the trio.  [extracted] lets a caller convert the
+   grammar once per corpus; it is converted here otherwise. *)
+let run ?extracted ?recover g toks =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf Result.error fmt in
   (* Reference parse, with the §4 measure checked at every machine step. *)
@@ -90,19 +114,11 @@ let run ?turbo ?recover g toks =
     | P.Error e -> err "core parser error: %s" (Costar_core.Types.error_to_string g e)
     | _ -> Ok ()
   in
-  (* Turbo must agree with the core constructor-for-constructor and
-     tree-for-tree. *)
-  let t = match turbo with Some t -> t | None -> Turbo.create g in
-  let fast = Turbo.parse t toks in
+  let eg =
+    match extracted with Some eg -> eg | None -> Extracted.of_grammar g
+  in
   let* () =
-    match (reference, fast) with
-    | P.Unique t1, P.Unique t2 | P.Ambig t1, P.Ambig t2 ->
-      if Tree.equal t1 t2 then Ok ()
-      else err "turbo/core tree mismatch on a %s parse" (result_kind reference)
-    | P.Reject _, P.Reject _ -> Ok ()
-    | r1, r2 ->
-      err "turbo/core verdict mismatch: core %s, turbo %s" (result_kind r1)
-        (result_kind r2)
+    agree_extracted g reference (Extracted.parse_tokens eg g toks)
   in
   (* Earley oracle: tree count 0/1/>=2 against Reject/Unique/Ambig; on a
      unique parse the trees must coincide. *)

@@ -1,19 +1,37 @@
 (** Differential fuzz runner: one input through the verified-core parser
-    (reference), the Turbo engine, and the Earley oracle, asserting tree
-    agreement, strict §4-measure decrease, and position-sane rejection
-    diagnostics.  See DESIGN.md §12. *)
+    (reference), the extraction-style engine ({!Costar_extracted.Extracted})
+    and the Earley oracle, three engines that share no prediction code,
+    asserting tree agreement, strict §4-measure decrease, and position-sane
+    rejection diagnostics.  See DESIGN.md §12. *)
 
 open Costar_grammar
+module Extracted = Costar_extracted.Extracted
+
+(** The core tree in the extraction-style representation: nonterminal and
+    terminal names from the grammar, lexemes from the tokens.  Raises
+    [Invalid_argument] on a tree with an error node, which only recovery
+    builds. *)
+val to_extracted : Grammar.t -> Tree.t -> Extracted.tree
+
+(** The engine-agreement check: the same verdict, and on [Unique]/[Ambig]
+    the same tree under {!to_extracted}.  [Error]s agree with each other
+    whatever their messages.  [Error msg] names the mismatch. *)
+val agree_extracted :
+  Grammar.t ->
+  Costar_core.Parser.result ->
+  Extracted.result ->
+  (unit, string) result
 
 (** [Ok ()] when all engines agree and all side obligations hold;
     [Error msg] is a one-line human-readable violation report.  Pass
-    [turbo] to reuse a cached engine across a corpus, and [recover] to
+    [extracted] (from {!Extracted.of_grammar}) to convert the grammar once
+    per corpus rather than once per input, and [recover] to
     additionally drive the error-recovery lane: conservative on
     well-formed input (bit-identical tree, no events), productive on
     rejected input (error-marked partial tree with position-sane coded
     diagnostics), measure-verified throughout. *)
 val run :
-  ?turbo:Costar_turbo.Turbo.t ->
+  ?extracted:Extracted.grammar ->
   ?recover:Costar_recover.Recover.t ->
   Grammar.t ->
   Token.t list ->

@@ -5,7 +5,7 @@
 
    This is the Coco/R CRT encoding taken seriously: the consumers named in
    ROADMAP items 2 (multi-error recovery: sync/anchor sets) and 4
-   (turbo-gen: packed per-decision tables) load this image instead of
+   (packed per-decision tables) load this image instead of
    re-running the analyses.  Following cache persistence v2, the format is
    a plain-text header validated *before* any payload is touched — magic,
    format version, grammar fingerprint, payload word count and checksum —

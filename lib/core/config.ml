@@ -13,7 +13,7 @@
     ({!Costar_grammar.Frames}, owned by the grammar's {!Analysis.t}) — so a
     configuration is three machine words and compare/hash are O(1).  This
     is the only configuration representation: every engine (the core
-    machine, Turbo, the static analyzer) predicts through it. *)
+    machine, the static analyzer) predicts through it. *)
 
 open Costar_grammar
 open Costar_grammar.Symbols

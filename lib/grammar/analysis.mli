@@ -69,9 +69,9 @@ val productive : t -> nonterminal -> bool
     side, plus FOLLOW([x]) when it is nullable) contains [t], and
     [eof.(x)] the nullable productions of [x] when {!follow_end} holds.
     Each cell lists a production at most once, in grammar order.  A cell
-    with two or more candidates is an LL(1) conflict.  The LL(1) parser,
-    Turbo's dispatch table and the prediction cache's static first-token
-    decisions all read these cells.  Do not mutate. *)
+    with two or more candidates is an LL(1) conflict.  The LL(1) parser
+    and the prediction cache's static first-token decisions read these
+    cells.  Do not mutate. *)
 val ll1_cells : t -> int list array * int list array
 
 (** {1 CoStar-specific artifacts} *)

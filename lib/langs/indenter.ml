@@ -8,7 +8,7 @@ let closers = [ ")"; "]"; "}" ]
 
 let synth kind line col = { Scanner.kind; lexeme = ""; line; col }
 
-let run raws =
+let run ~eof raws =
   let out = ref [] in
   let emit r = out := r :: !out in
   let indents = ref [ 0 ] in
@@ -62,12 +62,19 @@ let run raws =
   match !error with
   | Some msg -> Error msg
   | None ->
-    let last_line =
-      match !out with [] -> 1 | r :: _ -> r.Scanner.line + 1
+    (* End of input: the start of the line after the last emitted token
+       when the input has one, else the end of input (see [run_buf]). *)
+    let line, col =
+      match !out with
+      | [] -> eof
+      | r :: _ ->
+        let last = ref r.Scanner.line in
+        String.iter (fun c -> if c = '\n' then incr last) r.Scanner.lexeme;
+        if !last < fst eof then (!last + 1, 0) else eof
     in
-    if !line_has_content then emit (synth "NEWLINE" last_line 0);
+    if !line_has_content then emit (synth "NEWLINE" line col);
     List.iter
-      (fun level -> if level > 0 then emit (synth "DEDENT" last_line 0))
+      (fun level -> if level > 0 then emit (synth "DEDENT" line col))
       !indents;
     Ok (List.rev !out)
 
@@ -213,12 +220,12 @@ let run_buf ids buf =
   match go 0 0 0 false true with
   | exception Unindent msg -> release out (Error msg)
   | has_content ->
-    (* End of input: close the open logical line and the indent stack.
-       The list pass anchors these at [last emitted token's line + 1], so
-       anchor at the start of the line FOLLOWING the last emitted token —
-       not at [String.length input], which drifts past it when the input
-       ends with blank lines (their newlines are dropped, but they still
-       advance the line count). *)
+    (* End of input: close the open logical line and the indent stack, at
+       the start of the line following the last emitted token, or at
+       [String.length input] when no newline follows it.  Not always at
+       [String.length input]: that drifts past the last logical line when
+       the input ends with blank lines (their newlines are dropped, but
+       they still advance the line count). *)
     let eof = String.length input in
     let anchor =
       let rec find j =

@@ -14,11 +14,17 @@
     - end of input closes any open logical line and emits the remaining
       [DEDENT]s. *)
 
-(** [run raws] consumes the raw scanner tokens (which must include one raw
-    per physical newline, kind ["NEWLINE"]) and yields the logical stream.
-    Fails with a message on inconsistent dedents. *)
+(** [run ~eof raws] consumes the raw scanner tokens (which must include one
+    raw per physical newline, kind ["NEWLINE"]) and yields the logical
+    stream.  [eof] is the (line, column) of the end of the input.  The
+    end-of-input NEWLINE and DEDENTs go at the start of the line after the
+    last emitted token when the input has that line, and at [eof]
+    otherwise, as in {!run_buf}.  Fails with a message on inconsistent
+    dedents. *)
 val run :
-  Costar_lex.Scanner.raw list -> (Costar_lex.Scanner.raw list, string) result
+  eof:int * int ->
+  Costar_lex.Scanner.raw list ->
+  (Costar_lex.Scanner.raw list, string) result
 
 (** Terminal ids the buffer pass needs, resolved against the grammar once
     per language (NEWLINE/INDENT/DEDENT plus whichever bracket terminals
@@ -32,9 +38,10 @@ val ids_of_grammar : Costar_grammar.Grammar.t -> ids
     same algorithm, but columns come from the buffer's shared newline
     table and synthesized tokens are zero-width entries ([start = stop])
     anchored at the start of the line they open or close (end-of-input
-    synths at [String.length input]).  [buf] may be the scanner's scratch
-    (inside {!Costar_lex.Scanner.with_scratch}): the pass writes a scratch of
-    its own and returns an exact-size copy
+    synths at the start of the line after the last emitted token, or at
+    [String.length input] when no newline follows that token).  [buf] may
+    be the scanner's scratch (inside {!Costar_lex.Scanner.with_scratch}):
+    the pass writes a scratch of its own and returns an exact-size copy
     ({!Costar_grammar.Token_buf.copy}), so the only off-heap bytes it
     allocates are the 12 per token of its result. *)
 val run_buf :

@@ -14,8 +14,12 @@ type t = {
   tokenize_buf : string -> (Token_buf.t, string) result;
       (** The zero-copy pipeline: compiled scanner straight into a
           struct-of-arrays token buffer (plus any post-passes).  Must agree
-          with [tokenize] token-for-token — pinned by the differential
-          tests. *)
+          with [tokenize] token-for-token, positions included — pinned by
+          the differential tests.  Tokens a post-pass synthesizes at end of
+          input (minipy's last NEWLINE and DEDENTs) are zero-width, at the
+          start of the line after the last token when the input has that
+          line, and at the end of input otherwise: for ["if x:\n    y = 1"]
+          that is 2:9, the offset [String.length input]. *)
   generate : seed:int -> size:int -> string;
       (** [generate ~seed ~size] produces a source file; [size] roughly
           scales the number of syntactic items. *)

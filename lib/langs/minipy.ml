@@ -166,7 +166,10 @@ let tokenize input =
   match Scanner.scan (Lazy.force scanner) input with
   | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
   | Ok raws -> (
-    match Indenter.run raws with
+    let eof =
+      Costar_grammar.Lines.(pos (build input) (String.length input))
+    in
+    match Indenter.run ~eof raws with
     | Error msg -> Error msg
     | Ok logical -> (
       let module G = Costar_grammar.Grammar in

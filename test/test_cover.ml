@@ -2,7 +2,7 @@
    (lib/analysis_cover) against its contracts:
 
    - generator soundness: every sentence produced by [Witness.close] runs
-     the differential trio (core / Turbo / Earley) without disagreement,
+     the differential trio (core / Extracted / Earley) without disagreement,
      with the §4 measure decreasing and rejection diagnostics position-sane;
    - closure: on the built-in languages, [close] drives every coverage kind
      to 100% (json/xml exactly; dot/minipy may keep C002-flagged residue);
@@ -10,7 +10,8 @@
      target tagged Dead is ever hit at runtime, and every coverable target
      still uncovered after [close] carries a C-coded residual diagnostic;
    - fixed-seed differential: language corpora at fixed seeds pass the
-     fuzz gate. *)
+     fuzz gate;
+   - power: a seeded fault in the core's decision table fails the gate. *)
 
 open Costar_grammar
 module Cover = Costar_cover.Cover
@@ -62,14 +63,14 @@ let test_generated_sentences_differential () =
       let g = Lang.grammar l in
       let t = Cover.make ?scanner:(Lang.scanner l) g in
       let generated = Witness.close t in
-      let turbo = Costar_turbo.Turbo.create g in
+      let extracted = Costar_extracted.Extracted.of_grammar g in
       let budget = ref 60 in
       List.iter
         (fun (w : Witness.generated) ->
           match w.Witness.tokens with
           | Some terms when !budget > 0 ->
             decr budget;
-            (match Diff.run ~turbo g (Analyze.tokens_of_terms g terms) with
+            (match Diff.run ~extracted g (Analyze.tokens_of_terms g terms) with
             | Ok () -> ()
             | Error msg ->
               Alcotest.failf "%s: differential failure on %S: %s" l.Lang.name
@@ -135,7 +136,7 @@ let prop_generated_differential =
       QCheck.assume (Left_recursion.check g = Ok ());
       let t = Cover.make g in
       let generated = Witness.close t in
-      let turbo = Costar_turbo.Turbo.create g in
+      let extracted = Costar_extracted.Extracted.of_grammar g in
       (* Bound the Earley work: highly ambiguous random grammars make the
          oracle blow up on long sentences, so diff a capped sample of the
          short ones. *)
@@ -145,7 +146,7 @@ let prop_generated_differential =
           match w.Witness.tokens with
           | Some terms when !budget > 0 && List.length terms <= 30 -> (
             decr budget;
-            match Diff.run ~turbo g (Analyze.tokens_of_terms g terms) with
+            match Diff.run ~extracted g (Analyze.tokens_of_terms g terms) with
             | Ok () -> true
             | Error msg ->
               QCheck.Test.fail_reportf "differential failure on %S: %s"
@@ -159,18 +160,53 @@ let test_fixed_seed_corpus () =
   List.iter
     (fun l ->
       let g = Lang.grammar l in
-      let turbo = Costar_turbo.Turbo.create g in
+      let extracted = Costar_extracted.Extracted.of_grammar g in
       List.iter
         (fun seed ->
           (* Small corpora: the Earley oracle in the trio is cubic. *)
           let input = Lang.generate l ~seed ~size:8 in
           let toks = Lang.tokenize_exn l input in
-          match Diff.run ~turbo g toks with
+          match Diff.run ~extracted g toks with
           | Ok () -> ()
           | Error msg ->
             Alcotest.failf "%s seed %d: %s" l.Lang.name seed msg)
         [ 1; 2; 3 ])
     langs
+
+(* --- the gate keeps its power ---------------------------------------------- *)
+
+(* A seeded fault: one wrong static LL(1) entry, written into a test-local
+   copy of a json parser's first-token table, sends the core down
+   [value]'s STRING alternative on a NUMBER.  The engine-agreement check
+   must report a core/Extracted mismatch there, and agreement on the same
+   sentence with the unpoisoned table. *)
+let test_seeded_fault () =
+  let module P = Costar_core.Parser in
+  let module C = Costar_core.Cache in
+  let l = Costar_langs.Json.lang in
+  let g = Lang.grammar l in
+  let p = P.make g in
+  let toks = Lang.tokenize_exn l {|[1, "a"]|} in
+  let ex = Costar_extracted.Extracted.(parse_tokens (of_grammar g) g toks) in
+  let agree cache =
+    Diff.agree_extracted g (P.run_word ~cache p (Word.of_tokens toks)) ex
+  in
+  check "unpoisoned table agrees" true (agree (C.copy (P.base_cache p)) = Ok ());
+  let term name = Option.get (Grammar.terminal_of_name g name) in
+  let value = Option.get (Grammar.nonterminal_of_name g "value") in
+  let string_prod =
+    Option.get (Grammar.find_production g value [ Symbols.T (term "STRING") ])
+  in
+  let poisoned = C.copy (P.base_cache p) in
+  let row = C.decisions poisoned in
+  let cell = (value * (Grammar.num_terminals g + 1)) + term "NUMBER" in
+  check "value/NUMBER is a static entry" true (row.(cell) land 3 = 3);
+  row.(cell) <- (string_prod.Grammar.ix lsl 2) lor 3;
+  match agree poisoned with
+  | Ok () -> Alcotest.fail "the gate passed a poisoned table entry"
+  | Error msg ->
+    check ("core/Extracted mismatch reported: " ^ msg) true
+      (String.starts_with ~prefix:"extracted/core" msg)
 
 (* --- position sanity ------------------------------------------------------ *)
 
@@ -206,5 +242,7 @@ let () =
           QCheck_alcotest.to_alcotest
             ~rand:(Random.State.make [| 0x5eed |])
             prop_generated_differential;
+          Alcotest.test_case "seeded table fault fails the gate" `Quick
+            test_seeded_fault;
         ] );
     ]

@@ -8,21 +8,10 @@ module E = Costar_extracted.Extracted
 
 let check = Alcotest.(check bool)
 
-(* Convert a core tree to the extracted representation for comparison. *)
-let rec convert g v =
-  match Tree.view v with
-  | Tree.Leaf tok ->
-    E.Leaf (Grammar.terminal_name g tok.Token.term, tok.Token.lexeme)
-  | Tree.Node (x, kids) ->
-    E.Node (Grammar.nonterminal_name g x, List.map (convert g) kids)
-  | Tree.Error _ -> Alcotest.fail "plain engine produced an error node"
-
+(* The fuzz gate's own comparator: verdicts, and trees under one
+   core-to-extracted conversion. *)
 let same g core extracted =
-  match core, extracted with
-  | P.Unique v1, E.Unique v2 | P.Ambig v1, E.Ambig v2 -> convert g v1 = v2
-  | P.Reject _, E.Reject -> true
-  | P.Error _, E.Error _ -> true
-  | _ -> false
+  Costar_cover.Diff.agree_extracted g core extracted = Ok ()
 
 let run_both g w =
   let word = Grammar.tokens g w in

@@ -10,6 +10,17 @@ let check = Alcotest.(check bool)
 let raw kind ?(lexeme = kind) line col = { Scanner.kind; lexeme; line; col }
 let nl line = raw "NEWLINE" ~lexeme:"\n" line 0
 
+(* The indenter over [raws], with the end of input just past the last raw:
+   the line after it for a newline, else the end of its lexeme. *)
+let run raws =
+  let eof =
+    match List.rev raws with
+    | [] -> (1, 0)
+    | r :: _ when r.Scanner.kind = "NEWLINE" -> (r.line + 1, 0)
+    | r :: _ -> (r.line, r.col + String.length r.lexeme)
+  in
+  Indenter.run ~eof raws
+
 let kinds = function
   | Ok raws -> List.map (fun r -> r.Scanner.kind) raws
   | Error msg -> Alcotest.failf "indenter error: %s" msg
@@ -18,7 +29,7 @@ let test_flat_lines () =
   let input = [ raw "NAME" 1 0; nl 1; raw "NAME" 2 0; nl 2 ] in
   Alcotest.(check (list string))
     "no indents" [ "NAME"; "NEWLINE"; "NAME"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_indent_dedent () =
   let input =
@@ -27,7 +38,7 @@ let test_indent_dedent () =
   Alcotest.(check (list string))
     "one block"
     [ "if"; ":"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE"; "DEDENT"; "NAME"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_nested_dedents_at_eof () =
   let input =
@@ -37,13 +48,13 @@ let test_nested_dedents_at_eof () =
     "two dedents at eof"
     [ "a"; "NEWLINE"; "INDENT"; "b"; "NEWLINE"; "INDENT"; "c"; "NEWLINE";
       "DEDENT"; "DEDENT" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_blank_lines_dropped () =
   let input = [ raw "a" 1 0; nl 1; nl 2; nl 3; raw "b" 4 0; nl 4 ] in
   Alcotest.(check (list string))
     "blank lines produce no NEWLINE" [ "a"; "NEWLINE"; "b"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_implicit_join_in_brackets () =
   let input =
@@ -52,19 +63,19 @@ let test_implicit_join_in_brackets () =
   (* Newlines inside parentheses vanish; the col-4 NAME is not an indent. *)
   Alcotest.(check (list string))
     "joined" [ "("; "NAME"; ")"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_missing_final_newline () =
   let input = [ raw "a" 1 0 ] in
   Alcotest.(check (list string))
     "newline synthesized" [ "a"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_inconsistent_dedent () =
   let input =
     [ raw "a" 1 0; nl 1; raw "b" 2 4; nl 2; raw "c" 3 2; nl 3 ]
   in
-  match Indenter.run input with
+  match run input with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an inconsistent-dedent error"
 
@@ -81,10 +92,10 @@ let test_dedent_through_several_levels () =
     "both levels closed before d"
     [ "a"; "NEWLINE"; "INDENT"; "b"; "NEWLINE"; "INDENT"; "c"; "NEWLINE";
       "DEDENT"; "DEDENT"; "d"; "NEWLINE" ]
-    (kinds (Indenter.run input))
+    (kinds (run input))
 
 let test_empty_input () =
-  check "empty ok" true (Indenter.run [] = Ok [])
+  check "empty ok" true (run [] = Ok [])
 
 let suite =
   [

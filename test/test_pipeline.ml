@@ -198,27 +198,12 @@ let prop_parse_buf_agrees =
 
 let langs = Costar_langs.[ Json.lang; Xml.lang; Dot.lang; Minipy.lang ]
 
-(* One documented difference: the indenter anchors its end-of-input
-   tokens at [String.length input], where the list pass puts them at
-   column 0 of the line after the last token, a line that an input without
-   a final newline does not have. *)
 let check_same_tokens what toks buf =
   check_int (what ^ ": token count") (List.length toks) (Token_buf.length buf);
-  let input = Token_buf.input buf in
-  let eof = String.length input in
-  let at_eof i =
-    Token_buf.start_ofs buf i = eof
-    && Token_buf.end_ofs buf i = eof
-    && not (String.ends_with ~suffix:"\n" input)
-  in
   List.iteri
     (fun i t ->
       let t' = Token_buf.token buf i in
-      let same =
-        if at_eof i then t.Token.term = t'.Token.term && t.Token.lexeme = ""
-        else same_token t t'
-      in
-      if not same then
+      if not (same_token t t') then
         Alcotest.failf "%s: token %d differs: (%d,%S,%d:%d) vs (%d,%S,%d:%d)"
           what i t.Token.term t.Token.lexeme t.Token.line t.Token.col
           t'.Token.term t'.Token.lexeme t'.Token.line t'.Token.col)
@@ -254,10 +239,21 @@ let test_minipy_indent_error_agrees () =
   | Error m1, Error m2 -> Alcotest.(check string) "same error" m1 m2
   | _ -> Alcotest.fail "expected both pipelines to reject"
 
+(* The end-of-input NEWLINE and DEDENT of an input without a final
+   newline sit at [String.length input] (see [Lang.t]). *)
+let test_minipy_eof_position () =
+  let toks = Costar_langs.(Lang.tokenize_exn Minipy.lang) "if x:\n    y = 1" in
+  Alcotest.(check (list (pair int int)))
+    "NEWLINE and DEDENT at 2:9" [ (2, 9); (2, 9) ]
+    (List.filteri (fun i _ -> i >= List.length toks - 2) toks
+    |> List.map (fun t -> (t.Token.line, t.Token.col)))
+
 (* --- the per-domain scratch and exact-size results ---------------------- *)
 
 (* Generated files, a truncated copy (minipy: an open indent), a copy with
-   a byte no lexer accepts and the same byte mid-file. *)
+   a byte no lexer accepts and the same byte mid-file, and inputs whose
+   end-of-input tokens minipy synthesizes: no final newline, trailing
+   blank lines, a backslash line join and an open bracket. *)
 let lang_inputs l =
   let gen seed = Costar_langs.Lang.generate l ~seed ~size:80 in
   let whole = gen 4 in
@@ -269,6 +265,10 @@ let lang_inputs l =
     gen 6 ^ "\x01";
     String.sub whole 0 half ^ "\x01" ^ String.sub whole half (String.length whole - half);
     "";
+    "if x:\n    y = 1";
+    "if x:\n    y = 1\n\n  \n";
+    "x = 1 \\\n";
+    "x = (1,\n 2";
   ]
 
 (* Tokens, positions and lexer error messages of the buffer pipeline agree
@@ -744,6 +744,8 @@ let () =
             `Quick test_corpus_loops_and_table;
           Alcotest.test_case "table hits count as DFA walks (4 langs)" `Quick
             test_table_hits_count_as_walks;
+          Alcotest.test_case "minipy end-of-input tokens at the end of input" `Quick
+            test_minipy_eof_position;
         ] );
       ( "alloc",
         [
