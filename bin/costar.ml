@@ -1227,7 +1227,7 @@ let cover_cmd =
     let diff_results = ref [] in
     let eng = lazy (R.make (P.make g)) in
     if diff then begin
-      let extracted = Costar_extracted.Extracted.of_grammar g in
+      let extracted = Diff.extracted g in
       let check label toks =
         match Diff.run ~extracted ~recover:(Lazy.force eng) g toks with
         | Ok () -> ()

@@ -85,9 +85,17 @@ let verdict_kind = function
   | R.Recovered_ambig _ -> "Recovered_ambig"
   | R.Fatal _ -> "Fatal"
 
+type extracted = {
+  eg : Extracted.grammar;
+  ex_cache : Extracted.cache;
+}
+
+let extracted g = { eg = Extracted.of_grammar g; ex_cache = Extracted.new_cache () }
+
 (* Run one input through the trio.  [extracted] lets a caller convert the
-   grammar once per corpus; it is converted here otherwise. *)
-let run ?extracted ?recover g toks =
+   grammar, and grow one DFA cache, once per corpus; without it the
+   grammar is converted here and the parse starts cold. *)
+let run ?extracted:ex ?recover g toks =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf Result.error fmt in
   (* Reference parse, with the §4 measure checked at every machine step. *)
@@ -114,11 +122,9 @@ let run ?extracted ?recover g toks =
     | P.Error e -> err "core parser error: %s" (Costar_core.Types.error_to_string g e)
     | _ -> Ok ()
   in
-  let eg =
-    match extracted with Some eg -> eg | None -> Extracted.of_grammar g
-  in
+  let ex = match ex with Some ex -> ex | None -> extracted g in
   let* () =
-    agree_extracted g reference (Extracted.parse_tokens eg g toks)
+    agree_extracted g reference (Extracted.parse_tokens ~cache:ex.ex_cache ex.eg g toks)
   in
   (* Earley oracle: tree count 0/1/>=2 against Reject/Unique/Ambig; on a
      unique parse the trees must coincide. *)

@@ -22,16 +22,24 @@ val agree_extracted :
   Extracted.result ->
   (unit, string) result
 
+(** The extraction-style engine for one grammar: the grammar converted
+    once ({!Extracted.of_grammar}) and one DFA cache, which every {!run}
+    given it extends.  The engine stays independent of the core: its
+    cache is its own. *)
+type extracted
+
+val extracted : Grammar.t -> extracted
+
 (** [Ok ()] when all engines agree and all side obligations hold;
     [Error msg] is a one-line human-readable violation report.  Pass
-    [extracted] (from {!Extracted.of_grammar}) to convert the grammar once
-    per corpus rather than once per input, and [recover] to
+    [extracted] to convert the grammar and warm one DFA cache once per
+    corpus rather than once per input, and [recover] to
     additionally drive the error-recovery lane: conservative on
     well-formed input (bit-identical tree, no events), productive on
     rejected input (error-marked partial tree with position-sane coded
     diagnostics), measure-verified throughout. *)
 val run :
-  ?extracted:Extracted.grammar ->
+  ?extracted:extracted ->
   ?recover:Costar_recover.Recover.t ->
   Grammar.t ->
   Token.t list ->

@@ -52,6 +52,10 @@ let dummy_cfg = { Config.s_pred = -1; s_frames = Frames.nil; s_ctx = Ctx_accept 
 
 type closure_result = (Config.sll list * bool, Types.error) result
 
+type learned =
+  | Learned_cell of nonterminal * int
+  | Decoded_state of state_id
+
 (* A validated v3 flat cache image (DESIGN.md §13): one contiguous int32
    bigarray, typically an [Unix.map_file] view of an image file, so N
    processes share a single page-cache copy with zero deserialization.
@@ -124,6 +128,12 @@ type t = {
      rows; state infos are decoded from the image lazily, per state, on
      first touch.  [None] for ordinary caches. *)
   img : image option;
+  (* What this cache learned by itself, newest first: every table cell
+     [learn] filled and every image state [info] decoded.  Prediction and
+     [replay] learn a cell only while it is unknown, and a state is
+     decoded once, so the log is bounded by the table and the image. *)
+  mutable learned : learned list;
+  mutable n_learned : int;
 }
 
 let unique_pairs g =
@@ -199,6 +209,8 @@ let create anl =
     inits = Array.make (max 1 (Grammar.num_nonterminals g)) (-1);
     decisions = fresh_decisions anl;
     img = None;
+    learned = [];
+    n_learned = 0;
   }
 
 let frames c = c.frames
@@ -256,15 +268,12 @@ let closure_of_id c id =
     | Some b when id < c.base_cfgs -> b.closures.(id)
     | _ -> None)
 
-(* Decode one state's configuration block out of an image.  [collect]
-   makes the read order explicit (a stateful cursor must not rely on
-   [List.init]'s evaluation order).  The spines go through the shared
-   frames interner, which serializes internally, so concurrent lazy
-   decodes from several domains are safe. *)
-let collect n f =
-  let rec go n acc = if n = 0 then List.rev acc else go (n - 1) (f () :: acc) in
-  go n []
-
+(* Decode one state's configuration block out of an image.  A frame is
+   interned from its last symbol up ({!Frames.frame_cons}) and a spine
+   from its last frame up, so a decode allocates little beyond the
+   configurations it returns: the parent of forked workers replays every
+   decode they report.  The frames interner serializes internally, so
+   concurrent lazy decodes from several domains are safe. *)
 let image_state_configs frames (im : image) sid =
   let words = im.i_words in
   let cur = ref (im.i_data_at + Flatimg.get_u words (im.i_index_at + sid)) in
@@ -273,24 +282,44 @@ let image_state_configs frames (im : image) sid =
     incr cur;
     v
   in
-  let n_cfgs = next () in
-  collect n_cfgs (fun () ->
+  (* The frame of the [k] (kind, id) symbol pairs at word [at], on [tail]. *)
+  let rec frame at k tail =
+    if k = 0 then tail
+    else
+      let s = at + (2 * (k - 1)) in
+      frame at (k - 1)
+        (Frames.frame_cons frames
+           ~terminal:(Flatimg.get_u words s = 0)
+           (Flatimg.get_u words (s + 1))
+           tail)
+  in
+  let rec spine k =
+    if k = 0 then Frames.nil
+    else begin
+      let n_syms = next () in
+      let at = !cur in
+      cur := at + (2 * n_syms);
+      let tail = spine (k - 1) in
+      Frames.cons frames (frame at n_syms Frames.empty_frame) tail
+    end
+  in
+  let rec configs k =
+    if k = 0 then []
+    else begin
       let pred = next () in
       let ctx = next () in
-      let n_frames = next () in
-      let frames_syms =
-        collect n_frames (fun () ->
-            let n_syms = next () in
-            collect n_syms (fun () ->
-                let kind = next () in
-                let v = next () in
-                if kind = 0 then T v else NT v))
+      let s_frames = spine (next ()) in
+      let cfg =
+        {
+          Config.s_pred = pred;
+          s_frames;
+          s_ctx = (if ctx < 0 then Config.Ctx_accept else Config.Ctx_nt ctx);
+        }
       in
-      {
-        Config.s_pred = pred;
-        s_frames = Frames.spine_of_frames frames frames_syms;
-        s_ctx = (if ctx < 0 then Config.Ctx_accept else Config.Ctx_nt ctx);
-      })
+      cfg :: configs (k - 1)
+    end
+  in
+  configs (next ())
 
 (* Raw variants for the warm prediction fast path: no option/box per call. *)
 let rec init_get c x =
@@ -364,6 +393,10 @@ let intern c configs =
     Instr.record_state_intern ();
     sid
 
+let log c e =
+  c.learned <- e :: c.learned;
+  c.n_learned <- c.n_learned + 1
+
 let rec info c sid =
   if sid < 0 || sid >= c.n_states then
     invalid_arg "Cache.info: unknown state id"
@@ -383,9 +416,11 @@ let rec info c sid =
            results are equal immutable records (and OCaml publishes
            initializing writes safely), so whichever pointer a reader
            observes is correct — the race costs a duplicate decode, not
-           correctness. *)
+           correctness.  It may also drop an entry of the learn-back log,
+           which costs a later process that decode. *)
         let inf = compute_info c.uniq (image_state_configs c.frames im sid) in
         c.infos.(off) <- inf;
+        log c (Decoded_state sid);
         inf
       | _ -> inf
   end
@@ -431,25 +466,59 @@ let decision c x w i =
 (* What the DFA decides after at most one token, read off the states it
    already has: the initial state's own verdict, its end-of-input verdict,
    or the verdict of its successor on the column's terminal. *)
-let learn c x w i =
-  let col = column c w i in
+let learn_column c x col =
   let s0 = init_get c x in
-  if col >= 0 && s0 >= 0 then begin
+  if s0 >= 0 then begin
     let k = (x * (c.n_terms + 1)) + col in
-    let decided p depth = c.decisions.(k) <- (p lsl 2) lor depth in
+    let fill e =
+      c.decisions.(k) <- e;
+      log c (Learned_cell (x, col))
+    in
+    let decided p depth = fill ((p lsl 2) lor depth) in
     let inf = info c s0 in
     match inf.verdict, inf.accepting with
     | V_all_pred p, _ -> decided p 0
-    | V_empty, _ -> c.decisions.(k) <- no_decision
+    | V_empty, _ -> fill no_decision
     | V_pending, [ p ] when col = c.n_terms -> decided p 0
-    | V_pending, _ when col = c.n_terms -> c.decisions.(k) <- no_decision
+    | V_pending, _ when col = c.n_terms -> fill no_decision
     | V_pending, _ -> (
       let s1 = trans_get c s0 col in
       if s1 >= 0 then
         match (info c s1).verdict with
         | V_all_pred p -> decided p 1
-        | V_empty | V_pending -> c.decisions.(k) <- no_decision)
+        | V_empty | V_pending -> fill no_decision)
   end
+
+let learn c x w i =
+  let col = column c w i in
+  if col >= 0 then learn_column c x col
+
+(* {2 Learn-back} *)
+
+let learned_count c = c.n_learned
+
+let learned_since c mark =
+  let rec take k l acc =
+    match l with
+    | e :: rest when k > 0 -> take (k - 1) rest (e :: acc)
+    | _ -> acc
+  in
+  take (c.n_learned - mark) c.learned []
+
+(* Each entry is recomputed from [c]'s own states, never copied, so a
+   wrong or foreign entry can only cost a lookup.  Entries out of range
+   for [c] are skipped, and so are cells [c] already knows. *)
+let replay c entries =
+  let n_nts = Grammar.num_nonterminals (Analysis.grammar c.anl) in
+  List.iter
+    (function
+      | Learned_cell (x, col) ->
+        if
+          x >= 0 && x < n_nts && col >= 0 && col <= c.n_terms
+          && c.decisions.((x * (c.n_terms + 1)) + col) = no_entry
+        then learn_column c x col
+      | Decoded_state sid -> if sid >= 0 && sid < c.n_states then ignore (info c sid))
+    entries
 
 let find_trans c sid a =
   let s = trans_get c sid a in
@@ -570,6 +639,8 @@ let overlay (fz : frozen) =
     (* Reads that miss the overlay fall to [base], which consults its own
        image if it has one — the overlay needs no direct image pointer. *)
     img = None;
+    learned = [];
+    n_learned = 0;
   }
 
 let overlay_new_states c = c.n_states - c.base_states
@@ -922,6 +993,8 @@ let image_cache ~anl (im : image) =
        static one and relearns the rest from the image's states. *)
     decisions = fresh_decisions anl;
     img = Some im;
+    learned = [];
+    n_learned = 0;
   }
 
 let image_backed c = c.img <> None

@@ -170,6 +170,34 @@ val decision : t -> nonterminal -> Word.t -> int -> int
     states already in the cache; a no-op while they are missing. *)
 val learn : t -> nonterminal -> Word.t -> int -> unit
 
+(** {1 Learn-back}
+
+    A cache logs what it learns by itself: each first-token cell
+    {!learn} fills and each image state whose {!info} it decodes.  A
+    forked worker sends its log to the parent, which {!replay}s it on its
+    own cache, so the next workers it forks inherit the warm table and
+    the decoded states.  Both are facts of the grammar's DFA, not of one
+    cache, as {!absorb} assumes of an overlay's table. *)
+
+type learned =
+  | Learned_cell of nonterminal * int
+      (** a table cell: the decision and its column (a terminal, or
+          [num_terminals] for the end of input) *)
+  | Decoded_state of state_id  (** an image state whose info was decoded *)
+
+(** Number of entries logged so far; a mark for {!learned_since}. *)
+val learned_count : t -> int
+
+(** The entries logged after [mark], oldest first. *)
+val learned_since : t -> int -> learned list
+
+(** [replay c entries] recomputes each entry from [c]'s own states: a
+    cell [c] does not know yet is learned by column (a no-op while [c]
+    lacks the states it needs), a state's info is decoded.  No
+    value is copied from the log, and an entry whose nonterminal, column
+    or state is out of range for [c] is ignored. *)
+val replay : t -> learned list -> unit
+
 (** [intern cache configs] returns the id for this canonical configuration
     set, allocating (and precomputing {!info} for) a fresh state if new. *)
 val intern : t -> Config.sll list -> state_id

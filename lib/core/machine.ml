@@ -76,7 +76,7 @@ let make_env g =
 (* The buffer starts at the event density of the last tree this env
    finished (see [finish]), so a run rarely grows it: growth allocates
    and copies, and every off-heap byte allocated speeds up the major GC. *)
-let context env ?cache word =
+let context env ?cache ?events word =
   let cache =
     match cache with Some c -> c | None -> Cache.create env.anl
   in
@@ -85,8 +85,12 @@ let context env ?cache word =
      grammar's. *)
   if Array.length decisions <> Grammar.num_nonterminals env.g * env.stride then
     invalid_arg "Machine.context: the cache belongs to another grammar";
-  let n = (env.events_per_token * word.Word.len) + 16 in
-  { cache; word; events = Tree.Events.create n; decisions }
+  let events =
+    match events with
+    | Some b -> b
+    | None -> Tree.Events.create ((env.events_per_token * word.Word.len) + 16)
+  in
+  { cache; word; events; decisions }
 
 let initial env =
   { suf = [ NT (Grammar.start env.g) ]; top = Bottom; pos = 0; ev = 0; unique = true }

@@ -127,11 +127,13 @@ val make_env : Grammar.t -> env
 (** A run's context over an array cursor: the machine consumes
     [word.kinds.(pos)] directly, and prediction's warm fast path never
     touches a token record.  [cache] (default: a fresh one) is the DFA
-    cache every prediction of the run reads and extends; the event buffer
-    is fresh, since the run's tree keeps it.
+    cache every prediction of the run reads and extends.  [events]
+    (default: a fresh buffer of [events_per_token] events per token, plus
+    16) is the buffer the run writes its tree into; the run's tree keeps
+    it.
     @raise Invalid_argument if [cache]'s first-token table does not have
     this grammar's shape. *)
-val context : env -> ?cache:Cache.t -> Word.t -> ctx
+val context : env -> ?cache:Cache.t -> ?events:Tree.Events.t -> Word.t -> ctx
 
 (** The initial state: the start symbol in the bottom frame. *)
 val initial : env -> state

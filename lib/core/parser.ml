@@ -48,9 +48,9 @@ let set_base_cache p c =
     invalid_arg "Parser.set_base_cache: cache belongs to a different analysis";
   p.base <- Some c
 
-let run_word ?cache ?inspect p word =
+let run_word ?cache ?events ?inspect p word =
   let cache = match cache with Some c -> c | None -> base_cache p in
-  let ctx = Machine.context p.menv ~cache word in
+  let ctx = Machine.context p.menv ~cache ?events word in
   match Machine.multistep ?inspect p.menv ctx (Machine.initial p.menv) with
   | Machine.Halted st -> (
     match Machine.finish p.menv ctx st with

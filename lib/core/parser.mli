@@ -45,9 +45,12 @@ val set_base_cache : t -> Cache.t -> unit
     [Cache.create (analysis p)]) shares nothing with other runs.  Cache
     contents never affect results, only speed.  [inspect] is called on
     every intermediate machine state, the initial one included (traces and
-    invariant checks), with the run's context. *)
+    invariant checks), with the run's context.  [events] is the buffer
+    the tree is written into (see {!Machine.context}); the prefork tier
+    passes a view of its result file. *)
 val run_word :
   ?cache:Cache.t ->
+  ?events:Tree.Events.t ->
   ?inspect:(Machine.ctx -> Machine.state -> unit) ->
   t ->
   Word.t ->

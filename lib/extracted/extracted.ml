@@ -266,7 +266,7 @@ end
 
 module TMap = Map.Make (TKey)
 
-type cache = {
+type dfa = {
   ids : int Key_map.t;
   cfgs : config list IMap.t;
   trans : int TMap.t;
@@ -274,7 +274,7 @@ type cache = {
   next : int;
 }
 
-let empty_cache =
+let empty_dfa =
   { ids = Key_map.empty; cfgs = IMap.empty; trans = TMap.empty; inits = SMap.empty; next = 0 }
 
 let intern cache configs =
@@ -432,7 +432,12 @@ type frame = {
   suf : symbol list;
 }
 
-let parse g tokens =
+type cache = dfa ref
+
+let new_cache () = ref empty_dfa
+
+let parse ?cache g tokens =
+  let store = match cache with Some c -> c | None -> new_cache () in
   let rec go top frames cache tokens visited unique =
     match top.suf with
     | T a :: suf -> (
@@ -446,19 +451,21 @@ let parse g tokens =
       if SSet.mem x visited then Error ("left-recursive nonterminal " ^ x)
       else begin
         let conts = suf :: List.map (fun f -> f.suf) frames in
-        match adaptive_predict g cache x conts tokens with
-        | cache, Unique_p i ->
+        let cache, p = adaptive_predict g cache x conts tokens in
+        store := cache;
+        match p with
+        | Unique_p i ->
           go
             { label = Some x; trees_rev = []; suf = List.nth (rhss g x) i }
             ({ top with suf } :: frames)
             cache tokens (SSet.add x visited) unique
-        | cache, Ambig_p i ->
+        | Ambig_p i ->
           go
             { label = Some x; trees_rev = []; suf = List.nth (rhss g x) i }
             ({ top with suf } :: frames)
             cache tokens (SSet.add x visited) false
-        | _, Reject_p -> Reject
-        | _, Error_p e -> Error e
+        | Reject_p -> Reject
+        | Error_p e -> Error e
       end
     | [] -> (
       match frames, top.label with
@@ -476,10 +483,10 @@ let parse g tokens =
   in
   go
     { label = None; trees_rev = []; suf = [ NT g.start ] }
-    [] empty_cache tokens SSet.empty true
+    [] !store tokens SSet.empty true
 
-let parse_tokens eg g tokens =
-  parse eg
+let parse_tokens ?cache eg g tokens =
+  parse ?cache eg
     (List.map
        (fun t ->
          (Grammar.terminal_name g t.Token.term, t.Token.lexeme))

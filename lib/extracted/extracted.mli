@@ -41,8 +41,19 @@ val of_grammar : Grammar.t -> grammar
 (** Build directly from (lhs, rhs) pairs in priority order. *)
 val make : start:string -> (string * symbol list) list -> grammar
 
-(** [parse g w] where tokens are (terminal name, lexeme) pairs. *)
-val parse : grammar -> (string * string) list -> result
+(** The SLL DFA cache prediction builds (purely functional maps, held
+    in a mutable cell so that it can outlive a parse).  A cache belongs
+    to the one grammar it was first used with. *)
+type cache
+
+(** An empty cache. *)
+val new_cache : unit -> cache
+
+(** [parse g w] where tokens are (terminal name, lexeme) pairs.  The
+    parse starts from [cache] and leaves in it every DFA state and
+    transition it built; without [cache] it starts empty, as the
+    extracted code does.  Cache contents never change the result. *)
+val parse : ?cache:cache -> grammar -> (string * string) list -> result
 
 (** Run on a [Costar_grammar] token list by resolving terminal names. *)
-val parse_tokens : grammar -> Grammar.t -> Token.t list -> result
+val parse_tokens : ?cache:cache -> grammar -> Grammar.t -> Token.t list -> result

@@ -27,6 +27,10 @@ type t = {
   mutable f_head : head array;
   mutable f_count : int;
   mutable static_frames : int;  (* frames interned at [make] time *)
+  (* Every non-empty frame by its head symbol and its tail frame, packed
+     into one int ([cons_key]), so a frame is found from its tail without
+     building its symbol list. *)
+  f_cons : (int, frame) Hashtbl.t;
   (* Spine table: hash-consed (frame, tail) pairs.  [nil] is spine 0; keys
      pack both ids into one word, so lookup allocates nothing. *)
   s_ids : (int, spine) Hashtbl.t;
@@ -58,6 +62,8 @@ let grow arr count fill =
     bigger
   end
 
+let cons_key ~terminal v tail = (((2 * v) + if terminal then 0 else 1) lsl 31) lor tail
+
 let head_of t = function
   | [] -> Empty
   | T a :: rest -> Term (a, Syms_tbl.find t.f_ids rest)
@@ -79,6 +85,10 @@ let rec frame_of_syms_locked t syms =
     t.f_syms.(f) <- syms;
     Syms_tbl.add t.f_ids syms f;
     t.f_head.(f) <- head_of t syms;
+    (match t.f_head.(f) with
+    | Term (a, tail) -> Hashtbl.replace t.f_cons (cons_key ~terminal:true a tail) f
+    | Nonterm (x, tail) -> Hashtbl.replace t.f_cons (cons_key ~terminal:false x tail) f
+    | Empty -> ());
     t.f_count <- f + 1;
     f
 
@@ -94,6 +104,19 @@ let with_lock t f =
 
 let frame_of_syms t syms = with_lock t (fun () -> frame_of_syms_locked t syms)
 
+(* Lookups that allocate nothing on a hit lock the table directly: the
+   locked code raises nothing but [Out_of_memory]. *)
+let frame_cons t ~terminal v tail =
+  Mutex.lock t.lock;
+  let f =
+    match Hashtbl.find t.f_cons (cons_key ~terminal v tail) with
+    | f -> f
+    | exception Not_found ->
+      frame_of_syms_locked t ((if terminal then T v else NT v) :: t.f_syms.(tail))
+  in
+  Mutex.unlock t.lock;
+  f
+
 let make g =
   let n_prods = Grammar.num_productions g in
   let t =
@@ -103,6 +126,7 @@ let make g =
       f_head = Array.make 64 Empty;
       f_count = 0;
       static_frames = 0;
+      f_cons = Hashtbl.create 256;
       s_ids = Hashtbl.create 256;
       s_frame = Array.make 64 (-1);
       s_tail = Array.make 64 (-1);
@@ -156,9 +180,9 @@ let fingerprint t = t.fp
 
 let cons_locked t f s =
   let key = (f lsl 31) lor s in
-  match Hashtbl.find_opt t.s_ids key with
-  | Some sp -> sp
-  | None ->
+  match Hashtbl.find t.s_ids key with
+  | sp -> sp
+  | exception Not_found ->
     let sp = t.s_count in
     t.s_frame <- grow t.s_frame sp (-1);
     t.s_tail <- grow t.s_tail sp (-1);
@@ -170,7 +194,12 @@ let cons_locked t f s =
     t.s_count <- sp + 1;
     sp
 
-let cons t f s = with_lock t (fun () -> cons_locked t f s)
+(* Locked like [frame_cons], without a closure. *)
+let cons t f s =
+  Mutex.lock t.lock;
+  let sp = cons_locked t f s in
+  Mutex.unlock t.lock;
+  sp
 
 let spine_is_nil s = s = 0
 

@@ -42,6 +42,12 @@ val empty_frame : frame
 (** Intern an arbitrary symbol list (a table hit for RHS suffixes). *)
 val frame_of_syms : t -> symbol list -> frame
 
+(** [frame_cons t ~terminal v tail] is the frame of [s :: syms], where
+    [s] is [T v] if [terminal], else [NT v], and [tail] is the frame of
+    [syms]; interned if new.  It allocates nothing when the frame exists
+    (every RHS suffix does), which is how image states are decoded. *)
+val frame_cons : t -> terminal:bool -> int -> frame -> frame
+
 val syms_of_frame : t -> frame -> symbol list
 val head : t -> frame -> head
 

@@ -68,6 +68,8 @@ module Events = struct
   type t = { mutable a : int_array }
 
   let create n = { a = alloc (2 * max 8 n) }
+  let over a = { a }
+  let storage b = b.a
 
   (* Grow to hold event [i], keeping every event written so far: a
      caller may still resume from any earlier state. *)
@@ -261,7 +263,15 @@ let count t p =
   done;
   !c
 
-let width t = count t (fun tag -> tag = tag_leaf)
+(* Width and depth read the event array in place: a harness that
+   digests every tree it parses calls them once per tree. *)
+let width t =
+  let ev = t.ev and c = ref 0 in
+  for i = first t to t.root do
+    if Int32.to_int (Bigarray.Array1.unsafe_get ev (2 * i)) land tag_mask = tag_leaf then incr c
+  done;
+  !c
+
 let has_errors t = count t (fun tag -> tag >= tag_error_none) > 0
 
 let yield t =
@@ -273,24 +283,36 @@ let yield t =
 
 let yield_forest f = List.concat_map yield f
 
-(* One pass in postorder: the stack holds, for each finished subtree not
-   yet claimed by a parent, its first event and its depth, packed into
-   one int as [(first lsl 31) lor depth] (both are below 2^31). *)
+(* [depth]'s stack, kept per domain between calls: a walk allocates
+   nothing once the stack is as deep as the deepest tree seen. *)
+let depth_stack = Domain.DLS.new_key (fun () -> Array.make 64 0)
+
+(* One pass from the root down, which visits the events in preorder,
+   children right to left.  The stack holds the first events of the
+   nodes whose subtrees contain the current event, innermost last: the
+   event's ancestors, so its depth is their number plus one.  A node is
+   dropped once the walk passes below its first event. *)
 let depth t =
-  let st = Stack.create () in
-  for i = first t to t.root do
-    if tag_at t i = tag_leaf then Stack.push st ((i lsl 31) lor 1)
-    else begin
-      let lo = i - size_at t i + 1 in
-      let d = ref 0 in
-      while (not (Stack.is_empty st)) && Stack.top st lsr 31 >= lo do
-        let dk = Stack.pop st land ((1 lsl 31) - 1) in
-        if dk > !d then d := dk
-      done;
-      Stack.push st ((lo lsl 31) lor (!d + 1))
+  let ev = t.ev in
+  let st = ref (Domain.DLS.get depth_stack) and n = ref 0 and d = ref 0 in
+  for i = t.root downto first t do
+    while !n > 0 && Array.unsafe_get !st (!n - 1) > i do
+      decr n
+    done;
+    if !n >= !d then d := !n + 1;
+    let size = Int32.to_int (Bigarray.Array1.unsafe_get ev ((2 * i) + 1)) in
+    if size > 1 then begin
+      if !n = Array.length !st then begin
+        let a = Array.make (2 * !n) 0 in
+        Array.blit !st 0 a 0 !n;
+        st := a;
+        Domain.DLS.set depth_stack a
+      end;
+      Array.unsafe_set !st !n (i - size + 1);
+      incr n
     end
   done;
-  Stack.top st land ((1 lsl 31) - 1)
+  !d
 
 let nonterminals t =
   let acc = ref Int_set.empty in

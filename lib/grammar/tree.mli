@@ -63,6 +63,16 @@ module Events : sig
   (** A buffer with room for [n] events (it grows on demand). *)
   val create : int -> t
 
+  (** A buffer that writes into [a], two elements per event, until an
+      event lies past [a]'s end: then it grows into fresh memory, like a
+      buffer from {!create}, and writes nothing more into [a].  The
+      prefork tier parses straight into a mapped result file this way. *)
+  val over : Token_buf.int_array -> t
+
+  (** The array the buffer writes into now: the one given to {!over}
+      until the buffer grows. *)
+  val storage : t -> Token_buf.int_array
+
   (** [leaf b i tok] writes, as event [i], a leaf for token index [tok].
       @raise Invalid_argument if [tok >= 2^28] (and any write raises past
       2^30 events): the bounds of the int32 encoding. *)

@@ -153,8 +153,9 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
 
 type prefork_msg =
   | Pf_result of int * (Parser.result, string) result
-  | Pf_done of int * int * int * Instr.cache_counters
-      (* files, bytes, states interned past the inherited base *)
+  | Pf_done of int * int * int * Instr.cache_counters * Cache.learned list
+      (* files, bytes, states interned past the inherited base, and what
+         the worker's cache learned by itself *)
 
 (* A result in a worker's result file: from int32 element [off], the
    events [0 .. nev - 1] (two elements each; [root] is the root event),
@@ -297,6 +298,14 @@ let outbox_reserve ob need =
   ob.used <- k + need;
   k
 
+let copy_tokens ob k buf ntok =
+  let copy (src : Token_buf.int_array) at =
+    Bigarray.Array1.blit (Bigarray.Array1.sub src 0 ntok) (Bigarray.Array1.sub ob.win (k + at) ntok)
+  in
+  copy (Token_buf.kinds_unsafe buf) 0;
+  copy (Token_buf.starts_unsafe buf) ntok;
+  copy (Token_buf.ends_unsafe buf) (2 * ntok)
+
 (* Copy tree [t] over [buf]'s tokens into the result file: the tree's own
    events, moved to the front (root [nev - 1]), then the three token
    arrays. *)
@@ -305,14 +314,51 @@ let put_shared ob i ~ambig t buf =
   let nev = Tree.size t in
   let ntok = Token_buf.length buf in
   let k = outbox_reserve ob ((2 * nev) + (3 * ntok)) in
-  let copy (src : Token_buf.int_array) from len at =
-    Bigarray.Array1.blit (Bigarray.Array1.sub src from len) (Bigarray.Array1.sub ob.win (k + at) len)
-  in
-  copy ev (2 * (root - nev + 1)) (2 * nev) 0;
-  copy (Token_buf.kinds_unsafe buf) 0 ntok (2 * nev);
-  copy (Token_buf.starts_unsafe buf) 0 ntok ((2 * nev) + ntok);
-  copy (Token_buf.ends_unsafe buf) 0 ntok ((2 * nev) + (2 * ntok));
+  Bigarray.Array1.blit
+    (Bigarray.Array1.sub ev (2 * (root - nev + 1)) (2 * nev))
+    (Bigarray.Array1.sub ob.win k (2 * nev));
+  copy_tokens ob (k + (2 * nev)) buf ntok;
   { sh_file = i; sh_ambig = ambig; sh_off = ob.win_at + k; sh_nev = nev; sh_root = nev - 1; sh_ntok = ntok }
+
+(* What a worker does with a word over a scanner buffer. *)
+type parsed =
+  | In_place of shared  (** the tree is already in the result file *)
+  | Parsed of Parser.result
+
+(* Parse straight into the result file.  The worker reserves room for as
+   many events as the parser's density predicts, plus the token arrays,
+   and the machine writes its tree into that room; the token arrays go
+   right after the events it used, and the rest of the room is handed
+   back, so the layout is [put_shared]'s.  A parse that outgrows the room
+   continues in fresh memory ({!Tree.Events.over}), and a reject leaves
+   nothing: both hand the whole room back.  So does a window that cannot
+   be mapped, before the parse. *)
+let parse_in_place ob p i word buf =
+  let ntok = Token_buf.length buf in
+  let room = ((Parser.env p).Machine.events_per_token * ntok) + 16 in
+  match outbox_reserve ob ((2 * room) + (3 * ntok)) with
+  | exception Unix.Unix_error _ -> Parsed (Parser.run_word p word)
+  | k -> (
+    let view = Bigarray.Array1.sub ob.win k (2 * room) in
+    let events = Tree.Events.over view in
+    let r = Parser.run_word ~events p word in
+    match r with
+    | (Parser.Unique t | Parser.Ambig t) when Tree.Events.storage events == view ->
+      let nev = Tree.size t in
+      copy_tokens ob (k + (2 * nev)) buf ntok;
+      ob.used <- k + (2 * nev) + (3 * ntok);
+      In_place
+        {
+          sh_file = i;
+          sh_ambig = (match r with Parser.Ambig _ -> true | _ -> false);
+          sh_off = ob.win_at + k;
+          sh_nev = nev;
+          sh_root = nev - 1;
+          sh_ntok = ntok;
+        }
+    | r ->
+      ob.used <- k;
+      Parsed r)
 
 (* The parent's side.  A header is used only once its fields are in
    range: no sum below can overflow, and the region lies in the mapping. *)
@@ -350,6 +396,20 @@ let shared_result (file : Token_buf.int_array) sh input =
       | exception Invalid_argument _ -> Error "costar batch: worker result has a malformed tree"
       | t -> Ok (if sh.sh_ambig then Parser.Ambig t else Parser.Unique t)
 
+(* OCaml 5.1 does not pace the major GC against mapped memory:
+   [Unix.map_file] declares none.  A dead result mapping is unmapped only
+   when a major cycle finds its views dead, so a caller that allocates
+   little on the heap holds more dead result files the faster calls
+   return.  A bigarray declares its size to the GC, which then runs a
+   major cycle per [custom_major_ratio] of the heap allocated that way;
+   this one is allocated and dropped untouched, so it costs address
+   space, not resident memory.  It declares half of the [mapped] bytes:
+   on batch-prefork the whole size cost about a tenth of the throughput
+   in major GC work, and half kept the parent's peak RSS below what it
+   was when calls were a third slower (DESIGN.md §13.3). *)
+let pace_major ~mapped =
+  ignore (Sys.opaque_identity (Bigarray.Array1.create Bigarray.char Bigarray.c_layout (mapped / 2)))
+
 (* Map worker's result file once, up to the end of the last region its
    headers name (a crashed worker's file may hold more), and build every
    shared result from it. *)
@@ -364,8 +424,11 @@ let collect_shared results inputs fd headers =
     match min extent file_len with
     | 0 -> Ok (Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0)
     | len -> (
-      try Ok (map_int32 fd ~pos:0 ~shared:false len)
-      with Unix.Unix_error (e, _, _) ->
+      match map_int32 fd ~pos:0 ~shared:false len with
+      | file ->
+        pace_major ~mapped:(4 * len);
+        Ok file
+      | exception Unix.Unix_error (e, _, _) ->
         Error ("costar batch: cannot map a worker's result file: " ^ Unix.error_message e))
   in
   List.iter
@@ -415,7 +478,15 @@ let inbox_complete ib =
   let avail = ib.wr - ib.rd in
   avail >= 4 && avail - 4 >= le32_of_bytes ib.buf ib.rd
 
+(* A worker's minor heap, in words.  The one it inherits is the
+   parent's, copy-on-write: its first minor cycles would copy every page
+   of it.  A fresh small one is faulted in once and stays in cache. *)
+let worker_minor_heap = 32768
+
 let worker_loop p ~tokenize inputs work_r out ob states_inherited =
+  Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap };
+  let cache = Parser.base_cache p in
+  let learned_mark = Cache.learned_count cache in
   let idx = Bytes.create 4 in
   let hdr = Bytes.create (4 + header_len) in
   let files = ref 0 in
@@ -430,14 +501,17 @@ let worker_loop p ~tokenize inputs work_r out ob states_inherited =
          (match tokenize input with
          | Error msg -> send_msg out (Pf_result (i, Error msg))
          | Ok word -> (
-           let r = Parser.run_word p word in
-           match word.Word.src, r with
-           | Word.Buf buf, (Parser.Unique t | Parser.Ambig t) -> (
-             let ambig = match r with Parser.Ambig _ -> true | _ -> false in
-             match put_shared ob i ~ambig t buf with
-             | sh -> send_shared out hdr sh
-             | exception Unix.Unix_error _ -> send_msg out (Pf_result (i, Ok r)))
-           | _ -> send_msg out (Pf_result (i, Ok r))));
+           match word.Word.src with
+           | Word.Buf buf -> (
+             match parse_in_place ob p i word buf with
+             | In_place sh -> send_shared out hdr sh
+             | Parsed ((Parser.Unique t | Parser.Ambig t) as r) -> (
+               let ambig = match r with Parser.Ambig _ -> true | _ -> false in
+               match put_shared ob i ~ambig t buf with
+               | sh -> send_shared out hdr sh
+               | exception Unix.Unix_error _ -> send_msg out (Pf_result (i, Ok r)))
+             | Parsed r -> send_msg out (Pf_result (i, Ok r)))
+           | Word.Tokens _ -> send_msg out (Pf_result (i, Ok (Parser.run_word p word)))));
          incr files;
          bytes_n := !bytes_n + String.length input;
          go ()
@@ -447,13 +521,41 @@ let worker_loop p ~tokenize inputs work_r out ob states_inherited =
        (Pf_done
           ( !files,
             !bytes_n,
-            Cache.num_states (Parser.base_cache p) - states_inherited,
-            Instr.cache_totals () ))
+            Cache.num_states cache - states_inherited,
+            Instr.cache_totals (),
+            Cache.learned_since cache learned_mark ))
    with _ -> ());
   (try Unix.close out with Unix.Unix_error _ -> ());
   (* Skip at_exit/channel flushing: any buffered output in this image
      belongs to the parent and must not be emitted twice. *)
   Unix._exit 0
+
+(* The largest event density among the trees of [headers] that passed
+   the header checks. *)
+let rec max_density results d = function
+  | [] -> d
+  | sh :: rest ->
+    let d =
+      match results.(sh.sh_file) with
+      | Ok (Parser.Unique _ | Parser.Ambig _) when sh.sh_ntok > 0 ->
+        max d ((sh.sh_nev + sh.sh_ntok - 1) / sh.sh_ntok)
+      | _ -> d
+    in
+    max_density results d rest
+
+(* What the workers learned, taught to the parent's own cache, so the
+   workers of its next call start warm: the table cells and decoded image
+   states they report are recomputed by [Cache.replay], and the event
+   density becomes the largest among this call's trees, so that the next
+   workers' reservations hold their trees.  Once the parent is warm the
+   workers report nothing, and this allocates nothing. *)
+let learn_back p learned results headers =
+  let density = ref 0 in
+  for w = 0 to Array.length learned - 1 do
+    (match learned.(w) with [] -> () | l -> Cache.replay (Parser.base_cache p) l);
+    density := max_density results !density headers.(w)
+  done;
+  if !density > 0 then (Parser.env p).Machine.events_per_token <- !density
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
 
@@ -511,6 +613,7 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
     Unix.close work_r;
     Array.iter (fun (_, wfd) -> Unix.close wfd) res_pipes;
     let reported = Array.make n false in
+    let learned = Array.make workers [] in
     (* Each worker's shared-result headers, newest first. *)
     let headers = Array.make workers [] in
     (* The result pipes still open.  The list changes only when a worker
@@ -536,11 +639,12 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
       | Pf_result (i, outcome) ->
         results.(i) <- outcome;
         reported.(i) <- true
-      | Pf_done (files, bytes, new_states, counters) ->
+      | Pf_done (files, bytes, new_states, counters, l) ->
         per_files.(w) <- files;
         per_bytes.(w) <- bytes;
         per_new.(w) <- new_states;
-        per_cache.(w) <- [ counters ]
+        per_cache.(w) <- [ counters ];
+        learned.(w) <- l
     in
     (* Decode every complete frame in worker [w]'s inbox, in place.  A
        header naming no input of this call is dropped. *)
@@ -607,6 +711,7 @@ let run_prefork ?(workers = 2) p ~tokenize inputs =
         if hs <> [] then collect_shared results inputs (res_fd w) hs;
         close_res w)
       headers;
+    learn_back p learned results headers;
     for i = 0 to n - 1 do
       if not reported.(i) then
         results.(i) <-

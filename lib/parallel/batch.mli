@@ -92,10 +92,17 @@ val run_batch :
     cannot write its file because the file system is full dies of
     [SIGBUS], which is such a crash.
 
-    Unlike [run_batch], nothing learned by a worker flows back into the
-    parent's cache (processes do not share heaps).  Verdicts are
-    nonetheless byte-identical to sequential parsing — cache contents
-    never influence results.
+    A worker parses such a tree straight into its result file when the
+    room it reserves, sized by the parser's event density, holds it;
+    otherwise it copies the tree there.  It runs on a fresh small minor
+    heap, so it does not copy the parent's.  What a worker's cache
+    learns by itself — first-token table cells and decoded image states
+    — comes back in its final frame and is replayed on [p]'s base cache
+    ({!Costar_core.Cache.replay}), and [p]'s event density becomes the
+    largest among the call's trees, so the next call's workers start
+    warm.  DFA states a worker interns past its base die with it, unlike
+    [run_batch]'s overlays.  Verdicts are byte-identical to sequential
+    parsing — cache contents never influence results.
 
     Must be called from a single-domain process ([Unix.fork] does not
     carry other domains into the child).  In [stats], [st_domains] counts

@@ -63,7 +63,7 @@ let test_generated_sentences_differential () =
       let g = Lang.grammar l in
       let t = Cover.make ?scanner:(Lang.scanner l) g in
       let generated = Witness.close t in
-      let extracted = Costar_extracted.Extracted.of_grammar g in
+      let extracted = Diff.extracted g in
       let budget = ref 60 in
       List.iter
         (fun (w : Witness.generated) ->
@@ -136,7 +136,7 @@ let prop_generated_differential =
       QCheck.assume (Left_recursion.check g = Ok ());
       let t = Cover.make g in
       let generated = Witness.close t in
-      let extracted = Costar_extracted.Extracted.of_grammar g in
+      let extracted = Diff.extracted g in
       (* Bound the Earley work: highly ambiguous random grammars make the
          oracle blow up on long sentences, so diff a capped sample of the
          short ones. *)
@@ -160,7 +160,7 @@ let test_fixed_seed_corpus () =
   List.iter
     (fun l ->
       let g = Lang.grammar l in
-      let extracted = Costar_extracted.Extracted.of_grammar g in
+      let extracted = Diff.extracted g in
       List.iter
         (fun seed ->
           (* Small corpora: the Earley oracle in the trio is cubic. *)

@@ -45,6 +45,29 @@ let test_langs () =
         (same g (P.parse g toks) (E.parse_tokens eg g toks)))
     [ Json.lang; Xml.lang; Dot.lang ]
 
+(* One cache carried across a corpus: every parse still agrees with the
+   core, whatever the earlier inputs left in the cache. *)
+let test_shared_cache () =
+  let open Costar_langs in
+  List.iter
+    (fun (lang : Lang.t) ->
+      let g = Lang.grammar lang in
+      let eg = E.of_grammar g in
+      let cache = E.new_cache () in
+      for seed = 1 to 6 do
+        let src = Lang.generate lang ~seed ~size:(10 + (5 * seed)) in
+        let toks = Lang.tokenize_exn lang src in
+        let truncated = List.filteri (fun i _ -> i < List.length toks / 2) toks in
+        List.iter
+          (fun toks ->
+            check
+              (Printf.sprintf "%s seed %d" lang.Lang.name seed)
+              true
+              (same g (P.parse g toks) (E.parse_tokens ~cache eg g toks)))
+          [ toks; truncated ]
+      done)
+    [ Json.lang; Xml.lang; Dot.lang ]
+
 let prop_differential =
   QCheck.Test.make ~count:600 ~name:"extracted = core on random grammars"
     Util.arb_grammar_word (fun (g, w) ->
@@ -58,6 +81,7 @@ let suite =
   [
     Alcotest.test_case "unit cases" `Quick test_unit_cases;
     Alcotest.test_case "benchmark languages" `Quick test_langs;
+    Alcotest.test_case "one cache across a corpus" `Quick test_shared_cache;
     QCheck_alcotest.to_alcotest prop_differential;
   ]
 

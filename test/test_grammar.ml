@@ -231,6 +231,11 @@ module Naive = struct
 
   let rec depth v = 1 + List.fold_left (fun a k -> max a (depth k)) 0 (kids v)
 
+  let rec width v =
+    match Tree.view v with
+    | Tree.Leaf _ -> 1
+    | _ -> List.fold_left (fun a k -> a + width k) 0 (kids v)
+
   let rec yield v =
     match Tree.view v with
     | Tree.Leaf tok -> [ tok ]
@@ -532,6 +537,25 @@ let prop_pp_deep =
       same_render ~margin ~max_indent:(max_indent_of margin k) t
       && String.equal (Tree.to_string g1 t) (Fmt.str "%a" (Naive.pp g1) t))
 
+(* [Tree.depth] and [Tree.width] loop over the event range; chains up to
+   100k levels deep, with leaves on either side of each level, against
+   the recursive reference. *)
+let prop_deep_walks =
+  QCheck.Test.make ~count:12 ~name:"Tree.depth/width = recursive reference (chains to 100k deep)"
+    (QCheck.make
+       ~print:(fun v -> Printf.sprintf "depth %d, width %d" (Naive.depth v) (Naive.width v))
+       QCheck.Gen.(
+         let n_nts = Grammar.num_nonterminals g1 in
+         let level =
+           triple
+             (frequency [ (9, map Option.some (int_bound (n_nts - 1))); (1, return None) ])
+             (list_size (int_bound 2) gen_lexeme)
+             (list_size (int_bound 2) gen_lexeme)
+         in
+         frequency [ (1, int_range 90_000 100_000); (2, int_range 1 3000) ] >>= fun d ->
+         map2 (fun levels inner -> chain (Array.of_list levels) inner) (list_repeat d level) gen_lexeme))
+    (fun v -> Tree.depth v = Naive.depth v && Tree.width v = Naive.width v)
+
 (* Indentation wider than an output chunk: a bare chain 3000 deep climbs
    one column per level up to a maximum indentation of 2400. *)
 let test_pp_wide_indent () =
@@ -589,6 +613,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_flat_walks;
     QCheck_alcotest.to_alcotest prop_pp_reference;
     QCheck_alcotest.to_alcotest prop_pp_deep;
+    QCheck_alcotest.to_alcotest prop_deep_walks;
     Alcotest.test_case "Tree.pp indents past an output chunk" `Quick test_pp_wide_indent;
     Alcotest.test_case "define errors" `Quick test_define_errors;
     Alcotest.test_case "interning pool" `Quick test_pool;

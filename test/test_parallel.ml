@@ -438,6 +438,177 @@ let test_prefork_checks_headers () =
   check "the other file is parsed" true
     (same_outcome (sequential_outcomes l [| other |]).(0) results.(1))
 
+(* --- lean workers ---------------------------------------------------------- *)
+
+let unique_tree = function
+  | Ok (Parser.Unique t) -> t
+  | _ -> Alcotest.fail "expected a Unique parse"
+
+(* Events per token as [Machine.finish] rounds it. *)
+let density t = (Tree.size t + Tree.width t - 1) / Tree.width t
+
+(* A worker parses into room for as many events as the parser's density
+   predicts.  A fresh parser predicts 2 per token, which minipy's trees
+   exceed: with one worker, the first file outgrows its room and takes
+   the copying path, and the worker's density then fits a later file,
+   which parses in place.  Both paths give the sequential trees, and the
+   parent learns the largest density of the call. *)
+let test_prefork_overflow_fallback () =
+  let l = Costar_langs.Minipy.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let inputs =
+    Array.init 6 (fun k -> Costar_langs.Lang.generate l ~seed:(20 + k) ~size:(60 + (30 * k)))
+  in
+  let expected = sequential_outcomes l inputs in
+  let trees = Array.map unique_tree expected in
+  check "the first file outgrows the room of a fresh parser" true
+    (Tree.size trees.(0) > (2 * Tree.width trees.(0)) + 16);
+  check "a later file fits the room its predecessor leaves" true
+    (List.exists
+       (fun k -> Tree.size trees.(k) <= (density trees.(k - 1) * Tree.width trees.(k)) + 16)
+       [ 1; 2; 3; 4; 5 ]);
+  let p = Parser.make g in
+  check_int "a fresh parser predicts 2 events per token" 2
+    (Parser.env p).Machine.events_per_token;
+  let results, _ = Batch.run_prefork ~workers:1 p ~tokenize:(tokenize_of_lang l) inputs in
+  Array.iteri
+    (fun i r ->
+      if not (same_outcome expected.(i) r) then
+        Alcotest.failf "file %d differs: %a vs %a" i (pp_outcome g) expected.(i) (pp_outcome g) r;
+      check (Printf.sprintf "file %d: equal tree" i) true (Tree.equal trees.(i) (unique_tree r)))
+    results;
+  check_int "the parent learns the call's largest density"
+    (Array.fold_left (fun a t -> max a (density t)) 0 trees)
+    (Parser.env p).Machine.events_per_token
+
+let with_image l f =
+  let g = Costar_langs.Lang.grammar l in
+  let fp = Grammar.fingerprint g in
+  let learner = Parser.make g in
+  Array.iter
+    (fun s ->
+      match tokenize_of_lang l s with
+      | Ok w -> ignore (Parser.run_word learner w)
+      | Error _ -> ())
+    (corpus_for l);
+  let file = Filename.temp_file "costar_learn_back" ".img" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove file with Sys_error _ -> ())
+    (fun () ->
+      Cache.save_image ~fingerprint:fp (Parser.base_cache learner) file;
+      f (fun () ->
+          let p = Parser.make g in
+          (match Cache.load_image ~anl:(Parser.analysis p) ~fingerprint:fp file with
+          | Ok c -> Parser.set_base_cache p c
+          | Error e -> Alcotest.failf "image load failed: %s" (Cache.image_error_to_string e));
+          p))
+
+(* Learn-back: the parent replays on its own image-backed cache the table
+   cells its workers filled and the image states they decoded.  After one
+   call, every cell the parent learned holds the value a sequential pass
+   over the same image writes, and a second call, whose workers start
+   from the warmer parent, still equals sequential parsing. *)
+let test_prefork_learn_back () =
+  let learned_any = ref false in
+  List.iter
+    (fun l ->
+      let name = l.Costar_langs.Lang.name in
+      let inputs = corpus_for l in
+      let expected = sequential_outcomes l inputs in
+      with_image l (fun load ->
+          let p = load () and seq = load () in
+          let fresh = Array.copy (Cache.decisions (Parser.base_cache (load ()))) in
+          let mark = Cache.learned_count (Parser.base_cache p) in
+          let same_as_sequential what results =
+            Array.iteri
+              (fun i r ->
+                if not (same_outcome expected.(i) r) then
+                  Alcotest.failf "%s %s: file %d differs" name what i)
+              results
+          in
+          same_as_sequential "first call"
+            (fst (Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs));
+          Array.iter
+            (fun s ->
+              match tokenize_of_lang l s with
+              | Ok w -> ignore (Parser.run_word seq w)
+              | Error _ -> ())
+            inputs;
+          let dp = Cache.decisions (Parser.base_cache p) in
+          let ds = Cache.decisions (Parser.base_cache seq) in
+          Array.iteri
+            (fun k e ->
+              if e <> fresh.(k) then begin
+                learned_any := true;
+                if e <> ds.(k) then
+                  Alcotest.failf "%s: cell %d is %d in the parent, %d sequentially" name k e ds.(k)
+              end)
+            dp;
+          List.iter
+            (function
+              | Cache.Learned_cell (x, col) ->
+                let k = (x * (Grammar.num_terminals (Costar_langs.Lang.grammar l) + 1)) + col in
+                check (name ^ ": a replayed cell is filled") true (dp.(k) <> fresh.(k))
+              | Cache.Decoded_state _ -> ())
+            (Cache.learned_since (Parser.base_cache p) mark);
+          same_as_sequential "second call"
+            (fst (Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs))))
+    langs;
+  check "the workers taught the parents some cell" true !learned_any
+
+(* The replay recomputes each entry on the parent's cache and skips any
+   whose nonterminal, column or state is out of range for it. *)
+let test_replay_ignores_malformed () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let p = Parser.make g in
+  Array.iter
+    (fun s ->
+      match tokenize_of_lang l s with
+      | Ok w -> ignore (Parser.run_word p w)
+      | Error _ -> ())
+    (corpus_for l);
+  let c = Parser.base_cache p in
+  let before = Array.copy (Cache.decisions c) and logged = Cache.learned_count c in
+  let n_nts = Grammar.num_nonterminals g and n_terms = Grammar.num_terminals g in
+  Cache.replay c
+    Cache.
+      [
+        Learned_cell (-1, 0);
+        Learned_cell (n_nts, 0);
+        Learned_cell (0, -1);
+        Learned_cell (0, n_terms + 1);
+        Learned_cell (max_int, max_int);
+        Learned_cell (min_int, 0);
+        Decoded_state (-1);
+        Decoded_state (Cache.num_states c);
+        Decoded_state max_int;
+      ];
+  check "no cell written" true (before = Cache.decisions c);
+  check_int "nothing learned" logged (Cache.learned_count c)
+
+let mapped_result_files () =
+  In_channel.with_open_text "/proc/self/maps" In_channel.input_all
+  |> String.split_on_char '\n'
+  |> List.filter (fun line ->
+         let rec has i =
+           i + 15 <= String.length line && (String.sub line i 15 = "costar-prefork-" || has (i + 1))
+         in
+         has 0)
+
+(* A dropped result's mapping goes with the next major cycle that finds
+   it dead: after 200 calls whose results are dropped, a full major
+   collection leaves no result file mapped. *)
+let test_prefork_dead_mappings () =
+  let l = Costar_langs.Json.lang in
+  let p = Parser.make (Costar_langs.Lang.grammar l) in
+  let inputs = Array.init 2 (fun k -> Costar_langs.Lang.generate l ~seed:(30 + k) ~size:50) in
+  for _ = 1 to 200 do
+    ignore (Sys.opaque_identity (Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs))
+  done;
+  Gc.full_major ();
+  Alcotest.(check (list string)) "no result file mapped" [] (mapped_result_files ())
+
 (* --- random-grammar differential ----------------------------------------- *)
 
 (* Random grammars parsed through the batch engine: the corpus is several
@@ -679,6 +850,14 @@ let () =
             test_prefork_marshalled_paths;
           Alcotest.test_case "prefork checks result headers" `Quick
             test_prefork_checks_headers;
+          Alcotest.test_case "prefork: room outgrown, then parsed in place" `Quick
+            test_prefork_overflow_fallback;
+          Alcotest.test_case "prefork learn-back = sequential warming" `Slow
+            test_prefork_learn_back;
+          Alcotest.test_case "learn-back replay ignores malformed entries" `Quick
+            test_replay_ignores_malformed;
+          Alcotest.test_case "prefork: dropped results unmapped by a major GC" `Quick
+            test_prefork_dead_mappings;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"
             `Slow test_batch_differential;
           Alcotest.test_case "batch token buffers = sequential (1/2/4 domains)"
