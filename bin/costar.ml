@@ -1022,6 +1022,8 @@ let batch_cmd =
         st.B.st_rounds
         (float_of_int st.B.st_files /. wall)
         (float_of_int st.B.st_bytes /. wall /. 1e6);
+      if prefork <> None then
+        Printf.eprintf "workers: %d forked by this call\n" st.B.st_forked;
       Printf.eprintf "dfa cache: %d states before, %d after absorption\n"
         st.B.st_states_before st.B.st_states_after;
       Array.iteri

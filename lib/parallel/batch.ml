@@ -15,6 +15,7 @@ type stats = {
   st_bytes : int;
   st_states_before : int;
   st_states_after : int;
+  st_forked : int;
   st_per_domain : domain_stats array;
 }
 
@@ -111,6 +112,7 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
       st_bytes = Array.fold_left (fun a b -> a + b) 0 per_bytes;
       st_states_before = states_before;
       st_states_after = Cache.num_states (Parser.base_cache p);
+      st_forked = 0;
       st_per_domain = per_domain;
     } )
 
@@ -124,38 +126,53 @@ let run_batch ?domains ?round_size p ~tokenize inputs =
    the base cache is an mmapped v3 image ({!Costar_core.Cache.load_image}),
    the transition matrix is shared physically, read-only, by every worker.
 
-   Work distribution: one shared work pipe.  The parent feeds 4-byte LE
-   file indices (each write atomic, far below PIPE_BUF) and closes the
-   write end when done; workers blocking-read one index at a time, so
-   large files load-balance exactly like the atomic cursor above.  Every
-   worker reports over its own result pipe — length-prefixed frames,
-   parent↔own-child only — and the parent multiplexes the pipes with
-   [select], feeding work and draining results in one loop.
+   Pools: a parser's workers are forked by its first call and kept warm
+   for its later calls with the same worker count and tokenizer
+   ([find_pool]).  A pool ends when its parser is collected, at
+   [shutdown], or at exit.
+
+   Work distribution: one request pipe per worker.  A call opens with a
+   start message to every worker; the parent then hands each idle worker
+   the next file, its index and its text, and once every file is out, an
+   end message, which the worker answers with its accounting for the
+   call.  A worker has at most one file in flight, and the parent writes
+   only to a worker that has answered everything it was sent, so the
+   worker is blocked reading and a blocking write cannot deadlock.  Every
+   worker reports over its own result pipe, length-prefixed frames, and
+   the parent multiplexes the pipes with [select].
 
    Results: a tree over a scanner buffer (every tree the language
-   tokenizers give) does not cross the pipe.  Before forking, the parent
-   creates one result file per worker and unlinks it at once; the worker
-   copies the tree's events and the word's kinds/starts/ends arrays into
-   its file through a shared mapping and sends only a fixed header saying
-   where they are.  After [waitpid] the parent maps each file once and
-   builds every such result as views into that mapping, over its own copy
-   of the input: no [Marshal], and the input text never travels back.  A
-   result lives as long as any view of its mapping.  Everything else — a
-   reject, a lexer error, a tree over a token list, the final stats — is a
-   small marshalled frame.
+   tokenizers give) does not cross the pipe.  Each worker keeps one result
+   file for the pool's life, created and unlinked by the parent before the
+   fork, and writes each call's trees into it from its start: the tree's
+   events and the word's kinds/starts/ends arrays, through a shared
+   mapping.  It sends only a fixed header saying where they are.  As a
+   header arrives, the parent reads that result out of the file into a
+   fresh bigarray, while the worker parses its next file, and builds the
+   result over its own copy of the input: no [Marshal], the input text
+   never travels back, and no result refers to a file its worker
+   rewrites.  Everything else — a reject, a lexer error, a tree over a
+   token list, the call's accounting — is a small marshalled frame.
 
    Crash isolation: a worker that dies (OOM, signal, runtime failure)
    closes its result pipe; the parent keeps serving the remaining workers,
-   the dead worker's claimed-but-unreported file surfaces as a typed
-   per-file error, and every other file is still parsed.  Its result file
-   is mapped only up to the last header it sent.  A domain crash, by
-   contrast, would take the whole process down. *)
+   the dead worker's in-flight file surfaces as a typed per-file error,
+   and every other file is still parsed.  The next call forks a
+   replacement.  A domain crash, by contrast, would take the whole process
+   down. *)
+
+(* What a worker sends back at the end of a call, about that call. *)
+type call_report = {
+  r_files : int;
+  r_bytes : int;
+  r_new_states : int;  (** DFA states interned during the call *)
+  r_counters : Instr.cache_counters;
+  r_learned : Cache.learned list;  (** what the worker's cache learned by itself *)
+}
 
 type prefork_msg =
   | Pf_result of int * (Parser.result, string) result
-  | Pf_done of int * int * int * Instr.cache_counters * Cache.learned list
-      (* files, bytes, states interned past the inherited base, and what
-         the worker's cache learned by itself *)
+  | Pf_done of call_report
 
 (* A result in a worker's result file: from int32 element [off], the
    events [0 .. nev - 1] (two elements each; [root] is the root event),
@@ -177,23 +194,36 @@ let frame_unique = 'U'
 let frame_ambig = 'A'
 let header_len = 1 + (5 * 8)
 
-let rec write_all fd b off len =
-  if len > 0 then begin
-    let k = Unix.write fd b off len in
-    write_all fd b (off + k) (len - k)
-  end
+(* A request, parent to worker, is a kind byte and its body: a call start
+   carries [Instr.enabled] as one byte; an item, the file index as a
+   4-byte LE int, the input's length as an 8-byte LE int, then the input;
+   an end of call, nothing.  End of file on the pipe means quit. *)
+let req_start = 'S'
+let req_item = 'I'
+let req_end = 'E'
+let item_head_len = 1 + 4 + 8
 
-(* Reads [len] bytes or raises [End_of_file].  The work pipe is shared by
-   all workers, but the parent writes whole 4-byte indices atomically and
-   every reader requests whole indices, so the pipe content stays
-   4-aligned and short reads cannot interleave between workers; the loop
-   is belt-and-braces. *)
+(* [single_write] returns what one write(2) took, so a signal never loses
+   a partial count. *)
+let rec write_all fd b off len =
+  if len > 0 then
+    match Unix.single_write fd b off len with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all fd b off len
+    | k -> write_all fd b (off + k) (len - k)
+
+let rec write_all_string fd s off len =
+  if len > 0 then
+    match Unix.single_write_substring fd s off len with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> write_all_string fd s off len
+    | k -> write_all_string fd s (off + k) (len - k)
+
+(* Reads [len] bytes or raises [End_of_file]. *)
 let rec read_exact fd b off len =
-  if len > 0 then begin
-    let k = Unix.read fd b off len in
-    if k = 0 then raise End_of_file;
-    read_exact fd b (off + k) (len - k)
-  end
+  if len > 0 then
+    match Unix.read fd b off len with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> read_exact fd b off len
+    | 0 -> raise End_of_file
+    | k -> read_exact fd b (off + k) (len - k)
 
 let le32_of_bytes b off =
   Char.code (Bytes.get b off)
@@ -263,9 +293,9 @@ let rec open_result_file dir =
        raise e);
     fd
 
-let map_int32 fd ~pos ~shared n : Token_buf.int_array =
+let map_int32 fd ~pos n : Token_buf.int_array =
   Bigarray.array1_of_genarray
-    (Unix.map_file fd ~pos:(Int64.of_int (4 * pos)) Bigarray.int32 Bigarray.c_layout shared [| n |])
+    (Unix.map_file fd ~pos:(Int64.of_int (4 * pos)) Bigarray.int32 Bigarray.c_layout true [| n |])
 
 (* The worker's side of its result file: results are packed into mapped
    windows of at least [window] elements, each starting at a multiple of
@@ -290,13 +320,27 @@ let outbox_reserve ob need =
   if ob.used + need > Bigarray.Array1.dim ob.win then begin
     let next = ob.win_at + ob.used in
     let at = (next + window_align - 1) / window_align * window_align in
-    ob.win <- map_int32 ob.ob_fd ~pos:at ~shared:true (max need window);
+    ob.win <- map_int32 ob.ob_fd ~pos:at (max need window);
     ob.win_at <- at;
     ob.used <- 0
   end;
   let k = ob.used in
   ob.used <- k + need;
   k
+
+(* Back to the start of the file for a new call; the parent has copied
+   out everything the last call wrote.  A window that does not start at
+   element 0 is replaced by one that does and spans what the last call
+   used, so a call of that size again fits one window.  If that window
+   cannot be mapped, the call goes on in the current one. *)
+let outbox_rewind ob =
+  (if ob.win_at <> 0 then
+     match map_int32 ob.ob_fd ~pos:0 (max window (ob.win_at + ob.used)) with
+     | win ->
+       ob.win <- win;
+       ob.win_at <- 0
+     | exception Unix.Unix_error _ -> ());
+  ob.used <- 0
 
 let copy_tokens ob k buf ntok =
   let copy (src : Token_buf.int_array) at =
@@ -332,16 +376,21 @@ type parsed =
    back, so the layout is [put_shared]'s.  A parse that outgrows the room
    continues in fresh memory ({!Tree.Events.over}), and a reject leaves
    nothing: both hand the whole room back.  So does a window that cannot
-   be mapped, before the parse. *)
+   be mapped, before the parse.  The density only rises: the machine sets
+   it to each tree's own, and a worker keeps the largest it has seen, so
+   after one overflow the like-sized files that follow fit. *)
 let parse_in_place ob p i word buf =
   let ntok = Token_buf.length buf in
-  let room = ((Parser.env p).Machine.events_per_token * ntok) + 16 in
+  let env = Parser.env p in
+  let density = env.Machine.events_per_token in
+  let room = (density * ntok) + 16 in
   match outbox_reserve ob ((2 * room) + (3 * ntok)) with
   | exception Unix.Unix_error _ -> Parsed (Parser.run_word p word)
   | k -> (
     let view = Bigarray.Array1.sub ob.win k (2 * room) in
     let events = Tree.Events.over view in
     let r = Parser.run_word ~events p word in
+    if env.Machine.events_per_token < density then env.Machine.events_per_token <- density;
     match r with
     | (Parser.Unique t | Parser.Ambig t) when Tree.Events.storage events == view ->
       let nev = Tree.size t in
@@ -379,65 +428,56 @@ let offsets_within (starts : Token_buf.int_array) (ends : Token_buf.int_array) n
   done;
   !ok
 
-let shared_result (file : Token_buf.int_array) sh input =
-  if not (shared_sane sh && sh.sh_off + shared_len sh <= Bigarray.Array1.dim file) then
-    Error "costar batch: worker result lies outside its result file"
+(* The parent reads results with read(2), not through a mapping: a
+   mapping's pages would stay resident beside the copies until a major
+   cycle finds it dead, doubling the parent's footprint for its largest
+   call.  A read lands in the pool's [chunk] buffer and is converted into
+   the result's own array. *)
+external get_int32_unsafe : Bytes.t -> int -> int32 = "%caml_bytes_get32u"
+
+let chunk_len = 65536
+
+(* Read [len] elements from the current offset of [fd] into [dst]. *)
+let read_elements fd chunk (dst : Token_buf.int_array) len =
+  let k = ref 0 in
+  while !k < len do
+    let want = min (chunk_len / 4) (len - !k) in
+    read_exact fd chunk 0 (4 * want);
+    let base = !k in
+    for i = 0 to want - 1 do
+      Bigarray.Array1.unsafe_set dst (base + i) (get_int32_unsafe chunk (4 * i))
+    done;
+    k := base + want
+  done
+
+(* The result [sh] names in worker file [fd], copied into a fresh array
+   and checked there, so that the worker may overwrite its file at the
+   next call. *)
+let shared_result fd chunk sh input =
+  if not (shared_sane sh) then Error "costar batch: worker result lies outside its result file"
   else
-    let region at len = Bigarray.Array1.sub file (sh.sh_off + at) len in
-    let n = sh.sh_ntok and ev_len = 2 * sh.sh_nev in
-    let kinds = region ev_len n in
-    let starts = region (ev_len + n) n in
-    let ends = region (ev_len + (2 * n)) n in
-    if not (offsets_within starts ends n (String.length input)) then
-      Error "costar batch: worker result has tokens outside its input"
-    else
-      let word = Word.of_buf (Token_buf.of_arrays input n kinds starts ends) in
-      match Tree.of_events (region 0 ev_len) word sh.sh_root with
-      | exception Invalid_argument _ -> Error "costar batch: worker result has a malformed tree"
-      | t -> Ok (if sh.sh_ambig then Parser.Ambig t else Parser.Unique t)
-
-(* OCaml 5.1 does not pace the major GC against mapped memory:
-   [Unix.map_file] declares none.  A dead result mapping is unmapped only
-   when a major cycle finds its views dead, so a caller that allocates
-   little on the heap holds more dead result files the faster calls
-   return.  A bigarray declares its size to the GC, which then runs a
-   major cycle per [custom_major_ratio] of the heap allocated that way;
-   this one is allocated and dropped untouched, so it costs address
-   space, not resident memory.  It declares half of the [mapped] bytes:
-   on batch-prefork the whole size cost about a tenth of the throughput
-   in major GC work, and half kept the parent's peak RSS below what it
-   was when calls were a third slower (DESIGN.md §13.3). *)
-let pace_major ~mapped =
-  ignore (Sys.opaque_identity (Bigarray.Array1.create Bigarray.char Bigarray.c_layout (mapped / 2)))
-
-(* Map worker's result file once, up to the end of the last region its
-   headers name (a crashed worker's file may hold more), and build every
-   shared result from it. *)
-let collect_shared results inputs fd headers =
-  let extent =
-    List.fold_left
-      (fun a sh -> if shared_sane sh then max a (sh.sh_off + shared_len sh) else a)
-      0 headers
-  in
-  let file_len = Int64.to_int (Unix.LargeFile.fstat fd).Unix.LargeFile.st_size / 4 in
-  let mapped =
-    match min extent file_len with
-    | 0 -> Ok (Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout 0)
-    | len -> (
-      match map_int32 fd ~pos:0 ~shared:false len with
-      | file ->
-        pace_major ~mapped:(4 * len);
-        Ok file
-      | exception Unix.Unix_error (e, _, _) ->
-        Error ("costar batch: cannot map a worker's result file: " ^ Unix.error_message e))
-  in
-  List.iter
-    (fun sh ->
-      results.(sh.sh_file) <-
-        (match mapped with
-        | Ok file -> shared_result file sh inputs.(sh.sh_file)
-        | Error msg -> Error msg))
-    headers
+    let len = shared_len sh in
+    let copy = Bigarray.Array1.create Bigarray.int32 Bigarray.c_layout len in
+    match
+      ignore (Unix.LargeFile.lseek fd (Int64.of_int (4 * sh.sh_off)) Unix.SEEK_SET);
+      read_elements fd chunk copy len
+    with
+    | exception End_of_file -> Error "costar batch: worker result lies outside its result file"
+    | exception Unix.Unix_error (e, _, _) ->
+      Error ("costar batch: cannot read a worker's result file: " ^ Unix.error_message e)
+    | () ->
+      let region at len = Bigarray.Array1.sub copy at len in
+      let n = sh.sh_ntok and ev_len = 2 * sh.sh_nev in
+      let kinds = region ev_len n in
+      let starts = region (ev_len + n) n in
+      let ends = region (ev_len + (2 * n)) n in
+      if not (offsets_within starts ends n (String.length input)) then
+        Error "costar batch: worker result has tokens outside its input"
+      else
+        let word = Word.of_buf (Token_buf.of_arrays input n kinds starts ends) in
+        match Tree.of_events (region 0 ev_len) word sh.sh_root with
+        | exception Invalid_argument _ -> Error "costar batch: worker result has a malformed tree"
+        | t -> Ok (if sh.sh_ambig then Parser.Ambig t else Parser.Unique t)
 
 (* {3 The parent's inbox} *)
 
@@ -478,262 +518,514 @@ let inbox_complete ib =
   let avail = ib.wr - ib.rd in
   avail >= 4 && avail - 4 >= le32_of_bytes ib.buf ib.rd
 
+(* {3 The worker} *)
+
 (* A worker's minor heap, in words.  The one it inherits is the
    parent's, copy-on-write: its first minor cycles would copy every page
    of it.  A fresh small one is faulted in once and stays in cache. *)
 let worker_minor_heap = 32768
 
-let worker_loop p ~tokenize inputs work_r out ob states_inherited =
+(* Serve requests until the parent quits.  The worker's counters, its
+   learned-entry mark and its state count are reset at each call start,
+   so its report covers that call alone. *)
+let worker_loop p ~tokenize req out ob =
   Gc.set { (Gc.get ()) with Gc.minor_heap_size = worker_minor_heap };
   let cache = Parser.base_cache p in
-  let learned_mark = Cache.learned_count cache in
-  let idx = Bytes.create 4 in
+  let head = Bytes.create item_head_len in
   let hdr = Bytes.create (4 + header_len) in
-  let files = ref 0 in
-  let bytes_n = ref 0 in
+  let files = ref 0 and bytes_n = ref 0 in
+  let learned_mark = ref 0 and states_mark = ref 0 in
+  let serve i input =
+    match tokenize input with
+    | Error msg -> send_msg out (Pf_result (i, Error msg))
+    | Ok word -> (
+      match word.Word.src with
+      | Word.Buf buf -> (
+        match parse_in_place ob p i word buf with
+        | In_place sh -> send_shared out hdr sh
+        | Parsed ((Parser.Unique t | Parser.Ambig t) as r) -> (
+          let ambig = match r with Parser.Ambig _ -> true | _ -> false in
+          match put_shared ob i ~ambig t buf with
+          | sh -> send_shared out hdr sh
+          | exception Unix.Unix_error _ -> send_msg out (Pf_result (i, Ok r)))
+        | Parsed r -> send_msg out (Pf_result (i, Ok r)))
+      | Word.Tokens _ -> send_msg out (Pf_result (i, Ok (Parser.run_word p word))))
+  in
   (try
-     let rec go () =
-       match read_exact work_r idx 0 4 with
-       | exception End_of_file -> ()
-       | () ->
-         let i = le32_of_bytes idx 0 in
-         let input = inputs.(i) in
-         (match tokenize input with
-         | Error msg -> send_msg out (Pf_result (i, Error msg))
-         | Ok word -> (
-           match word.Word.src with
-           | Word.Buf buf -> (
-             match parse_in_place ob p i word buf with
-             | In_place sh -> send_shared out hdr sh
-             | Parsed ((Parser.Unique t | Parser.Ambig t) as r) -> (
-               let ambig = match r with Parser.Ambig _ -> true | _ -> false in
-               match put_shared ob i ~ambig t buf with
-               | sh -> send_shared out hdr sh
-               | exception Unix.Unix_error _ -> send_msg out (Pf_result (i, Ok r)))
-             | Parsed r -> send_msg out (Pf_result (i, Ok r)))
-           | Word.Tokens _ -> send_msg out (Pf_result (i, Ok (Parser.run_word p word)))));
+     while true do
+       read_exact req head 0 1;
+       let kind = Bytes.get head 0 in
+       if kind = req_start then begin
+         read_exact req head 1 1;
+         Instr.enabled := Bytes.get head 1 <> '\000';
+         Instr.reset ();
+         learned_mark := Cache.learned_count cache;
+         states_mark := Cache.num_states cache;
+         files := 0;
+         bytes_n := 0;
+         outbox_rewind ob
+       end
+       else if kind = req_item then begin
+         read_exact req head 1 (item_head_len - 1);
+         let i = le32_of_bytes head 1 in
+         let len = Int64.to_int (Bytes.get_int64_le head 5) in
+         let text = Bytes.create len in
+         read_exact req text 0 len;
+         serve i (Bytes.unsafe_to_string text);
          incr files;
-         bytes_n := !bytes_n + String.length input;
-         go ()
-     in
-     go ();
-     send_msg out
-       (Pf_done
-          ( !files,
-            !bytes_n,
-            Cache.num_states cache - states_inherited,
-            Instr.cache_totals (),
-            Cache.learned_since cache learned_mark ))
+         bytes_n := !bytes_n + len
+       end
+       else if kind = req_end then
+         send_msg out
+           (Pf_done
+              {
+                r_files = !files;
+                r_bytes = !bytes_n;
+                r_new_states = Cache.num_states cache - !states_mark;
+                r_counters = Instr.cache_totals ();
+                r_learned = Cache.learned_since cache !learned_mark;
+              })
+       else raise Exit
+     done
    with _ -> ());
   (try Unix.close out with Unix.Unix_error _ -> ());
   (* Skip at_exit/channel flushing: any buffered output in this image
      belongs to the parent and must not be emitted twice. *)
   Unix._exit 0
 
-(* The largest event density among the trees of [headers] that passed
-   the header checks. *)
-let rec max_density results d = function
-  | [] -> d
-  | sh :: rest ->
-    let d =
-      match results.(sh.sh_file) with
-      | Ok (Parser.Unique _ | Parser.Ambig _) when sh.sh_ntok > 0 ->
-        max d ((sh.sh_nev + sh.sh_ntok - 1) / sh.sh_ntok)
-      | _ -> d
-    in
-    max_density results d rest
-
-(* What the workers learned, taught to the parent's own cache, so the
-   workers of its next call start warm: the table cells and decoded image
-   states they report are recomputed by [Cache.replay], and the event
-   density becomes the largest among this call's trees, so that the next
-   workers' reservations hold their trees.  Once the parent is warm the
-   workers report nothing, and this allocates nothing. *)
-let learn_back p learned results headers =
-  let density = ref 0 in
-  for w = 0 to Array.length learned - 1 do
-    (match learned.(w) with [] -> () | l -> Cache.replay (Parser.base_cache p) l);
-    density := max_density results !density headers.(w)
-  done;
-  if !density > 0 then (Parser.env p).Machine.events_per_token <- !density
+(* {3 Pools} *)
 
 let close_quietly fd = try Unix.close fd with Unix.Unix_error _ -> ()
+
+(* One worker of a pool.  The pipes and the pid are meaningful while
+   [pid <> 0]; the rest is the current call's. *)
+type slot = {
+  file : Unix.file_descr;  (** the worker's result file, for the pool's life *)
+  inbox : inbox;
+  mutable pid : int;  (** 0: no live worker *)
+  mutable req : Unix.file_descr;  (** the parent's end of the request pipe *)
+  mutable res : Unix.file_descr;  (** the parent's end of the result pipe *)
+  mutable in_flight : int;  (** the file the worker has, or -1 *)
+  mutable finished : bool;  (** its report arrived, or it died *)
+  mutable report : call_report option;
+}
+
+type pool = {
+  owner : int;  (** the process that forked the workers; only it releases them *)
+  parser : Parser.t Weak.t;  (** weak, so that the parser can be collected *)
+  current : pool option ref;
+      (** the parser's live pool, which its finaliser releases; shared by
+          the pools that replace one another on that parser *)
+  tokenize : string -> (Word.t, string) result;
+  slots : slot array;
+  head : Bytes.t;  (** request header scratch *)
+  chunk : Bytes.t;  (** result read buffer *)
+  mutable closed : bool;
+}
+
+let pools : pool list ref = ref []
+
+(* Workers whose pipes are closed but which have not been waited for. *)
+let unreaped : int list ref = ref []
+
+(* Close a worker's pipes: it reads that as quit. *)
+let detach s =
+  if s.pid <> 0 then begin
+    close_quietly s.req;
+    close_quietly s.res;
+    unreaped := s.pid :: !unreaped;
+    s.pid <- 0
+  end
+
+(* Release a pool without waiting: its workers exit at their next read and
+   are reaped by a later call or [shutdown].  It runs from the parser's
+   finaliser too, so it does nothing in any process but the owner, which
+   a forked child also inherits. *)
+let release pool =
+  if (not pool.closed) && pool.owner = Unix.getpid () then begin
+    pool.closed <- true;
+    (match !(pool.current) with Some q when q == pool -> pool.current := None | _ -> ());
+    Array.iter
+      (fun s ->
+        detach s;
+        close_quietly s.file)
+      pool.slots;
+    pools := List.filter (fun q -> not q.closed) !pools
+  end
+
+(* Whether [pid] is gone: waited for now, or not a child of ours. *)
+let rec reaped flags pid =
+  match Unix.waitpid flags pid with
+  | exception Unix.Unix_error (Unix.EINTR, _, _) -> reaped flags pid
+  | exception Unix.Unix_error _ -> true
+  | 0, _ -> false
+  | _ -> true
+
+let reap flags =
+  if !unreaped <> [] then unreaped := List.filter (fun pid -> not (reaped flags pid)) !unreaped
+
+let shutdown () =
+  List.iter release !pools;
+  reap []
+
+let () = at_exit shutdown
+
+(* Whether closures [f] and [g] run the same code over physically equal
+   captured values: the fields before the closure info's start of
+   environment (code pointers and closure info) compare raw, and the
+   environment fields with [==].  So a partial application [tokenize l]
+   built afresh for each call is one tokenizer.  The native compiler gives
+   each partial-application site code of its own, so the applications
+   must come from one site. *)
+let same_closure f g =
+  let f = Obj.repr f and g = Obj.repr g in
+  f == g
+  || Obj.tag f = Obj.closure_tag
+     && Obj.tag g = Obj.closure_tag
+     && Obj.size f = Obj.size g
+     &&
+     let start_env o =
+       Nativeint.(to_int (shift_right_logical (shift_left (Obj.raw_field o 1) 8) 9))
+     in
+     let start = start_env f and size = Obj.size f in
+     let rec code i = i >= start || (Nativeint.equal (Obj.raw_field f i) (Obj.raw_field g i) && code (i + 1)) in
+     let rec env i = i >= size || (Obj.field f i == Obj.field g i && env (i + 1)) in
+     start = start_env g && start <= size && code 0 && env start
+
+let create_pool p ~workers ~tokenize ~current =
+  let dir = result_dir () in
+  let opened = ref [] in
+  let slots =
+    try
+      Array.init workers (fun _ ->
+          let file = open_result_file dir in
+          opened := file :: !opened;
+          {
+            file;
+            inbox = inbox_create ();
+            pid = 0;
+            req = file;
+            res = file;
+            in_flight = -1;
+            finished = true;
+            report = None;
+          })
+    with e ->
+      List.iter close_quietly !opened;
+      raise e
+  in
+  let parser = Weak.create 1 in
+  Weak.set parser 0 (Some p);
+  let pool =
+    {
+      owner = Unix.getpid ();
+      parser;
+      current;
+      tokenize;
+      slots;
+      head = Bytes.create item_head_len;
+      chunk = Bytes.create chunk_len;
+      closed = false;
+    }
+  in
+  pools := pool :: !pools;
+  current := Some pool;
+  pool
+
+(* [p]'s pool in this process when it has [workers] workers and
+   [tokenize] is its tokenizer; otherwise the old pool goes and a new one
+   (not yet forked) takes its place.  A replacement inherits the old
+   pool's finaliser through [current], so a parser that changes
+   tokenizers does not keep every pool it had until it is collected. *)
+let find_pool p ~workers ~tokenize =
+  let me = Unix.getpid () in
+  let ours pool =
+    pool.owner = me && match Weak.get pool.parser 0 with Some q -> q == p | None -> false
+  in
+  match List.find_opt ours !pools with
+  | Some pool when Array.length pool.slots = workers && same_closure pool.tokenize tokenize -> pool
+  | old ->
+    let current =
+      match old with
+      | Some q -> q.current
+      | None ->
+        let current = ref None in
+        Gc.finalise (fun _ -> Option.iter release !current) p;
+        current
+    in
+    Option.iter release old;
+    create_pool p ~workers ~tokenize ~current
+
+(* Fork the worker of slot [k].  The child closes every descriptor the
+   parent holds for any pool, its own pool's pipes included, except its
+   own result file. *)
+let fork_worker pool p k =
+  let s = pool.slots.(k) in
+  let req_r, req_w = Unix.pipe ~cloexec:true () in
+  let res_r, res_w =
+    try Unix.pipe ~cloexec:true ()
+    with e ->
+      close_quietly req_r;
+      close_quietly req_w;
+      raise e
+  in
+  match Unix.fork () with
+  | exception e ->
+    List.iter close_quietly [ req_r; req_w; res_r; res_w ];
+    raise e
+  | 0 ->
+    close_quietly req_w;
+    close_quietly res_r;
+    List.iter
+      (fun q ->
+        if not q.closed then
+          Array.iter
+            (fun s' ->
+              if s'.pid <> 0 then begin
+                close_quietly s'.req;
+                close_quietly s'.res
+              end;
+              if s' != s then close_quietly s'.file)
+            q.slots)
+      !pools;
+    worker_loop p ~tokenize:pool.tokenize req_r res_w (outbox_create s.file)
+  | pid ->
+    Unix.close req_r;
+    Unix.close res_w;
+    s.pid <- pid;
+    s.req <- req_w;
+    s.res <- res_r
+
+(* {3 One call} *)
+
+type call = {
+  pool : pool;
+  inputs : string array;
+  results : (Parser.result, string) result array;  (** a file no worker answers keeps its error *)
+  mutable next : int;  (** the next file to hand out *)
+  mutable pending : int;  (** live workers whose report has not arrived *)
+  mutable live : Unix.file_descr list;  (** their result pipes *)
+  mutable density : int;  (** the largest event density among the call's shared trees *)
+}
+
+(* Worker [s] died: its in-flight file stays unreported. *)
+let lost c s =
+  if not s.finished then begin
+    s.finished <- true;
+    c.pending <- c.pending - 1
+  end;
+  if s.pid <> 0 then begin
+    c.live <- List.filter (fun fd -> fd <> s.res) c.live;
+    detach s
+  end;
+  s.inbox.rd <- 0;
+  s.inbox.wr <- 0
+
+(* Send a request; a worker that cannot take it is lost. *)
+let send c s len =
+  match write_all s.req c.pool.head 0 len with
+  | () -> true
+  | exception Unix.Unix_error _ ->
+    lost c s;
+    false
+
+(* Hand idle worker [s] the next file, or the end of the call. *)
+let feed c s =
+  let head = c.pool.head in
+  if c.next < Array.length c.inputs then begin
+    let i = c.next in
+    let input = c.inputs.(i) in
+    c.next <- i + 1;
+    s.in_flight <- i;
+    Bytes.set head 0 req_item;
+    le32_to_bytes head 1 i;
+    Bytes.set_int64_le head 5 (Int64.of_int (String.length input));
+    if send c s item_head_len then
+      match write_all_string s.req input 0 (String.length input) with
+      | () -> ()
+      | exception Unix.Unix_error _ -> lost c s
+  end
+  else begin
+    Bytes.set head 0 req_end;
+    ignore (send c s 1)
+  end
+
+(* The worker's answer to its in-flight file arrived; a frame naming any
+   other file is dropped. *)
+let answered c s i =
+  if s.in_flight >= 0 then begin
+    let ok = i = s.in_flight in
+    s.in_flight <- -1;
+    feed c s;
+    ok
+  end
+  else false
+
+(* Decode every complete frame in [s]'s inbox, in place. *)
+let drain c s =
+  let ib = s.inbox in
+  while s.pid <> 0 && inbox_complete ib do
+    let m = le32_of_bytes ib.buf ib.rd in
+    let at = ib.rd + 5 in
+    let kind = if m > 0 then Bytes.get ib.buf (ib.rd + 4) else ' ' in
+    ib.rd <- ib.rd + 4 + m;
+    if kind = frame_marshal then (
+      match (Marshal.from_bytes ib.buf at : prefork_msg) with
+      | Pf_result (i, outcome) -> if answered c s i then c.results.(i) <- outcome
+      | Pf_done r ->
+        s.report <- Some r;
+        if not s.finished then begin
+          s.finished <- true;
+          c.pending <- c.pending - 1
+        end)
+    else if (kind = frame_unique || kind = frame_ambig) && m = header_len then begin
+      let sh = shared_of_frame ib.buf at ~ambig:(kind = frame_ambig) in
+      if answered c s sh.sh_file then begin
+        (* The worker is already on its next file: copying this one out
+           overlaps with that parse. *)
+        let r = shared_result s.file c.pool.chunk sh c.inputs.(sh.sh_file) in
+        c.results.(sh.sh_file) <- r;
+        match r with
+        | Ok _ when sh.sh_ntok > 0 ->
+          c.density <- max c.density ((sh.sh_nev + sh.sh_ntok - 1) / sh.sh_ntok)
+        | _ -> ()
+      end
+    end
+  done;
+  if ib.rd = ib.wr then begin
+    ib.rd <- 0;
+    ib.wr <- 0
+  end
+
+let slot_of slots fd =
+  let rec go k = if slots.(k).pid <> 0 && slots.(k).res = fd then slots.(k) else go (k + 1) in
+  go 0
+
+(* Open the call on every worker, forking one for each slot without a
+   live worker (a new pool, or one that died); a worker found dead here is
+   replaced at once.  Returns how many were forked. *)
+let start_call c p =
+  let head = c.pool.head in
+  Bytes.set head 0 req_start;
+  Bytes.set head 1 (if !Instr.enabled then '\001' else '\000');
+  let forked = ref 0 in
+  Array.iteri
+    (fun k s ->
+      s.in_flight <- -1;
+      s.report <- None;
+      s.inbox.rd <- 0;
+      s.inbox.wr <- 0;
+      if s.pid <> 0 then ignore (send c s 2);
+      if s.pid = 0 then begin
+        (* Force what the worker will read, so it inherits it built. *)
+        if !forked = 0 then (try ignore (c.pool.tokenize "") with _ -> ());
+        fork_worker c.pool p k;
+        incr forked;
+        ignore (send c s 2)
+      end;
+      if s.pid <> 0 then begin
+        s.finished <- false;
+        c.pending <- c.pending + 1;
+        c.live <- s.res :: c.live
+      end
+      else s.finished <- true)
+    c.pool.slots;
+  !forked
+
+(* Serve one call; returns how many workers it forked. *)
+let serve_call c p =
+  let forked = start_call c p in
+  Array.iter (fun s -> if s.pid <> 0 then feed c s) c.pool.slots;
+  while c.pending > 0 do
+    match Unix.select c.live [] [] (-1.0) with
+    | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+    | readable, _, _ ->
+      List.iter
+        (fun fd ->
+          if List.mem fd c.live then begin
+            let s = slot_of c.pool.slots fd in
+            let ib = s.inbox in
+            inbox_reserve ib;
+            match Unix.read fd ib.buf ib.wr read_size with
+            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
+            | exception Unix.Unix_error _ -> lost c s
+            | 0 -> lost c s
+            | k ->
+              ib.wr <- ib.wr + k;
+              drain c s
+          end)
+        readable
+  done;
+  forked
+
+(* What the workers learned, taught to the parent's own cache, so that a
+   worker it forks later starts warm: the table cells and decoded image
+   states they report are recomputed by [Cache.replay], and the event
+   density becomes the largest among this call's trees.  Once the parent
+   is warm the workers report nothing, and this allocates nothing. *)
+let learn_back p c =
+  Array.iter
+    (fun s ->
+      match s.report with
+      | Some { r_learned = _ :: _ as l; _ } -> Cache.replay (Parser.base_cache p) l
+      | _ -> ())
+    c.pool.slots;
+  if c.density > 0 then (Parser.env p).Machine.events_per_token <- c.density
 
 let run_prefork ?(workers = 2) p ~tokenize inputs =
   let n = Array.length inputs in
   let workers = max 1 workers in
-  (* Force everything workers will read BEFORE forking, so it is inherited
-     ready-built (and, for an mmapped image base, shared physically). *)
-  ignore (Parser.base_cache p);
-  (try ignore (tokenize "") with _ -> ());
+  reap [ Unix.WNOHANG ];
   let states_before = Cache.num_states (Parser.base_cache p) in
-  let results = Array.make n (Error "costar batch: file not reached") in
-  let per_files = Array.make workers 0 in
-  let per_bytes = Array.make workers 0 in
-  let per_new = Array.make workers 0 in
-  let per_cache = Array.make workers [] in
-  if n > 0 then begin
-    (* Result files still open in the parent: each is closed once mapped,
-       and every one on the way out, whatever happens. *)
-    let res_files = Array.make workers None in
-    let close_res w =
-      Option.iter close_quietly res_files.(w);
-      res_files.(w) <- None
-    in
-    Fun.protect ~finally:(fun () -> Array.iteri (fun w _ -> close_res w) res_files)
-    @@ fun () ->
-    let dir = result_dir () in
-    Array.iteri (fun w _ -> res_files.(w) <- Some (open_result_file dir)) res_files;
-    let res_fd w = Option.get res_files.(w) in
-    let work_r, work_w = Unix.pipe ~cloexec:false () in
-    let res_pipes = Array.init workers (fun _ -> Unix.pipe ~cloexec:false ()) in
-    (* The parent may write work after every reader died (all workers
-       crashed): that must surface as EPIPE, not SIGPIPE. *)
-    let old_sigpipe =
-      try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
-      with Invalid_argument _ | Sys_error _ -> None
-    in
-    let pids =
-      Array.init workers (fun w ->
-          match Unix.fork () with
-          | 0 ->
-            (try
-               Unix.close work_w;
-               Array.iteri
-                 (fun w' (r, wfd) ->
-                   Unix.close r;
-                   if w' <> w then Unix.close wfd)
-                 res_pipes;
-               Array.iteri (fun w' _ -> if w' <> w then close_res w') res_files
-             with _ -> Unix._exit 2);
-            worker_loop p ~tokenize inputs work_r (snd res_pipes.(w))
-              (outbox_create (res_fd w)) states_before
-          | pid -> pid)
-    in
-    Unix.close work_r;
-    Array.iter (fun (_, wfd) -> Unix.close wfd) res_pipes;
-    let reported = Array.make n false in
-    let learned = Array.make workers [] in
-    (* Each worker's shared-result headers, newest first. *)
-    let headers = Array.make workers [] in
-    (* The result pipes still open.  The list changes only when a worker
-       exits, so the select loop below allocates per round only what
-       [Unix.select] returns: the parent's allocation then stays a small
-       constant per 64 KB read, however large the results. *)
-    let live = ref (Array.to_list (Array.map fst res_pipes)) in
-    let worker_of fd =
-      let rec go w = if fst res_pipes.(w) = fd then w else go (w + 1) in
-      go 0
-    in
-    let open_fds = ref workers in
-    let inboxes = Array.init workers (fun _ -> inbox_create ()) in
-    let next = ref 0 in
-    let work_open = ref (n > 0) in
-    let close_work () =
-      if !work_open then begin
-        work_open := false;
-        close_quietly work_w
-      end
-    in
-    let handle w = function
-      | Pf_result (i, outcome) ->
-        results.(i) <- outcome;
-        reported.(i) <- true
-      | Pf_done (files, bytes, new_states, counters, l) ->
-        per_files.(w) <- files;
-        per_bytes.(w) <- bytes;
-        per_new.(w) <- new_states;
-        per_cache.(w) <- [ counters ];
-        learned.(w) <- l
-    in
-    (* Decode every complete frame in worker [w]'s inbox, in place.  A
-       header naming no input of this call is dropped. *)
-    let drain w =
-      let ib = inboxes.(w) in
-      while inbox_complete ib do
-        let m = le32_of_bytes ib.buf ib.rd in
-        let kind = if m > 0 then Bytes.get ib.buf (ib.rd + 4) else ' ' in
-        if kind = frame_marshal then
-          handle w (Marshal.from_bytes ib.buf (ib.rd + 5) : prefork_msg)
-        else if (kind = frame_unique || kind = frame_ambig) && m = header_len then begin
-          let sh = shared_of_frame ib.buf (ib.rd + 5) ~ambig:(kind = frame_ambig) in
-          if sh.sh_file >= 0 && sh.sh_file < n then begin
-            headers.(w) <- sh :: headers.(w);
-            reported.(sh.sh_file) <- true
-          end
-        end;
-        ib.rd <- ib.rd + 4 + m
-      done;
-      if ib.rd = ib.wr then begin
-        ib.rd <- 0;
-        ib.wr <- 0
-      end
-    in
-    let idx_bytes = Bytes.create 4 in
-    while !open_fds > 0 do
-      let wfds = if !work_open && !next < n then [ work_w ] else [] in
-      match Unix.select !live wfds [] (-1.0) with
-      | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-      | readable, writable, _ ->
-        List.iter
-          (fun fd ->
-            let w = worker_of fd in
-            let ib = inboxes.(w) in
-            inbox_reserve ib;
-            match Unix.read fd ib.buf ib.wr read_size with
-            | exception Unix.Unix_error (Unix.EINTR, _, _) -> ()
-            | 0 ->
-              live := List.filter (fun fd' -> fd' <> fd) !live;
-              decr open_fds;
-              close_quietly fd
-            | k ->
-              ib.wr <- ib.wr + k;
-              drain w)
-          readable;
-        if writable <> [] then begin
-          le32_to_bytes idx_bytes 0 !next;
-          match write_all work_w idx_bytes 0 4 with
-          | () ->
-            incr next;
-            if !next >= n then close_work ()
-          | exception Unix.Unix_error (Unix.EPIPE, _, _) ->
-            (* Every reader is gone; the unfed files stay unreported. *)
-            close_work ()
-        end
-    done;
-    close_work ();
-    Array.iter (fun pid -> try ignore (Unix.waitpid [] pid) with _ -> ()) pids;
-    (match old_sigpipe with
-    | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
-    | None -> ());
-    Array.iteri
-      (fun w hs ->
-        if hs <> [] then collect_shared results inputs (res_fd w) hs;
-        close_res w)
-      headers;
-    learn_back p learned results headers;
-    for i = 0 to n - 1 do
-      if not reported.(i) then
-        results.(i) <-
-          Error "costar batch: worker process exited before reporting this file"
-    done
-  end;
+  let results = Array.make n (Error "costar batch: worker process exited before reporting this file") in
+  let reports = Array.make workers None in
+  let forked =
+    if n = 0 then 0
+    else begin
+      let pool = find_pool p ~workers ~tokenize in
+      let c =
+        { pool; inputs; results; next = 0; pending = 0; live = []; density = 0 }
+      in
+      (* A worker may die while the parent writes to it: that must surface
+         as EPIPE, not SIGPIPE. *)
+      let old_sigpipe =
+        try Some (Sys.signal Sys.sigpipe Sys.Signal_ignore)
+        with Invalid_argument _ | Sys_error _ -> None
+      in
+      let restore () =
+        match old_sigpipe with
+        | Some h -> ( try Sys.set_signal Sys.sigpipe h with _ -> ())
+        | None -> ()
+      in
+      match serve_call c p with
+      | exception e ->
+        (* The workers may be mid-call: the pool cannot be trusted. *)
+        restore ();
+        release pool;
+        raise e
+      | forked ->
+        restore ();
+        learn_back p c;
+        Array.iteri (fun k s -> reports.(k) <- s.report) pool.slots;
+        forked
+    end
+  in
   let per_domain =
-    Array.init workers (fun w ->
-        {
-          ds_files = per_files.(w);
-          ds_bytes = per_bytes.(w);
-          ds_new_states = per_new.(w);
-          ds_cache = Instr.sum_cache_counters per_cache.(w);
-        })
+    Array.map
+      (function
+        | Some r ->
+          { ds_files = r.r_files; ds_bytes = r.r_bytes; ds_new_states = r.r_new_states; ds_cache = r.r_counters }
+        | None -> { ds_files = 0; ds_bytes = 0; ds_new_states = 0; ds_cache = Instr.sum_cache_counters [] })
+      reports
   in
   ( results,
     {
       st_domains = workers;
       st_rounds = 1;
       st_files = n;
-      st_bytes = Array.fold_left (fun a b -> a + b) 0 per_bytes;
+      st_bytes = Array.fold_left (fun a d -> a + d.ds_bytes) 0 per_domain;
       st_states_before = states_before;
       st_states_after = Cache.num_states (Parser.base_cache p);
+      st_forked = forked;
       st_per_domain = per_domain;
     } )

@@ -39,6 +39,7 @@ type stats = {
   st_bytes : int;
   st_states_before : int;  (** base-cache states before the batch *)
   st_states_after : int;  (** after all overlays were absorbed *)
+  st_forked : int;  (** worker processes this call forked ({!run_prefork}; 0 otherwise) *)
   st_per_domain : domain_stats array;
 }
 
@@ -73,44 +74,68 @@ val run_batch :
     an mmapped v3 cache image ({!Costar_core.Cache.load_image}), all
     workers read one physical copy of the transition matrix.
 
-    Work is sharded over a shared pipe of 4-byte file indices (atomic
-    writes, blocking one-index reads — the process analogue of
-    [run_batch]'s atomic cursor); each worker reports over its own pipe,
-    multiplexed by the parent with [select].  A [Unique]/[Ambig] tree
-    over a {!Word.of_buf} word does not cross the pipe: the worker copies
-    its events and the word's token arrays into a result file the parent
-    created and unlinked before forking (in [/dev/shm] when it is
-    writable, else in [Filename.get_temp_dir_name ()]), and sends a fixed
-    header.  The parent maps each worker's file once and returns such a
-    tree as views into that mapping over its own [inputs.(i)]; the mapping
-    is released when the last view of it is collected.  A header whose
-    region or token offsets fall outside the file or the input becomes a
-    per-file [Error].  Rejects, lexer errors and trees over
+    {b Pools.}  The workers are forked by the first call on [p] and kept,
+    warm, for its later calls: a worker keeps its DFA states, its table
+    cells and its event density from call to call.  A call reuses [p]'s
+    pool when it has [workers] workers and [tokenize] is the pool's
+    tokenizer: the same closure, or a closure of the same code over
+    physically equal captured values, so that a partial application
+    [tokenize l] rebuilt for each call counts as the same tokenizer (the
+    native compiler gives each application site its own code, so it must
+    be built at one site).  Any
+    other tokenizer or worker count shuts the old pool down and forks a
+    new one.  Workers see [p] and [tokenize] as they were when forked:
+    later changes to either in the caller reach a worker only when it is
+    forked again.  A pool ends when [p] is collected (its pipes are
+    closed, the workers exit, and a later call or {!shutdown} reaps
+    them), at {!shutdown}, or at exit; only the process that forked it
+    ends it.  A finaliser on [p] holds the pool, so a [tokenize] that
+    captures [p] keeps both until {!shutdown}.
+
+    {b A call.}  Each worker has its own request pipe and takes one file
+    at a time, its index and its text, so large files load-balance.  A
+    [Unique]/[Ambig] tree over a {!Word.of_buf} word does not cross the
+    pipe: the worker writes its events and the word's token arrays into
+    its own result file (in [/dev/shm] when it is writable, else in
+    [Filename.get_temp_dir_name ()], unlinked before the fork) and sends
+    a fixed header.  The parent reads each such result out of the file
+    into a fresh bigarray (it never maps the file) and builds it over its
+    own [inputs.(i)], so results do not refer to the files the workers
+    rewrite on the next call.  A header whose region or token offsets
+    fall outside the file or the input becomes a per-file [Error].  Rejects, lexer errors and trees over
     {!Word.of_tokens} words come back marshalled.  A worker crash loses
     only its in-flight file, which surfaces as a per-file [Error];
-    remaining files are parsed by the surviving workers.  A worker that
-    cannot write its file because the file system is full dies of
-    [SIGBUS], which is such a crash.
+    remaining files are parsed by the surviving workers, and the next
+    call forks a replacement.  A worker that cannot write its file
+    because the file system is full dies of [SIGBUS], which is such a
+    crash.
 
     A worker parses such a tree straight into its result file when the
-    room it reserves, sized by the parser's event density, holds it;
-    otherwise it copies the tree there.  It runs on a fresh small minor
-    heap, so it does not copy the parent's.  What a worker's cache
-    learns by itself — first-token table cells and decoded image states
-    — comes back in its final frame and is replayed on [p]'s base cache
-    ({!Costar_core.Cache.replay}), and [p]'s event density becomes the
-    largest among the call's trees, so the next call's workers start
-    warm.  DFA states a worker interns past its base die with it, unlike
-    [run_batch]'s overlays.  Verdicts are byte-identical to sequential
-    parsing — cache contents never influence results.
+    room it reserves, sized by its event density, holds it; otherwise it
+    copies the tree there and raises its density.  It runs on a fresh
+    small minor heap, so it does not copy the parent's.  What a worker's
+    cache learns by itself — first-token table cells and decoded image
+    states — comes back with each call and is replayed on [p]'s base
+    cache ({!Costar_core.Cache.replay}), and [p]'s event density becomes
+    the largest among the call's trees, so that replacement workers start
+    warm.  DFA states a worker interns stay in that worker.  Verdicts are
+    byte-identical to sequential parsing — cache contents never influence
+    results.
 
     Must be called from a single-domain process ([Unix.fork] does not
     carry other domains into the child).  In [stats], [st_domains] counts
-    workers and [ds_cache] holds each worker's own instrumentation
-    totals. *)
+    workers, [st_forked] the workers this call forked, and each
+    [st_per_domain] entry that worker's files, bytes, new states and
+    instrumentation counters for this call alone. *)
 val run_prefork :
   ?workers:int ->
   Costar_core.Parser.t ->
   tokenize:(string -> (Word.t, string) result) ->
   string array ->
   (Costar_core.Parser.result, string) result array * stats
+
+(** Shut down every prefork pool this process forked: close their pipes
+    and result files, and wait for every worker, including those of
+    pools released earlier.  The next {!run_prefork} forks afresh.  Runs
+    at exit. *)
+val shutdown : unit -> unit

@@ -202,7 +202,10 @@ let test_prefork_differential () =
                (fun a ds -> a + ds.Batch.ds_files)
                0 st.Batch.st_per_domain))
         [ 2; 4 ])
-    langs
+    langs;
+  (* Eight pools were forked; wait for their workers rather than keep
+     them until the parsers are collected. *)
+  Batch.shutdown ()
 
 (* Prefork over an mmapped v3 cache image: save the warmed base cache,
    reload it image-backed, fork workers over the mapping — still verdict-
@@ -317,10 +320,10 @@ let test_prefork_large_and_crash () =
 
 (* --- prefork result transport --------------------------------------------- *)
 
-(* A tree over a scanner buffer comes back as views into the worker's
-   result file, mapped by the parent; the mapping lives as long as a view
-   of it.  Results of one call must stay intact through a full major
-   collection and a later call (which maps files of its own). *)
+(* A tree over a scanner buffer comes back through the worker's result
+   file, which the parent copies it out of.  Results of one call must
+   stay intact through a full major collection and a later call (whose
+   workers write files of their own). *)
 let test_prefork_results_outlive_the_call () =
   let run l =
     let inputs = corpus_for l in
@@ -364,14 +367,17 @@ let leftover_result_files () =
       | exception Sys_error _ -> [])
     [ "/dev/shm"; Filename.get_temp_dir_name () ]
 
-(* Every call closes what it opened — the pipes and each worker's result
-   file — also when a worker crashes, and leaves no file behind. *)
+(* Pools hold their pipes and result files between calls by design, so
+   the count is taken after [Batch.shutdown], which closes them all —
+   also those of a pool whose worker crashed — and no file is left
+   behind. *)
 let test_prefork_releases_descriptors () =
   let l = Costar_langs.Json.lang in
   let g = Costar_langs.Lang.grammar l in
   let inputs = corpus_for l in
   let crash = "crash this worker" in
   let tokenize s = if s = crash then Unix._exit 3 else tokenize_of_lang l s in
+  Batch.shutdown ();
   let before = open_fds () in
   for k = 1 to 5 do
     let inputs = if k = 3 then Array.append inputs [| crash |] else inputs in
@@ -379,18 +385,20 @@ let test_prefork_releases_descriptors () =
     check_int (Printf.sprintf "call %d: result count" k) (Array.length inputs)
       (Array.length results)
   done;
+  Batch.shutdown ();
   check_int "open descriptors after five calls" before (open_fds ());
   Alcotest.(check (list string)) "no result file left" [] (leftover_result_files ())
 
 (* What still crosses the pipe marshalled: a tree over a token-list word,
    a grammar reject and a lexer error, in one call beside a tree that
-   takes the shared file. *)
+   takes the shared file.  A worker receives a copy of each input, so
+   the tokenizer tells inputs apart by content. *)
 let test_prefork_marshalled_paths () =
   let l = Costar_langs.Json.lang in
   let g = Costar_langs.Lang.grammar l in
   let listed = "[1, {\"a\": [true, null]}, \"s\"]" in
   let tokenize s =
-    if s == listed then Result.map Word.of_tokens (Costar_langs.Lang.tokenize l s)
+    if s = listed then Result.map Word.of_tokens (Costar_langs.Lang.tokenize l s)
     else tokenize_of_lang l s
   in
   let inputs =
@@ -416,7 +424,7 @@ let test_prefork_marshalled_paths () =
           (pp_outcome g) r)
     results
 
-(* The parent checks each header before it builds views over its own
+(* The parent checks each header before it builds a result over its own
    input.  A tokenizer that lexes a padded copy gives tokens past the end
    of the input the parent holds: that file becomes an [Error], and the
    call still returns every other file. *)
@@ -425,7 +433,7 @@ let test_prefork_checks_headers () =
   let g = Costar_langs.Lang.grammar l in
   let short = "[1]" in
   let tokenize s =
-    if s == short then tokenize_of_lang l ("      " ^ s) else tokenize_of_lang l s
+    if s = short then tokenize_of_lang l ("      " ^ s) else tokenize_of_lang l s
   in
   let other = Costar_langs.Lang.generate l ~seed:13 ~size:40 in
   let results, _ =
@@ -596,9 +604,9 @@ let mapped_result_files () =
          in
          has 0)
 
-(* A dropped result's mapping goes with the next major cycle that finds
-   it dead: after 200 calls whose results are dropped, a full major
-   collection leaves no result file mapped. *)
+(* The parent copies results out of the workers' result files and keeps
+   no mapping of them: after 200 calls whose results are dropped, a full
+   major collection leaves no result file mapped. *)
 let test_prefork_dead_mappings () =
   let l = Costar_langs.Json.lang in
   let p = Parser.make (Costar_langs.Lang.grammar l) in
@@ -608,6 +616,281 @@ let test_prefork_dead_mappings () =
   done;
   Gc.full_major ();
   Alcotest.(check (list string)) "no result file mapped" [] (mapped_result_files ())
+
+(* --- prefork pools ----------------------------------------------------------- *)
+
+let check_same what g expected results =
+  check_int (what ^ ": result count") (Array.length expected) (Array.length results);
+  Array.iteri
+    (fun i r ->
+      if not (same_outcome expected.(i) r) then
+        Alcotest.failf "%s: file %d differs: %a vs %a" what i (pp_outcome g) expected.(i)
+          (pp_outcome g) r)
+    results
+
+let sequential_with p tokenize inputs =
+  Array.map
+    (fun s ->
+      match tokenize s with
+      | Error msg -> Error msg
+      | Ok w -> Ok (Parser.run_word p w))
+    inputs
+
+(* S → A | B, A → 'a', B → 'a': the word "a" is ambiguous.  Its
+   tokenizer scans into a buffer, so an ambiguous tree comes back through
+   the result file like the languages' trees. *)
+let ambiguous_grammar =
+  Grammar.define ~start:"S"
+    [
+      ("S", [ [ Grammar.n "A" ]; [ Grammar.n "B" ] ]);
+      ("A", [ [ Grammar.t "a" ] ]);
+      ("B", [ [ Grammar.t "a" ] ]);
+    ]
+
+let tokenize_as s =
+  let a = Option.get (Grammar.terminal_of_name ambiguous_grammar "a") in
+  let buf = Token_buf.create s in
+  match String.index_opt s 'b' with
+  | Some k -> Error (Printf.sprintf "no token at %d" k)
+  | None ->
+    String.iteri (fun k _ -> Token_buf.add buf ~kind:a ~start:k ~stop:(k + 1)) s;
+    Ok (Word.of_buf buf)
+
+(* Four language parsers and an ambiguous one, each with its own pool,
+   serve 20 calls in turn; each call is a different slice of its corpus.
+   Every result equals sequential parsing — trees, Ambig, Reject, lexer
+   errors and a token-list word among them — the first call on a parser
+   forks its two workers, and every later call forks none. *)
+let test_pool_interleaved_calls () =
+  let listed = "[1, {\"a\": [true, null]}, \"s\"]" in
+  let setup l =
+    let tokenize s =
+      if s = listed then Result.map Word.of_tokens (Costar_langs.Lang.tokenize l s)
+      else tokenize_of_lang l s
+    in
+    let corpus = corpus_for l in
+    let corpus = if l == Costar_langs.Json.lang then Array.append corpus [| listed |] else corpus in
+    let g = Costar_langs.Lang.grammar l in
+    (l.Costar_langs.Lang.name, g, Parser.make g, tokenize, corpus,
+     sequential_with (Parser.make g) tokenize corpus)
+  in
+  let servers =
+    Array.of_list
+      (List.map setup langs
+      @ [
+          (let corpus = [| "a"; "aa"; "ab"; "a"; "" |] in
+           ( "ambiguous",
+             ambiguous_grammar,
+             Parser.make ambiguous_grammar,
+             tokenize_as,
+             corpus,
+             sequential_with (Parser.make ambiguous_grammar) tokenize_as corpus ));
+        ])
+  in
+  let seen = Hashtbl.create 8 in
+  let kind = function
+    | Ok (Parser.Unique _) -> "unique"
+    | Ok (Parser.Ambig _) -> "ambig"
+    | Ok (Parser.Reject _) -> "reject"
+    | Ok (Parser.Error _) -> "error"
+    | Error _ -> "lex error"
+  in
+  let served = Array.make (Array.length servers) false in
+  for k = 0 to 19 do
+    let si = k mod Array.length servers in
+    let name, g, p, tokenize, corpus, expected = servers.(si) in
+    let n = Array.length corpus in
+    (* A slice of 2 to n files, at an offset that moves with each call. *)
+    let len = 2 + (k mod (n - 1)) in
+    let idx = Array.init len (fun j -> (k + j) mod n) in
+    let inputs = Array.map (fun j -> corpus.(j)) idx in
+    let results, st = Batch.run_prefork ~workers:2 p ~tokenize inputs in
+    let what = Printf.sprintf "%s call %d" name k in
+    let expected = Array.map (fun j -> expected.(j)) idx in
+    check_same what g expected results;
+    check_int (what ^ ": workers forked") (if served.(si) then 0 else 2) st.Batch.st_forked;
+    check_int (what ^ ": files accounted") len
+      (Array.fold_left (fun a ds -> a + ds.Batch.ds_files) 0 st.Batch.st_per_domain);
+    served.(si) <- true;
+    Array.iter (fun r -> Hashtbl.replace seen (kind r) ()) expected;
+    if Array.mem listed inputs then Hashtbl.replace seen "token list" ()
+  done;
+  List.iter
+    (fun k -> check ("the calls served a " ^ k) true (Hashtbl.mem seen k))
+    [ "unique"; "ambig"; "reject"; "lex error"; "token list" ];
+  Batch.shutdown ()
+
+(* A worker that dies mid-call costs its in-flight file; the next call
+   forks one replacement, and its results are identical. *)
+let test_pool_replaces_a_crashed_worker () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let inputs = corpus_for l in
+  let crash = "crash this worker" in
+  let tokenize s = if s = crash then Unix._exit 3 else tokenize_of_lang l s in
+  let expected = sequential_outcomes l inputs in
+  let p = Parser.make g in
+  let _, st = Batch.run_prefork ~workers:2 p ~tokenize inputs in
+  check_int "the first call forks the pool" 2 st.Batch.st_forked;
+  let with_crash = Array.concat [ Array.sub inputs 0 3; [| crash |]; Array.sub inputs 3 (Array.length inputs - 3) ] in
+  let results, st = Batch.run_prefork ~workers:2 p ~tokenize with_crash in
+  check_int "a warm call forks none" 0 st.Batch.st_forked;
+  Array.iteri
+    (fun i r ->
+      if i = 3 then
+        match r with
+        | Error msg ->
+          Alcotest.(check string) "the crashed file" "costar batch: worker process exited before reporting this file" msg
+        | Ok _ -> Alcotest.fail "the crashing file produced a result"
+      else if not (same_outcome expected.(if i < 3 then i else i - 1) r) then
+        Alcotest.failf "file %d differs in the crashing call" i)
+    results;
+  let results, st = Batch.run_prefork ~workers:2 p ~tokenize inputs in
+  check_int "the next call forks one replacement" 1 st.Batch.st_forked;
+  check_same "after the crash" g expected results;
+  let _, st = Batch.run_prefork ~workers:2 p ~tokenize inputs in
+  check_int "and the call after that none" 0 st.Batch.st_forked;
+  Batch.shutdown ()
+
+(* Another tokenizer on the same parser gets a pool of its own and that
+   tokenizer's results; going back forks again.  A partial application
+   rebuilt for each call at one site, [fresh ()], is the same tokenizer:
+   the same code over the same captured values. *)
+let test_pool_follows_the_tokenizer () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let inputs = corpus_for l in
+  let odd_only s = if String.length s mod 2 = 0 then Error "even length" else tokenize_of_lang l s in
+  let p = Parser.make g in
+  let run tokenize = Batch.run_prefork ~workers:2 p ~tokenize inputs in
+  let fresh () = tokenize_of_lang l in
+  let expected = sequential_outcomes l inputs in
+  let expected_odd = sequential_with (Parser.make g) odd_only inputs in
+  check "the two tokenizers differ on this corpus" true
+    (Array.exists2 (fun a b -> not (same_outcome a b)) expected expected_odd);
+  let results, st = run (fresh ()) in
+  check_same "first tokenizer" g expected results;
+  check_int "forked" 2 st.Batch.st_forked;
+  let results, st = run (fresh ()) in
+  check_same "first tokenizer, rebuilt" g expected results;
+  check_int "a rebuilt partial application reuses the pool" 0 st.Batch.st_forked;
+  let results, st = run odd_only in
+  check_same "second tokenizer" g expected_odd results;
+  check_int "another tokenizer forks a new pool" 2 st.Batch.st_forked;
+  let results, st = run (fresh ()) in
+  check_same "first tokenizer again" g expected results;
+  check_int "and so does going back" 2 st.Batch.st_forked;
+  (* A replaced pool is dropped while its parser lives: its tokenizer,
+     which only that pool holds, is collected. *)
+  let dropped = Weak.create 1 in
+  let[@inline never] serve_once () =
+    let calls = ref 0 in
+    let counting s =
+      incr calls;
+      tokenize_of_lang l s
+    in
+    Weak.set dropped 0 (Some counting);
+    ignore (run counting)
+  in
+  serve_once ();
+  ignore (run (fresh ()));
+  Gc.full_major ();
+  check "a replaced pool's tokenizer is collected" true (Option.is_none (Weak.get dropped 0));
+  Batch.shutdown ()
+
+(* A worker rewrites its result file from the start on every call.  The
+   results of a call are copies, so the next call on the same pool, which
+   overwrites the same file regions, leaves them intact. *)
+let test_pool_results_survive_the_next_call () =
+  let l = Costar_langs.Minipy.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let first = Array.init 4 (fun k -> Costar_langs.Lang.generate l ~seed:(40 + k) ~size:(150 + (20 * k))) in
+  let second = Array.init 4 (fun k -> Costar_langs.Lang.generate l ~seed:(50 + k) ~size:(150 + (20 * k))) in
+  let p = Parser.make g in
+  let tokenize = tokenize_of_lang l in
+  let r1, _ = Batch.run_prefork ~workers:2 p ~tokenize first in
+  let r2, st = Batch.run_prefork ~workers:2 p ~tokenize second in
+  check_int "the second call reuses the pool" 0 st.Batch.st_forked;
+  Gc.full_major ();
+  check_same "first call, after the second" g (sequential_outcomes l first) r1;
+  check_same "second call" g (sequential_outcomes l second) r2;
+  Batch.shutdown ()
+
+let children pid =
+  In_channel.with_open_text (Printf.sprintf "/proc/%d/task/%d/children" pid pid) In_channel.input_all
+  |> String.split_on_char ' '
+  |> List.filter_map int_of_string_opt
+
+(* Gone, or a zombie that only its reaper still has to wait for. *)
+let exited pid =
+  match In_channel.with_open_text (Printf.sprintf "/proc/%d/stat" pid) In_channel.input_all with
+  | exception Sys_error _ -> true
+  | stat ->
+    let i = String.rindex stat ')' in
+    i + 2 < String.length stat && stat.[i + 2] = 'Z'
+
+let within seconds f =
+  let deadline = Unix.gettimeofday () +. seconds in
+  let rec go () = f () || (Unix.gettimeofday () < deadline && (Unix.sleepf 0.01; go ())) in
+  go ()
+
+(* A pool's workers read end of file once no process holds their request
+   pipes: when the process that owns the pool is killed outright, no
+   handler runs, and its workers still exit. *)
+let test_pool_dies_with_its_owner () =
+  let l = Costar_langs.Json.lang in
+  let inputs = Array.sub (corpus_for l) 0 4 in
+  let ready_r, ready_w = Unix.pipe () in
+  match Unix.fork () with
+  | 0 ->
+    (try
+       Unix.close ready_r;
+       let p = Parser.make (Costar_langs.Lang.grammar l) in
+       ignore (Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs);
+       ignore (Unix.write_substring ready_w "r" 0 1);
+       Unix.sleep 60
+     with _ -> ());
+    Unix._exit 1
+  | child ->
+    Unix.close ready_w;
+    let got = Unix.read ready_r (Bytes.create 1) 0 1 in
+    Unix.close ready_r;
+    let workers = children child in
+    Unix.kill child Sys.sigkill;
+    ignore (Unix.waitpid [] child);
+    check_int "the child served a call" 1 got;
+    check_int "the child owned two workers" 2 (List.length workers);
+    check "its workers exit within 1 s" true (within 1.0 (fun () -> List.for_all exited workers))
+
+(* A pool whose parser is collected closes its pipes from the parser's
+   finaliser, and its workers exit; [shutdown] waits for them and for
+   every live pool's workers, so no child is left. *)
+let test_shutdown_leaves_no_child () =
+  let l = Costar_langs.Json.lang in
+  let g = Costar_langs.Lang.grammar l in
+  let inputs = Array.sub (corpus_for l) 0 4 in
+  let me = Unix.getpid () in
+  let p = Parser.make g in
+  ignore (Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs);
+  let before = children me in
+  let serve_and_drop () =
+    ignore (Batch.run_prefork ~workers:2 (Parser.make g) ~tokenize:(tokenize_of_lang l) inputs)
+  in
+  serve_and_drop ();
+  let dropped = List.filter (fun pid -> not (List.mem pid before)) (children me) in
+  check_int "the dropped parser had two workers" 2 (List.length dropped);
+  Gc.full_major ();
+  Gc.full_major ();
+  check "they exit once their parser is collected" true
+    (within 1.0 (fun () -> List.for_all exited dropped));
+  Batch.shutdown ();
+  (match Unix.waitpid [ Unix.WNOHANG ] (-1) with
+  | exception Unix.Unix_error (Unix.ECHILD, _, _) -> ()
+  | pid, _ -> Alcotest.failf "child %d is left after shutdown" pid);
+  let results, st = Batch.run_prefork ~workers:2 p ~tokenize:(tokenize_of_lang l) inputs in
+  check_int "after shutdown a call forks afresh" 2 st.Batch.st_forked;
+  check_same "after shutdown" g (sequential_outcomes l inputs) results;
+  Batch.shutdown ()
 
 (* --- random-grammar differential ----------------------------------------- *)
 
@@ -858,6 +1141,18 @@ let () =
             test_replay_ignores_malformed;
           Alcotest.test_case "prefork: dropped results unmapped by a major GC" `Quick
             test_prefork_dead_mappings;
+          Alcotest.test_case "pool = sequential over 20 interleaved calls" `Quick
+            test_pool_interleaved_calls;
+          Alcotest.test_case "pool replaces a crashed worker" `Quick
+            test_pool_replaces_a_crashed_worker;
+          Alcotest.test_case "pool follows the tokenizer" `Quick
+            test_pool_follows_the_tokenizer;
+          Alcotest.test_case "pool results survive the next call" `Quick
+            test_pool_results_survive_the_next_call;
+          Alcotest.test_case "pool workers exit with their owner" `Quick
+            test_pool_dies_with_its_owner;
+          Alcotest.test_case "pool: shutdown leaves no child" `Quick
+            test_shutdown_leaves_no_child;
           Alcotest.test_case "batch = sequential (4 langs, cold+warm+rounds)"
             `Slow test_batch_differential;
           Alcotest.test_case "batch token buffers = sequential (1/2/4 domains)"
