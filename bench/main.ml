@@ -694,14 +694,11 @@ let pipeline_bench cfg corpora =
     "== E14: zero-copy token pipeline (equivalence-classed DFA, \
      struct-of-arrays buffer, array cursor) ==";
   print_endline
-    "(end-to-end source-to-tree: tokenize + parse per sample, warm shared \
-     prediction cache;";
-  print_endline
-    " list = legacy Token.t-list pipeline, buf = compiled scanner into the \
-     token buffer;";
+    "(end-to-end source-to-tree: Lang.tokenize_buf + run_word per sample, \
+     warm shared prediction cache;";
   print_endline " min over samples, largest file per language)";
-  Printf.printf "%-10s %9s %8s %10s %10s %9s %9s %8s\n" "Benchmark" "bytes"
-    "tokens" "list(ms)" "buf(ms)" "listMB/s" "bufMB/s" "speedup";
+  Printf.printf "%-10s %9s %8s %10s %9s %10s %12s\n" "Benchmark" "bytes"
+    "tokens" "e2e(ms)" "e2e MB/s" "lex Mtok/s" "lex words/tok";
   List.iter
     (fun { lang; files } ->
       let p = P.make (Lang.grammar lang) in
@@ -710,31 +707,13 @@ let pipeline_bench cfg corpora =
          measured region is the lex+parse hot path, not cache learning. *)
       let shared = warmed_cache p files in
       let trials = max 7 cfg.trials in
-      let list_t =
-        time_best ~trials (fun () ->
-            let toks = Lang.tokenize_exn lang f.src in
-            parse_list ~cache:shared p toks)
-      in
       let buf_t =
         time_best ~trials (fun () ->
             let buf = Lang.tokenize_buf_exn lang f.src in
             P.run_word ~cache:shared p (Word.of_buf buf))
       in
-      let mb_s t = float_of_int f.bytes /. t /. 1e6 in
-      Printf.printf "%-10s %9d %8d %10.3f %10.3f %9.1f %9.1f %7.2fx\n"
-        lang.Lang.name f.bytes f.n_toks (list_t *. 1e3) (buf_t *. 1e3)
-        (mb_s list_t) (mb_s buf_t) (list_t /. buf_t);
-      Bench_json.record ~bench:"pipeline"
-        (lang.Lang.name ^ ".list_mb_s") (mb_s list_t);
-      Bench_json.record ~bench:"pipeline"
-        (lang.Lang.name ^ ".buf_mb_s") (mb_s buf_t);
-      Bench_json.record ~bench:"pipeline"
-        (lang.Lang.name ^ ".buf_speedup") (list_t /. buf_t);
-      (* Lex-only split, plus the buffer scan's steady-state allocation. *)
-      let lex_list_t =
-        time_best ~trials (fun () -> Lang.tokenize_exn lang f.src)
-      in
-      let lex_buf_t =
+      (* Lex-only throughput, plus the scan's steady-state allocation. *)
+      let lex_t =
         time_best ~trials (fun () -> Lang.tokenize_buf_exn lang f.src)
       in
       let reps = 5 in
@@ -745,12 +724,13 @@ let pipeline_bench cfg corpora =
       let minor_per_tok =
         (Gc.minor_words () -. m0) /. float_of_int (reps * max 1 f.n_toks)
       in
-      Printf.printf
-        "           lex only: list %.2f Mtok/s, buf %.2f Mtok/s (%.2fx); \
-         buf steady-state %.3f minor words/token\n"
-        (float_of_int f.n_toks /. lex_list_t /. 1e6)
-        (float_of_int f.n_toks /. lex_buf_t /. 1e6)
-        (lex_list_t /. lex_buf_t) minor_per_tok;
+      let mb_s t = float_of_int f.bytes /. t /. 1e6 in
+      Printf.printf "%-10s %9d %8d %10.3f %9.1f %10.2f %12.3f\n"
+        lang.Lang.name f.bytes f.n_toks (buf_t *. 1e3) (mb_s buf_t)
+        (float_of_int f.n_toks /. lex_t /. 1e6)
+        minor_per_tok;
+      Bench_json.record ~bench:"pipeline"
+        (lang.Lang.name ^ ".buf_mb_s") (mb_s buf_t);
       Bench_json.record ~bench:"pipeline"
         (lang.Lang.name ^ ".buf_minor_words_per_tok") minor_per_tok)
     corpora;
@@ -901,34 +881,22 @@ let prefork_bench cfg =
           /. float_of_int (max 1 f.n_toks)
         in
         let scan_words =
-          match Lang.scanner lang with
-          | None -> nan
-          | Some sc -> (
-            match Costar_lex.Scanner.compile sc g with
-            | Error msg -> failwith msg
-            | Ok compiled ->
-              let buf = Token_buf.create f.src in
-              Costar_lex.Scanner.scan_into compiled buf f.src;
-              let n = max 1 (Token_buf.length buf) in
-              min_words 3 (fun () ->
-                  Token_buf.clear buf;
-                  Costar_lex.Scanner.scan_into compiled buf f.src)
-              /. float_of_int n)
+          let compiled = Costar_lex.Scanner.compile (Lang.scanner lang) g in
+          let buf = Token_buf.create f.src in
+          Costar_lex.Scanner.scan_into compiled buf f.src;
+          let n = max 1 (Token_buf.length buf) in
+          min_words 3 (fun () ->
+              Token_buf.clear buf;
+              Costar_lex.Scanner.scan_into compiled buf f.src)
+          /. float_of_int n
         in
-        if Float.is_nan scan_words then
-          Printf.printf
-            "           alloc: end-to-end %.2f minor words/token (tree + \
-             machine; scanner not a plain DFA)\n"
-            e2e_words
-        else begin
-          Printf.printf
-            "           alloc: scan %.3f minor words/token (data plane), \
-             end-to-end %.2f minor words/token (tree + machine)\n"
-            scan_words e2e_words;
-          Bench_json.record ~bench:"E16"
-            (lang.Lang.name ^ ".scan_minor_words_per_tok")
-            scan_words
-        end;
+        Printf.printf
+          "           alloc: scan %.3f minor words/token (data plane), \
+           end-to-end %.2f minor words/token (tree + machine)\n"
+          scan_words e2e_words;
+        Bench_json.record ~bench:"E16"
+          (lang.Lang.name ^ ".scan_minor_words_per_tok")
+          scan_words;
         if lang.Lang.name = "json" then json_words := e2e_words;
         Bench_json.record ~bench:"E16"
           (lang.Lang.name ^ ".e2e_minor_words_per_tok")

@@ -81,61 +81,41 @@ let or_die = function
     prerr_endline ("costar: " ^ msg);
     exit 1
 
-(* Tokenize [input] for the selected source: a built-in language uses its
-   lexer, a --lexer spec builds one, and a bare grammar interprets the
-   input as whitespace-separated terminal names. *)
-let tokens_of_input ?lexer g lang input =
+(* The lexer for the selected source, built once: a built-in language
+   uses its own, a --lexer spec builds one, and a bare grammar interprets
+   the input as whitespace-separated terminal names. *)
+let word_lexer ?lexer g lang =
   match lang, lexer with
-  | Some l, _ -> (
-    match Costar_langs.Lang.tokenize l input with
-    | Ok toks -> Ok toks
-    | Error msg -> Error msg)
+  | Some l, _ ->
+    fun input -> Result.map Word.of_buf (Costar_langs.Lang.tokenize_buf l input)
   | None, Some path -> (
     match Costar_lex.Spec.scanner_of_string (read_file path) with
-    | Error msg -> Error (Printf.sprintf "%s: %s" path msg)
-    | Ok sc -> (
-      match Costar_lex.Scanner.tokenize sc g input with
-      | Ok toks -> Ok toks
-      | Error e -> Error (Fmt.str "%a" Costar_lex.Scanner.pp_error e)))
-  | None, None -> (
-    let names =
-      List.filter (fun s -> s <> "") (String.split_on_char ' '
-        (String.concat " " (String.split_on_char '\n' input)))
-    in
-    match
-      List.partition_map
-        (fun name ->
-          match Grammar.terminal_of_name g name with
-          | Some a -> Left (Token.make a name)
-          | None -> Right name)
-        names
-    with
-    | toks, [] -> Ok toks
-    | _, bad ->
-      Error
-        (Printf.sprintf "not terminals of the grammar: %s"
-           (String.concat ", " bad)))
-
-(* The zero-copy pipeline, when the source has a real lexer: a built-in
-   language, or a --lexer spec whose rule names all resolve against the
-   grammar.  [None] means fall back to the list path ([tokens_of_input]):
-   either the input is bare terminal names, or the spec has rules the
-   grammar lacks — which the legacy path reports lazily, only if such a
-   token actually appears. *)
-let buf_of_input ?lexer g lang input =
-  match lang, lexer with
-  | Some l, _ -> Some (Costar_langs.Lang.tokenize_buf l input)
-  | None, Some path -> (
-    match Costar_lex.Spec.scanner_of_string (read_file path) with
-    | Error msg -> Some (Error (Printf.sprintf "%s: %s" path msg))
-    | Ok sc -> (
-      match Costar_lex.Scanner.compile sc g with
-      | Error _ -> None
-      | Ok c -> (
+    | Error msg -> fun _ -> Error (Printf.sprintf "%s: %s" path msg)
+    | Ok sc ->
+      let c = Costar_lex.Scanner.compile sc g in
+      fun input ->
         match Costar_lex.Scanner.scan_buf c input with
-        | Ok buf -> Some (Ok buf)
-        | Error e -> Some (Error (Fmt.str "%a" Costar_lex.Scanner.pp_error e)))))
-  | None, None -> None
+        | Ok buf -> Ok (Word.of_buf buf)
+        | Error e -> Error (Fmt.str "%a" Costar_lex.Scanner.pp_error e))
+  | None, None -> (
+    fun input ->
+      let names =
+        List.filter (fun s -> s <> "") (String.split_on_char ' '
+          (String.concat " " (String.split_on_char '\n' input)))
+      in
+      match
+        List.partition_map
+          (fun name ->
+            match Grammar.terminal_of_name g name with
+            | Some a -> Left (Token.make a name)
+            | None -> Right name)
+          names
+      with
+      | toks, [] -> Ok (Word.of_tokens toks)
+      | _, bad ->
+        Error
+          (Printf.sprintf "not terminals of the grammar: %s"
+             (String.concat ", " bad)))
 
 let resolve_source lang grammar start =
   match lang, grammar with
@@ -279,14 +259,9 @@ let parse_cmd =
     let lex_t0 = Unix.gettimeofday () in
     let lex_minor0 = Gc.minor_words () in
     let lex_heap0 = Token_buf.allocated_bytes () in
+    let lex = word_lexer ?lexer g l in
     let word =
-      match buf_of_input ?lexer g l text with
-      | Some (Ok buf) -> Ok (Word.of_buf buf)
-      | Some (Error msg) -> Error msg
-      | None -> Result.map Word.of_tokens (tokens_of_input ?lexer g l text)
-    in
-    let word =
-      match word with
+      match lex text with
       | Ok w -> w
       | Error msg ->
         (* A lexical failure renders exactly like a parse failure: one
@@ -332,27 +307,24 @@ let parse_cmd =
         (* Includes prediction instrumentation, which --stats turns on. *)
         Printf.eprintf "parsing: %.4fs; %.3f minor words/token\n" parse_t
           (per_token parse_minor);
-        (* Warm steady-state: rerun the buffer pipeline now that the
-           compiled scanner (and any lazy tables) exist. *)
-        (match buf_of_input ?lexer g l text with
-        | Some (Ok _) ->
+        (* Warm steady-state: rerun the lexer now that the compiled
+           scanner (and any lazy tables) exist. *)
+        if l <> None || lexer <> None then begin
           let t0 = Unix.gettimeofday () in
           let m0 = Gc.minor_words () in
           let h0 = Token_buf.allocated_bytes () in
-          (match buf_of_input ?lexer g l text with
-          | Some (Ok buf) ->
-            let t = Unix.gettimeofday () -. t0 in
-            let m = Gc.minor_words () -. m0 in
-            let h = Token_buf.allocated_bytes () - h0 in
-            let per_tok x = x /. float_of_int (max 1 (Token_buf.length buf)) in
-            Printf.eprintf
-              "lexing (warm): %.2f Mtokens/s, %.1f MB/s; %.3f minor \
-               words/token (%.1f off-heap bytes/token)\n"
-              (toks_s t /. 1e6)
-              (float_of_int (String.length text) /. t /. 1e6)
-              (per_tok m) (per_tok (float_of_int h))
-          | _ -> ())
-        | _ -> ())
+          let n = Result.fold ~ok:Word.length ~error:(fun _ -> 0) (lex text) in
+          let t = Unix.gettimeofday () -. t0 in
+          let m = Gc.minor_words () -. m0 in
+          let h = Token_buf.allocated_bytes () - h0 in
+          let per_tok x = x /. float_of_int (max 1 n) in
+          Printf.eprintf
+            "lexing (warm): %.2f Mtokens/s, %.1f MB/s; %.3f minor \
+             words/token (%.1f off-heap bytes/token)\n"
+            (toks_s t /. 1e6)
+            (float_of_int (String.length text) /. t /. 1e6)
+            (per_tok m) (per_tok (float_of_int h))
+        end
       end;
       if stats then begin
         let module I = Costar_core.Instr in
@@ -982,10 +954,10 @@ let batch_cmd =
         print_newline ()
     in
     let recover_report i =
-      match Costar_langs.Lang.tokenize l contents.(i) with
+      match Costar_langs.Lang.tokenize_buf l contents.(i) with
       | Error msg -> print_diags [ R.lex_diag ~file:files.(i) msg ]
-      | Ok toks ->
-        let o = R.run_word ~file:files.(i) (Lazy.force eng) (Word.of_tokens toks) in
+      | Ok buf ->
+        let o = R.run_word ~file:files.(i) (Lazy.force eng) (Word.of_buf buf) in
         print_diags (R.diagnostics o)
     in
     let failures = ref 0 in
@@ -1202,19 +1174,21 @@ let cover_cmd =
     let g, l = resolve_source lang grammar start in
     let scanner =
       match l, lexer with
-      | Some l, _ -> Costar_langs.Lang.scanner l
+      | Some l, _ -> Some (Costar_langs.Lang.scanner l)
       | None, Some path ->
         Some (or_die (Costar_lex.Spec.scanner_of_string (read_file path)))
       | None, None -> None
     in
     let t = Cover.make ?scanner g in
+    let lex = word_lexer ?lexer g l in
+    let tokens_of_input text = Result.map Word.to_tokens (lex text) in
     (* Corpus pass: every input through the instrumented parser (and, at
        byte level, the lexer replay). *)
     let corpus_toks =
       List.map
         (fun path ->
           let text = read_file path in
-          let toks = or_die (tokens_of_input ?lexer g l text) in
+          let toks = or_die (tokens_of_input text) in
           ignore (Cover.mark_tokens t toks);
           if scanner <> None then ignore (Cover.mark_bytes t text);
           (path, toks))
@@ -1328,7 +1302,7 @@ let cover_cmd =
             let label =
               Printf.sprintf "%s#%d (%s)" base k (Mutate.edit_to_string edit)
             in
-            match tokens_of_input ?lexer g l s with
+            match tokens_of_input s with
             | Error msg ->
               (* Lexical rejection: the P004 path must still produce a
                  well-formed diagnostic. *)

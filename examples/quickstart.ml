@@ -35,15 +35,18 @@ let () =
       ]
   in
 
-  (* 3. Build the parser once, run it on many inputs. *)
+  (* 3. Bind the lexer to the grammar and build the parser once, then run
+        them on many inputs.  A scan fills a token buffer, which the parser
+        reads as a word. *)
+  let lexer = Scanner.compile scanner grammar in
   let parser = Costar_core.Parser.make grammar in
   List.iter
     (fun input ->
       Printf.printf "%-24s => " (String.escaped input);
-      match Scanner.tokenize scanner grammar input with
+      match Scanner.scan_buf lexer input with
       | Error e -> Fmt.pr "%a@." Scanner.pp_error e
       | Ok tokens -> (
-        match Costar_core.Parser.run_word parser (Word.of_tokens tokens) with
+        match Costar_core.Parser.run_word parser (Word.of_buf tokens) with
         | Costar_core.Parser.Unique tree ->
           (* Mid-line: Tree.pp lays the tree out as at a line start and
              prints it as one block. *)

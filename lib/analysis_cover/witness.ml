@@ -335,10 +335,10 @@ let lexeme_table (t : Cover.t) =
    kind-for-kind; [None] (stay token-level) when a terminal has no lexeme
    or the rendering re-tokenizes differently (e.g. two adjacent lexemes
    fusing into one). *)
-let render_bytes (t : Cover.t) ~lexemes ~sep terms =
-  match t.Cover.scanner with
+let render_bytes (t : Cover.t) ~scan ~lexemes ~sep terms =
+  match scan with
   | None -> None
-  | Some sc -> (
+  | Some c -> (
     let rec collect acc = function
       | [] -> Some (List.rev acc)
       | a :: rest -> (
@@ -350,10 +350,10 @@ let render_bytes (t : Cover.t) ~lexemes ~sep terms =
     | None -> None
     | Some ws -> (
       let text = String.concat sep ws in
-      match Scanner.tokenize sc t.Cover.g text with
-      | Ok toks
-        when List.length toks = List.length terms
-             && List.for_all2 (fun tok a -> Token.term tok = a) toks terms ->
+      match Scanner.scan_buf c text with
+      | Ok buf
+        when Token_buf.length buf = List.length terms
+             && List.filteri (fun i a -> Token_buf.kind buf i <> a) terms = [] ->
         Some text
       | _ -> None))
 
@@ -372,11 +372,12 @@ type generated = {
    witnesses — mark the lexer universe. *)
 let close (t : Cover.t) =
   let lexemes, sep = lexeme_table t in
+  let scan = Option.map (fun sc -> Scanner.compile sc t.Cover.g) t.Cover.scanner in
   let prefix = prefix_fn t in
   let ctxs = contexts_fn t in
   let out = ref [] in
   let try_tokens label terms =
-    let bytes = render_bytes t ~lexemes ~sep terms in
+    let bytes = render_bytes t ~scan ~lexemes ~sep terms in
     ignore
       (Cover.mark_tokens t (Analyze.tokens_of_terms t.Cover.g terms));
     Option.iter (fun b -> ignore (Cover.mark_bytes t b)) bytes;

@@ -4,10 +4,11 @@
    built only when a consumer asks for one (a viewed parse-tree leaf, an
    error message).
 
-   Both frontends lower to this one representation: [of_tokens] wraps
-   the legacy list pipeline (the tokens already exist, so [token] just
-   indexes them), [of_buf] wraps the zero-copy buffer pipeline ([token]
-   slices the lexeme and locates the position on demand).  [of_buf]
+   Both token sources lower to this one representation: [of_buf] wraps
+   a scanner's token buffer ([token] slices the lexeme and locates the
+   position on demand), [of_tokens] wraps tokens that already exist
+   (terminal-name input, token-level mutants; [token] just indexes
+   them).  [of_buf]
    shares the buffer's bigarray storage through views narrowed to the
    tokens — no copy, and the cursor adds nothing to GC scan work
    (DESIGN.md §13).  A word holds data only, no closure, so a parse tree

@@ -4,10 +4,11 @@
     bigarray, shared with the producing {!Token_buf}) plus the token
     source it indexes; the core consumes [(word, index)] pairs so the
     prediction fast path is pure unboxed array reads, and a parse-tree
-    leaf is just a token index into its word.  Produced from either
-    frontend: {!of_tokens} (legacy list pipeline) or {!of_buf} (zero-copy
-    buffer pipeline).  A word holds no closure, so trees over it marshal
-    without [Marshal.Closures]. *)
+    leaf is just a token index into its word.  Built over a scanner's
+    token buffer ({!of_buf}) or over tokens that already exist
+    ({!of_tokens}: terminal-name input, token-level mutants, tests).  A
+    word holds no closure, so trees over it marshal without
+    [Marshal.Closures]. *)
 
 (** Where the tokens come from: a scanner buffer (tokens materialized on
     demand) or the tokens themselves. *)

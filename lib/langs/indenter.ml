@@ -1,4 +1,3 @@
-open Costar_lex
 module G = Costar_grammar.Grammar
 module Token_buf = Costar_grammar.Token_buf
 module Lines = Costar_grammar.Lines
@@ -6,81 +5,7 @@ module Lines = Costar_grammar.Lines
 let openers = [ "("; "["; "{" ]
 let closers = [ ")"; "]"; "}" ]
 
-let synth kind line col = { Scanner.kind; lexeme = ""; line; col }
-
-let run ~eof raws =
-  let out = ref [] in
-  let emit r = out := r :: !out in
-  let indents = ref [ 0 ] in
-  let depth = ref 0 in
-  let line_has_content = ref false in
-  let at_line_start = ref true in
-  let error = ref None in
-  let handle_line_start (tok : Scanner.raw) =
-    let col = tok.Scanner.col in
-    (match !indents with
-    | top :: _ when col > top ->
-      indents := col :: !indents;
-      emit (synth "INDENT" tok.line 0)
-    | _ ->
-      let rec dedent () =
-        match !indents with
-        | top :: rest when col < top ->
-          indents := rest;
-          emit (synth "DEDENT" tok.line 0);
-          dedent ()
-        | top :: _ ->
-          if col <> top then
-            error :=
-              Some
-                (Printf.sprintf
-                   "line %d: unindent does not match any outer level" tok.line)
-        | [] -> assert false
-      in
-      dedent ());
-    at_line_start := false
-  in
-  List.iter
-    (fun (tok : Scanner.raw) ->
-      if !error = None then
-        if tok.Scanner.kind = "NEWLINE" then begin
-          if !depth = 0 && !line_has_content then begin
-            emit { tok with lexeme = "" };
-            line_has_content := false;
-            at_line_start := true
-          end
-          (* Blank line or implicit join: drop the newline. *)
-        end
-        else begin
-          if !at_line_start && !depth = 0 then handle_line_start tok;
-          if List.mem tok.kind openers then incr depth
-          else if List.mem tok.kind closers then depth := max 0 (!depth - 1);
-          line_has_content := true;
-          emit tok
-        end)
-    raws;
-  match !error with
-  | Some msg -> Error msg
-  | None ->
-    (* End of input: the start of the line after the last emitted token
-       when the input has one, else the end of input (see [run_buf]). *)
-    let line, col =
-      match !out with
-      | [] -> eof
-      | r :: _ ->
-        let last = ref r.Scanner.line in
-        String.iter (fun c -> if c = '\n' then incr last) r.Scanner.lexeme;
-        if !last < fst eof then (!last + 1, 0) else eof
-    in
-    if !line_has_content then emit (synth "NEWLINE" line col);
-    List.iter
-      (fun level -> if level > 0 then emit (synth "DEDENT" line col))
-      !indents;
-    Ok (List.rev !out)
-
-(* --- Buffer pass --------------------------------------------------------
-
-   The same algorithm over the struct-of-arrays token buffer: kinds are
+(* The pass runs over the struct-of-arrays token buffer: kinds are
    terminal ids (resolved against the grammar once, here), synthesized
    tokens are zero-width entries ([start = stop]) anchored at the start
    of the line they open or close, and columns at line starts come from
@@ -191,7 +116,7 @@ let run_buf ids buf =
       if role = newline then begin
         flush run i;
         if depth = 0 && has_content then begin
-          (* Zero-width, like the list pass's lexeme-erased NEWLINE. *)
+          (* Zero-width: a NEWLINE token has an empty lexeme. *)
           let ofs = Token_buf.start_ofs buf i in
           emit_at ids.newline ofs;
           last_stop := ofs;

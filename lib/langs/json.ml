@@ -52,22 +52,6 @@ let scanner =
          Scanner.rule "WS" ~skip:true (plus (set " \t\r\n"));
        ])
 
-let tokenize input =
-  match Scanner.tokenize (Lazy.force scanner) (Lazy.force grammar) input with
-  | Ok toks -> Ok toks
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-
-let compiled =
-  lazy
-    (match Scanner.compile (Lazy.force scanner) (Lazy.force grammar) with
-    | Ok c -> c
-    | Error msg -> failwith ("Json.compiled: " ^ msg))
-
-let tokenize_buf input =
-  match Scanner.scan_buf (Lazy.force compiled) input with
-  | Ok buf -> Ok buf
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-
 (* --- Generator --------------------------------------------------------- *)
 
 let gen_string st =
@@ -122,12 +106,4 @@ let generate ~seed ~size =
   Gen_util.add st "]\n";
   Gen_util.contents st
 
-let lang : Lang.t =
-  {
-    Lang.name = "json";
-    grammar;
-    tokenize;
-    tokenize_buf;
-    generate;
-    scanner = Some scanner;
-  }
+let lang = Lang.make ~name:"json" ~grammar ~scanner ~generate ()

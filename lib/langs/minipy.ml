@@ -161,47 +161,6 @@ let scanner =
            Scanner.rule "WS" ~skip:true (plus (set " \t"));
          ]))
 
-let tokenize input =
-  let g = Lazy.force grammar in
-  match Scanner.scan (Lazy.force scanner) input with
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-  | Ok raws -> (
-    let eof =
-      Costar_grammar.Lines.(pos (build input) (String.length input))
-    in
-    match Indenter.run ~eof raws with
-    | Error msg -> Error msg
-    | Ok logical -> (
-      let module G = Costar_grammar.Grammar in
-      let module Tk = Costar_grammar.Token in
-      let rec resolve acc = function
-        | [] -> Ok (List.rev acc)
-        | (r : Scanner.raw) :: rest -> (
-          match G.terminal_of_name g r.kind with
-          | Some term ->
-            resolve (Tk.make ~line:r.line ~col:r.col term r.lexeme :: acc) rest
-          | None ->
-            Error
-              (Printf.sprintf "line %d: unknown token kind %s" r.line r.kind))
-      in
-      resolve [] logical))
-
-let compiled =
-  lazy
-    (match Scanner.compile (Lazy.force scanner) (Lazy.force grammar) with
-    | Ok c -> c
-    | Error msg -> failwith ("Minipy.compiled: " ^ msg))
-
-let indenter_ids = lazy (Indenter.ids_of_grammar (Lazy.force grammar))
-
-(* The indenter reads the scanner's scratch directly: only its own output
-   is copied out. *)
-let indent_scanned = function
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-  | Ok buf -> Indenter.run_buf (Lazy.force indenter_ids) buf
-
-let tokenize_buf input = Scanner.with_scratch (Lazy.force compiled) input indent_scanned
-
 (* --- Generator --------------------------------------------------------- *)
 
 let names = [| "x"; "y"; "z"; "count"; "total"; "items"; "value"; "result"; "data"; "acc" |]
@@ -373,12 +332,9 @@ let generate ~seed ~size =
   done;
   Gen_util.contents st
 
-let lang : Lang.t =
-  {
-    Lang.name = "minipy";
-    grammar;
-    tokenize;
-    tokenize_buf;
-    generate;
-    scanner = Some scanner;
-  }
+(* The indenter reads the scanner's scratch directly: only its own output
+   is copied out. *)
+let lang =
+  Lang.make ~name:"minipy" ~grammar ~scanner
+    ~post:(fun g -> Indenter.run_buf (Indenter.ids_of_grammar g))
+    ~generate ()

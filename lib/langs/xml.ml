@@ -69,22 +69,6 @@ let scanner =
          Scanner.rule "TEXT" (plus text_char);
        ])
 
-let tokenize input =
-  match Scanner.tokenize (Lazy.force scanner) (Lazy.force grammar) input with
-  | Ok toks -> Ok toks
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-
-let compiled =
-  lazy
-    (match Scanner.compile (Lazy.force scanner) (Lazy.force grammar) with
-    | Ok c -> c
-    | Error msg -> failwith ("Xml.compiled: " ^ msg))
-
-let tokenize_buf input =
-  match Scanner.scan_buf (Lazy.force compiled) input with
-  | Ok buf -> Ok buf
-  | Error e -> Error (Fmt.str "%a" Scanner.pp_error e)
-
 (* --- Generator --------------------------------------------------------- *)
 
 let gen_attrs st =
@@ -126,12 +110,4 @@ let generate ~seed ~size =
   Gen_util.add st "</root>\n";
   Gen_util.contents st
 
-let lang : Lang.t =
-  {
-    Lang.name = "xml";
-    grammar;
-    tokenize;
-    tokenize_buf;
-    generate;
-    scanner = Some scanner;
-  }
+let lang = Lang.make ~name:"xml" ~grammar ~scanner ~generate ()

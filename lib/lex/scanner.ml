@@ -32,13 +32,6 @@ let make rules =
 let dfa t = t.dfa
 let rules t = Array.to_list t.rules
 
-type raw = {
-  kind : string;
-  lexeme : string;
-  line : int;
-  col : int;
-}
-
 type error = {
   msg : string;
   err_line : int;
@@ -49,100 +42,10 @@ let pp_error ppf e =
   Fmt.pf ppf "lexical error at line %d, column %d: %s" e.err_line e.err_col
     e.msg
 
-(* Maximal munch from [pos]: the end offset of the longest match and its
-   rule index, or (-1, -1) if no rule matches.  The hot loop is two array
-   reads per byte (byte -> class, (state, class) -> state) against the
-   DFA's flat class table. *)
-let munch dfa input n pos =
-  let classes = Dfa.class_table_arr dfa in
-  let ctrans = Dfa.class_trans dfa in
-  let nc = Dfa.num_classes dfa in
-  let best_end = ref (-1) and best_rule = ref (-1) in
-  let state = ref (Dfa.start dfa) in
-  let i = ref pos in
-  (try
-     while !i < n do
-       let cls =
-         Bigarray.Array1.unsafe_get classes
-           (Char.code (String.unsafe_get input !i))
-       in
-       let s' = Bigarray.Array1.unsafe_get ctrans ((!state * nc) + cls) in
-       if s' < 0 then raise_notrace Exit;
-       state := s';
-       incr i;
-       let r = Dfa.accept_ix dfa s' in
-       if r >= 0 then begin
-         best_end := !i;
-         best_rule := r
-       end
-     done
-   with Exit -> ());
-  (!best_end, !best_rule)
-
-(* Positions come from the shared newline-offset table (built lazily, on
-   the first token that needs one), not from per-lexeme line/col
-   tracking, so the legacy and buffer paths report identical positions;
-   skipped tokens allocate nothing — no substring, no position. *)
-let scan t input =
-  let n = String.length input in
-  let lines = lazy (Lines.build input) in
-  let pos_of ofs = Lines.pos (Lazy.force lines) ofs in
-  let rec go pos acc =
-    if pos >= n then Ok (List.rev acc)
-    else begin
-      let end_pos, rule_ix = munch t.dfa input n pos in
-      if rule_ix < 0 then begin
-        let line, col = pos_of pos in
-        Error
-          {
-            msg = Printf.sprintf "no rule matches %C" input.[pos];
-            err_line = line;
-            err_col = col;
-          }
-      end
-      else
-        let r = t.rules.(rule_ix) in
-        let acc =
-          match r.action with
-          | Skip -> acc
-          | Emit ->
-            let lexeme = String.sub input pos (end_pos - pos) in
-            let line, col = pos_of pos in
-            { kind = r.name; lexeme; line; col } :: acc
-        in
-        go end_pos acc
-    end
-  in
-  go 0 []
-
-let tokenize t g input =
-  match scan t input with
-  | Error e -> Error e
-  | Ok raws ->
-    let module Tk = Costar_grammar.Token in
-    let rec resolve acc = function
-      | [] -> Ok (List.rev acc)
-      | r :: rest -> (
-        match G.terminal_of_name g r.kind with
-        | Some term ->
-          resolve (Tk.make ~line:r.line ~col:r.col term r.lexeme :: acc) rest
-        | None ->
-          Error
-            {
-              msg =
-                Printf.sprintf "token kind %s is not a terminal of the grammar"
-                  r.kind;
-              err_line = r.line;
-              err_col = r.col;
-            })
-    in
-    resolve [] raws
-
-(* --- Compiled scanner: the zero-copy buffer pipeline ------------------- *)
+(* --- Compiled scanner ---------------------------------------------------- *)
 
 (* A scanner bound to a grammar: every rule's terminal id is resolved
-   once, here, instead of once per token ([tokenize] re-resolves the rule
-   name on every token it emits).  Scanning then runs in a single pass
+   once, here, not once per token.  Scanning then runs in a single pass
    over the input, writing (kind, start, end) int triples into a
    struct-of-arrays buffer — no records, no substrings, no positions.
    Every table the loop reads is an off-heap bigarray (the DFA's int8
@@ -156,65 +59,66 @@ type compiled = {
   ctrans : Dfa.ctrans_arr;
   nc : int;
   (* Per DFA state: the terminal id to emit if the state's accepting rule
-     is an Emit rule, -1 for a Skip rule, -2 for a non-accepting state. *)
+     is an Emit rule the grammar has, -1 for a Skip rule, -2 for an Emit
+     rule whose name is not a terminal, and -3 for a non-accepting state. *)
   accept_term : (int, Bigarray.int_elt, Bigarray.c_layout) Bigarray.Array1.t;
 }
 
 let compile t g =
-  let missing =
-    Array.to_list t.rules
-    |> List.filter (fun r ->
-           r.action = Emit && G.terminal_of_name g r.name = None)
-    |> List.map (fun r -> r.name)
+  let rule_term =
+    Array.map
+      (fun r ->
+        match r.action with
+        | Skip -> -1
+        | Emit -> Option.value (G.terminal_of_name g r.name) ~default:(-2))
+      t.rules
   in
-  match missing with
-  | _ :: _ ->
-    Error
-      (Printf.sprintf "token kinds are not terminals of the grammar: %s"
-         (String.concat ", " missing))
-  | [] ->
-    let rule_term =
-      Array.map
-        (fun r ->
-          match r.action with
-          | Skip -> -1
-          | Emit -> (
-            match G.terminal_of_name g r.name with
-            | Some term -> term
-            | None -> assert false))
-        t.rules
-    in
-    let accept_term =
-      Bigarray.Array1.create Bigarray.int Bigarray.c_layout
-        (Dfa.num_states t.dfa)
-    in
-    for s = 0 to Dfa.num_states t.dfa - 1 do
-      let r = Dfa.accept_ix t.dfa s in
-      Bigarray.Array1.set accept_term s (if r < 0 then -2 else rule_term.(r))
-    done;
-    Ok
-      {
-        sc = t;
-        cstart = Dfa.start t.dfa;
-        classes = Dfa.class_table_arr t.dfa;
-        ctrans = Dfa.class_trans t.dfa;
-        nc = Dfa.num_classes t.dfa;
-        accept_term;
-      }
-
-let scanner_of_compiled c = c.sc
+  let accept_term =
+    Bigarray.Array1.create Bigarray.int Bigarray.c_layout
+      (Dfa.num_states t.dfa)
+  in
+  for s = 0 to Dfa.num_states t.dfa - 1 do
+    let r = Dfa.accept_ix t.dfa s in
+    Bigarray.Array1.set accept_term s (if r < 0 then -3 else rule_term.(r))
+  done;
+  {
+    sc = t;
+    cstart = Dfa.start t.dfa;
+    classes = Dfa.class_table_arr t.dfa;
+    ctrans = Dfa.class_trans t.dfa;
+    nc = Dfa.num_classes t.dfa;
+    accept_term;
+  }
 
 exception Lex_err of error
 
+let error_at buf ofs msg =
+  let line, col = Lines.pos (Token_buf.lines buf) ofs in
+  Lex_err { msg; err_line = line; err_col = col }
+
+(* The rule of the longest match [input.[start .. stop - 1]]: the
+   accepting rule of the DFA state that match ends in. *)
+let rule_of_match t input start stop =
+  let state = ref (Dfa.start t.dfa) in
+  for i = start to stop - 1 do
+    state := Dfa.next t.dfa !state input.[i]
+  done;
+  t.rules.(Dfa.accept_ix t.dfa !state)
+
+(* A token of a rule the grammar lacks is an error at its start, raised
+   only once the whole input has scanned: a byte no rule matches, anywhere,
+   takes precedence. *)
 let scan_into c buf input =
   let n = String.length input in
   let classes = c.classes and ctrans = c.ctrans and nc = c.nc in
   let accept_term = c.accept_term in
   let pos = ref 0 in
+  let unresolved_at = ref (-1) and unresolved_stop = ref 0 in
   while !pos < n do
-    (* Inlined maximal munch, tracking the emit decision (terminal id or
-       skip) instead of the rule index: one array read per accept. *)
-    let best_end = ref (-1) and best_term = ref (-2) in
+    (* Maximal munch, tracking the emit decision (terminal id, skip or
+       unresolved) instead of the rule index: one array read and one
+       compare per accept. *)
+    let best_end = ref (-1) and best_term = ref (-3) in
     let state = ref c.cstart in
     let i = ref !pos in
     (try
@@ -228,26 +132,28 @@ let scan_into c buf input =
          state := s';
          incr i;
          let t = Bigarray.Array1.unsafe_get accept_term s' in
-         if t >= -1 then begin
+         if t >= -2 then begin
            best_end := !i;
            best_term := t
          end
        done
      with Exit -> ());
-    if !best_end < 0 then begin
-      let line, col = Lines.pos (Token_buf.lines buf) !pos in
+    if !best_end < 0 then
       raise_notrace
-        (Lex_err
-           {
-             msg = Printf.sprintf "no rule matches %C" input.[!pos];
-             err_line = line;
-             err_col = col;
-           })
-    end;
+        (error_at buf !pos (Printf.sprintf "no rule matches %C" input.[!pos]));
     if !best_term >= 0 then
-      Token_buf.add buf ~kind:!best_term ~start:!pos ~stop:!best_end;
+      Token_buf.add buf ~kind:!best_term ~start:!pos ~stop:!best_end
+    else if !best_term = -2 && !unresolved_at < 0 then begin
+      unresolved_at := !pos;
+      unresolved_stop := !best_end
+    end;
     pos := !best_end
-  done
+  done;
+  if !unresolved_at >= 0 then
+    raise_notrace
+      (error_at buf !unresolved_at
+         (Printf.sprintf "token kind %s is not a terminal of the grammar"
+            (rule_of_match c.sc input !unresolved_at !unresolved_stop).name))
 
 (* One scratch buffer per domain, kept between scans and grown by
    doubling: a warm scan writes into arrays it already has, and only the
@@ -275,3 +181,6 @@ let with_scratch c input f =
 
 let copy_scanned = Result.map Token_buf.copy
 let scan_buf c input = with_scratch c input copy_scanned
+
+let tokenize t g input =
+  Result.map Token_buf.to_tokens (scan_buf (compile t g) input)

@@ -1,20 +1,16 @@
 (** Longest-match scanners built from prioritized regex rules.
 
-    A scanner turns an input string into raw tokens using the
-    maximal-munch rule; ties between rules matching the same length are
-    broken by rule order (first rule wins), as in ANTLR and ocamllex.
-    Rules marked [Skip] match but emit nothing (whitespace, comments).
+    A scanner turns an input string into tokens using the maximal-munch
+    rule; ties between rules matching the same length are broken by rule
+    order (first rule wins), as in ANTLR and ocamllex.  Rules marked
+    [Skip] match but emit nothing (whitespace, comments).
 
-    Two pipelines share the same DFA:
-
-    - the legacy list pipeline ({!scan}/{!tokenize}), which materializes
-      a record, lexeme, and position per token — kept as the
-      differential oracle;
-    - the zero-copy buffer pipeline ({!compile}/{!scan_buf}), which
-      resolves each rule's terminal id against a grammar once, then
-      scans in a single pass into a struct-of-arrays
-      {!Costar_grammar.Token_buf.t} — no per-token records, no lexeme
-      substrings, positions recovered lazily from the newline table. *)
+    There is one scan loop, {!scan_into}: {!compile} resolves each rule's
+    terminal id against a grammar once, and a scan writes the input in a
+    single pass into a struct-of-arrays {!Costar_grammar.Token_buf.t} —
+    no per-token records, no lexeme substrings, positions recovered
+    lazily from the newline table.  A token list is a view of that
+    buffer ({!tokenize}, {!Costar_grammar.Token_buf.to_tokens}). *)
 
 type action =
   | Emit  (** produce a token named after the rule *)
@@ -39,14 +35,6 @@ val dfa : t -> Dfa.t
 
 val rules : t -> rule list
 
-(** A raw token, before terminal-name resolution against a grammar. *)
-type raw = {
-  kind : string;
-  lexeme : string;
-  line : int;
-  col : int;
-}
-
 type error = {
   msg : string;
   err_line : int;
@@ -55,28 +43,16 @@ type error = {
 
 val pp_error : Format.formatter -> error -> unit
 
-(** [scan t input] produces the raw token sequence, or the position of the
-    first character no rule matches. *)
-val scan : t -> string -> (raw list, error) result
-
-(** [tokenize t g input] scans and resolves token kinds to terminals of
-    [g].  Raw tokens whose kind is not a terminal of [g] produce an
-    [Error]. *)
-val tokenize :
-  t -> Costar_grammar.Grammar.t -> string ->
-  (Costar_grammar.Token.t list, error) result
-
-(** {2 The compiled (buffer) pipeline} *)
+(** {2 Scanning} *)
 
 type compiled
 
 (** [compile t g] resolves every [Emit] rule's name to a terminal of [g],
-    once.  [Error] lists the rules whose names are not terminals (the
-    legacy pipeline reports these lazily, only when such a token appears
-    in an input). *)
-val compile : t -> Costar_grammar.Grammar.t -> (compiled, string) result
-
-val scanner_of_compiled : compiled -> t
+    once.  A rule whose name is not a terminal of [g] is no error here: a
+    scan that emits one of its tokens fails with
+    ["token kind X is not a terminal of the grammar"] at the token's
+    start, unless a byte no rule matches fails it first. *)
+val compile : t -> Costar_grammar.Grammar.t -> compiled
 
 (** [scan_buf c input] scans the whole input into the domain's scratch
     buffer and returns an exact-size copy ({!Costar_grammar.Token_buf.copy}).
@@ -104,5 +80,10 @@ val with_scratch :
     @raise Lex_err on a lexical error. *)
 val scan_into : compiled -> Costar_grammar.Token_buf.t -> string -> unit
 
+(** [tokenize t g input] is the token list of {!scan_buf} over
+    [compile t g]: a view for callers that scan one input per scanner. *)
+val tokenize :
+  t -> Costar_grammar.Grammar.t -> string ->
+  (Costar_grammar.Token.t list, error) result
 
 exception Lex_err of error

@@ -42,7 +42,7 @@ let diagnostics o = List.map (fun e -> e.diag) o.events
 
 (* Position just past a token: its start advanced over the lexeme
    (newlines included, so multi-line lexemes span correctly).  Tokens
-   from the list pipeline may have no position (line 0) — those yield
+   made without a scanner may have no position (line 0) — those yield
    dummy spans, like every other position-less construct. *)
 let token_end (tok : Token.t) =
   let line = ref tok.Token.line and col = ref tok.Token.col in

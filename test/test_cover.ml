@@ -32,7 +32,7 @@ let test_close_builtin () =
     (fun l ->
       let name = l.Lang.name in
       let g = Lang.grammar l in
-      let t = Cover.make ?scanner:(Lang.scanner l) g in
+      let t = Cover.make ~scanner:(Lang.scanner l) g in
       let _generated = Witness.close t in
       List.iter
         (fun (k, (s : Cover.summary)) ->
@@ -61,7 +61,7 @@ let test_generated_sentences_differential () =
   List.iter
     (fun l ->
       let g = Lang.grammar l in
-      let t = Cover.make ?scanner:(Lang.scanner l) g in
+      let t = Cover.make ~scanner:(Lang.scanner l) g in
       let generated = Witness.close t in
       let extracted = Diff.extracted g in
       let budget = ref 60 in

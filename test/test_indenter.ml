@@ -1,101 +1,117 @@
-(* Direct unit tests of the Python-style indentation pre-pass. *)
+(* Direct unit tests of the Python-style indentation pre-pass: each input
+   is scanned, run through [Indenter.run_buf], and checked against the
+   expected kinds and against the reference indenter in [Lex_oracle]
+   (kinds, lexemes, positions, error messages). *)
 
+open Costar_grammar
 open Costar_langs
 open Costar_lex
 
-let check = Alcotest.(check bool)
+let rules =
+  Regex.
+    [
+      Scanner.rule "if" (str "if");
+      Scanner.rule ":" (chr ':');
+      Scanner.rule "(" (chr '(');
+      Scanner.rule ")" (chr ')');
+      Scanner.rule "NAME" (plus lower);
+      Scanner.rule "NEWLINE" (chr '\n');
+      Scanner.rule "WS" ~skip:true (plus (chr ' '));
+    ]
 
-(* Build raw tokens the way the MiniPython scanner would: content tokens
-   with line/col, NEWLINE rows. *)
-let raw kind ?(lexeme = kind) line col = { Scanner.kind; lexeme; line; col }
-let nl line = raw "NEWLINE" ~lexeme:"\n" line 0
+let g =
+  Grammar.define
+    ~extra_terminals:
+      ([ "INDENT"; "DEDENT" ] @ List.map (fun (r : Scanner.rule) -> r.name) rules)
+    ~start:"S"
+    [ ("S", [ [] ]) ]
 
-(* The indenter over [raws], with the end of input just past the last raw:
-   the line after it for a newline, else the end of its lexeme. *)
-let run raws =
-  let eof =
-    match List.rev raws with
-    | [] -> (1, 0)
-    | r :: _ when r.Scanner.kind = "NEWLINE" -> (r.line + 1, 0)
-    | r :: _ -> (r.line, r.col + String.length r.lexeme)
+let compiled = Scanner.compile (Scanner.make rules) g
+let ids = Indenter.ids_of_grammar g
+
+(* The logical stream of [input] as kind names, once it agrees with the
+   reference. *)
+let run input =
+  let got =
+    Scanner.with_scratch compiled input (function
+      | Ok buf -> Indenter.run_buf ids buf
+      | Error e -> Alcotest.failf "%S: %a" input Scanner.pp_error e)
   in
-  Indenter.run ~eof raws
+  let expected =
+    match Lex_oracle.scan rules input with
+    | Ok raws ->
+      Lex_oracle.indent ~eof:(Lex_oracle.positions input (String.length input)) raws
+    | Error e -> Alcotest.failf "%S: oracle: %a" input Scanner.pp_error e
+  in
+  match got, expected with
+  | Ok buf, Ok raws ->
+    let toks =
+      List.map
+        (fun (t : Token.t) ->
+          { Lex_oracle.kind = Grammar.terminal_name g t.term; lexeme = t.lexeme;
+            line = t.line; col = t.col })
+        (Token_buf.to_tokens buf)
+    in
+    if toks <> raws then Alcotest.failf "%S: run_buf differs from the reference" input;
+    Ok (List.map (fun r -> r.Lex_oracle.kind) toks)
+  | Error m1, Error m2 ->
+    Alcotest.(check string) "same error" m2 m1;
+    Error m1
+  | Ok _, Error m -> Alcotest.failf "%S: only the reference failed: %s" input m
+  | Error m, Ok _ -> Alcotest.failf "%S: only run_buf failed: %s" input m
 
 let kinds = function
-  | Ok raws -> List.map (fun r -> r.Scanner.kind) raws
+  | Ok kinds -> kinds
   | Error msg -> Alcotest.failf "indenter error: %s" msg
 
 let test_flat_lines () =
-  let input = [ raw "NAME" 1 0; nl 1; raw "NAME" 2 0; nl 2 ] in
   Alcotest.(check (list string))
     "no indents" [ "NAME"; "NEWLINE"; "NAME"; "NEWLINE" ]
-    (kinds (run input))
+    (kinds (run "a\nb\n"))
 
 let test_indent_dedent () =
-  let input =
-    [ raw "if" 1 0; raw ":" 1 2; nl 1; raw "NAME" 2 4; nl 2; raw "NAME" 3 0; nl 3 ]
-  in
   Alcotest.(check (list string))
     "one block"
     [ "if"; ":"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE"; "DEDENT"; "NAME"; "NEWLINE" ]
-    (kinds (run input))
+    (kinds (run "if:\n    x\ny\n"))
 
 let test_nested_dedents_at_eof () =
-  let input =
-    [ raw "a" 1 0; nl 1; raw "b" 2 2; nl 2; raw "c" 3 4; nl 3 ]
-  in
   Alcotest.(check (list string))
     "two dedents at eof"
-    [ "a"; "NEWLINE"; "INDENT"; "b"; "NEWLINE"; "INDENT"; "c"; "NEWLINE";
+    [ "NAME"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE";
       "DEDENT"; "DEDENT" ]
-    (kinds (run input))
+    (kinds (run "a\n  b\n    c\n"))
 
 let test_blank_lines_dropped () =
-  let input = [ raw "a" 1 0; nl 1; nl 2; nl 3; raw "b" 4 0; nl 4 ] in
   Alcotest.(check (list string))
-    "blank lines produce no NEWLINE" [ "a"; "NEWLINE"; "b"; "NEWLINE" ]
-    (kinds (run input))
+    "blank lines produce no NEWLINE" [ "NAME"; "NEWLINE"; "NAME"; "NEWLINE" ]
+    (kinds (run "a\n\n   \nb\n"))
 
 let test_implicit_join_in_brackets () =
-  let input =
-    [ raw "(" 1 0; nl 1; raw "NAME" 2 4; nl 2; raw ")" 3 0; nl 3 ]
-  in
   (* Newlines inside parentheses vanish; the col-4 NAME is not an indent. *)
   Alcotest.(check (list string))
     "joined" [ "("; "NAME"; ")"; "NEWLINE" ]
-    (kinds (run input))
+    (kinds (run "(\n    x\n)\n"))
 
 let test_missing_final_newline () =
-  let input = [ raw "a" 1 0 ] in
   Alcotest.(check (list string))
-    "newline synthesized" [ "a"; "NEWLINE" ]
-    (kinds (run input))
+    "newline synthesized" [ "NAME"; "NEWLINE" ]
+    (kinds (run "a"))
 
 let test_inconsistent_dedent () =
-  let input =
-    [ raw "a" 1 0; nl 1; raw "b" 2 4; nl 2; raw "c" 3 2; nl 3 ]
-  in
-  match run input with
+  match run "a\n    b\n  c\n" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "expected an inconsistent-dedent error"
 
 let test_dedent_through_several_levels () =
-  let input =
-    [
-      raw "a" 1 0; nl 1;
-      raw "b" 2 2; nl 2;
-      raw "c" 3 4; nl 3;
-      raw "d" 4 0; nl 4;
-    ]
-  in
   Alcotest.(check (list string))
     "both levels closed before d"
-    [ "a"; "NEWLINE"; "INDENT"; "b"; "NEWLINE"; "INDENT"; "c"; "NEWLINE";
-      "DEDENT"; "DEDENT"; "d"; "NEWLINE" ]
-    (kinds (run input))
+    [ "NAME"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE"; "INDENT"; "NAME"; "NEWLINE";
+      "DEDENT"; "DEDENT"; "NAME"; "NEWLINE" ]
+    (kinds (run "a\n  b\n    c\nd\n"))
 
 let test_empty_input () =
-  check "empty ok" true (run [] = Ok [])
+  Alcotest.(check (list string)) "empty ok" [] (kinds (run ""))
 
 let suite =
   [

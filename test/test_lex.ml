@@ -7,25 +7,28 @@ let check = Alcotest.(check bool)
 let check_int = Alcotest.(check int)
 let check_str = Alcotest.(check string)
 
-let kinds raws = List.map (fun r -> r.Scanner.kind) raws
-let lexemes raws = List.map (fun r -> r.Scanner.lexeme) raws
+(* Scans go through [Lex_oracle.scan_raws]: the scanner compiled against
+   a grammar of its own rule names, with tokens read back as kind names. *)
+let kinds raws = List.map (fun r -> r.Lex_oracle.kind) raws
+let lexemes raws = List.map (fun r -> r.Lex_oracle.lexeme) raws
 
-let simple_scanner =
-  Scanner.make
-    [
-      Scanner.rule "IF" (Regex.str "if");
-      Scanner.rule "ID" (Regex.plus Regex.letter);
-      Scanner.rule "NUM" (Regex.plus Regex.digit);
-      Scanner.rule "WS" ~skip:true (Regex.plus (Regex.set " \t\n"));
-    ]
+let simple_rules =
+  [
+    Scanner.rule "IF" (Regex.str "if");
+    Scanner.rule "ID" (Regex.plus Regex.letter);
+    Scanner.rule "NUM" (Regex.plus Regex.digit);
+    Scanner.rule "WS" ~skip:true (Regex.plus (Regex.set " \t\n"));
+  ]
 
-let scan_ok s input =
-  match Scanner.scan s input with
+let simple_scanner = Scanner.make simple_rules
+
+let scan_ok rules input =
+  match Lex_oracle.scan_raws rules input with
   | Ok raws -> raws
   | Error e -> Alcotest.failf "unexpected lex error: %a" Scanner.pp_error e
 
 let test_basic () =
-  let raws = scan_ok simple_scanner "if iffy 42 x" in
+  let raws = scan_ok simple_rules "if iffy 42 x" in
   Alcotest.(check (list string))
     "kinds" [ "IF"; "ID"; "NUM"; "ID" ] (kinds raws);
   Alcotest.(check (list string))
@@ -33,35 +36,34 @@ let test_basic () =
 
 let test_maximal_munch () =
   (* "iffy" must lex as one ID, not IF + "fy" *)
-  let raws = scan_ok simple_scanner "iffy" in
+  let raws = scan_ok simple_rules "iffy" in
   check_int "one token" 1 (List.length raws);
-  check_str "kind" "ID" (List.hd raws).Scanner.kind
+  check_str "kind" "ID" (List.hd raws).Lex_oracle.kind
 
 let test_rule_priority () =
   (* "if" matches both IF and ID at the same length: first rule wins. *)
-  let raws = scan_ok simple_scanner "if" in
-  check_str "IF wins" "IF" (List.hd raws).Scanner.kind;
+  let raws = scan_ok simple_rules "if" in
+  check_str "IF wins" "IF" (List.hd raws).Lex_oracle.kind;
   (* Swapping the rules makes ID win. *)
   let flipped =
-    Scanner.make
-      [ Scanner.rule "ID" (Regex.plus Regex.letter); Scanner.rule "IF" (Regex.str "if") ]
+    [ Scanner.rule "ID" (Regex.plus Regex.letter); Scanner.rule "IF" (Regex.str "if") ]
   in
   let raws = scan_ok flipped "if" in
-  check_str "ID wins" "ID" (List.hd raws).Scanner.kind
+  check_str "ID wins" "ID" (List.hd raws).Lex_oracle.kind
 
 let test_positions () =
-  let raws = scan_ok simple_scanner "if\n  foo 12" in
+  let raws = scan_ok simple_rules "if\n  foo 12" in
   match raws with
   | [ t1; t2; t3 ] ->
-    check_int "t1 line" 1 t1.Scanner.line;
-    check_int "t1 col" 0 t1.Scanner.col;
-    check_int "t2 line" 2 t2.Scanner.line;
-    check_int "t2 col" 2 t2.Scanner.col;
-    check_int "t3 col" 6 t3.Scanner.col
+    check_int "t1 line" 1 t1.Lex_oracle.line;
+    check_int "t1 col" 0 t1.Lex_oracle.col;
+    check_int "t2 line" 2 t2.Lex_oracle.line;
+    check_int "t2 col" 2 t2.Lex_oracle.col;
+    check_int "t3 col" 6 t3.Lex_oracle.col
   | _ -> Alcotest.fail "expected three tokens"
 
 let test_lex_error () =
-  match Scanner.scan simple_scanner "ab $ cd" with
+  match Lex_oracle.scan_raws simple_rules "ab $ cd" with
   | Error e ->
     check_int "line" 1 e.Scanner.err_line;
     check_int "col" 3 e.Scanner.err_col
@@ -86,11 +88,10 @@ let test_string_literals () =
         ])
   in
   let s =
-    Scanner.make
-      [
-        Scanner.rule "STRING" string_re;
-        Scanner.rule "WS" ~skip:true (Regex.plus (Regex.chr ' '));
-      ]
+    [
+      Scanner.rule "STRING" string_re;
+      Scanner.rule "WS" ~skip:true (Regex.plus (Regex.chr ' '));
+    ]
   in
   let raws = scan_ok s {|"hello" "a\"b" ""|} in
   Alcotest.(check (list string))
@@ -100,13 +101,12 @@ let test_string_literals () =
 
 let test_comments_skipped () =
   let s =
-    Scanner.make
-      [
-        Scanner.rule "ID" (Regex.plus Regex.letter);
-        Scanner.rule "COMMENT" ~skip:true
-          Regex.(seq [ str "//"; star (none_of "\n") ]);
-        Scanner.rule "WS" ~skip:true (Regex.plus (Regex.set " \n"));
-      ]
+    [
+      Scanner.rule "ID" (Regex.plus Regex.letter);
+      Scanner.rule "COMMENT" ~skip:true
+        Regex.(seq [ str "//"; star (none_of "\n") ]);
+      Scanner.rule "WS" ~skip:true (Regex.plus (Regex.set " \n"));
+    ]
   in
   let raws = scan_ok s "ab // trailing\ncd" in
   Alcotest.(check (list string)) "lexemes" [ "ab"; "cd" ] (lexemes raws)
@@ -123,20 +123,28 @@ let test_tokenize_against_grammar () =
       "lexemes" [ "abc"; "7" ]
       (List.map Token.lexeme toks)
   | Error e -> Alcotest.failf "unexpected: %a" Scanner.pp_error e);
-  (* IF is not a terminal of g: resolution fails. *)
-  match Scanner.tokenize simple_scanner g "if 7" with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "expected a resolution error"
+  (* IF is not a terminal of g: a scan fails at the first IF token, unless
+     a byte no rule matches comes anywhere in the input. *)
+  let error input =
+    match Scanner.tokenize simple_scanner g input with
+    | Error e -> Fmt.str "%a" Scanner.pp_error e
+    | Ok _ -> Alcotest.failf "%S: expected a lexical error" input
+  in
+  check_str "first IF"
+    "lexical error at line 2, column 1: token kind IF is not a terminal of \
+     the grammar"
+    (error "7\n if if");
+  check_str "a bad byte first" "lexical error at line 1, column 5: no rule matches '$'"
+    (error "if 7 $")
 
 let test_ranges_and_classes () =
   let s =
-    Scanner.make
-      [
-        Scanner.rule "HEX"
-          Regex.(seq [ str "0x"; plus (alt [ digit; range 'a' 'f' ]) ]);
-        Scanner.rule "NUM" (Regex.plus Regex.digit);
-        Scanner.rule "WS" ~skip:true (Regex.plus (Regex.chr ' '));
-      ]
+    [
+      Scanner.rule "HEX"
+        Regex.(seq [ str "0x"; plus (alt [ digit; range 'a' 'f' ]) ]);
+      Scanner.rule "NUM" (Regex.plus Regex.digit);
+      Scanner.rule "WS" ~skip:true (Regex.plus (Regex.chr ' '));
+    ]
   in
   let raws = scan_ok s "0xff 123 0x0" in
   Alcotest.(check (list string)) "kinds" [ "HEX"; "NUM"; "HEX" ] (kinds raws)
@@ -156,9 +164,9 @@ let prop_scanner_total =
   QCheck.Test.make ~count:1000 ~name:"scanner never raises"
     QCheck.(string_gen_of_size (QCheck.Gen.int_range 0 60) QCheck.Gen.printable)
     (fun input ->
-      match Scanner.scan simple_scanner input with
+      match Lex_oracle.scan_raws simple_rules input with
       | Ok raws ->
-        List.for_all (fun r -> String.length r.Scanner.lexeme > 0) raws
+        List.for_all (fun r -> String.length r.Lex_oracle.lexeme > 0) raws
       | Error e -> e.Scanner.err_line >= 1 && e.Scanner.err_col >= 0)
 
 let prop_scanner_reconstructs =
@@ -169,18 +177,17 @@ let prop_scanner_reconstructs =
         (QCheck.Gen.int_range 0 60)
         (QCheck.Gen.oneofl [ 'a'; 'b'; '0'; '1'; ' ' ]))
     (fun input ->
-      let sc =
-        Scanner.make
-          [
-            Scanner.rule "WORD" (Regex.plus Regex.letter);
-            Scanner.rule "NUM" (Regex.plus Regex.digit);
-            Scanner.rule "SPACE" (Regex.plus (Regex.chr ' '));
-          ]
+      let rules =
+        [
+          Scanner.rule "WORD" (Regex.plus Regex.letter);
+          Scanner.rule "NUM" (Regex.plus Regex.digit);
+          Scanner.rule "SPACE" (Regex.plus (Regex.chr ' '));
+        ]
       in
-      match Scanner.scan sc input with
+      match Lex_oracle.scan_raws rules input with
       | Ok raws ->
         String.equal input
-          (String.concat "" (List.map (fun r -> r.Scanner.lexeme) raws))
+          (String.concat "" (List.map (fun r -> r.Lex_oracle.lexeme) raws))
       | Error _ -> false)
 
 (* The subset construction numbers states in the order a byte-by-byte walk
@@ -211,13 +218,10 @@ let test_bundled_scanners_pinned () =
   List.iter
     (fun (l, states, classes, digest) ->
       let name = l.Costar_langs.Lang.name in
-      match Costar_langs.Lang.scanner l with
-      | None -> Alcotest.failf "%s has no scanner" name
-      | Some sc ->
-        let d = Scanner.dfa sc in
-        check_int (name ^ " states") states (Dfa.num_states d);
-        check_int (name ^ " classes") classes (Dfa.num_classes d);
-        check_str (name ^ " tables") digest (dfa_digest d))
+      let d = Scanner.dfa (Costar_langs.Lang.scanner l) in
+      check_int (name ^ " states") states (Dfa.num_states d);
+      check_int (name ^ " classes") classes (Dfa.num_classes d);
+      check_str (name ^ " tables") digest (dfa_digest d))
     Costar_langs.
       [
         (Json.lang, 38, 25, "aec2c4d2a76188403a0126c71c192266");

@@ -263,9 +263,13 @@ let test_result_marshal () =
   let l = Costar_langs.Json.lang in
   let p = Parser.make (Costar_langs.Lang.grammar l) in
   let text = Costar_langs.Lang.generate l ~seed:5 ~size:300 in
+  let compiled =
+    Costar_lex.Scanner.compile (Lazy.force Costar_langs.Json.scanner)
+      (Costar_langs.Lang.grammar l)
+  in
   let parse capacity =
     let buf = Token_buf.create ~capacity text in
-    Costar_lex.Scanner.scan_into (Lazy.force Costar_langs.Json.compiled) buf text;
+    Costar_lex.Scanner.scan_into compiled buf text;
     Parser.run_word p (Word.of_buf buf)
   in
   let bytes v = Marshal.to_string v [] in

@@ -1,8 +1,10 @@
-(* Differential tests for the zero-copy token pipeline: the compiled
-   buffer scanner against the legacy list scanner (tokens, lexemes,
-   positions), the equivalence-classed DFA stepping against the raw
-   256-column rows, the subset-constructed DFA against NFA simulation, the array-cursor parser against the list API, and
-   the steady-state allocation contract (~0 minor words per token). *)
+(* Differential tests for the token pipeline: the compiled buffer
+   scanner and the minipy indenter against the derivative-based
+   reference in [Lex_oracle] (tokens, lexemes, positions, lexer errors),
+   the equivalence-classed DFA stepping against the raw 256-column rows,
+   the subset-constructed DFA against NFA simulation, the array-cursor
+   parser against token lists, and the steady-state allocation contract
+   (~0 minor words per token). *)
 
 open Costar_grammar
 open Costar_core
@@ -59,42 +61,36 @@ let arb_spec_input =
         input)
     QCheck.Gen.(pair gen_spec gen_input)
 
-(* A grammar that declares every rule name as a terminal, so both
-   pipelines can resolve kinds. *)
-let grammar_for rules =
-  Grammar.define
-    ~extra_terminals:(List.map (fun (r : Scanner.rule) -> r.name) rules)
-    ~start:"S"
-    [ ("S", [ [] ]) ]
-
 let same_token (t1 : Token.t) (t2 : Token.t) =
   t1.Token.term = t2.Token.term
   && String.equal t1.Token.lexeme t2.Token.lexeme
   && t1.Token.line = t2.Token.line
   && t1.Token.col = t2.Token.col
 
+let same_scan r1 r2 =
+  match r1, r2 with
+  | Ok toks, Ok buf ->
+    List.length toks = Token_buf.length buf
+    && List.for_all2 same_token toks (Token_buf.to_tokens buf)
+  | Error e1, Error e2 ->
+    String.equal (Fmt.str "%a" Scanner.pp_error e1) (Fmt.str "%a" Scanner.pp_error e2)
+  | Ok _, Error _ | Error _, Ok _ -> false
+
 (* --- properties --------------------------------------------------------- *)
 
+(* Against the grammar of every rule name, and of all but the first, so
+   that the scanner also meets tokens of a rule the grammar lacks. *)
 let prop_scan_buf_agrees =
   QCheck.Test.make ~count:1000
-    ~name:"scan_buf tokens/lexemes/positions = legacy tokenize"
+    ~name:"scan_buf tokens/lexemes/positions = derivative oracle"
     arb_spec_input (fun (rules, input) ->
       let sc = Scanner.make rules in
-      let g = grammar_for rules in
-      let compiled =
-        match Scanner.compile sc g with
-        | Ok c -> c
-        | Error msg -> QCheck.Test.fail_reportf "compile failed: %s" msg
-      in
-      match Scanner.tokenize sc g input, Scanner.scan_buf compiled input with
-      | Ok toks, Ok buf ->
-        List.length toks = Token_buf.length buf
-        && List.for_all2 same_token toks (Token_buf.to_tokens buf)
-      | Error e1, Error e2 ->
-        (* Same failure position, both pipelines. *)
-        e1.Scanner.err_line = e2.Scanner.err_line
-        && e1.Scanner.err_col = e2.Scanner.err_col
-      | Ok _, Error _ | Error _, Ok _ -> false)
+      List.for_all
+        (fun g ->
+          same_scan
+            (Lex_oracle.tokenize rules g input)
+            (Scanner.scan_buf (Scanner.compile sc g) input))
+        [ Lex_oracle.grammar_for rules; Lex_oracle.grammar_for (List.tl rules) ])
 
 let prop_classes_correct =
   QCheck.Test.make ~count:300
@@ -160,16 +156,14 @@ let prop_classes_partition =
            (fun k -> Array.exists (fun k' -> k' = k) tbl)
            (List.init nc Fun.id))
 
-(* Parse differential: a scanner whose rules are single characters over the
+(* Parse differential: scanner rules that are single characters over the
    random grammar's terminals, so that random words round-trip through a
-   real string input and both the list and buffer pipelines. *)
-let single_char_scanner_for g =
-  let rules =
-    List.init (Grammar.num_terminals g) (fun t ->
-        let name = Grammar.terminal_name g t in
-        Scanner.rule name (Regex.str name))
-  in
-  Scanner.make (rules @ [ Scanner.rule "WS" ~skip:true Regex.(plus (chr ' ')) ])
+   real string input, both the oracle's token list and the buffer. *)
+let single_char_rules_for g =
+  List.init (Grammar.num_terminals g) (fun t ->
+      let name = Grammar.terminal_name g t in
+      Scanner.rule name (Regex.str name))
+  @ [ Scanner.rule "WS" ~skip:true Regex.(plus (chr ' ')) ]
 
 let prop_parse_buf_agrees =
   QCheck.Test.make ~count:400
@@ -178,15 +172,13 @@ let prop_parse_buf_agrees =
       match Left_recursion.check g with
       | Error _ -> true
       | Ok () -> (
-        let sc = single_char_scanner_for g in
+        let rules = single_char_rules_for g in
         let input = String.concat " " w in
-        let compiled =
-          match Scanner.compile sc g with
-          | Ok c -> c
-          | Error msg -> QCheck.Test.fail_reportf "compile failed: %s" msg
-        in
         let p = Parser.make g in
-        match Scanner.tokenize sc g input, Scanner.scan_buf compiled input with
+        match
+          ( Lex_oracle.tokenize rules g input,
+            Scanner.scan_buf (Scanner.compile (Scanner.make rules) g) input )
+        with
         | Ok toks, Ok buf ->
           (* Note: tree leaves carry positions from different laziness
              paths; Tree.equal compares terminals and lexemes. *)
@@ -216,7 +208,11 @@ let test_langs_differential () =
       List.iter
         (fun seed ->
           let input = Costar_langs.Lang.generate l ~seed ~size:120 in
-          let toks = Costar_langs.Lang.tokenize_exn l input in
+          let toks =
+            match Lex_oracle.lang_tokenize l input with
+            | Ok toks -> toks
+            | Error msg -> Alcotest.failf "%s seed %d: oracle: %s" name seed msg
+          in
           let buf = Costar_langs.Lang.tokenize_buf_exn l input in
           check_same_tokens (Printf.sprintf "%s seed %d" name seed) toks buf;
           let p = Parser.make (Costar_langs.Lang.grammar l) in
@@ -229,15 +225,13 @@ let test_langs_differential () =
     langs
 
 let test_minipy_indent_error_agrees () =
-  (* Inconsistent dedent: both pipelines must reject, with the same
-     message. *)
+  (* Inconsistent dedent: the pipeline and the oracle must reject, with
+     the same message. *)
   let l = Costar_langs.Minipy.lang in
   let input = "if x:\n    y = 1\n  z = 2\n" in
-  match
-    Costar_langs.Lang.tokenize l input, Costar_langs.Lang.tokenize_buf l input
-  with
+  match Lex_oracle.lang_tokenize l input, Costar_langs.Lang.tokenize_buf l input with
   | Error m1, Error m2 -> Alcotest.(check string) "same error" m1 m2
-  | _ -> Alcotest.fail "expected both pipelines to reject"
+  | _ -> Alcotest.fail "expected both to reject"
 
 (* The end-of-input NEWLINE and DEDENT of an input without a final
    newline sit at [String.length input] (see [Lang.t]). *)
@@ -271,24 +265,47 @@ let lang_inputs l =
     "x = (1,\n 2";
   ]
 
-(* Tokens, positions and lexer error messages of the buffer pipeline agree
-   with the list pipeline on the four languages. *)
+(* The first input of [inputs] on which [lex] and the oracle [reference]
+   disagree (tokens, positions or error text), described. *)
+let disagreement ~reference ~lex inputs =
+  List.find_map
+    (fun input ->
+      match reference input, lex input with
+      | Ok toks, Ok buf when List.length toks = Token_buf.length buf -> (
+        match
+          List.find_opt
+            (fun i -> not (same_token (List.nth toks i) (Token_buf.token buf i)))
+            (List.init (List.length toks) Fun.id)
+        with
+        | None -> None
+        | Some i ->
+          let t = List.nth toks i and t' = Token_buf.token buf i in
+          Some
+            (Printf.sprintf "%S: token %d differs: (%d,%S,%d:%d) vs (%d,%S,%d:%d)"
+               input i t.Token.term t.Token.lexeme t.Token.line t.Token.col
+               t'.Token.term t'.Token.lexeme t'.Token.line t'.Token.col))
+      | Ok toks, Ok buf ->
+        Some
+          (Printf.sprintf "%S: %d tokens vs %d" input (List.length toks)
+             (Token_buf.length buf))
+      | Error m1, Error m2 ->
+        if String.equal m1 m2 then None
+        else Some (Printf.sprintf "%S: errors differ: %s vs %s" input m1 m2)
+      | Ok _, Error m -> Some (Printf.sprintf "%S: only the pipeline failed: %s" input m)
+      | Error m, Ok _ -> Some (Printf.sprintf "%S: only the oracle failed: %s" input m))
+    inputs
+
+(* Tokens, positions and lexer error messages of the pipeline agree with
+   the oracle on the four languages. *)
 let test_langs_errors_agree () =
   List.iter
     (fun l ->
-      let name = l.Costar_langs.Lang.name in
-      List.iteri
-        (fun k input ->
-          let what = Printf.sprintf "%s input %d" name k in
-          match
-            ( Costar_langs.Lang.tokenize l input,
-              Costar_langs.Lang.tokenize_buf l input )
-          with
-          | Ok toks, Ok buf -> check_same_tokens what toks buf
-          | Error m1, Error m2 -> Alcotest.(check string) what m1 m2
-          | Ok _, Error m -> Alcotest.failf "%s: only the buffer pipeline failed: %s" what m
-          | Error m, Ok _ -> Alcotest.failf "%s: only the list pipeline failed: %s" what m)
-        (lang_inputs l))
+      match
+        disagreement ~reference:(Lex_oracle.lang_tokenize l)
+          ~lex:(Costar_langs.Lang.tokenize_buf l) (lang_inputs l)
+      with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s %s" l.Costar_langs.Lang.name msg)
     langs
 
 (* The same over the example lexer specs, through [Scanner.scan_buf]. *)
@@ -296,47 +313,81 @@ let example_dir =
   let beside = Filename.concat (Filename.dirname Sys.executable_name) "../examples/grammars" in
   if Sys.file_exists beside then beside else "examples/grammars"
 
+let example_lexer name =
+  let read ext = In_channel.with_open_bin (Filename.concat example_dir (name ^ ext)) In_channel.input_all in
+  let g =
+    match Costar_ebnf.Parse.grammar_of_string (read ".ebnf") with
+    | Ok g -> g
+    | Error msg -> Alcotest.failf "%s.ebnf: %s" name msg
+  in
+  match Spec.rules_of_string (read ".lexer") with
+  | Ok rules -> (g, rules)
+  | Error msg -> Alcotest.failf "%s.lexer: %s" name msg
+
+let scan_lexer g rules input =
+  Scanner.scan_buf (Scanner.compile (Scanner.make rules) g) input
+  |> Result.map_error (Fmt.str "%a" Scanner.pp_error)
+
+let oracle_lexer g rules input =
+  Lex_oracle.tokenize rules g input |> Result.map_error (Fmt.str "%a" Scanner.pp_error)
+
+let example_inputs =
+  [
+    ( "expr",
+      [ "a + 12 * (b - 3) / c_1"; "x\n  * (y +\n 7)\n"; "a + $ b"; "(1 -\n 2) ? 3"; "" ] );
+    ( "ini",
+      [
+        "[main]\nkey = 12 ;\n# a comment\nx = y ;\n";
+        "[a]\n[b]\nk=1;";
+        "[a]\nk = 1 ;\n  %bad";
+        "";
+      ] );
+  ]
+
 let test_example_lexers_agree () =
   List.iter
     (fun (name, inputs) ->
-      let read ext = In_channel.with_open_bin (Filename.concat example_dir (name ^ ext)) In_channel.input_all in
-      let g =
-        match Costar_ebnf.Parse.grammar_of_string (read ".ebnf") with
-        | Ok g -> g
-        | Error msg -> Alcotest.failf "%s.ebnf: %s" name msg
+      let g, rules = example_lexer name in
+      match
+        disagreement ~reference:(oracle_lexer g rules) ~lex:(scan_lexer g rules) inputs
+      with
+      | None -> ()
+      | Some msg -> Alcotest.failf "%s %s" name msg)
+    example_inputs
+
+(* The gate has teeth: a scanner compiled from the same rules with two
+   rules' priorities swapped (a keyword after the identifier rule that
+   also matches it) must fail the differential against the oracle of the
+   real rules, on the same generated file that the real scanner passes. *)
+let test_swapped_priorities_caught () =
+  List.iter
+    (fun (l, keyword, ident) ->
+      let name = l.Costar_langs.Lang.name in
+      let g = Costar_langs.Lang.grammar l in
+      let rules = Scanner.rules (Costar_langs.Lang.scanner l) in
+      let index rule_name =
+        let rec go k = function
+          | [] -> Alcotest.failf "%s has no rule %s" name rule_name
+          | (r : Scanner.rule) :: rest -> if r.name = rule_name then k else go (k + 1) rest
+        in
+        go 0 rules
       in
-      let sc =
-        match Spec.scanner_of_string (read ".lexer") with
-        | Ok sc -> sc
-        | Error msg -> Alcotest.failf "%s.lexer: %s" name msg
+      let i = index keyword and j = index ident in
+      let swapped =
+        List.mapi
+          (fun k r -> if k = i then List.nth rules j else if k = j then List.nth rules i else r)
+          rules
       in
-      let compiled =
-        match Scanner.compile sc g with
-        | Ok c -> c
-        | Error msg -> Alcotest.failf "%s: compile failed: %s" name msg
-      in
-      List.iteri
-        (fun k input ->
-          let what = Printf.sprintf "%s input %d" name k in
-          match Scanner.tokenize sc g input, Scanner.scan_buf compiled input with
-          | Ok toks, Ok buf -> check_same_tokens what toks buf
-          | Error e1, Error e2 ->
-            Alcotest.(check string) what
-              (Fmt.str "%a" Scanner.pp_error e1)
-              (Fmt.str "%a" Scanner.pp_error e2)
-          | _ -> Alcotest.failf "%s: the pipelines disagree on acceptance" what)
-        inputs)
-    [
-      ( "expr",
-        [ "a + 12 * (b - 3) / c_1"; "x\n  * (y +\n 7)\n"; "a + $ b"; "(1 -\n 2) ? 3"; "" ] );
-      ( "ini",
-        [
-          "[main]\nkey = 12 ;\n# a comment\nx = y ;\n";
-          "[a]\n[b]\nk=1;";
-          "[a]\nk = 1 ;\n  %bad";
-          "";
-        ] );
-    ]
+      let inputs = [ Costar_langs.Lang.generate l ~seed:4 ~size:80 ] in
+      check (name ^ ": the real scanner passes") true
+        (disagreement ~reference:(oracle_lexer g rules) ~lex:(scan_lexer g rules) inputs
+        = None);
+      check
+        (Printf.sprintf "%s: %s and %s swapped fail" name keyword ident)
+        true
+        (disagreement ~reference:(oracle_lexer g rules) ~lex:(scan_lexer g swapped) inputs
+        <> None))
+    Costar_langs.[ (Minipy.lang, "if", "NAME"); (Dot.lang, "graph", "ID") ]
 
 (* A result never shares storage with the scratch the next scan writes:
    two results taken back to back on one domain both still hold their own
@@ -352,8 +403,9 @@ let test_results_independent () =
       let bb = Costar_langs.Lang.tokenize_buf_exn l b in
       (* A failing scan in between must not disturb them either. *)
       ignore (Costar_langs.Lang.tokenize_buf l (b ^ "\x01"));
-      check_same_tokens (name ^ " first") (Costar_langs.Lang.tokenize_exn l a) ba;
-      check_same_tokens (name ^ " second") (Costar_langs.Lang.tokenize_exn l b) bb;
+      let oracle input = Result.get_ok (Lex_oracle.lang_tokenize l input) in
+      check_same_tokens (name ^ " first") (oracle a) ba;
+      check_same_tokens (name ^ " second") (oracle b) bb;
       check (name ^ ": distinct arrays") true
         (Token_buf.kinds_unsafe ba != Token_buf.kinds_unsafe bb))
     langs
@@ -421,13 +473,7 @@ let test_scan_minor_words () =
   let l = Costar_langs.Json.lang in
   let input = Costar_langs.Lang.generate l ~seed:7 ~size:2000 in
   let compiled =
-    match
-      Scanner.compile
-        (Lazy.force Costar_langs.Json.scanner)
-        (Costar_langs.Lang.grammar l)
-    with
-    | Ok c -> c
-    | Error msg -> Alcotest.failf "compile failed: %s" msg
+    Scanner.compile (Lazy.force Costar_langs.Json.scanner) (Costar_langs.Lang.grammar l)
   in
   let buf = Token_buf.create input in
   Scanner.scan_into compiled buf input;
@@ -724,14 +770,16 @@ let () =
       ("differential", props);
       ( "langs",
         [
-          Alcotest.test_case "buffer pipeline = legacy (4 langs)" `Quick
+          Alcotest.test_case "buffer pipeline = oracle (4 langs)" `Quick
             test_langs_differential;
           Alcotest.test_case "minipy indent errors agree" `Quick
             test_minipy_indent_error_agrees;
-          Alcotest.test_case "buffer pipeline = list: tokens and lex errors (4 langs)"
+          Alcotest.test_case "buffer pipeline = oracle: tokens and lex errors (4 langs)"
             `Quick test_langs_errors_agree;
-          Alcotest.test_case "scan_buf = list pipeline (example lexers)" `Quick
+          Alcotest.test_case "scan_buf = oracle (example lexers)" `Quick
             test_example_lexers_agree;
+          Alcotest.test_case "oracle catches swapped rule priorities" `Quick
+            test_swapped_priorities_caught;
           Alcotest.test_case "back-to-back results stay independent" `Quick
             test_results_independent;
           Alcotest.test_case "results are exact-size, 12 bytes per token" `Quick

@@ -15,8 +15,8 @@ let matches pattern input =
       (* A nullable pattern can't drive the scanner; test emptiness only. *)
       input = ""
     else
-      match Scanner.scan (Scanner.make [ Scanner.rule "R" re ]) input with
-      | Ok [ raw ] -> String.equal raw.Scanner.lexeme input
+      match Lex_oracle.scan_raws [ Scanner.rule "R" re ] input with
+      | Ok [ raw ] -> String.equal raw.Lex_oracle.lexeme input
       | _ -> false)
 
 let test_literals () =

@@ -18,15 +18,15 @@ let calc_spec =
   |}
 
 let test_scanner_from_spec () =
-  match Spec.scanner_of_string calc_spec with
+  match Spec.rules_of_string calc_spec with
   | Error msg -> Alcotest.fail msg
-  | Ok sc -> (
-    match Scanner.scan sc "1 + 2.5 * (3)" with
+  | Ok rules -> (
+    match Lex_oracle.scan_raws rules "1 + 2.5 * (3)" with
     | Ok raws ->
       Alcotest.(check (list string))
         "kinds"
         [ "NUM"; "+"; "NUM"; "*"; "("; "NUM"; ")" ]
-        (List.map (fun r -> r.Scanner.kind) raws)
+        (List.map (fun r -> r.Lex_oracle.kind) raws)
     | Error e -> Alcotest.failf "scan failed: %a" Scanner.pp_error e)
 
 let test_skip_rules () =
