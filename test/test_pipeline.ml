@@ -778,8 +778,6 @@ let () =
             `Quick test_langs_errors_agree;
           Alcotest.test_case "scan_buf = oracle (example lexers)" `Quick
             test_example_lexers_agree;
-          Alcotest.test_case "oracle catches swapped rule priorities" `Quick
-            test_swapped_priorities_caught;
           Alcotest.test_case "back-to-back results stay independent" `Quick
             test_results_independent;
           Alcotest.test_case "results are exact-size, 12 bytes per token" `Quick
@@ -794,6 +792,8 @@ let () =
             test_table_hits_count_as_walks;
           Alcotest.test_case "minipy end-of-input tokens at the end of input" `Quick
             test_minipy_eof_position;
+          Alcotest.test_case "oracle catches swapped rule priorities" `Quick
+            test_swapped_priorities_caught;
         ] );
       ( "alloc",
         [
